@@ -20,9 +20,6 @@ class Color(enum.Enum):
         # alpha < beta, fixed for canonical serialization
         return self is Color.ALPHA and other is Color.BETA
 
-    def swapped(self) -> "Color":
-        return Color.BETA if self is Color.ALPHA else Color.ALPHA
-
     def __repr__(self) -> str:
         return f"Color.{self.name}"
 

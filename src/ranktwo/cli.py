@@ -85,12 +85,7 @@ def cmd_character(args) -> int:
             algebra = matched[0]
     lam = args.weight
     if lam is None:
-        tops = [i for i in range(len(lat))
-                if not any(s == i for s, _, _ in lat.covers)]
-        if len(tops) != 1:
-            print("FAIL (no unique maximal element to read the highest weight from)")
-            return 1
-        lam = lat.weight(tops[0])
+        lam = lat.weight(lat.top)
         if lam[0] < 0 or lam[1] < 0:
             print("FAIL (maximal weight is not dominant)")
             return 1
@@ -155,7 +150,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     obj = load(getattr(args, "in"))
-    if "poset" in obj:  # lattice file
+    if isinstance(obj, dict) and "poset" in obj:  # lattice file
         lat = lattice_from_obj(obj)
         if args.format == "json":
             text = dumps(lattice_to_obj(lat))

@@ -7,10 +7,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .algebras import Algebra, Color, sigma0
 from .poset import PosetError, VertexColoredPoset, vertex_color_isomorphism
+
+if TYPE_CHECKING:
+    from .lattice import IdealLattice
 
 
 @dataclass(frozen=True)
@@ -170,6 +173,13 @@ class Decomposition:
 
     def __len__(self) -> int:
         return len(self.pieces)
+
+    @cached_property
+    def lattices(self) -> tuple[IdealLattice, ...]:
+        """The lattice of order ideals of each piece."""
+        from .lattice import order_ideals  # deferred: lattice imports grid
+
+        return tuple(order_ideals(piece) for piece in self.pieces)
 
 
 def _ideals_by_size(p: GridPoset, max_size: int):

@@ -1,5 +1,12 @@
 """Lattices of order ideals with edge colors inherited from vertex colors,
 per-color component statistics, element weights, and the structure condition.
+
+The statistics are read from the lattice's own covers: one union-find per
+color over the covers of that color gives every element the (lo, hi) ideal
+sizes of its one-color component, and an element of size s then has
+rho = s - lo, length = hi - lo and weight coordinate m = 2 rho - length.
+The generic `edge_poset` is built only for isomorphism, DOT and rank
+functions.
 """
 
 from __future__ import annotations
@@ -9,8 +16,9 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .algebras import ALPHA, BETA, Color, Weight
+from .build import SemistandardPoset
 from .grid import Decomposition, GridPoset, total_order
-from .poset import EdgeColoredPoset, VertexColoredPoset
+from .poset import EdgeColoredPoset, VertexColoredPoset, _components
 
 DEFAULT_MAX_IDEALS = 10**7
 
@@ -35,22 +43,18 @@ class RankStats:
         return 2 * self.rho - self.length
 
 
-def _grid_of(source) -> GridPoset | VertexColoredPoset:
-    """Unwrap builder outputs that carry a .grid attribute."""
-    return getattr(source, "grid", source)
-
-
 @dataclass(frozen=True)
 class IdealLattice:
     """All order ideals of a poset, as bitmasks over a fixed vertex order."""
 
-    source: object  # GridPoset, VertexColoredPoset, or a wrapper with .grid
+    poset: GridPoset | VertexColoredPoset
+    built: SemistandardPoset | None  # the builder output `poset` came from, if any
     vertex_order: tuple[int, ...]
     elements: tuple[int, ...]  # bitmasks, sorted by (size, value)
 
     @cached_property
     def base(self) -> VertexColoredPoset:
-        p = _grid_of(self.source)
+        p = self.poset
         return p.base if isinstance(p, GridPoset) else p
 
     def __len__(self) -> int:
@@ -97,46 +101,33 @@ class IdealLattice:
         return EdgeColoredPoset(tuple(range(len(self.elements))), frozenset(self.covers))
 
     @cached_property
-    def _color_components(self) -> dict[Color, tuple[tuple[frozenset[int], ...], dict[int, int]]]:
+    def _component_bounds(self) -> dict[Color, list[tuple[int, int]]]:
+        """Per color, the (lo, hi) ideal sizes of each element's component."""
         out = {}
+        elements = range(len(self.elements))
         for color in (ALPHA, BETA):
-            comps = self.edge_poset.components([color])
-            member = {}
-            for k, comp in enumerate(comps):
+            pairs = [(i, j) for i, j, c in self.covers if c is color]
+            bounds = [(0, 0)] * len(elements)
+            for comp in _components(elements, pairs):
+                # elements are sorted by size, so index order is size order
+                lo_hi = (self.size_of(min(comp)), self.size_of(max(comp)))
                 for i in comp:
-                    member[i] = k
-            out[color] = (comps, member)
+                    bounds[i] = lo_hi
+            out[color] = bounds
         return out
 
-    def component(self, i: int, colors: Iterable[Color]) -> EdgeColoredPoset:
-        members = self.edge_poset.component_of(i, colors)
-        return self.edge_poset.sub(members)
-
     def rank_stats(self, i: int, color: Color) -> RankStats:
-        comps, member = self._color_components[color]
-        comp = comps[member[i]]
-        sizes = [self.size_of(j) for j in comp]
-        lo, hi = min(sizes), max(sizes)
+        lo, hi = self._component_bounds[color][i]
         return RankStats(rho=self.size_of(i) - lo, length=hi - lo)
 
     @cached_property
     def weights(self) -> tuple[Weight, ...]:
-        per_color = {}
-        for color in (ALPHA, BETA):
-            comps, member = self._color_components[color]
-            bounds = []
-            for comp in comps:
-                sizes = [self.size_of(j) for j in comp]
-                bounds.append((min(sizes), max(sizes)))
-            per_color[color] = (bounds, member)
+        alpha, beta = self._component_bounds[ALPHA], self._component_bounds[BETA]
         out = []
-        for i in range(len(self.elements)):
-            row = []
-            for color in (ALPHA, BETA):
-                bounds, member = per_color[color]
-                lo, hi = bounds[member[i]]
-                row.append(2 * (self.size_of(i) - lo) - (hi - lo))
-            out.append((row[0], row[1]))
+        for i, mask in enumerate(self.elements):
+            # m = 2 rho - length = 2 size - lo - hi, per color
+            twice = 2 * mask.bit_count()
+            out.append((twice - sum(alpha[i]), twice - sum(beta[i])))
         return tuple(out)
 
     def weight(self, i: int) -> Weight:
@@ -151,53 +142,36 @@ class IdealLattice:
         return 0
 
 
-def order_ideals(p: GridPoset | VertexColoredPoset,
+def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
                  max_ideals: int = DEFAULT_MAX_IDEALS) -> IdealLattice:
     """Enumerate all order ideals of p, refusing beyond `max_ideals`.
 
     Vertices are taken in the grid total order (chains ascending, descending
-    inside a chain) when available, else in a linear extension; masks are
-    generated by a depth-first scan that adds a vertex only once all of its
-    lower covers are present.
+    inside a chain) when available, else in a linear extension; bit b of a
+    mask is vertex_order[b].  The scan visits vertices along a linear
+    extension and, for each vertex v, extends the list of ideals found so
+    far by v added to every ideal that holds all lower covers of v.  The
+    count only grows, so the refusal fires exactly when the final count
+    would exceed `max_ideals`, before the list grows past twice that.
     """
-    source = p
-    p = _grid_of(p)
+    built = p if isinstance(p, SemistandardPoset) else None
+    if built is not None:
+        p = built.grid
+    if not isinstance(p, (GridPoset, VertexColoredPoset)):
+        raise ValueError("order ideals need a vertex-colored poset")
     base = p.base if isinstance(p, GridPoset) else p
-    if isinstance(p, GridPoset):
-        order = total_order(p)
-    else:
-        order = base.linear_extension
-    bit = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    # visit vertices so every lower cover is decided first
-    scan = sorted(range(n), key=lambda b: len(base.below[order[b]]))
-    low_masks = []
-    for b in scan:
-        m = 0
-        for u in base.lower_covers[order[b]]:
-            m |= 1 << bit[u]
-        low_masks.append(m)
-    ideals: list[int] = []
-
-    def rec(k: int, mask: int) -> None:
-        if k == n:
-            ideals.append(mask)
-            if len(ideals) > max_ideals:
-                raise TooManyIdeals(f"more than {max_ideals} order ideals")
-            return
-        rec(k + 1, mask)
-        if mask & low_masks[k] == low_masks[k]:
-            rec(k + 1, mask | (1 << scan[k]))
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, n + 100))
-    try:
-        rec(0, 0)
-    finally:
-        sys.setrecursionlimit(old)
+    order = total_order(p) if isinstance(p, GridPoset) else base.linear_extension
+    bit = {v: 1 << b for b, v in enumerate(order)}
+    ideals = [0]
+    for v in base.linear_extension:
+        low = 0
+        for u in base.lower_covers[v]:
+            low |= bit[u]
+        ideals += [mask | bit[v] for mask in ideals if mask & low == low]
+        if len(ideals) > max_ideals:
+            raise TooManyIdeals(f"more than {max_ideals} order ideals")
     ideals.sort(key=lambda m: (m.bit_count(), m))
-    return IdealLattice(source, order, tuple(ideals))
+    return IdealLattice(p, built, order, tuple(ideals))
 
 
 def check_structure(lattice: IdealLattice | EdgeColoredPoset,
@@ -241,22 +215,12 @@ def _covers_and_weights(lattice, weights):
     return tuple(lattice.covers), weights
 
 
-def _piece_lattice(piece: GridPoset) -> IdealLattice:
-    if piece not in _PIECE_CACHE:
-        _PIECE_CACHE[piece] = order_ideals(piece)
-    return _PIECE_CACHE[piece]
-
-
-_PIECE_CACHE: dict[GridPoset, IdealLattice] = {}
-
-
 def weight_via_decomposition(lattice: IdealLattice, i: int,
                              dec: Decomposition) -> Weight:
     """Sum of piece-lattice weights of the intersections with each piece."""
     s = lattice.element_vertices(i)
     total = (0, 0)
-    for piece in dec.pieces:
-        sub = _piece_lattice(piece)
+    for piece, sub in zip(dec.pieces, dec.lattices):
         j = sub.element_index(s & set(piece.base.ids))
         w = sub.weight(j)
         total = (total[0] + w[0], total[1] + w[1])
@@ -268,8 +232,7 @@ def piece_rank_stats(lattice: IdealLattice, i: int, dec: Decomposition,
     """(sum of piece rho, sum of piece lengths) for one color."""
     s = lattice.element_vertices(i)
     rho = length = 0
-    for piece in dec.pieces:
-        sub = _piece_lattice(piece)
+    for piece, sub in zip(dec.pieces, dec.lattices):
         j = sub.element_index(s & set(piece.base.ids))
         st = sub.rank_stats(j, color)
         rho += st.rho

@@ -159,11 +159,6 @@ class VertexColoredPoset:
         covs = frozenset((u, v) for u, v in self.covers if u in keep and v in keep)
         return VertexColoredPoset(verts, covs)
 
-    def canonical(self) -> "VertexColoredPoset":
-        """Relabel ids 0..n-1 along a deterministic linear extension."""
-        ext = self.linear_extension
-        return self.relabel({v: i for i, v in enumerate(ext)})
-
 
 @dataclass(frozen=True)
 class EdgeColoredPoset:
@@ -206,32 +201,6 @@ class EdgeColoredPoset:
             tuple(sorted(mapping[v] for v in self.elements)),
             frozenset((mapping[u], mapping[v], c) for u, v, c in self.covers),
         )
-
-    def canonical(self) -> "EdgeColoredPoset":
-        up = {v: [w for w, _ in self.upper_covers[v]] for v in self.elements}
-        ext = _topological_order(self.elements, up)
-        return self.relabel({v: i for i, v in enumerate(ext)})
-
-    def edges_of_color(self, color: Color) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) for u, v, c in self.covers if c is color)
-
-    def component_of(self, element: int, colors: Iterable[Color]) -> frozenset[int]:
-        """Connected component of `element` in the subgraph of the given colors."""
-        colors = set(colors)
-        adj: dict[int, list[int]] = {v: [] for v in self.elements}
-        for u, v, c in self.covers:
-            if c in colors:
-                adj[u].append(v)
-                adj[v].append(u)
-        seen = {element}
-        stack = [element]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(seen)
 
     def components(self, colors: Iterable[Color]) -> tuple[frozenset[int], ...]:
         colors = set(colors)

@@ -39,42 +39,70 @@ def poset_to_obj(p: VertexColoredPoset | EdgeColoredPoset | GridPoset) -> dict[s
     }
 
 
-def poset_from_obj(obj: dict[str, Any]) -> VertexColoredPoset | EdgeColoredPoset | GridPoset:
-    kind = obj.get("kind")
+def _field(obj: Any, key: str, kind: type, where: str) -> Any:
+    """obj[key], checked to be a JSON value of type `kind` (never a bool)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r}")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where}: {key!r} must be of type {kind.__name__}")
+    return value
+
+
+def _cover(rec: Any, colored: bool) -> tuple:
+    """(u, v) or, for an edge-colored poset, (u, v, color) from [u, v(, c)]."""
+    size, shape = (3, "[u, v, color]") if colored else (2, "[u, v]")
+    if not (isinstance(rec, list) and len(rec) == size
+            and all(type(x) is int for x in rec[:2])):
+        raise ValueError(f"cover {rec!r} must be {shape} with integer u, v")
+    return (rec[0], rec[1], Color(rec[2])) if colored else (rec[0], rec[1])
+
+
+def _by_id(records: list, key: str, kind: type, where: str) -> dict[int, Any]:
+    """{id: record[key]} over records, rejecting repeated ids."""
+    out = {_field(rec, "id", int, where): _field(rec, key, kind, where) for rec in records}
+    if len(out) != len(records):
+        raise ValueError(f"{where}: repeated id")
+    return out
+
+
+def poset_from_obj(obj: Any) -> VertexColoredPoset | EdgeColoredPoset | GridPoset:
+    """Parse a poset file; any departure from the layout is a ValueError."""
+    kind = _field(obj, "kind", str, "poset")
+    vertices = _field(obj, "vertices", list, "poset")
+    records = _field(obj, "covers", list, "poset")
     if kind == "vertex":
-        colors = {rec["id"]: Color(rec["color"]) for rec in obj["vertices"]}
-        covers = [(u, v) for u, v in obj["covers"]]
-        base = VertexColoredPoset.build(colors, covers)
+        colors = {v: Color(c) for v, c in _by_id(vertices, "color", str, "vertex").items()}
+        base = VertexColoredPoset.build(colors, [_cover(rec, False) for rec in records])
         if "chain" in obj:
-            chain = {rec["id"]: rec["chain"] for rec in obj["chain"]}
+            chain = _by_id(_field(obj, "chain", list, "poset"), "chain", int, "chain entry")
             return GridPoset(base, tuple(sorted(chain.items())))
         return base
     if kind == "edge":
-        elements = tuple(rec["id"] for rec in obj["vertices"])
-        covers = frozenset((u, v, Color(c)) for u, v, c in obj["covers"])
-        return EdgeColoredPoset(elements, covers)
+        elements = tuple(_field(rec, "id", int, "vertex") for rec in vertices)
+        return EdgeColoredPoset(elements, frozenset(_cover(rec, True) for rec in records))
     raise ValueError(f"unknown poset kind {kind!r}")
 
 
 def lattice_to_obj(lat: IdealLattice) -> dict[str, Any]:
-    from .lattice import _grid_of
-
     return {
-        "poset": poset_to_obj(_grid_of(lat.source)),
+        "poset": poset_to_obj(lat.poset),
         "elements": [sorted(lat.element_vertices(i)) for i in range(len(lat))],
         "covers": [[i, j, c.value] for i, j, c in sorted(lat.covers, key=lambda t: (t[0], t[1]))],
         "weights": [list(w) for w in lat.weights],
     }
 
 
-def lattice_from_obj(obj: dict[str, Any]) -> IdealLattice:
-    """Rebuild the lattice from its poset and check the file against it."""
-    poset = poset_from_obj(obj["poset"])
-    lat = order_ideals(poset)
-    if [sorted(lat.element_vertices(i)) for i in range(len(lat))] != obj["elements"]:
-        raise ValueError("lattice file elements do not match its poset")
-    if [list(w) for w in lat.weights] != obj["weights"]:
-        raise ValueError("lattice file weights do not match its poset")
+def lattice_from_obj(obj: Any) -> IdealLattice:
+    """Rebuild the lattice from its poset and check the file against it:
+    elements, covers with their colors, and weights must all match."""
+    lat = order_ideals(poset_from_obj(_field(obj, "poset", dict, "lattice file")))
+    expected = lattice_to_obj(lat)
+    for key in ("elements", "covers", "weights"):
+        if _field(obj, key, list, "lattice file") != expected[key]:
+            raise ValueError(f"lattice file {key} do not match its poset")
     return lat
 
 
@@ -82,7 +110,7 @@ def dumps(obj: dict[str, Any]) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def load(path: str) -> dict[str, Any]:
+def load(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -124,7 +152,3 @@ def poset_to_dot(p: VertexColoredPoset | EdgeColoredPoset | GridPoset) -> str:
             lines.append(f"  {{ rank=same; {members} }}")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def lattice_to_dot(lat: IdealLattice) -> str:
-    return poset_to_dot(lat.edge_poset)

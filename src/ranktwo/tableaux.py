@@ -12,9 +12,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, Sequence, TypeVar
 
 from .algebras import ALPHA, BETA, Algebra, Color, Weight
-from .build import SemistandardPoset, fundamental_poset, semistandard_poset
+from .build import fundamental_poset, semistandard_poset
 from .lattice import IdealLattice, order_ideals
 from .poset import EdgeColoredPoset, edge_color_isomorphism
 
@@ -22,6 +23,7 @@ Column = tuple[int, ...]
 Tableau = tuple[Column, ...]
 Block = tuple[Column, ...]
 LittelmannTableau = tuple[Block, ...]
+T = TypeVar("T")
 
 
 class ShapeError(ValueError):
@@ -140,27 +142,22 @@ def allowed_columns(algebra: Algebra, length: int) -> tuple[Column, ...]:
     return tuple(cols)
 
 
+def _sequences(options: Sequence[Sequence[T]],
+               compatible: Callable[[T, T], bool]) -> tuple[tuple[T, ...], ...]:
+    """Every sequence taking one item from each options[i] in which each
+    consecutive pair is compatible, sorted lexicographically."""
+    seqs: list[tuple[T, ...]] = [()]
+    for items in options:
+        seqs = [s + (x,) for s in seqs for x in items if not s or compatible(s[-1], x)]
+    return tuple(sorted(seqs))
+
+
 def enumerate_tableaux(algebra: Algebra, lam: Weight) -> tuple[Tableau, ...]:
     """All admissible tableaux of the given shape, sorted lexicographically."""
     _require_simple(algebra)
     a, b = lam
-    lengths = [2] * b + [1] * a
-    out: list[Tableau] = []
-
-    def rec(i: int, prefix: list[Column]) -> None:
-        if i == len(lengths):
-            out.append(tuple(prefix))
-            return
-        for column in allowed_columns(algebra, lengths[i]):
-            if prefix and not _pair_admissible(algebra, prefix[-1], column):
-                continue
-            prefix.append(column)
-            rec(i + 1, prefix)
-            prefix.pop()
-
-    rec(0, [])
-    out.sort()
-    return tuple(out)
+    options = [allowed_columns(algebra, 2)] * b + [allowed_columns(algebra, 1)] * a
+    return _sequences(options, lambda left, right: _pair_admissible(algebra, left, right))
 
 
 # --- tableau-native lattice ---------------------------------------------------
@@ -238,8 +235,8 @@ def _piece_column_maps(algebra: Algebra, which: str) -> tuple[dict, dict]:
 
 def tableau_of_ideal(lattice: IdealLattice, index: int) -> Tableau:
     """Tableau of one lattice element, column by decomposition piece."""
-    sp = lattice.source
-    if not isinstance(sp, SemistandardPoset) or sp.order != "beta_alpha":
+    sp = lattice.built
+    if sp is None or sp.order != "beta_alpha":
         raise ValueError("tableaux are defined on beta-alpha semistandard lattices")
     _require_simple(sp.algebra)
     s = lattice.element_vertices(index)
@@ -375,26 +372,8 @@ def enumerate_littelmann(algebra: Algebra, lam: Weight) -> tuple[LittelmannTable
     """All semistandard block tableaux built from admissible blocks."""
     _require_simple(algebra)
     a, b = lam
-    rows_seq = [2] * b + [1] * a
-    out: list[LittelmannTableau] = []
-
-    def compatible(left: Block, right: Block) -> bool:
-        return _row_compatible(left[-1], right[0])
-
-    def rec(i: int, prefix: list[Block]) -> None:
-        if i == len(rows_seq):
-            out.append(tuple(prefix))
-            return
-        for block in admissible_blocks(algebra, rows_seq[i]):
-            if prefix and not compatible(prefix[-1], block):
-                continue
-            prefix.append(block)
-            rec(i + 1, prefix)
-            prefix.pop()
-
-    rec(0, [])
-    out.sort()
-    return tuple(out)
+    options = [admissible_blocks(algebra, 2)] * b + [admissible_blocks(algebra, 1)] * a
+    return _sequences(options, lambda left, right: _row_compatible(left[-1], right[0]))
 
 
 def tableau_text(t: Tableau) -> str:

@@ -20,8 +20,8 @@ from .lattice import (IdealLattice, check_structure, infer_structure_matrix,
 from .poset import (are_edge_color_isomorphic, find_rank_function,
                     vertex_color_isomorphism)
 from .weyl import (LaurentPoly2, QPoly, alternating_sum,
-                   character_from_lattice, rgf_from_lattice, rgf_product,
-                   verify_weyl_character)
+                   character_from_lattice, q_product, rgf_from_lattice,
+                   rgf_product, verify_weyl_character)
 
 ORDERS = ("beta_alpha", "alpha_beta")
 SIMPLE = (Algebra.A2, Algebra.C2, Algebra.G2)
@@ -45,12 +45,7 @@ RHO_SUM_LITERAL = {
 
 def quasi_gaussian_product(m: int) -> QPoly:
     """Five-factor closed form for the one-parameter second-weight family."""
-    numerator = QPoly.one()
-    for n in (m + 1, m + 2, 2 * m + 3, 3 * m + 4, 3 * m + 5):
-        numerator = numerator * QPoly.one_minus_q_power(n)
-    for d in (1, 2, 3, 4, 5):
-        numerator = numerator.divide_exact(QPoly.one_minus_q_power(d))
-    return numerator
+    return q_product((m + 1, m + 2, 2 * m + 3, 3 * m + 4, 3 * m + 5), (1, 2, 3, 4, 5))
 
 
 def _weights_in_range(bound: tuple[int, int]):
@@ -237,10 +232,7 @@ class Verifier:
         chain23 = order_ideals(load_fixture("chain_product_2x3"))
         if len(chain23) != 10:
             return False
-        gaussian = QPoly.one_minus_q_power(4) * QPoly.one_minus_q_power(5)
-        gaussian = gaussian.divide_exact(QPoly.one_minus_q_power(1))
-        gaussian = gaussian.divide_exact(QPoly.one_minus_q_power(2))
-        if rgf_from_lattice(chain23) != gaussian:
+        if rgf_from_lattice(chain23) != q_product((4, 5), (1, 2)):
             return False
         rank = find_rank_function(chain23.edge_poset)
         if rank is None or rank.rank_sizes() != (1, 1, 2, 2, 2, 1, 1):

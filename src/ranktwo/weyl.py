@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from .algebras import (ALPHA, BETA, Algebra, Color, POSITIVE_ROOTS, Weight,
                        cartan_matrix, rho_check_pairing, simple_root)
@@ -291,6 +292,17 @@ def rgf_from_lattice(lattice: IdealLattice) -> QPoly:
     return QPoly(tuple(counts.get(r, 0) for r in range(top + 1)))
 
 
+def q_product(nums: Iterable[int], dens: Iterable[int]) -> QPoly:
+    """The product of (1 - q^n) over nums divided by that of (1 - q^d) over
+    dens, expanded by exact division."""
+    out = QPoly.one()
+    for n in nums:
+        out = out * QPoly.one_minus_q_power(n)
+    for d in dens:
+        out = out.divide_exact(QPoly.one_minus_q_power(d))
+    return out
+
+
 def rgf_product(algebra: Algebra, lam: Weight) -> QPoly:
     """Closed product form, expanded by exact division.
 
@@ -308,12 +320,7 @@ def rgf_product(algebra: Algebra, lam: Weight) -> QPoly:
         nums = [a + 1, b + 1, a + b + 2, a + 2 * b + 3, a + 3 * b + 4,
                 2 * a + 3 * b + 5]
         dens = [1, 1, 2, 3, 4, 5]
-    numerator = QPoly.one()
-    for n in nums:
-        numerator = numerator * QPoly.one_minus_q_power(n)
-    for d in dens:
-        numerator = numerator.divide_exact(QPoly.one_minus_q_power(d))
-    return numerator
+    return q_product(nums, dens)
 
 
 def natural_rank(lattice: IdealLattice, algebra: Algebra) -> RankFunction:

@@ -174,6 +174,45 @@ def test_corrupt_file_is_reported(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+def _flip_first_cover(lat):
+    (i, j, c), *rest = lat["covers"]
+    return {**lat, "covers": [[i, j, "b" if c == "a" else "a"], *rest]}
+
+
+@pytest.mark.parametrize("command, corrupt", [
+    ("enumerate", lambda poset, lat: _without(poset, "covers")),
+    ("enumerate", lambda poset, lat: [poset]),
+    ("enumerate", lambda poset, lat: {
+        **poset, "chain": [{**poset["chain"][0], "chain": "1"}, *poset["chain"][1:]]}),
+    ("enumerate", lambda poset, lat: {
+        "kind": "edge", "vertices": [{"id": 0}, {"id": 1}], "covers": [[0, 1, "a"]]}),
+    ("enumerate", lambda poset, lat: {
+        **poset, "vertices": [*poset["vertices"], {"color": "b", "id": 0}]}),
+    ("character", lambda poset, lat: _without(lat, "elements")),
+    ("character", lambda poset, lat: poset),
+    ("export", lambda poset, lat: {**lat, "covers": []}),
+    ("export", lambda poset, lat: _flip_first_cover(lat)),
+], ids=["poset-without-covers", "top-level-list", "string-chain-index",
+        "edge-poset-to-enumerate", "repeated-vertex-id", "lattice-without-elements",
+        "poset-file-as-lattice", "lattice-without-covers", "flipped-cover-color"])
+def test_malformed_file_is_a_usage_error(tmp_path, capsys, command, corrupt):
+    poset_file, lattice_file = tmp_path / "p.json", tmp_path / "l.json"
+    run(capsys, "build", "--algebra", "c2", "--weight", "1,1",
+        "--out", str(poset_file))
+    run(capsys, "enumerate", "--in", str(poset_file), "--out", str(lattice_file))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(json.loads(poset_file.read_text()),
+                                      json.loads(lattice_file.read_text()))))
+    argv = {"enumerate": ["--out", str(tmp_path / "out.json")],
+            "character": ["--verify"], "export": ["--format", "text"]}[command]
+    code, out, err = run(capsys, command, "--in", str(bad), *argv)
+    assert code == 2 and err.startswith("error: ") and out == ""
+
+
 def test_character_verify_on_trivial_lattice(tmp_path, capsys):
     poset_file, lattice_file = tmp_path / "p.json", tmp_path / "l.json"
     run(capsys, "build", "--algebra", "g2", "--weight", "0,0",

@@ -1,9 +1,11 @@
+import sys
+
 import pytest
 
-from conftest import brute_force_ideals
+from conftest import brute_force_ideals, random_colored_poset
 from ranktwo.algebras import ALPHA, BETA, Algebra, cartan_matrix, lowest_weight
 from ranktwo.build import fundamental_poset, semistandard_poset
-from ranktwo.fixtures import load_fixture
+from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
 from ranktwo.grid import decompose
 from ranktwo.lattice import (TooManyIdeals, check_structure,
                              infer_structure_matrix, join_irreducible_poset,
@@ -11,7 +13,8 @@ from ranktwo.lattice import (TooManyIdeals, check_structure,
                              weight_via_decomposition)
 from ranktwo.poset import (are_edge_color_isomorphic,
                            are_vertex_color_isomorphic,
-                           diamond_coloring_check, find_rank_function, product)
+                           diamond_coloring_check, find_rank_function, product,
+                           VertexColoredPoset)
 
 
 class TestEnumeration:
@@ -36,6 +39,19 @@ class TestEnumeration:
     def test_resource_guard(self):
         with pytest.raises(TooManyIdeals):
             order_ideals(load_fixture("chain_product_2x3"), max_ideals=5)
+
+    def test_long_chain_needs_no_recursion(self, monkeypatch):
+        n = 3000
+        chain = VertexColoredPoset.build({v: ALPHA for v in range(n)},
+                                         [(v, v + 1) for v in range(n - 1)])
+
+        def refuse(limit):
+            raise AssertionError("order_ideals changed the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        lat = order_ideals(chain)
+        assert len(lat) == n + 1
+        assert [lat.size_of(i) for i in range(len(lat))] == list(range(n + 1))
 
     def test_cardinality_is_a_rank_function(self):
         lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (2, 1)))
@@ -65,12 +81,13 @@ class TestComponents:
 
     def test_full_color_set(self):
         lat = order_ideals(semistandard_poset(Algebra.A2, "beta_alpha", (1, 1)))
-        comp = lat.component(0, [ALPHA, BETA])
+        comp = next(c for c in lat.edge_poset.components([ALPHA, BETA]) if 0 in c)
         assert len(comp) == len(lat)
 
     def test_singleton(self):
         lat = order_ideals(semistandard_poset(Algebra.A2, "beta_alpha", (0, 0)))
-        assert len(lat.component(0, [ALPHA])) == 1
+        comp = next(c for c in lat.edge_poset.components([ALPHA]) if 0 in c)
+        assert len(comp) == 1
 
 
 def _chain_poset(length, color):
@@ -79,6 +96,40 @@ def _chain_poset(length, color):
     return EdgeColoredPoset(
         tuple(range(length + 1)),
         frozenset((i, i + 1, color) for i in range(length)))
+
+
+def _stats_from_edge_poset(lat, color):
+    """(rho, length) per element, from the generic edge-colored components."""
+    out = {}
+    for comp in lat.edge_poset.components([color]):
+        sizes = [lat.size_of(j) for j in comp]
+        for i in comp:
+            out[i] = (lat.size_of(i) - min(sizes), max(sizes) - min(sizes))
+    return out
+
+
+def _assert_statistics_match_edge_poset(lat):
+    alpha = _stats_from_edge_poset(lat, ALPHA)
+    beta = _stats_from_edge_poset(lat, BETA)
+    for i in range(len(lat)):
+        for color, oracle in ((ALPHA, alpha), (BETA, beta)):
+            stats = lat.rank_stats(i, color)
+            assert (stats.rho, stats.length) == oracle[i]
+        (ra, la), (rb, lb) = alpha[i], beta[i]
+        assert lat.weight(i) == (2 * ra - la, 2 * rb - lb)
+
+
+class TestStatisticsMatchEdgePoset:
+    """Component bounds read from the covers against edge_poset components."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures(self, name):
+        _assert_statistics_match_edge_poset(order_ideals(load_fixture(name)))
+
+    def test_random_posets(self, rng):
+        for _ in range(40):
+            p = random_colored_poset(rng, rng.randint(1, 10))
+            _assert_statistics_match_edge_poset(order_ideals(p))
 
 
 class TestWeights:
