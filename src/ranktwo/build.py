@@ -86,6 +86,8 @@ class SemistandardPoset:
 def _piece_sequence(algebra: Algebra, order: Order, lam: Weight) -> list[tuple[Which, int]]:
     """(kind, chain offset) per piece, in concatenation order."""
     a, b = lam
+    if a < 0 or b < 0:
+        raise ValueError("weight coordinates must be nonnegative")
     if order == "beta_alpha":
         return [("beta_fund", 0)] * b + [("alpha_fund", 1)] * a
     if order == "alpha_beta":
@@ -93,21 +95,31 @@ def _piece_sequence(algebra: Algebra, order: Order, lam: Weight) -> list[tuple[W
     raise ValueError(f"order must be beta_alpha or alpha_beta, got {order!r}")
 
 
+def piece_spans(algebra: Algebra, order: Order, lam: Weight) -> tuple[PieceSpan, ...]:
+    """The pieces of `semistandard_poset(algebra, order, lam)`, without building it.
+
+    Piece vertices get consecutive global ids in concatenation order, each
+    piece numbered bottom to top as in its fixture.
+    """
+    spans = []
+    pos = 0
+    for kind, _ in _piece_sequence(algebra, order, lam):
+        n = len(_FUNDAMENTALS[(algebra, kind)][0])
+        spans.append(PieceSpan(kind, tuple(range(pos, pos + n))))
+        pos += n
+    return tuple(spans)
+
+
 def semistandard_poset(algebra: Algebra, order: Order, lam: Weight) -> SemistandardPoset:
     """Concatenate b copies of one fundamental poset and a of the other."""
-    a, b = lam
-    if a < 0 or b < 0:
-        raise ValueError("weight coordinates must be nonnegative")
+    spans = piece_spans(algebra, order, lam)
     colors: dict[int, Color] = {}
     chain: dict[int, int] = {}
     covers: set[tuple[int, int]] = set()
-    spans: list[PieceSpan] = []
     segments: dict[int, list[int]] = {}  # global chain -> vertex ids bottom to top
-    next_id = 0
-    for kind, offset in _piece_sequence(algebra, order, lam):
-        verts, piece_covers = _FUNDAMENTALS[(algebra, kind)]
-        ids = tuple(range(next_id, next_id + len(verts)))
-        next_id += len(verts)
+    for span, (_, offset) in zip(spans, _piece_sequence(algebra, order, lam)):
+        verts, piece_covers = _FUNDAMENTALS[(algebra, span.kind)]
+        ids = span.vertex_ids
         local_segments: dict[int, list[int]] = {}
         for local, (ch, col) in enumerate(verts):
             g = ids[local]
@@ -124,13 +136,7 @@ def semistandard_poset(algebra: Algebra, order: Order, lam: Weight) -> Semistand
     for seg in segments.values():
         covers.update(zip(seg, seg[1:]))
     grid = GridPoset.build(colors, covers, chain).normalized()
-    # vertex order inside each piece fixture is bottom to top
-    pos = 0
-    for kind, _ in _piece_sequence(algebra, order, lam):
-        n = len(_FUNDAMENTALS[(algebra, kind)][0])
-        spans.append(PieceSpan(kind, tuple(range(pos, pos + n))))
-        pos += n
-    return SemistandardPoset(grid, tuple(spans), algebra, order, lam)
+    return SemistandardPoset(grid, spans, algebra, order, lam)
 
 
 def semistandard_poset_oracle(algebra: Algebra, lam: Weight):

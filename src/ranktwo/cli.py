@@ -31,6 +31,16 @@ def _parse_weight(text: str) -> tuple[int, int]:
     return (a, b)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def _algebra(text: str) -> Algebra:
     try:
         return parse_algebra(text)
@@ -100,8 +110,12 @@ def cmd_rgf(args) -> int:
     print(closed)
     if not args.check_product:
         return 0
-    lat = order_ideals(semistandard_poset(args.algebra, ORDER_FLAG[args.order], lam),
-                       max_ideals=args.max_ideals)
+    try:
+        lat = order_ideals(semistandard_poset(args.algebra, ORDER_FLAG[args.order], lam),
+                           max_ideals=args.max_ideals)
+    except TooManyIdeals as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 1
     ok = rgf_from_lattice(lat) == closed
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
@@ -191,7 +205,7 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--order", choices=("ba", "ab"), default="ba",
                            help="piece order: ba (default) or ab")
         if max_ideals:
-            p.add_argument("--max-ideals", type=int, default=DEFAULT_MAX_IDEALS)
+            p.add_argument("--max-ideals", type=_positive_int, default=DEFAULT_MAX_IDEALS)
 
     p = sub.add_parser("build", help="write a semistandard poset as JSON")
     add_common(p, algebra=True, weight=True, order=True)
@@ -201,7 +215,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate the lattice of order ideals")
     p.add_argument("--in", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--max-ideals", type=int, default=DEFAULT_MAX_IDEALS)
+    add_common(p, max_ideals=True)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("character", help="print the weight generating function")

@@ -200,14 +200,18 @@ def _ideals_by_size(p: GridPoset, max_size: int):
 
 
 def _splits_validly(p: GridPoset, part: frozenset[int]) -> bool:
+    """No maximal element of `part` sits on a higher chain than a maximal
+    element of the rest, and likewise for minimal elements.  The extremes of
+    each side are read from p's own covers."""
     chain = p.chain_of
+    up, down = p.base.upper_covers, p.base.lower_covers
     rest = set(p.base.ids) - part
-    p1 = p.base.restrict(part)
-    p2 = p.base.restrict(rest)
-    max1 = [chain[v] for v in p1.maximal_elements]
-    max2 = [chain[v] for v in p2.maximal_elements]
-    min1 = [chain[v] for v in p1.minimal_elements]
-    min2 = [chain[v] for v in p2.minimal_elements]
+
+    def extreme_chains(side, covers) -> list[int]:
+        return [chain[v] for v in side if not any(w in side for w in covers[v])]
+
+    max1, min1 = extreme_chains(part, up), extreme_chains(part, down)
+    max2, min2 = extreme_chains(rest, up), extreme_chains(rest, down)
     return (max(max1, default=0) <= min(max2, default=10**9)
             and max(min1, default=0) <= min(min2, default=10**9))
 

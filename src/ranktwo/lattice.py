@@ -70,7 +70,13 @@ class IdealLattice:
 
     def element_vertices(self, i: int) -> frozenset[int]:
         mask = self.elements[i]
-        return frozenset(v for v, b in self._bit_of_vertex.items() if (mask >> b) & 1)
+        order = self.vertex_order
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(order[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
 
     def element_index(self, vertices: Iterable[int]) -> int:
         mask = 0
@@ -215,13 +221,25 @@ def _covers_and_weights(lattice, weights):
     return tuple(lattice.covers), weights
 
 
+def _piece_elements(lattice: IdealLattice, i: int,
+                    dec: Decomposition) -> list[tuple[IdealLattice, int]]:
+    """(piece lattice, index of element i's intersection with that piece) per piece."""
+    s = lattice.element_vertices(i)
+    out = []
+    for sub in dec.lattices:
+        mask = 0
+        for b, v in enumerate(sub.vertex_order):
+            if v in s:
+                mask |= 1 << b
+        out.append((sub, sub.index_of[mask]))
+    return out
+
+
 def weight_via_decomposition(lattice: IdealLattice, i: int,
                              dec: Decomposition) -> Weight:
     """Sum of piece-lattice weights of the intersections with each piece."""
-    s = lattice.element_vertices(i)
     total = (0, 0)
-    for piece, sub in zip(dec.pieces, dec.lattices):
-        j = sub.element_index(s & set(piece.base.ids))
+    for sub, j in _piece_elements(lattice, i, dec):
         w = sub.weight(j)
         total = (total[0] + w[0], total[1] + w[1])
     return total
@@ -230,10 +248,8 @@ def weight_via_decomposition(lattice: IdealLattice, i: int,
 def piece_rank_stats(lattice: IdealLattice, i: int, dec: Decomposition,
                      color: Color) -> tuple[int, int]:
     """(sum of piece rho, sum of piece lengths) for one color."""
-    s = lattice.element_vertices(i)
     rho = length = 0
-    for piece, sub in zip(dec.pieces, dec.lattices):
-        j = sub.element_index(s & set(piece.base.ids))
+    for sub, j in _piece_elements(lattice, i, dec):
         st = sub.rank_stats(j, color)
         rho += st.rho
         length += st.length

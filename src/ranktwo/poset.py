@@ -368,6 +368,14 @@ def _depths(ids, lower, order) -> dict[int, int]:
     return d
 
 
+def _candidates(psig: Mapping[int, tuple], qsig: Mapping[int, tuple]) -> dict[int, list[int]]:
+    """Per vertex of p, the vertices of q with the same signature, in q's order."""
+    buckets: dict[tuple, list[int]] = {}
+    for w, sig in qsig.items():
+        buckets.setdefault(sig, []).append(w)
+    return {v: buckets.get(sig, []) for v, sig in psig.items()}
+
+
 def vertex_color_isomorphism(p: VertexColoredPoset, q: VertexColoredPoset) -> dict[int, int] | None:
     """An isomorphism p -> q respecting covers and vertex colors, or None."""
     if len(p) != len(q) or len(p.covers) != len(q.covers):
@@ -379,7 +387,7 @@ def vertex_color_isomorphism(p: VertexColoredPoset, q: VertexColoredPoset) -> di
     if sorted(psig.values()) != sorted(qsig.values()):
         return None
     porder = p.linear_extension
-    candidates = {v: [w for w in q.ids if qsig[w] == psig[v]] for v in p.ids}
+    candidates = _candidates(psig, qsig)
     qcovers = {(u, v) for u, v in q.covers}
 
     def extend(mapping, used, v, w) -> bool:
@@ -402,7 +410,6 @@ def edge_color_isomorphism(p: EdgeColoredPoset, q: EdgeColoredPoset) -> dict[int
     up_p = {v: [w for w, _ in p.upper_covers[v]] for v in p.elements}
     up_q = {v: [w for w, _ in q.upper_covers[v]] for v in q.elements}
     porder = _topological_order(p.elements, up_p)
-    _topological_order(q.elements, up_q)
     pdep = _depths(p.elements, {v: [w for w, _ in p.lower_covers[v]] for v in p.elements}, porder)
     qorder = _topological_order(q.elements, up_q)
     qdep = _depths(q.elements, {v: [w for w, _ in q.lower_covers[v]] for v in q.elements}, qorder)
@@ -410,7 +417,7 @@ def edge_color_isomorphism(p: EdgeColoredPoset, q: EdgeColoredPoset) -> dict[int
     qsig = {v: (qdep[v],) + esig(q, v) for v in q.elements}
     if sorted(psig.values()) != sorted(qsig.values()):
         return None
-    candidates = {v: [w for w in q.elements if qsig[w] == psig[v]] for v in p.elements}
+    candidates = _candidates(psig, qsig)
     qcovers = {(u, v): c for u, v, c in q.covers}
 
     def extend(mapping, used, v, w) -> bool:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Callable, Sequence, TypeVar
 
 from .algebras import ALPHA, BETA, Algebra, Color, Weight
-from .build import fundamental_poset, semistandard_poset
+from .build import fundamental_poset, piece_spans
 from .lattice import IdealLattice, order_ideals
 from .poset import EdgeColoredPoset, edge_color_isomorphism
 
@@ -252,9 +252,8 @@ def ideal_of_tableau(algebra: Algebra, lam: Weight, t: Tableau) -> frozenset[int
     """Vertex set of the order ideal labelled by an admissible tableau."""
     if not is_semistandard(algebra, lam, t):
         raise ValueError("tableau is not admissible for this shape")
-    sp = semistandard_poset(algebra, "beta_alpha", lam)
     out: set[int] = set()
-    for span, column in zip(sp.pieces, t):
+    for span, column in zip(piece_spans(algebra, "beta_alpha", lam), t):
         _, back = _piece_column_maps(algebra, span.kind)
         for local in back[column]:
             out.add(span.vertex_ids[local])

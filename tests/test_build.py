@@ -4,7 +4,7 @@ import pytest
 
 import goldens
 from ranktwo.algebras import ALPHA, BETA, Algebra
-from ranktwo.build import (fundamental_poset, semistandard_poset,
+from ranktwo.build import (fundamental_poset, piece_spans, semistandard_poset,
                            semistandard_poset_oracle)
 from ranktwo.grid import decompose, has_max_property, total_order, validate_grid
 from ranktwo.lattice import order_ideals
@@ -129,9 +129,26 @@ class TestSemistandardPosets:
         assert sorted(ids) == sorted(sp.grid.base.ids)
         assert [span.kind for span in sp.pieces] == ["beta_fund"] * 2 + ["alpha_fund"] * 3
 
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_piece_spans_match_the_built_poset(self, algebra):
+        for order in ("beta_alpha", "alpha_beta"):
+            for lam in itertools.product(range(4), repeat=2):
+                sp = semistandard_poset(algebra, order, lam)
+                spans = piece_spans(algebra, order, lam)
+                assert spans == sp.pieces, (order, lam)
+                ids = [v for span in spans for v in span.vertex_ids]
+                assert ids == list(range(len(sp.grid))), (order, lam)
+                # each span, renumbered locally, is exactly its fundamental poset
+                for span in spans:
+                    local = {g: i for i, g in enumerate(span.vertex_ids)}
+                    piece = sp.grid.base.restrict(span.vertex_ids).relabel(local)
+                    assert piece == fundamental_poset(algebra, span.kind).base, (order, lam)
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             semistandard_poset(Algebra.A2, "beta_alpha", (-1, 0))
+        with pytest.raises(ValueError):
+            piece_spans(Algebra.A2, "beta_alpha", (0, -1))
 
 
 class TestOracle:

@@ -41,6 +41,15 @@ class TestBuildEnumerate:
         assert code == 1
         assert "refused" in err
 
+    @pytest.mark.parametrize("value", ["0", "-5", "ten"])
+    def test_max_ideals_must_be_a_positive_integer(self, tmp_path, capsys, value):
+        for argv in (["enumerate", "--in", str(tmp_path / "p.json")],
+                     ["rgf", "--algebra", "g2", "--weight", "2,2", "--check-product"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--max-ideals", value])
+            assert exc.value.code == 2
+            assert "max-ideals" in capsys.readouterr().err
+
 
 class TestCharacter:
     def test_verify_infers_algebra_and_weight(self, tmp_path, capsys):
@@ -72,6 +81,12 @@ class TestRgf:
         coeffs = [int(c) for c in lines[0].split()]
         assert sum(coeffs) == 729
         assert coeffs == coeffs[::-1]
+
+    def test_check_product_refuses_beyond_max_ideals(self, capsys):
+        code, _, err = run(capsys, "rgf", "--algebra", "g2", "--weight", "2,2",
+                           "--check-product", "--max-ideals", "10")
+        assert code == 1
+        assert err == "refused: more than 10 order ideals\n"
 
 
 class TestTableaux:

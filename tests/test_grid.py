@@ -1,6 +1,10 @@
+import itertools
+
 import pytest
 
 import goldens
+import ranktwo.grid
+from conftest import random_colored_poset
 from ranktwo.algebras import ALPHA, BETA, Algebra
 from ranktwo.build import semistandard_poset
 from ranktwo.fixtures import load_fixture
@@ -166,6 +170,58 @@ class TestDecompose:
         tail = decompose(rest)
         assert [sorted(q.base.ids) for q in tail.pieces] == [
             sorted(q.base.ids) for q in dec.pieces[1:]]
+
+
+def restrict_split(p: GridPoset, part: frozenset[int]) -> bool:
+    """Reference split test: extremes of the two validated restricted posets."""
+    chain = p.chain_of
+    p1 = p.base.restrict(part)
+    p2 = p.base.restrict(set(p.base.ids) - part)
+    max1 = [chain[v] for v in p1.maximal_elements]
+    max2 = [chain[v] for v in p2.maximal_elements]
+    min1 = [chain[v] for v in p1.minimal_elements]
+    min2 = [chain[v] for v in p2.minimal_elements]
+    return (max(max1, default=0) <= min(max2, default=10**9)
+            and max(min1, default=0) <= min(min2, default=10**9))
+
+
+def _random_grids(rng):
+    """Random posets under random chain functions, and random order ideals
+    of built semistandard posets."""
+    out = []
+    for _ in range(25):
+        base = random_colored_poset(rng, rng.randint(1, 7))
+        out.append(GridPoset(base, tuple((v, rng.randint(1, 4)) for v in base.ids)))
+    for algebra in Algebra:
+        p = semistandard_poset(algebra, "beta_alpha", (2, 1)).grid
+        below = p.base.below
+        for _ in range(4):
+            top = rng.sample(p.base.ids, 2)
+            out.append(p.restrict(set(top).union(*(below[v] for v in top))))
+    return out
+
+
+class TestDecomposeMatchesRestrictSplit:
+    @staticmethod
+    def assert_same_as_reference(monkeypatch, grids):
+        fast = [decompose(g) for g in grids]
+        with monkeypatch.context() as m:
+            m.setattr(ranktwo.grid, "_splits_validly", restrict_split)
+            reference = [decompose(g) for g in grids]
+        for g, dec, ref in zip(grids, fast, reference):
+            assert dec.pieces == ref.pieces, g
+            assert dec.labels == ref.labels, g
+
+    def test_battery_grids(self, monkeypatch):
+        grids = [semistandard_poset(algebra, order, lam).grid
+                 for algebra in Algebra
+                 for order in ("beta_alpha", "alpha_beta")
+                 for lam in itertools.product(range(4), repeat=2) if sum(lam) >= 2]
+        assert len(grids) == 104
+        self.assert_same_as_reference(monkeypatch, grids)
+
+    def test_random_grids(self, monkeypatch, rng):
+        self.assert_same_as_reference(monkeypatch, _random_grids(rng))
 
 
 class TestTriangleDual:

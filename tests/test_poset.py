@@ -11,7 +11,8 @@ from ranktwo.poset import (EdgeColoredPoset, PosetError, VertexColoredPoset,
                            are_edge_color_isomorphic,
                            are_vertex_color_isomorphic,
                            diamond_coloring_check, disjoint_sum,
-                           find_rank_function, product)
+                           edge_color_isomorphism, find_rank_function, product,
+                           vertex_color_isomorphism)
 
 
 def chain(colors):
@@ -188,6 +189,37 @@ class TestIsomorphism:
         rnd.shuffle(shuffled)
         q = p.relabel(dict(zip(ids, (i + 100 for i in shuffled))))
         assert are_vertex_color_isomorphic(p, q)
+
+
+def _shuffled_labels(rng, ids):
+    """A random bijection from ids onto fresh ids."""
+    targets = [v + 100 for v in ids]
+    rng.shuffle(targets)
+    return dict(zip(ids, targets))
+
+
+class TestIsomorphismMaps:
+    """The returned map itself is a color-preserving cover bijection."""
+
+    def test_vertex_map_on_random_relabellings(self, rng):
+        for _ in range(30):
+            p = random_colored_poset(rng, rng.randint(1, 8))
+            q = p.relabel(_shuffled_labels(rng, list(p.ids)))
+            phi = vertex_color_isomorphism(p, q)
+            assert phi is not None
+            assert sorted(phi) == list(p.ids) and sorted(phi.values()) == list(q.ids)
+            assert {(phi[u], phi[v]) for u, v in p.covers} == q.covers
+            assert all(q.color_of[phi[v]] is c for v, c in p.vertices)
+
+    def test_edge_map_on_random_relabellings(self, rng):
+        for _ in range(20):
+            p = order_ideals(random_colored_poset(rng, rng.randint(1, 6))).edge_poset
+            q = p.relabel(_shuffled_labels(rng, list(p.elements)))
+            phi = edge_color_isomorphism(p, q)
+            assert phi is not None
+            assert sorted(phi) == list(p.elements)
+            assert sorted(phi.values()) == list(q.elements)
+            assert {(phi[u], phi[v], c) for u, v, c in p.covers} == q.covers
 
 
 def test_brute_force_oracle_matches_enumeration(rng):

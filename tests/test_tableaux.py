@@ -5,6 +5,7 @@ import pytest
 import goldens
 from ranktwo.algebras import ALPHA, BETA, Algebra
 from ranktwo.build import fundamental_poset, semistandard_poset
+from ranktwo.grid import GridPoset
 from ranktwo.lattice import order_ideals
 from ranktwo.poset import are_edge_color_isomorphic
 from ranktwo.tableaux import (ShapeError, allowed_columns, enumerate_littelmann,
@@ -99,6 +100,19 @@ class TestBijection:
                 seen.add(t)
                 assert ideal_of_tableau(algebra, lam, t) == lat.element_vertices(i)
             assert seen == set(enumerate_tableaux(algebra, lam))
+
+    def test_ideal_of_tableau_builds_no_poset(self, monkeypatch):
+        algebra, lam = Algebra.G2, (2, 2)
+        lat = order_ideals(semistandard_poset(algebra, "beta_alpha", lam))
+        # tableau_of_ideal warms the per-piece column dictionaries
+        tableaux = [tableau_of_ideal(lat, i) for i in range(len(lat))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ideal_of_tableau built a poset")
+
+        monkeypatch.setattr(GridPoset, "build", staticmethod(refuse))
+        for i, t in enumerate(tableaux):
+            assert ideal_of_tableau(algebra, lam, t) == lat.element_vertices(i)
 
     def test_rejects_inadmissible(self):
         with pytest.raises(ValueError):
