@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
+from types import MappingProxyType
+from typing import Literal, Mapping
 
 from .algebras import ALPHA, BETA, Algebra, Color, Weight
 from .grid import GridPoset
@@ -64,12 +65,13 @@ def fundamental_poset(algebra: Algebra, which: Which) -> GridPoset:
 
 
 @lru_cache(maxsize=None)
-def fundamental_fixtures() -> dict[str, GridPoset]:
+def fundamental_fixtures() -> Mapping[str, GridPoset]:
+    """The eight fundamental posets by label, read-only: every caller shares it."""
     out = {}
     for (algebra, which) in _FUNDAMENTALS:
         weight = "(1,0)" if which == "alpha_fund" else "(0,1)"
         out[f"{algebra.value}{weight}"] = fundamental_poset(algebra, which)
-    return out
+    return MappingProxyType(out)
 
 
 @dataclass(frozen=True)

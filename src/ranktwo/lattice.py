@@ -1,12 +1,18 @@
 """Lattices of order ideals with edge colors inherited from vertex colors,
 per-color component statistics, element weights, and the structure condition.
 
-The statistics are read from the lattice's own covers: one union-find per
-color over the covers of that color gives every element the (lo, hi) ideal
-sizes of its one-color component, and an element of size s then has
-rho = s - lo, length = hi - lo and weight coordinate m = 2 rho - length.
-The generic `edge_poset` is built only for isomorphism, DOT and rank
-functions.
+Covers come from a chain walk: vertex_order splits into runs in which each
+vertex is a lower cover of the one before, chains whose bits descend going
+up.  An ideal can gain only the highest missing bit of a run, and does iff
+that vertex's lower covers are in it: one probe per run (six for G2 (a,a)).
+
+The statistics are read from those covers.  A one-color cover joins two
+elements of one component, so an element's least component size lo is that
+of any lower cover of that color and its greatest, hi, that of any upper
+one: a pass up the covers sets lo, a pass down sets hi.  An element of size
+s has rho = s - lo, length = hi - lo and weight coordinate m = 2 rho -
+length.  The generic `edge_poset` is built only for isomorphism, DOT and
+rank functions.
 """
 
 from __future__ import annotations
@@ -18,9 +24,12 @@ from typing import Iterable, Sequence
 from .algebras import ALPHA, BETA, Color, Weight
 from .build import SemistandardPoset
 from .grid import Decomposition, GridPoset, total_order
-from .poset import EdgeColoredPoset, VertexColoredPoset, _components
+from .poset import EdgeColoredPoset, VertexColoredPoset
 
-DEFAULT_MAX_IDEALS = 10**7
+# Peak RSS (getrusage, Python 3.11, G2 (6,6)-(8,8)) is about 640 B per ideal
+# through weights and the character and rgf checks, 2.2 KB for `enumerate`
+# writing its file: 0.65 and 2.2 GB at 10**6.  G2 (8,8) has 531,441 ideals.
+DEFAULT_MAX_IDEALS = 10**6
 
 
 class TooManyIdeals(RuntimeError):
@@ -89,17 +98,27 @@ class IdealLattice:
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int, Color], ...]:
-        # adding any single vertex to an ideal that stays an ideal is a cover
-        color = self.base.color_of
-        out = []
+        # the chain walk of the module docstring; runs ascend, so covers are
+        # in (element, bit) order
+        order, base = self.vertex_order, self.base
+        bit = {v: 1 << b for b, v in enumerate(order)}
+        runs = []
+        for b, v in enumerate(order):
+            if b and v in base.lower_covers[order[b - 1]]:
+                runs[-1] |= bit[v]
+            else:
+                runs.append(bit[v])
+        lower = [sum(bit[u] for u in base.lower_covers[v]) for v in order]
+        color = [base.color_of[v] for v in order]
         index = self.index_of
+        out = []
         for i, mask in enumerate(self.elements):
-            for b, v in enumerate(self.vertex_order):
-                if (mask >> b) & 1:
-                    continue
-                j = index.get(mask | (1 << b))
-                if j is not None:
-                    out.append((i, j, color[v]))
+            for run in runs:
+                free = run & ~mask
+                if free:
+                    b = free.bit_length() - 1
+                    if lower[b] & mask == lower[b]:
+                        out.append((i, index[mask | 1 << b], color[b]))
         return tuple(out)
 
     @cached_property
@@ -107,33 +126,36 @@ class IdealLattice:
         return EdgeColoredPoset(tuple(range(len(self.elements))), frozenset(self.covers))
 
     @cached_property
-    def _component_bounds(self) -> dict[Color, list[tuple[int, int]]]:
-        """Per color, the (lo, hi) ideal sizes of each element's component."""
-        out = {}
-        elements = range(len(self.elements))
-        for color in (ALPHA, BETA):
-            pairs = [(i, j) for i, j, c in self.covers if c is color]
-            bounds = [(0, 0)] * len(elements)
-            for comp in _components(elements, pairs):
-                # elements are sorted by size, so index order is size order
-                lo_hi = (self.size_of(min(comp)), self.size_of(max(comp)))
-                for i in comp:
-                    bounds[i] = lo_hi
-            out[color] = bounds
-        return out
+    def _component_bounds(self) -> dict[Color, tuple[list[int], list[int]]]:
+        """Per color, flat lists lo and hi of each element's component bounds."""
+        sizes = [mask.bit_count() for mask in self.elements]
+        bounds = {c: (sizes[:], sizes[:]) for c in (ALPHA, BETA)}
+        (alo, ahi), (blo, bhi) = bounds[ALPHA], bounds[BETA]
+        # covers ascend in i: lo[i] is final at (i, j), hi[j] on the way back
+        for i, j, c in self.covers:
+            if c is ALPHA:
+                alo[j] = alo[i]
+            else:
+                blo[j] = blo[i]
+        for i, j, c in reversed(self.covers):
+            if c is ALPHA:
+                ahi[i] = ahi[j]
+            else:
+                bhi[i] = bhi[j]
+        return bounds
 
     def rank_stats(self, i: int, color: Color) -> RankStats:
-        lo, hi = self._component_bounds[color][i]
-        return RankStats(rho=self.size_of(i) - lo, length=hi - lo)
+        lo, hi = self._component_bounds[color]
+        return RankStats(rho=self.size_of(i) - lo[i], length=hi[i] - lo[i])
 
     @cached_property
     def weights(self) -> tuple[Weight, ...]:
-        alpha, beta = self._component_bounds[ALPHA], self._component_bounds[BETA]
+        (alo, ahi), (blo, bhi) = self._component_bounds[ALPHA], self._component_bounds[BETA]
         out = []
         for i, mask in enumerate(self.elements):
             # m = 2 rho - length = 2 size - lo - hi, per color
             twice = 2 * mask.bit_count()
-            out.append((twice - sum(alpha[i]), twice - sum(beta[i])))
+            out.append((twice - alo[i] - ahi[i], twice - blo[i] - bhi[i]))
         return tuple(out)
 
     def weight(self, i: int) -> Weight:
@@ -250,9 +272,9 @@ def piece_rank_stats(lattice: IdealLattice, i: int, dec: Decomposition,
     """(sum of piece rho, sum of piece lengths) for one color."""
     rho = length = 0
     for sub, j in _piece_elements(lattice, i, dec):
-        st = sub.rank_stats(j, color)
-        rho += st.rho
-        length += st.length
+        lo, hi = sub._component_bounds[color]
+        rho += sub.size_of(j) - lo[j]
+        length += hi[j] - lo[j]
     return rho, length
 
 

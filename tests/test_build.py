@@ -4,8 +4,8 @@ import pytest
 
 import goldens
 from ranktwo.algebras import ALPHA, BETA, Algebra
-from ranktwo.build import (fundamental_poset, piece_spans, semistandard_poset,
-                           semistandard_poset_oracle)
+from ranktwo.build import (fundamental_fixtures, fundamental_poset, piece_spans,
+                           semistandard_poset, semistandard_poset_oracle)
 from ranktwo.grid import decompose, has_max_property, total_order, validate_grid
 from ranktwo.lattice import order_ideals
 from ranktwo.poset import are_vertex_color_isomorphic, vertex_color_isomorphism
@@ -71,6 +71,18 @@ class TestFundamentalPosets:
             assert has_max_property(p)
             if len(p):
                 assert len(decompose(p)) == 1
+
+    def test_fixtures_are_read_only(self):
+        fixtures = fundamental_fixtures()
+        with pytest.raises(TypeError):
+            del fixtures["c2(1,0)"]
+        with pytest.raises(TypeError):
+            fixtures["c2(1,0)"] = fundamental_poset(Algebra.C2, "beta_fund")
+        assert not hasattr(fixtures, "pop")
+        # decompose labels its pieces from the shared fixtures
+        dec = decompose(semistandard_poset(Algebra.C2, "beta_alpha", (1, 1)).grid)
+        assert dec.labels == ("c2(0,1)", "c2(1,0)")
+        assert fundamental_fixtures()["c2(1,0)"] is fundamental_poset(Algebra.C2, "alpha_fund")
 
 
 class TestSemistandardPosets:

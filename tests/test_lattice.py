@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import pytest
@@ -6,7 +7,7 @@ from conftest import brute_force_ideals, random_colored_poset
 from ranktwo.algebras import ALPHA, BETA, Algebra, cartan_matrix, lowest_weight
 from ranktwo.build import fundamental_poset, semistandard_poset
 from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
-from ranktwo.grid import decompose
+from ranktwo.grid import GridPoset, decompose, validate_grid
 from ranktwo.lattice import (TooManyIdeals, check_structure,
                              infer_structure_matrix, join_irreducible_poset,
                              order_ideals, piece_rank_stats,
@@ -130,6 +131,62 @@ class TestStatisticsMatchEdgePoset:
         for _ in range(40):
             p = random_colored_poset(rng, rng.randint(1, 10))
             _assert_statistics_match_edge_poset(order_ideals(p))
+
+
+def reference_covers(lat):
+    """Reference cover list: try every vertex on every ideal, in bit order."""
+    color = lat.base.color_of
+    out = []
+    for i, mask in enumerate(lat.elements):
+        for b, v in enumerate(lat.vertex_order):
+            if not (mask >> b) & 1 and mask | (1 << b) in lat.index_of:
+                out.append((i, lat.index_of[mask | (1 << b)], color[v]))
+    return tuple(out)
+
+
+def _random_grids(rng):
+    """40 random posets under arbitrary chain indices, so that some "chains"
+    hold incomparable vertices."""
+    for _ in range(40):
+        base = random_colored_poset(rng, rng.randint(1, 10))
+        yield GridPoset(base, tuple((v, rng.randint(1, 4)) for v in base.ids))
+
+
+class TestCoversMatchReference:
+    """The chain walk gives the per-vertex scan's covers, in the same order."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures(self, name):
+        lat = order_ideals(load_fixture(name))
+        assert lat.covers == reference_covers(lat)
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_built_lattices(self, algebra):
+        for order in ("beta_alpha", "alpha_beta"):
+            for lam in itertools.product(range(4), repeat=2):
+                lat = order_ideals(semistandard_poset(algebra, order, lam))
+                assert lat.covers == reference_covers(lat), (order, lam)
+
+    @pytest.mark.parametrize("order", ["beta_alpha", "alpha_beta"])
+    def test_g2_44(self, order):
+        lat = order_ideals(semistandard_poset(Algebra.G2, order, (4, 4)))
+        assert len(lat) == 5 ** 6
+        assert lat.covers == reference_covers(lat)
+
+    def test_random_grids(self, rng):
+        broken_chains = 0
+        for p in _random_grids(rng):
+            broken_chains += any("is not a chain" in v for v in validate_grid(p))
+            lat = order_ideals(p)
+            assert lat.covers == reference_covers(lat), p
+            _assert_statistics_match_edge_poset(lat)
+            ideals = brute_force_ideals(p.base)
+            color = p.base.color_of
+            expected = {(s, s | {v}, color[v]) for s in ideals for v in p.base.ids
+                        if v not in s and s | {v} in ideals}
+            assert {(lat.element_vertices(i), lat.element_vertices(j), c)
+                    for i, j, c in lat.covers} == expected
+        assert broken_chains > 0
 
 
 class TestWeights:
