@@ -170,6 +170,7 @@ class Decomposition:
 
     pieces: tuple[GridPoset, ...]
     labels: tuple[str | None, ...]  # fundamental-poset type per piece, if any
+    order: tuple[int, ...]  # total_order of the decomposed grid
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -180,6 +181,21 @@ class Decomposition:
         from .lattice import order_ideals  # deferred: lattice imports grid
 
         return tuple(order_ideals(piece) for piece in self.pieces)
+
+    @cached_property
+    def projections(self) -> tuple[tuple[int, dict[int, int]], ...]:
+        """Per piece lattice, (bits, index): the piece's bits in `order`, and
+        the index in the piece lattice keyed by a mask over `order` and-ed
+        with bits, so projecting an element is one `&` and one lookup."""
+        bit = {v: 1 << b for b, v in enumerate(self.order)}
+        out = []
+        for sub in self.lattices:
+            to_global = [bit[v] for v in sub.vertex_order]
+            index = {}
+            for k, local in enumerate(sub.elements):
+                index[sum(g for b, g in enumerate(to_global) if local >> b & 1)] = k
+            out.append((sum(to_global), index))
+        return tuple(out)
 
 
 def _ideals_by_size(p: GridPoset, max_size: int):
@@ -253,7 +269,7 @@ def decompose(p: GridPoset) -> Decomposition:
                 label = name
                 break
         labels.append(label)
-    return Decomposition(tuple(pieces), tuple(labels))
+    return Decomposition(tuple(pieces), tuple(labels), total_order(p))
 
 
 def triangle_dual(p, algebra: Algebra):

@@ -246,15 +246,11 @@ def _covers_and_weights(lattice, weights):
 def _piece_elements(lattice: IdealLattice, i: int,
                     dec: Decomposition) -> list[tuple[IdealLattice, int]]:
     """(piece lattice, index of element i's intersection with that piece) per piece."""
-    s = lattice.element_vertices(i)
-    out = []
-    for sub in dec.lattices:
-        mask = 0
-        for b, v in enumerate(sub.vertex_order):
-            if v in s:
-                mask |= 1 << b
-        out.append((sub, sub.index_of[mask]))
-    return out
+    if lattice.vertex_order != dec.order:
+        raise ValueError("the decomposition is of a grid with another vertex order")
+    mask = lattice.elements[i]
+    return [(sub, index[mask & bits])
+            for sub, (bits, index) in zip(dec.lattices, dec.projections)]
 
 
 def weight_via_decomposition(lattice: IdealLattice, i: int,

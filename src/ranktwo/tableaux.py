@@ -175,24 +175,29 @@ class TableauLattice:
     def __len__(self) -> int:
         return len(self.tableaux)
 
-    def index_of(self, t: Tableau) -> int:
-        return self.tableaux.index(t)
 
+def _decrements(algebra: Algebra, t: Tableau):
+    """Tableaux covering t-as-lattice-element: one entry lowered by one.
 
-def _decrements(algebra: Algebra, lam: Weight, t: Tableau):
-    """Tableaux covering t-as-lattice-element: one entry lowered by one."""
+    t is admissible, and admissibility asks only about single columns and
+    adjacent pairs, so a candidate is checked on the changed column and its
+    neighbours, t[i-1:i+2], under that window's own shape.
+    """
     for i, column in enumerate(t):
+        left, right = t[max(i - 1, 0):i], t[i + 1:i + 2]
+        window = left + (column,) + right
+        ones = sum(len(c) == 1 for c in window)
+        shape = (ones, len(window) - ones)
         for j, e in enumerate(column):
             if e == 1:
                 continue
             new_col = column[:j] + (e - 1,) + column[j + 1:]
-            candidate = t[:i] + (new_col,) + t[i + 1:]
             try:
-                ok = is_semistandard(algebra, lam, candidate)
+                ok = is_semistandard(algebra, shape, left + (new_col,) + right)
             except ShapeError:
                 ok = False
             if ok:
-                yield candidate, EDGE_COLOR_OF_VALUE[algebra][e - 1]
+                yield t[:i] + (new_col,) + t[i + 1:], EDGE_COLOR_OF_VALUE[algebra][e - 1]
 
 
 def tableau_lattice(algebra: Algebra, lam: Weight) -> TableauLattice:
@@ -201,7 +206,7 @@ def tableau_lattice(algebra: Algebra, lam: Weight) -> TableauLattice:
     index = {t: i for i, t in enumerate(tabs)}
     covers = set()
     for t in tabs:
-        for upper, color in _decrements(algebra, lam, t):
+        for upper, color in _decrements(algebra, t):
             covers.add((index[t], index[upper], color))
     ep = EdgeColoredPoset(tuple(range(len(tabs))), frozenset(covers))
     return TableauLattice(algebra, lam, tabs, ep)

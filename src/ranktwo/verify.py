@@ -173,24 +173,30 @@ class Verifier:
         return True
 
     def check_tableaux(self) -> bool:
-        from .tableaux import (enumerate_littelmann, enumerate_tableaux,
-                               ideal_of_tableau, tableau_lattice,
-                               tableau_of_ideal, tableauwt, to_littelmann,
-                               wt_lit)
+        from .tableaux import (enumerate_littelmann, ideal_of_tableau,
+                               tableau_lattice, tableau_of_ideal, tableauwt,
+                               to_littelmann, wt_lit)
 
         for algebra in SIMPLE:
             for lam in _weights_in_range(self.bound):
                 lat = self.lattice(algebra, "beta_alpha", lam)
+                tl = tableau_lattice(algebra, lam)
+                tabs = tl.tableaux
+                index = {t: k for k, t in enumerate(tabs)}
+                phi = []  # element of lat -> index of its tableau in tl
                 for i in range(len(lat)):
                     t = tableau_of_ideal(lat, i)
                     if ideal_of_tableau(algebra, lam, t) != lat.element_vertices(i):
                         return False
                     if tableauwt(algebra, t) != lat.weight(i):
                         return False
-                tl = tableau_lattice(algebra, lam)
-                if not are_edge_color_isomorphic(lat.edge_poset, tl.edge_poset):
+                    phi.append(index[t])
+                # phi, a bijection carrying the covers onto tl's with their
+                # colors, is an edge-colored isomorphism of the two lattices
+                if sorted(phi) != list(range(len(tabs))):
                     return False
-                tabs = enumerate_tableaux(algebra, lam)
+                if {(phi[i], phi[j], c) for i, j, c in lat.covers} != tl.edge_poset.covers:
+                    return False
                 blocks = [to_littelmann(algebra, t) for t in tabs]
                 if sorted(blocks) != sorted(enumerate_littelmann(algebra, lam)):
                     return False

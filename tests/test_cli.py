@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import ranktwo.lattice
 from ranktwo.cli import main
 
 
@@ -87,6 +88,34 @@ class TestRgf:
                            "--check-product", "--max-ideals", "10")
         assert code == 1
         assert err == "refused: more than 10 order ideals\n"
+
+
+class TestRefusedFiles:
+    """A file whose poset has more ideals than the default limit is refused
+    with one line and exit 1, not a traceback.  The limit is lowered to 10,
+    so C2 (1,1), with 16 ideals, stands in for a G2 (10,10) file."""
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys, monkeypatch):
+        poset_file, lattice_file = tmp_path / "p.json", tmp_path / "l.json"
+        run(capsys, "build", "--algebra", "c2", "--weight", "1,1",
+            "--out", str(poset_file))
+        poset = json.loads(poset_file.read_text())
+        lattice_file.write_text(json.dumps(
+            {"poset": poset, "elements": [], "covers": [], "weights": []}))
+        monkeypatch.setattr(ranktwo.lattice.order_ideals, "__defaults__", (10,))
+        return poset_file, lattice_file
+
+    @pytest.mark.parametrize("argv", [
+        ["character", "--in", "{lattice}", "--verify"],
+        ["export", "--in", "{lattice}", "--format", "text"],
+        ["verify", "--structure", "{poset}"],
+    ])
+    def test_refused(self, files, capsys, argv):
+        poset_file, lattice_file = files
+        argv = [a.format(poset=poset_file, lattice=lattice_file) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "refused: more than 10 order ideals\n")
 
 
 class TestTableaux:

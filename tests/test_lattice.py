@@ -8,7 +8,7 @@ from ranktwo.algebras import ALPHA, BETA, Algebra, cartan_matrix, lowest_weight
 from ranktwo.build import fundamental_poset, semistandard_poset
 from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
 from ranktwo.grid import GridPoset, decompose, validate_grid
-from ranktwo.lattice import (TooManyIdeals, check_structure,
+from ranktwo.lattice import (TooManyIdeals, _piece_elements, check_structure,
                              infer_structure_matrix, join_irreducible_poset,
                              order_ideals, piece_rank_stats,
                              weight_via_decomposition)
@@ -277,6 +277,48 @@ class TestDecompositionStatistics:
                 stats = lat.rank_stats(i, color)
                 rho, length = piece_rank_stats(lat, i, dec, color)
                 assert (stats.rho, stats.length) == (rho, length)
+
+
+def reference_piece_elements(lattice, i, dec):
+    """Oracle: the element's vertex set matched against each piece's vertex order."""
+    s = lattice.element_vertices(i)
+    out = []
+    for sub in dec.lattices:
+        mask = 0
+        for b, v in enumerate(sub.vertex_order):
+            if v in s:
+                mask |= 1 << b
+        out.append((sub, sub.index_of[mask]))
+    return out
+
+
+class TestPieceProjection:
+    """The masked lookup of _piece_elements gives the vertex-set projection."""
+
+    @staticmethod
+    def assert_matches_reference(grid):
+        lat, dec = order_ideals(grid), decompose(grid)
+        for i in range(len(lat)):
+            assert _piece_elements(lat, i, dec) == reference_piece_elements(lat, i, dec)
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_battery_lattices(self, algebra):
+        for order in ("beta_alpha", "alpha_beta"):
+            for lam in itertools.product(range(4), repeat=2):
+                if sum(lam) >= 2:
+                    self.assert_matches_reference(semistandard_poset(algebra, order, lam).grid)
+
+    def test_random_grids(self, rng):
+        for p in _random_grids(rng):
+            self.assert_matches_reference(p)
+
+    def test_decomposition_of_another_grid_is_refused(self):
+        lat = order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", (2, 2)))
+        dec = decompose(semistandard_poset(Algebra.C2, "beta_alpha", (2, 2)).grid)
+        with pytest.raises(ValueError, match="another vertex order"):
+            _piece_elements(lat, 0, dec)
+        with pytest.raises(ValueError):
+            weight_via_decomposition(lat, 0, dec)
 
 
 class TestFunctoriality:

@@ -7,14 +7,16 @@ from ranktwo.algebras import ALPHA, BETA, Algebra
 from ranktwo.build import fundamental_poset, semistandard_poset
 from ranktwo.grid import GridPoset
 from ranktwo.lattice import order_ideals
-from ranktwo.poset import are_edge_color_isomorphic
-from ranktwo.tableaux import (ShapeError, allowed_columns, enumerate_littelmann,
+from ranktwo.poset import EdgeColoredPoset, are_edge_color_isomorphic
+from ranktwo.tableaux import (EDGE_COLOR_OF_VALUE, ShapeError, TableauLattice,
+                              _decrements, allowed_columns, enumerate_littelmann,
                               enumerate_tableaux, from_littelmann,
                               ideal_of_tableau, is_semistandard,
                               littelmann_text, parse_tableau, tableau_lattice,
                               tableau_of_ideal, tableau_text, tableauwt,
                               to_littelmann, wt_lit, _BLOCKS_DOUBLE,
                               _BLOCKS_SINGLE)
+from ranktwo.verify import Verifier
 from ranktwo.weyl import LaurentPoly2, character_from_lattice
 
 SIMPLE = (Algebra.A2, Algebra.C2, Algebra.G2)
@@ -169,6 +171,70 @@ class TestTableauLattice:
             lat = order_ideals(semistandard_poset(algebra, "beta_alpha", lam))
             tl = tableau_lattice(algebra, lam)
             assert are_edge_color_isomorphic(lat.edge_poset, tl.edge_poset)
+
+
+def reference_decrements(algebra, lam, t):
+    """Oracle: each decrement checked on the whole candidate tableau."""
+    for i, column in enumerate(t):
+        for j, e in enumerate(column):
+            if e == 1:
+                continue
+            new_col = column[:j] + (e - 1,) + column[j + 1:]
+            candidate = t[:i] + (new_col,) + t[i + 1:]
+            try:
+                ok = is_semistandard(algebra, lam, candidate)
+            except ShapeError:
+                ok = False
+            if ok:
+                yield candidate, EDGE_COLOR_OF_VALUE[algebra][e - 1]
+
+
+@pytest.mark.parametrize("algebra", SIMPLE)
+def test_window_decrements_match_full_check(algebra):
+    # On the current tables, lowering an entry never breaks the pair with the
+    # right neighbour, so only the left one changes what this test sees; the
+    # window keeps both so that it stays exact by locality alone.
+    for lam in itertools.product(range(4), repeat=2):
+        for t in enumerate_tableaux(algebra, lam):
+            assert list(_decrements(algebra, t)) == \
+                list(reference_decrements(algebra, lam, t)), (lam, t)
+
+
+class TestBijectionCheckCatchesTampering:
+    """check_tableaux proves the lattice equivalence by the bijection itself;
+    a tableau lattice with one cover recolored or dropped must fail it.  Only
+    weight (1,1) is tampered with: the one-column lattices also define the
+    column dictionaries behind tableau_of_ideal."""
+
+    @staticmethod
+    def tampered(change):
+        def build(algebra, lam):
+            tl = tableau_lattice(algebra, lam)
+            if lam != (1, 1):
+                return tl
+            covers = sorted(tl.edge_poset.covers, key=lambda c: (c[0], c[1]))
+            covers = change(covers)
+            ep = EdgeColoredPoset(tl.edge_poset.elements, frozenset(covers))
+            return TableauLattice(tl.algebra, tl.weight, tl.tableaux, ep)
+        return build
+
+    @staticmethod
+    def recolor(covers):
+        i, j, c = covers[0]
+        return [(i, j, BETA if c is ALPHA else ALPHA)] + covers[1:]
+
+    @staticmethod
+    def drop(covers):
+        return covers[1:]
+
+    def test_untampered_passes(self):
+        assert Verifier((1, 1)).check_tableaux()
+
+    @pytest.mark.parametrize("change", ["recolor", "drop"])
+    def test_tampered_fails(self, monkeypatch, change):
+        monkeypatch.setattr("ranktwo.tableaux.tableau_lattice",
+                            self.tampered(getattr(self, change)))
+        assert not Verifier((1, 1)).check_tableaux()
 
 
 class TestLittelmann:
