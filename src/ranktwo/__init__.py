@@ -7,13 +7,13 @@ from .build import (SemistandardPoset, fundamental_poset, semistandard_poset,
                     semistandard_poset_oracle)
 from .grid import (Decomposition, GridPoset, decompose, has_max_property,
                    total_order, triangle_dual, validate_grid)
-from .lattice import (IdealLattice, RankStats, check_structure,
-                      infer_structure_matrix, join_irreducible_poset,
-                      order_ideals, weight_via_decomposition)
+from .lattice import (IdealLattice, check_structure, infer_structure_matrix,
+                      join_irreducible_poset, order_ideals,
+                      weight_via_decomposition)
 from .poset import (EdgeColoredPoset, PosetError, RankFunction,
                     VertexColoredPoset, diamond_coloring_check, disjoint_sum,
-                    dual, find_rank_function, product, recolor,
-                    are_edge_color_isomorphic, are_vertex_color_isomorphic)
+                    find_rank_function, product, are_edge_color_isomorphic,
+                    are_vertex_color_isomorphic)
 from .weyl import (LaurentPoly2, QPoly, alternating_sum,
                    character_from_lattice, natural_rank, rgf_from_lattice,
                    rgf_product, simple_reflection, verify_weyl_character,

@@ -162,5 +162,5 @@ def semistandard_poset_oracle(algebra: Algebra, lam: Weight):
     else:
         from .tableaux import tableau_lattice
 
-        lattice = tableau_lattice(algebra, lam)
+        lattice = tableau_lattice(algebra, lam).edge_poset
     return join_irreducible_poset(lattice)

@@ -161,7 +161,7 @@ def cmd_export(args) -> int:
         if args.format == "json":
             text = dumps(lattice_to_obj(lat))
         elif args.format == "dot":
-            text = poset_to_dot(lat.edge_poset)
+            text = poset_to_dot(lat)
         else:
             text = (f"lattice with {len(lat)} elements, {len(lat.covers)} covers, "
                     f"over a poset with {len(lat.base)} vertices\n")

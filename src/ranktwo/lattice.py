@@ -11,15 +11,15 @@ elements of one component, so an element's least component size lo is that
 of any lower cover of that color and its greatest, hi, that of any upper
 one: a pass up the covers sets lo, a pass down sets hi.  An element of size
 s has rho = s - lo, length = hi - lo and weight coordinate m = 2 rho -
-length.  The generic `edge_poset` is built only for isomorphism, DOT and
-rank functions.
+length.  The generic `edge_poset` is built only for isomorphism and rank
+functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .algebras import ALPHA, BETA, Color, Weight
 from .build import SemistandardPoset
@@ -34,22 +34,6 @@ DEFAULT_MAX_IDEALS = 10**6
 
 class TooManyIdeals(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class RankStats:
-    """Within-component rank data of one element for one color."""
-
-    rho: int
-    length: int
-
-    @property
-    def delta(self) -> int:
-        return self.length - self.rho
-
-    @property
-    def m(self) -> int:
-        return 2 * self.rho - self.length
 
 
 @dataclass(frozen=True)
@@ -144,9 +128,10 @@ class IdealLattice:
                 bhi[i] = bhi[j]
         return bounds
 
-    def rank_stats(self, i: int, color: Color) -> RankStats:
+    def rank_stats(self, i: int, color: Color) -> tuple[int, int]:
+        """(rho, length) of element i within its component of one color."""
         lo, hi = self._component_bounds[color]
-        return RankStats(rho=self.size_of(i) - lo[i], length=hi[i] - lo[i])
+        return self.size_of(i) - lo[i], hi[i] - lo[i]
 
     @cached_property
     def weights(self) -> tuple[Weight, ...]:
@@ -202,30 +187,26 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
     return IdealLattice(p, built, order, tuple(ideals))
 
 
-def check_structure(lattice: IdealLattice | EdgeColoredPoset,
-                    matrix: tuple[Weight, Weight],
-                    weights: Sequence[Weight] | None = None) -> bool:
+def check_structure(lattice: IdealLattice, matrix: tuple[Weight, Weight]) -> bool:
     """True iff every edge of color c shifts the weight by row c of matrix."""
-    covers, weights = _covers_and_weights(lattice, weights)
+    weights = lattice.weights
     rows = {ALPHA: matrix[0], BETA: matrix[1]}
-    for i, j, c in covers:
+    for i, j, c in lattice.covers:
         (p1, q1), (p2, q2) = weights[i], weights[j]
         if (p2 - p1, q2 - q1) != rows[c]:
             return False
     return True
 
 
-def infer_structure_matrix(lattice: IdealLattice | EdgeColoredPoset,
-                           weights: Sequence[Weight] | None = None
-                           ) -> tuple[Weight, Weight] | None:
+def infer_structure_matrix(lattice: IdealLattice) -> tuple[Weight, Weight] | None:
     """The unique matrix satisfied by the weight shifts, or None.
 
     None signals either disagreeing shifts within one color class or a
     color with no edges at all (the matrix would not be unique).
     """
-    covers, weights = _covers_and_weights(lattice, weights)
+    weights = lattice.weights
     rows: dict[Color, Weight] = {}
-    for i, j, c in covers:
+    for i, j, c in lattice.covers:
         (p1, q1), (p2, q2) = weights[i], weights[j]
         d = (p2 - p1, q2 - q1)
         if rows.setdefault(c, d) != d:
@@ -233,14 +214,6 @@ def infer_structure_matrix(lattice: IdealLattice | EdgeColoredPoset,
     if set(rows) != {ALPHA, BETA}:
         return None
     return (rows[ALPHA], rows[BETA])
-
-
-def _covers_and_weights(lattice, weights):
-    if isinstance(lattice, IdealLattice):
-        return lattice.covers, lattice.weights if weights is None else weights
-    if weights is None:
-        raise ValueError("explicit weights required for a bare edge-colored poset")
-    return tuple(lattice.covers), weights
 
 
 def _piece_elements(lattice: IdealLattice, i: int,
@@ -274,14 +247,13 @@ def piece_rank_stats(lattice: IdealLattice, i: int, dec: Decomposition,
     return rho, length
 
 
-def join_irreducible_poset(lattice: IdealLattice | EdgeColoredPoset) -> VertexColoredPoset:
+def join_irreducible_poset(ep: EdgeColoredPoset) -> VertexColoredPoset:
     """Poset of join-irreducibles, colored by the single lower-cover color.
 
     A join-irreducible of a distributive lattice covers exactly one element;
     the induced subposet of join-irreducibles recovers the poset whose order
     ideals the lattice enumerates.
     """
-    ep = getattr(lattice, "edge_poset", lattice)
     lower = ep.lower_covers
     irr = [v for v in ep.elements if len(lower[v]) == 1]
     colors = {v: lower[v][0][1] for v in irr}

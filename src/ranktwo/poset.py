@@ -234,25 +234,11 @@ def _components(ids: Iterable[int], pairs: Iterable[tuple[int, int]]) -> tuple[f
     return tuple(sorted((frozenset(g) for g in groups.values()), key=lambda g: min(g)))
 
 
-def dual(p):
-    return p.dual()
-
-
-def recolor(p, sigma: Mapping[Color, Color]):
-    return p.recolor(sigma)
-
-
-def disjoint_sum(p, q):
+def disjoint_sum(p: VertexColoredPoset, q: VertexColoredPoset) -> VertexColoredPoset:
     """Disjoint sum; q's ids are shifted above p's to force disjointness."""
-    if isinstance(p, VertexColoredPoset) != isinstance(q, VertexColoredPoset):
-        raise PosetError("disjoint_sum needs two posets of the same kind")
-    shift = (max(p.ids) + 1 if len(p) else 0) if isinstance(p, VertexColoredPoset) else (
-        max(p.elements) + 1 if len(p) else 0)
-    if isinstance(p, VertexColoredPoset):
-        q2 = q.relabel({v: v + shift for v in q.ids})
-        return VertexColoredPoset(p.vertices + q2.vertices, p.covers | q2.covers)
-    q2 = q.relabel({v: v + shift for v in q.elements})
-    return EdgeColoredPoset(p.elements + q2.elements, p.covers | q2.covers)
+    shift = max(p.ids) + 1 if len(p) else 0
+    q2 = q.relabel({v: v + shift for v in q.ids})
+    return VertexColoredPoset(p.vertices + q2.vertices, p.covers | q2.covers)
 
 
 def product(p: EdgeColoredPoset, q: EdgeColoredPoset) -> EdgeColoredPoset:

@@ -101,7 +101,10 @@ def lattice_from_obj(obj: Any) -> IdealLattice:
     lat = order_ideals(poset_from_obj(_field(obj, "poset", dict, "lattice file")))
     expected = lattice_to_obj(lat)
     for key in ("elements", "covers", "weights"):
-        if _field(obj, key, list, "lattice file") != expected[key]:
+        rows = _field(obj, key, list, "lattice file")
+        # == takes 1.0 and True for 1; an equal row of ints and color
+        # strings holds nothing else
+        if rows != expected[key] or not {type(x) for row in rows for x in row} <= {int, str}:
             raise ValueError(f"lattice file {key} do not match its poset")
     return lat
 
@@ -125,8 +128,11 @@ def dump(obj: dict[str, Any], path: str) -> None:
 _DOT_COLOR = {"a": "firebrick", "b": "royalblue"}
 
 
-def poset_to_dot(p: VertexColoredPoset | EdgeColoredPoset | GridPoset) -> str:
-    """Hasse diagram, drawn bottom to top, colors as labels."""
+def poset_to_dot(p: VertexColoredPoset | EdgeColoredPoset | GridPoset | IdealLattice) -> str:
+    """Hasse diagram, drawn bottom to top, colors as labels.
+
+    An ideal lattice is drawn from its own covers, ranked by ideal size.
+    """
     if isinstance(p, GridPoset):
         p = p.base
     lines = ["digraph poset {", "  rankdir=BT;", "  node [shape=circle];"]
@@ -137,18 +143,21 @@ def poset_to_dot(p: VertexColoredPoset | EdgeColoredPoset | GridPoset) -> str:
         for u, v in sorted(p.covers):
             lines.append(f'  "{u}" -> "{v}";')
     else:
-        for v in p.elements:
+        for v in range(len(p)) if isinstance(p, IdealLattice) else p.elements:
             lines.append(f'  "{v}";')
         for u, v, c in sorted(p.covers, key=lambda t: (t[0], t[1])):
             lines.append(
                 f'  "{u}" -> "{v}" [label="{c.value}", color={_DOT_COLOR[c.value]}];')
-    rank = find_rank_function(p)
-    if rank is not None:
-        by_rank: dict[int, list[int]] = {}
-        for v, r in rank.ranks:
-            by_rank.setdefault(r, []).append(v)
-        for r in sorted(by_rank):
-            members = " ".join(f'"{v}"' for v in sorted(by_rank[r]))
-            lines.append(f"  {{ rank=same; {members} }}")
+    if isinstance(p, IdealLattice):
+        ranks = [(i, p.size_of(i)) for i in range(len(p))]
+    else:
+        rank = find_rank_function(p)
+        ranks = () if rank is None else rank.ranks
+    by_rank: dict[int, list[int]] = {}
+    for v, r in ranks:
+        by_rank.setdefault(r, []).append(v)
+    for r in sorted(by_rank):
+        members = " ".join(f'"{v}"' for v in sorted(by_rank[r]))
+        lines.append(f"  {{ rank=same; {members} }}")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -227,6 +227,15 @@ def _flip_first_cover(lat):
     return {**lat, "covers": [[i, j, "b" if c == "a" else "a"], *rest]}
 
 
+def _floats_in_first_row(lat, key):
+    """lat with the ints of the first nonempty row of lat[key] as floats,
+    which == still takes as equal."""
+    rows = lat[key]
+    k = next(k for k, row in enumerate(rows) if row)
+    row = [float(x) if type(x) is int else x for x in rows[k]]
+    return {**lat, key: [*rows[:k], row, *rows[k + 1:]]}
+
+
 @pytest.mark.parametrize("command, corrupt", [
     ("enumerate", lambda poset, lat: _without(poset, "covers")),
     ("enumerate", lambda poset, lat: [poset]),
@@ -240,9 +249,13 @@ def _flip_first_cover(lat):
     ("character", lambda poset, lat: poset),
     ("export", lambda poset, lat: {**lat, "covers": []}),
     ("export", lambda poset, lat: _flip_first_cover(lat)),
+    ("character", lambda poset, lat: _floats_in_first_row(lat, "elements")),
+    ("character", lambda poset, lat: _floats_in_first_row(lat, "covers")),
+    ("export", lambda poset, lat: _floats_in_first_row(lat, "weights")),
 ], ids=["poset-without-covers", "top-level-list", "string-chain-index",
         "edge-poset-to-enumerate", "repeated-vertex-id", "lattice-without-elements",
-        "poset-file-as-lattice", "lattice-without-covers", "flipped-cover-color"])
+        "poset-file-as-lattice", "lattice-without-covers", "flipped-cover-color",
+        "float-element", "float-cover-index", "float-weight"])
 def test_malformed_file_is_a_usage_error(tmp_path, capsys, command, corrupt):
     poset_file, lattice_file = tmp_path / "p.json", tmp_path / "l.json"
     run(capsys, "build", "--algebra", "c2", "--weight", "1,1",
