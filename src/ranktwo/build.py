@@ -12,23 +12,15 @@ and consecutive segments of one chain are joined by a single cover.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Literal, Mapping
 
 from .algebras import ALPHA, BETA, Algebra, Color, Weight
-from .grid import GridPoset
+from .grid import Decomposition, GridPoset, total_order
 
 Order = Literal["beta_alpha", "alpha_beta"]
 Which = Literal["alpha_fund", "beta_fund"]
-
-
-@dataclass(frozen=True)
-class PieceSpan:
-    """One fundamental-poset copy inside a semistandard poset."""
-
-    kind: Which
-    vertex_ids: tuple[int, ...]  # global ids, indexed by local vertex number
 
 
 # (chain, color) per local vertex, bottom to top, plus covers (lo, hi).
@@ -64,14 +56,14 @@ def fundamental_poset(algebra: Algebra, which: Which) -> GridPoset:
     return GridPoset.build(colors, covers, chain)
 
 
+def _label(algebra: Algebra, which: Which) -> str:
+    return f"{algebra.value}{'(1,0)' if which == 'alpha_fund' else '(0,1)'}"
+
+
 @lru_cache(maxsize=None)
 def fundamental_fixtures() -> Mapping[str, GridPoset]:
     """The eight fundamental posets by label, read-only: every caller shares it."""
-    out = {}
-    for (algebra, which) in _FUNDAMENTALS:
-        weight = "(1,0)" if which == "alpha_fund" else "(0,1)"
-        out[f"{algebra.value}{weight}"] = fundamental_poset(algebra, which)
-    return MappingProxyType(out)
+    return MappingProxyType({_label(*key): fundamental_poset(*key) for key in _FUNDAMENTALS})
 
 
 @dataclass(frozen=True)
@@ -79,10 +71,20 @@ class SemistandardPoset:
     """A built semistandard poset together with its piece structure."""
 
     grid: GridPoset
-    pieces: tuple[PieceSpan, ...]
     algebra: Algebra
     order: Order
     weight: Weight
+
+    @cached_property
+    def decomposition(self) -> Decomposition:
+        """The concatenated pieces, one id range each, labelled with no search."""
+        pieces, labels, pos = [], [], 0
+        for kind, _ in _piece_sequence(self.algebra, self.order, self.weight):
+            n = len(_FUNDAMENTALS[(self.algebra, kind)][0])
+            pieces.append(self.grid.restrict(range(pos, pos + n)))
+            labels.append(_label(self.algebra, kind))
+            pos += n
+        return Decomposition(tuple(pieces), tuple(labels), total_order(self.grid))
 
 
 def _piece_sequence(algebra: Algebra, order: Order, lam: Weight) -> list[tuple[Which, int]]:
@@ -97,48 +99,30 @@ def _piece_sequence(algebra: Algebra, order: Order, lam: Weight) -> list[tuple[W
     raise ValueError(f"order must be beta_alpha or alpha_beta, got {order!r}")
 
 
-def piece_spans(algebra: Algebra, order: Order, lam: Weight) -> tuple[PieceSpan, ...]:
-    """The pieces of `semistandard_poset(algebra, order, lam)`, without building it.
+def semistandard_poset(algebra: Algebra, order: Order, lam: Weight) -> SemistandardPoset:
+    """Concatenate b copies of one fundamental poset and a of the other.
 
     Piece vertices get consecutive global ids in concatenation order, each
     piece numbered bottom to top as in its fixture.
     """
-    spans = []
-    pos = 0
-    for kind, _ in _piece_sequence(algebra, order, lam):
-        n = len(_FUNDAMENTALS[(algebra, kind)][0])
-        spans.append(PieceSpan(kind, tuple(range(pos, pos + n))))
-        pos += n
-    return tuple(spans)
-
-
-def semistandard_poset(algebra: Algebra, order: Order, lam: Weight) -> SemistandardPoset:
-    """Concatenate b copies of one fundamental poset and a of the other."""
-    spans = piece_spans(algebra, order, lam)
     colors: dict[int, Color] = {}
     chain: dict[int, int] = {}
     covers: set[tuple[int, int]] = set()
     segments: dict[int, list[int]] = {}  # global chain -> vertex ids bottom to top
-    for span, (_, offset) in zip(spans, _piece_sequence(algebra, order, lam)):
-        verts, piece_covers = _FUNDAMENTALS[(algebra, span.kind)]
-        ids = span.vertex_ids
-        local_segments: dict[int, list[int]] = {}
+    for kind, offset in _piece_sequence(algebra, order, lam):
+        verts, piece_covers = _FUNDAMENTALS[(algebra, kind)]
+        pos = len(colors)
         for local, (ch, col) in enumerate(verts):
-            g = ids[local]
-            colors[g] = col
-            chain[g] = ch + offset
-            local_segments.setdefault(ch + offset, []).append(g)
-        for lo, hi in piece_covers:
-            u, v = ids[lo], ids[hi]
-            if chain[u] != chain[v]:
-                covers.add((u, v))
-            # same-chain piece covers reappear as consecutive segment pairs
-        for c, seg in local_segments.items():
-            segments.setdefault(c, []).extend(seg)
+            colors[pos + local] = col
+            chain[pos + local] = ch + offset
+            segments.setdefault(ch + offset, []).append(pos + local)
+        # same-chain piece covers reappear as consecutive segment pairs
+        covers.update((pos + lo, pos + hi) for lo, hi in piece_covers
+                      if verts[lo][0] != verts[hi][0])
     for seg in segments.values():
         covers.update(zip(seg, seg[1:]))
     grid = GridPoset.build(colors, covers, chain).normalized()
-    return SemistandardPoset(grid, spans, algebra, order, lam)
+    return SemistandardPoset(grid, algebra, order, lam)
 
 
 def semistandard_poset_oracle(algebra: Algebra, lam: Weight):

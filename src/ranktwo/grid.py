@@ -183,18 +183,18 @@ class Decomposition:
         return tuple(order_ideals(piece) for piece in self.pieces)
 
     @cached_property
-    def projections(self) -> tuple[tuple[int, dict[int, int]], ...]:
-        """Per piece lattice, (bits, index): the piece's bits in `order`, and
+    def projections(self) -> tuple[tuple[int, dict[int, int], tuple[int, ...]], ...]:
+        """Per piece lattice, (bits, index, masks): the piece's bits in `order`,
         the index in the piece lattice keyed by a mask over `order` and-ed
-        with bits, so projecting an element is one `&` and one lookup."""
+        with bits, so projecting an element is one `&` and one lookup, and
+        its inverse, the mask over `order` of each piece-lattice element."""
         bit = {v: 1 << b for b, v in enumerate(self.order)}
         out = []
         for sub in self.lattices:
             to_global = [bit[v] for v in sub.vertex_order]
-            index = {}
-            for k, local in enumerate(sub.elements):
-                index[sum(g for b, g in enumerate(to_global) if local >> b & 1)] = k
-            out.append((sum(to_global), index))
+            masks = tuple(sum(g for b, g in enumerate(to_global) if local >> b & 1)
+                          for local in sub.elements)
+            out.append((sum(to_global), {m: k for k, m in enumerate(masks)}, masks))
         return tuple(out)
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .algebras import ALPHA, BETA, Color, Weight
 from .build import SemistandardPoset
@@ -57,10 +56,6 @@ class IdealLattice:
     def index_of(self) -> dict[int, int]:
         return {mask: i for i, mask in enumerate(self.elements)}
 
-    @cached_property
-    def _bit_of_vertex(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.vertex_order)}
-
     def element_vertices(self, i: int) -> frozenset[int]:
         mask = self.elements[i]
         order = self.vertex_order
@@ -70,12 +65,6 @@ class IdealLattice:
             out.append(order[low.bit_length() - 1])
             mask ^= low
         return frozenset(out)
-
-    def element_index(self, vertices: Iterable[int]) -> int:
-        mask = 0
-        for v in vertices:
-            mask |= 1 << self._bit_of_vertex[v]
-        return self.index_of[mask]
 
     def size_of(self, i: int) -> int:
         return self.elements[i].bit_count()
@@ -110,11 +99,12 @@ class IdealLattice:
         return EdgeColoredPoset(tuple(range(len(self.elements))), frozenset(self.covers))
 
     @cached_property
-    def _component_bounds(self) -> dict[Color, tuple[list[int], list[int]]]:
-        """Per color, flat lists lo and hi of each element's component bounds."""
+    def _component_bounds(self) -> tuple[tuple[list[int], list[int]], ...]:
+        """Flat lists lo and hi of each element's component bounds, for alpha
+        then beta: index it by `color is BETA`, which hashes no enum."""
         sizes = [mask.bit_count() for mask in self.elements]
-        bounds = {c: (sizes[:], sizes[:]) for c in (ALPHA, BETA)}
-        (alo, ahi), (blo, bhi) = bounds[ALPHA], bounds[BETA]
+        bounds = (sizes, sizes[:]), (sizes[:], sizes[:])
+        (alo, ahi), (blo, bhi) = bounds
         # covers ascend in i: lo[i] is final at (i, j), hi[j] on the way back
         for i, j, c in self.covers:
             if c is ALPHA:
@@ -130,12 +120,12 @@ class IdealLattice:
 
     def rank_stats(self, i: int, color: Color) -> tuple[int, int]:
         """(rho, length) of element i within its component of one color."""
-        lo, hi = self._component_bounds[color]
+        lo, hi = self._component_bounds[color is BETA]
         return self.size_of(i) - lo[i], hi[i] - lo[i]
 
     @cached_property
     def weights(self) -> tuple[Weight, ...]:
-        (alo, ahi), (blo, bhi) = self._component_bounds[ALPHA], self._component_bounds[BETA]
+        (alo, ahi), (blo, bhi) = self._component_bounds
         out = []
         for i, mask in enumerate(self.elements):
             # m = 2 rho - length = 2 size - lo - hi, per color
@@ -223,7 +213,7 @@ def _piece_elements(lattice: IdealLattice, i: int,
         raise ValueError("the decomposition is of a grid with another vertex order")
     mask = lattice.elements[i]
     return [(sub, index[mask & bits])
-            for sub, (bits, index) in zip(dec.lattices, dec.projections)]
+            for sub, (bits, index, _) in zip(dec.lattices, dec.projections)]
 
 
 def weight_via_decomposition(lattice: IdealLattice, i: int,
@@ -240,8 +230,9 @@ def piece_rank_stats(lattice: IdealLattice, i: int, dec: Decomposition,
                      color: Color) -> tuple[int, int]:
     """(sum of piece rho, sum of piece lengths) for one color."""
     rho = length = 0
+    beta = color is BETA
     for sub, j in _piece_elements(lattice, i, dec):
-        lo, hi = sub._component_bounds[color]
+        lo, hi = sub._component_bounds[beta]
         rho += sub.size_of(j) - lo[j]
         length += hi[j] - lo[j]
     return rho, length

@@ -4,6 +4,10 @@ correspondence with Littelmann's column-block tableaux.
 
 Shapes are pairs (a, b): b columns of length two followed by a columns of
 length one.  A column is a tuple of one or two strictly increasing entries.
+
+The bijection reads a beta-alpha lattice through its builder pieces, one per
+column: an ideal's tableau maps each piece's part of its mask to a column,
+and a tableau's ideal ORs its columns' piece masks; no vertex set is built.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from functools import lru_cache
 from typing import Callable, Sequence, TypeVar
 
 from .algebras import ALPHA, BETA, Algebra, Color, Weight
-from .build import fundamental_poset, piece_spans
-from .lattice import IdealLattice, order_ideals
+from .build import SemistandardPoset, fundamental_poset
+from .lattice import IdealLattice, _piece_elements, order_ideals
 from .poset import EdgeColoredPoset, edge_color_isomorphism
 
 Column = tuple[int, ...]
@@ -216,8 +220,8 @@ def tableau_lattice(algebra: Algebra, lam: Weight) -> TableauLattice:
 
 
 @lru_cache(maxsize=None)
-def _piece_column_maps(algebra: Algebra, which: str) -> tuple[dict, dict]:
-    """(local ideal frozenset -> column, column -> frozenset) for one piece type.
+def _piece_column_maps(algebra: Algebra, which: str) -> tuple[tuple[Column, ...], dict]:
+    """(column per fundamental-lattice element, column -> element) for one piece type.
 
     The dictionary is the unique edge-colored isomorphism between the
     fundamental ideal lattice and the one-column tableau lattice.
@@ -228,41 +232,37 @@ def _piece_column_maps(algebra: Algebra, which: str) -> tuple[dict, dict]:
     iso = edge_color_isomorphism(fund.edge_poset, tl.edge_poset)
     if iso is None:
         raise RuntimeError("fundamental lattice does not match its column lattice")
-    fwd = {}
-    back = {}
-    for i in range(len(fund)):
-        ideal = fund.element_vertices(i)
-        column = tl.tableaux[iso[i]][0]
-        fwd[ideal] = column
-        back[column] = ideal
-    return fwd, back
+    columns = tuple(tl.tableaux[iso[i]][0] for i in range(len(fund)))
+    return columns, {column: k for k, column in enumerate(columns)}
 
 
-def tableau_of_ideal(lattice: IdealLattice, index: int) -> Tableau:
-    """Tableau of one lattice element, column by decomposition piece."""
+def _column_maps(lattice: IdealLattice) -> tuple[SemistandardPoset, list[tuple]]:
+    """A beta-alpha lattice's built poset and its pieces' column maps, in column order."""
     sp = lattice.built
     if sp is None or sp.order != "beta_alpha":
         raise ValueError("tableaux are defined on beta-alpha semistandard lattices")
     _require_simple(sp.algebra)
-    s = lattice.element_vertices(index)
-    columns = []
-    for span in sp.pieces:
-        fwd, _ = _piece_column_maps(sp.algebra, span.kind)
-        local = frozenset(i for i, g in enumerate(span.vertex_ids) if g in s)
-        columns.append(fwd[local])
-    return tuple(columns)
+    a, b = sp.weight
+    return sp, ([_piece_column_maps(sp.algebra, "beta_fund")] * b
+                + [_piece_column_maps(sp.algebra, "alpha_fund")] * a)
 
 
-def ideal_of_tableau(algebra: Algebra, lam: Weight, t: Tableau) -> frozenset[int]:
-    """Vertex set of the order ideal labelled by an admissible tableau."""
-    if not is_semistandard(algebra, lam, t):
+def tableau_of_ideal(lattice: IdealLattice, index: int) -> Tableau:
+    """Tableau of one lattice element, column by builder piece."""
+    sp, maps = _column_maps(lattice)
+    return tuple(columns[j] for (_, j), (columns, _) in
+                 zip(_piece_elements(lattice, index, sp.decomposition), maps))
+
+
+def ideal_of_tableau(lattice: IdealLattice, t: Tableau) -> int:
+    """Index in `lattice` of the order ideal labelled by an admissible tableau."""
+    sp, maps = _column_maps(lattice)
+    if not is_semistandard(sp.algebra, sp.weight, t):
         raise ValueError("tableau is not admissible for this shape")
-    out: set[int] = set()
-    for span, column in zip(piece_spans(algebra, "beta_alpha", lam), t):
-        _, back = _piece_column_maps(algebra, span.kind)
-        for local in back[column]:
-            out.add(span.vertex_ids[local])
-    return frozenset(out)
+    mask = 0
+    for (_, _, masks), (_, element), column in zip(sp.decomposition.projections, maps, t):
+        mask |= masks[element[column]]
+    return lattice.index_of[mask]
 
 
 # --- Littelmann column blocks -------------------------------------------------

@@ -175,7 +175,7 @@ class Verifier:
                 phi = []  # element of lat -> index of its tableau in tl
                 for i in range(len(lat)):
                     t = tableau_of_ideal(lat, i)
-                    if ideal_of_tableau(algebra, lam, t) != lat.element_vertices(i):
+                    if ideal_of_tableau(lat, t) != i:
                         return False
                     if tableauwt(algebra, t) != lat.weight(i):
                         return False
@@ -244,17 +244,23 @@ class Verifier:
         return {"checks": self.checks}
 
 
+def _dual_mapping(phi, lat_ba: IdealLattice, lat_ab: IdealLattice) -> list[int]:
+    """Per element of lat_ab, the lat_ba element complementing its image under
+    phi, each mask carried bit by bit into lat_ba's vertex order."""
+    bit = {v: 1 << b for b, v in enumerate(lat_ba.vertex_order)}
+    image_bit = [bit[phi[v]] for v in lat_ab.vertex_order]
+    full, index = sum(image_bit), lat_ba.index_of
+    return [index[full ^ sum(g for b, g in enumerate(image_bit) if mask >> b & 1)]
+            for mask in lat_ab.elements]
+
+
 def _induced_lattice_iso_ok(algebra, phi, lat_ba: IdealLattice,
                             lat_ab: IdealLattice) -> bool:
     """Check that ideal complements along phi give an edge-colored iso
     from the alpha-beta lattice onto the recolored dual of the beta-alpha one.
     """
-    all_ba = frozenset(lat_ba.base.ids)
-    mapping = {}
-    for i in range(len(lat_ab)):
-        image = all_ba - frozenset(phi[v] for v in lat_ab.element_vertices(i))
-        mapping[i] = lat_ba.element_index(image)
-    if len(set(mapping.values())) != len(lat_ba):
+    mapping = _dual_mapping(phi, lat_ba, lat_ab)
+    if len(set(mapping)) != len(lat_ba):
         return False
     sig = sigma0(algebra)
     dual_covers = {(j, i, sig[c]) for i, j, c in lat_ba.covers}

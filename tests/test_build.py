@@ -4,7 +4,7 @@ import pytest
 
 import goldens
 from ranktwo.algebras import ALPHA, BETA, Algebra
-from ranktwo.build import (fundamental_fixtures, fundamental_poset, piece_spans,
+from ranktwo.build import (fundamental_fixtures, fundamental_poset,
                            semistandard_poset, semistandard_poset_oracle)
 from ranktwo.grid import decompose, has_max_property, total_order, validate_grid
 from ranktwo.lattice import order_ideals
@@ -136,31 +136,35 @@ class TestSemistandardPosets:
                     assert has_max_property(grid)
 
     def test_piece_spans_partition_ids(self):
-        sp = semistandard_poset(Algebra.G2, "beta_alpha", (3, 2))
-        ids = [v for span in sp.pieces for v in span.vertex_ids]
-        assert sorted(ids) == sorted(sp.grid.base.ids)
-        assert [span.kind for span in sp.pieces] == ["beta_fund"] * 2 + ["alpha_fund"] * 3
+        dec = semistandard_poset(Algebra.G2, "beta_alpha", (3, 2)).decomposition
+        ids = [v for piece in dec.pieces for v in piece.base.ids]
+        assert ids == list(range(len(ids))) and len(ids) == 2 * 10 + 3 * 6
+        assert dec.labels == ("g2(0,1)",) * 2 + ("g2(1,0)",) * 3
 
     @pytest.mark.parametrize("algebra", list(Algebra))
     def test_piece_spans_match_the_built_poset(self, algebra):
+        """The builder's decomposition is the searched one, its pieces span
+        consecutive ids, and each piece, renumbered locally, is its
+        fundamental poset with the fixture's lattice element for element."""
+        fixtures = fundamental_fixtures()
         for order in ("beta_alpha", "alpha_beta"):
             for lam in itertools.product(range(4), repeat=2):
                 sp = semistandard_poset(algebra, order, lam)
-                spans = piece_spans(algebra, order, lam)
-                assert spans == sp.pieces, (order, lam)
-                ids = [v for span in spans for v in span.vertex_ids]
+                dec = sp.decomposition
+                assert decompose(sp.grid) == dec, (order, lam)
+                ids = [v for piece in dec.pieces for v in piece.base.ids]
                 assert ids == list(range(len(sp.grid))), (order, lam)
-                # each span, renumbered locally, is exactly its fundamental poset
-                for span in spans:
-                    local = {g: i for i, g in enumerate(span.vertex_ids)}
-                    piece = sp.grid.base.restrict(span.vertex_ids).relabel(local)
-                    assert piece == fundamental_poset(algebra, span.kind).base, (order, lam)
+                for piece, sub, label in zip(dec.pieces, dec.lattices, dec.labels):
+                    fund = fixtures[label]
+                    local = {g: i for i, g in enumerate(piece.base.ids)}
+                    assert piece.base.relabel(local) == fund.base, (order, lam)
+                    assert sub.elements == order_ideals(fund).elements, (order, lam)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             semistandard_poset(Algebra.A2, "beta_alpha", (-1, 0))
         with pytest.raises(ValueError):
-            piece_spans(Algebra.A2, "beta_alpha", (0, -1))
+            semistandard_poset(Algebra.A2, "beta_alpha", (0, -1))
 
 
 class TestOracle:

@@ -5,6 +5,7 @@ import pytest
 import goldens
 from ranktwo.algebras import ALPHA, BETA, Algebra
 from ranktwo.build import fundamental_poset, semistandard_poset
+from ranktwo.fixtures import load_fixture
 from ranktwo.grid import GridPoset
 from ranktwo.lattice import order_ideals
 from ranktwo.poset import EdgeColoredPoset, are_edge_color_isomorphic
@@ -100,7 +101,7 @@ class TestBijection:
             for i in range(len(lat)):
                 t = tableau_of_ideal(lat, i)
                 seen.add(t)
-                assert ideal_of_tableau(algebra, lam, t) == lat.element_vertices(i)
+                assert ideal_of_tableau(lat, t) == i
             assert seen == set(enumerate_tableaux(algebra, lam))
 
     def test_ideal_of_tableau_builds_no_poset(self, monkeypatch):
@@ -114,21 +115,36 @@ class TestBijection:
 
         monkeypatch.setattr(GridPoset, "build", staticmethod(refuse))
         for i, t in enumerate(tableaux):
-            assert ideal_of_tableau(algebra, lam, t) == lat.element_vertices(i)
+            assert ideal_of_tableau(lat, t) == i
 
     def test_rejects_inadmissible(self):
+        lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (0, 1)))
         with pytest.raises(ValueError):
-            ideal_of_tableau(Algebra.C2, (0, 1), ((1, 4),))
+            ideal_of_tableau(lat, ((1, 4),))
+        lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (0, 2)))
+        with pytest.raises(ValueError):
+            ideal_of_tableau(lat, ((2, 3), (2, 3)))
+
+    @pytest.mark.parametrize("lattice", [
+        lambda: order_ideals(semistandard_poset(Algebra.C2, "alpha_beta", (1, 1))),
+        lambda: order_ideals(load_fixture("two_color_example")),
+        lambda: order_ideals(semistandard_poset(Algebra.A1A1, "beta_alpha", (1, 1))),
+    ], ids=["alpha_beta", "unbuilt", "a1a1"])
+    def test_only_simple_beta_alpha_lattices_are_labelled(self, lattice):
+        lat = lattice()
+        with pytest.raises(ValueError):
+            tableau_of_ideal(lat, 0)
+        with pytest.raises(ValueError):
+            ideal_of_tableau(lat, ((1, 2), (1,)))
 
     def test_g2_second_fundamental_dictionary_extremes(self):
-        lam = (0, 1)
-        full = frozenset(fundamental_poset(Algebra.G2, "beta_fund").base.ids)
-        assert ideal_of_tableau(Algebra.G2, lam, ((1, 2),)) == full
-        assert ideal_of_tableau(Algebra.G2, lam, ((6, 7),)) == frozenset()
+        lat = order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", (0, 1)))
+        assert ideal_of_tableau(lat, ((1, 2),)) == lat.top
+        assert ideal_of_tableau(lat, ((6, 7),)) == lat.bottom
         # the chain-4 prefix of size four carries weight 3w_a - 2w_b
-        ideal = ideal_of_tableau(Algebra.G2, lam, ((3, 6),))
-        lat = order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", lam))
-        assert lat.weight(lat.element_index(ideal)) == (3, -2)
+        i = ideal_of_tableau(lat, ((3, 6),))
+        assert lat.size_of(i) == 4
+        assert lat.weight(i) == (3, -2)
 
 
 class TestWeights:

@@ -1,5 +1,6 @@
-"""The verification gate: each criterion can fail, and the poset-level
-isomorphism dichotomy agrees with the lattice-level search."""
+"""The verification gate: each criterion can fail, the poset-level
+isomorphism dichotomy agrees with the lattice-level search, and the duality
+mapping on masks agrees with its vertex-set construction."""
 
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ from ranktwo import verify
 from ranktwo.algebras import Algebra, sigma0
 from ranktwo.build import fundamental_poset, semistandard_poset
 from ranktwo.fixtures import load_fixture
+from ranktwo.grid import triangle_dual
 from ranktwo.lattice import order_ideals, piece_rank_stats
 from ranktwo.poset import are_edge_color_isomorphic, vertex_color_isomorphism
 from ranktwo.weyl import (LaurentPoly2, alternating_sum, character_from_lattice,
@@ -150,3 +152,48 @@ def test_poset_dichotomy_matches_lattice_isomorphism(algebra):
             assert on_posets == are_edge_color_isomorphic(lat_ba.edge_poset,
                                                           lat_ab.edge_poset)
             assert on_posets == (a == 0 or b == 0)
+
+
+# --- the duality mapping on masks against vertex sets ------------------------
+
+
+def reference_dual_mapping(phi, lat_ba, lat_ab):
+    """Oracle: each element's vertex set carried through phi, complemented
+    and looked up by vertex set."""
+    all_ba = frozenset(lat_ba.base.ids)
+    index = {lat_ba.element_vertices(j): j for j in range(len(lat_ba))}
+    return [index[all_ba - frozenset(phi[v] for v in lat_ab.element_vertices(i))]
+            for i in range(len(lat_ab))]
+
+
+def dual_pairs(algebra):
+    """(lam, phi, lat_ba, lat_ab) at every weight up to (2,2), as check_duality builds them."""
+    for lam in verify._weights_in_range((2, 2)):
+        lat_ba, lat_ab = (order_ideals(semistandard_poset(algebra, order, lam))
+                          for order in verify.ORDERS)
+        phi = vertex_color_isomorphism(lat_ab.base, triangle_dual(lat_ba.poset, algebra).base)
+        yield lam, phi, lat_ba, lat_ab
+
+
+@pytest.mark.parametrize("algebra", list(Algebra), ids=lambda g: g.value)
+def test_dual_mapping_matches_vertex_sets(algebra):
+    for lam, phi, lat_ba, lat_ab in dual_pairs(algebra):
+        mapping = verify._dual_mapping(phi, lat_ba, lat_ab)
+        assert mapping == reference_dual_mapping(phi, lat_ba, lat_ab), lam
+        assert verify._induced_lattice_iso_ok(algebra, phi, lat_ba, lat_ab), lam
+
+
+@pytest.mark.parametrize("algebra", list(Algebra), ids=lambda g: g.value)
+def test_dual_mapping_rejects_a_color_swapping_phi(algebra):
+    for lam, phi, lat_ba, lat_ab in dual_pairs(algebra):
+        if 0 in lam:
+            continue
+        color = lat_ba.base.color_of
+        u = lat_ab.base.ids[0]
+        v = next(w for w in lat_ab.base.ids if color[phi[w]] is not color[phi[u]])
+        tampered = {**phi, u: phi[v], v: phi[u]}
+        try:
+            ok = verify._induced_lattice_iso_ok(algebra, tampered, lat_ba, lat_ab)
+        except KeyError:  # an image that is no order ideal
+            ok = False
+        assert not ok, lam
