@@ -243,31 +243,29 @@ def join_irreducible_poset(ep: EdgeColoredPoset) -> VertexColoredPoset:
 
     A join-irreducible of a distributive lattice covers exactly one element;
     the induced subposet of join-irreducibles recovers the poset whose order
-    ideals the lattice enumerates.
+    ideals the lattice enumerates.  One pass up a linear extension gives each
+    element the mask of join-irreducibles at or below it (bit k for irr[k])
+    and the union of their strict masks; a join-irreducible v covers the bits
+    of its strict mask that no strict mask below v contains.
     """
     lower = ep.lower_covers
-    irr = [v for v in ep.elements if len(lower[v]) == 1]
-    colors = {v: lower[v][0][1] for v in irr}
-    # order relation inside the lattice
-    up = {v: [w for w, _ in ep.upper_covers[v]] for v in ep.elements}
-    pos = {v: k for k, v in enumerate(ep.elements)}
-    reach = {v: 0 for v in ep.elements}
-    from .poset import _topological_order
-
-    order = _topological_order(ep.elements, up)
-    for v in reversed(order):
-        m = 0
-        for w in up[v]:
-            m |= (1 << pos[w]) | reach[w]
-        reach[v] = m
-
-    def leq(u, v):
-        return u == v or (reach[u] >> pos[v]) & 1
-
-    covers = set()
-    for u in irr:
-        uppers = [v for v in irr if v != u and leq(u, v)]
-        for v in uppers:
-            if not any(w != v and leq(w, v) for w in uppers):
-                covers.add((u, v))
+    irr: list[int] = []
+    colors, covers = {}, []
+    below, shadow = {}, {}  # the two masks per element
+    for v in ep.linear_extension:
+        mask = shade = 0
+        for u, _ in lower[v]:
+            mask |= below[u]
+            shade |= shadow[u]
+        if len(lower[v]) == 1:  # mask is v's strict mask
+            new = mask & ~shade
+            while new:
+                low = new & -new
+                covers.append((irr[low.bit_length() - 1], v))
+                new ^= low
+            shade |= mask
+            mask |= 1 << len(irr)
+            irr.append(v)
+            colors[v] = lower[v][0][1]
+        below[v], shadow[v] = mask, shade
     return VertexColoredPoset.build(colors, covers)

@@ -190,6 +190,11 @@ class EdgeColoredPoset:
             down[v].append((u, c))
         return {v: tuple(sorted(ws, key=lambda t: (t[0], t[1].value))) for v, ws in down.items()}
 
+    @cached_property
+    def linear_extension(self) -> tuple[int, ...]:
+        return tuple(_topological_order(
+            self.elements, {v: [w for w, _ in ws] for v, ws in self.upper_covers.items()}))
+
     def dual(self) -> "EdgeColoredPoset":
         return EdgeColoredPoset(self.elements, frozenset((v, u, c) for u, v, c in self.covers))
 
@@ -334,118 +339,83 @@ def diamond_coloring_check(p: EdgeColoredPoset) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Isomorphism search: backtracking with degree/color partition refinement.
-# All instances in this project are small (well under 1000 elements).
+# Isomorphism search over labelled covers, one for both flavours: a vertex
+# carries its color and its covers carry "", or a vertex carries "" and each
+# cover its color.  All instances in this project are small (well under 1000
+# elements).
 
-def _vposet_signature(p: VertexColoredPoset, v: int, depth_map) -> tuple:
-    return (
-        p.color_of[v].value,
-        len(p.lower_covers[v]),
-        len(p.upper_covers[v]),
-        depth_map[v],
-    )
-
-
-def _depths(ids, lower, order) -> dict[int, int]:
-    d = {}
+def _signatures(order, lower, label) -> dict[int, tuple]:
+    """Per vertex: its label, depth, and the sorted labels of its lower and
+    of its upper covers, keyed in the order of `label`."""
+    depth: dict[int, int] = {}
+    lows: dict[int, tuple] = {}
+    ups: dict[int, list] = {v: [] for v in order}
     for v in order:
-        lows = lower[v]
-        d[v] = 0 if not lows else 1 + max(d[u] for u in lows)
-    return d
+        d, labels = 0, []
+        for u, c in lower[v]:
+            if depth[u] >= d:
+                d = depth[u] + 1
+            labels.append(c)
+            ups[u].append(c)
+        depth[v], lows[v] = d, tuple(sorted(labels))
+    return {v: (x, depth[v], lows[v], tuple(sorted(ups[v]))) for v, x in label.items()}
 
 
-def _candidates(psig: Mapping[int, tuple], qsig: Mapping[int, tuple]) -> dict[int, list[int]]:
-    """Per vertex of p, the vertices of q with the same signature, in q's order."""
+def _labelled_isomorphism(p, q) -> dict[int, int] | None:
+    """An isomorphism between two (linear extension, lower covers as (u, label)
+    pairs, vertex labels) triples, or None.
+
+    Depth-first along p's linear extension, one candidate iterator per
+    assigned vertex: a candidate is an unused vertex of q with the same
+    signature whose lower covers are the images of v's, with their labels.
+    """
+    porder, plower, _ = p
+    qorder, qlower, _ = q
+    psig, qsig = _signatures(*p), _signatures(*q)
+    if sorted(psig.values()) != sorted(qsig.values()):
+        return None
+    if not porder:
+        return {}
     buckets: dict[tuple, list[int]] = {}
     for w, sig in qsig.items():
         buckets.setdefault(sig, []).append(w)
-    return {v: buckets.get(sig, []) for v, sig in psig.items()}
+    qcovers = {(u, w): c for w in qorder for u, c in qlower[w]}
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+    candidates = [iter(buckets[psig[porder[0]]])]
+    while candidates:
+        v = porder[len(candidates) - 1]
+        if v in mapping:  # back here after a dead end above: undo v
+            used.remove(mapping.pop(v))
+        for w in candidates[-1]:
+            if w not in used and all(qcovers.get((mapping[u], w)) == c for u, c in plower[v]):
+                break
+        else:
+            candidates.pop()
+            continue
+        mapping[v] = w
+        used.add(w)
+        if len(candidates) == len(porder):
+            return mapping
+        candidates.append(iter(buckets[psig[porder[len(candidates)]]]))
+    return None
 
 
 def vertex_color_isomorphism(p: VertexColoredPoset, q: VertexColoredPoset) -> dict[int, int] | None:
     """An isomorphism p -> q respecting covers and vertex colors, or None."""
     if len(p) != len(q) or len(p.covers) != len(q.covers):
         return None
-    pd = _depths(p.ids, {v: p.lower_covers[v] for v in p.ids}, p.linear_extension)
-    qd = _depths(q.ids, {v: q.lower_covers[v] for v in q.ids}, q.linear_extension)
-    psig = {v: _vposet_signature(p, v, pd) for v in p.ids}
-    qsig = {v: _vposet_signature(q, v, qd) for v in q.ids}
-    if sorted(psig.values()) != sorted(qsig.values()):
-        return None
-    porder = p.linear_extension
-    candidates = _candidates(psig, qsig)
-    qcovers = {(u, v) for u, v in q.covers}
-
-    def extend(mapping, used, v, w) -> bool:
-        return w not in used and all(
-            (mapping[u], w) in qcovers for u in p.lower_covers[v])
-
-    return _backtrack_iso(porder, candidates, extend)
+    return _labelled_isomorphism(*(
+        (x.linear_extension, {v: [(u, "") for u in us] for v, us in x.lower_covers.items()},
+         x.color_of) for x in (p, q)))
 
 
 def edge_color_isomorphism(p: EdgeColoredPoset, q: EdgeColoredPoset) -> dict[int, int] | None:
     """An isomorphism p -> q respecting covers and edge colors, or None."""
     if len(p) != len(q) or len(p.covers) != len(q.covers):
         return None
-
-    def esig(poset, v):
-        lows = tuple(sorted(c.value for _, c in poset.lower_covers[v]))
-        ups = tuple(sorted(c.value for _, c in poset.upper_covers[v]))
-        return (lows, ups)
-
-    up_p = {v: [w for w, _ in p.upper_covers[v]] for v in p.elements}
-    up_q = {v: [w for w, _ in q.upper_covers[v]] for v in q.elements}
-    porder = _topological_order(p.elements, up_p)
-    pdep = _depths(p.elements, {v: [w for w, _ in p.lower_covers[v]] for v in p.elements}, porder)
-    qorder = _topological_order(q.elements, up_q)
-    qdep = _depths(q.elements, {v: [w for w, _ in q.lower_covers[v]] for v in q.elements}, qorder)
-    psig = {v: (pdep[v],) + esig(p, v) for v in p.elements}
-    qsig = {v: (qdep[v],) + esig(q, v) for v in q.elements}
-    if sorted(psig.values()) != sorted(qsig.values()):
-        return None
-    candidates = _candidates(psig, qsig)
-    qcovers = {(u, v): c for u, v, c in q.covers}
-
-    def extend(mapping, used, v, w) -> bool:
-        return w not in used and all(
-            qcovers.get((mapping[u], w)) is c for u, c in p.lower_covers[v])
-
-    return _backtrack_iso(porder, candidates, extend)
-
-
-def _backtrack_iso(porder, candidates, extend) -> dict[int, int] | None:
-    """Iterative depth-first search for a full consistent assignment."""
-    n = len(porder)
-    if n == 0:
-        return {}
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-    cursors = [0] * n
-    i = 0
-    while True:
-        v = porder[i]
-        cands = candidates[v]
-        advanced = False
-        while cursors[i] < len(cands):
-            w = cands[cursors[i]]
-            cursors[i] += 1
-            if extend(mapping, used, v, w):
-                mapping[v] = w
-                used.add(w)
-                advanced = True
-                break
-        if advanced:
-            i += 1
-            if i == n:
-                return mapping
-            cursors[i] = 0
-        else:
-            i -= 1
-            if i < 0:
-                return None
-            prev = porder[i]
-            used.remove(mapping[prev])
-            del mapping[prev]
+    return _labelled_isomorphism(*(
+        (x.linear_extension, x.lower_covers, dict.fromkeys(x.elements, "")) for x in (p, q)))
 
 
 def are_vertex_color_isomorphic(p: VertexColoredPoset, q: VertexColoredPoset) -> bool:

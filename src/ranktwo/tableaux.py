@@ -267,11 +267,6 @@ def ideal_of_tableau(lattice: IdealLattice, t: Tableau) -> int:
 
 # --- Littelmann column blocks -------------------------------------------------
 
-# block width per algebra
-BLOCK_WIDTH = {Algebra.A2: 1, Algebra.C2: 2, Algebra.G2: 6}
-
-LT_ALPHABET_SIZE = {Algebra.A2: 3, Algebra.C2: 4, Algebra.G2: 6}
-
 
 def _rep(col: Column, k: int) -> Block:
     return (col,) * k

@@ -119,9 +119,6 @@ class QPoly:
         cs[n] -= 1
         return QPoly(cs)
 
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __mul__(self, other: "QPoly") -> "QPoly":
         if not self.coeffs or not other.coeffs:
             return QPoly()

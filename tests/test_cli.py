@@ -148,11 +148,15 @@ class TestVerifyCommand:
         assert set(obj["checks"][0]) == {"name", "params", "status", "millis"}
 
     def test_structure_on_built_file(self, tmp_path, capsys):
-        poset_file = tmp_path / "p.json"
+        poset_file, report = tmp_path / "p.json", tmp_path / "report.json"
         run(capsys, "build", "--algebra", "c2", "--weight", "1,1",
             "--out", str(poset_file))
-        code, out, _ = run(capsys, "verify", "--structure", str(poset_file))
+        code, out, _ = run(capsys, "verify", "--structure", str(poset_file),
+                           "--out", str(report))
         assert code == 0 and "PASS" in out
+        (check,) = json.loads(report.read_text())["checks"]
+        assert check["status"] == "PASS"
+        assert check["params"] == "unique matrix rows (2, -1) / (-2, 2)"
 
     def test_bijection_small_range(self, capsys):
         code, out, _ = run(capsys, "verify", "--bijection", "--seed-range", "1,1")

@@ -12,10 +12,12 @@ from ranktwo.lattice import (TooManyIdeals, _piece_elements, check_structure,
                              infer_structure_matrix, join_irreducible_poset,
                              order_ideals, piece_rank_stats,
                              weight_via_decomposition)
-from ranktwo.poset import (are_edge_color_isomorphic,
+from ranktwo.poset import (EdgeColoredPoset, _topological_order,
+                           are_edge_color_isomorphic,
                            are_vertex_color_isomorphic,
                            diamond_coloring_check, find_rank_function, product,
                            VertexColoredPoset)
+from ranktwo.tableaux import tableau_lattice
 
 
 class TestEnumeration:
@@ -343,6 +345,56 @@ class TestFunctoriality:
         for base in self.small_fixtures():
             recovered = join_irreducible_poset(order_ideals(base).edge_poset)
             assert are_vertex_color_isomorphic(recovered, base)
+
+
+def reference_join_irreducible_poset(ep):
+    """Reference: join-irreducibles ordered by an N-bit reach table over
+    every lattice element, each cover tested against all of them."""
+    lower = ep.lower_covers
+    irr = [v for v in ep.elements if len(lower[v]) == 1]
+    colors = {v: lower[v][0][1] for v in irr}
+    up = {v: [w for w, _ in ep.upper_covers[v]] for v in ep.elements}
+    pos = {v: k for k, v in enumerate(ep.elements)}
+    reach = {v: 0 for v in ep.elements}
+    for v in reversed(_topological_order(ep.elements, up)):
+        m = 0
+        for w in up[v]:
+            m |= (1 << pos[w]) | reach[w]
+        reach[v] = m
+
+    def leq(u, v):
+        return u == v or (reach[u] >> pos[v]) & 1
+
+    covers = set()
+    for u in irr:
+        uppers = [v for v in irr if v != u and leq(u, v)]
+        for v in uppers:
+            if not any(w != v and leq(w, v) for w in uppers):
+                covers.add((u, v))
+    return VertexColoredPoset.build(colors, covers)
+
+
+class TestJoinIrreduciblesMatchReference:
+    """The one pass of masks gives the reference's poset exactly."""
+
+    def assert_matches_reference(self, ep):
+        assert join_irreducible_poset(ep) == reference_join_irreducible_poset(ep)
+
+    @pytest.mark.parametrize("algebra", [Algebra.A2, Algebra.C2, Algebra.G2])
+    def test_tableau_lattices(self, algebra):
+        for lam in itertools.product(range(3), repeat=2):
+            self.assert_matches_reference(tableau_lattice(algebra, lam).edge_poset)
+
+    def test_a1a1_products(self):
+        for a, b in itertools.product(range(4), repeat=2):
+            self.assert_matches_reference(product(
+                EdgeColoredPoset(tuple(range(b + 1)), frozenset((i, i + 1, BETA) for i in range(b))),
+                EdgeColoredPoset(tuple(range(a + 1)), frozenset((i, i + 1, ALPHA) for i in range(a)))))
+
+    def test_random_posets(self, rng):
+        for _ in range(40):
+            p = random_colored_poset(rng, rng.randint(1, 10))
+            self.assert_matches_reference(order_ideals(p).edge_poset)
 
 
 class TestVertexSumWeightOracle:

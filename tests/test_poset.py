@@ -222,6 +222,47 @@ class TestIsomorphismMaps:
             assert {(phi[u], phi[v], c) for u, v, c in p.covers} == q.covers
 
 
+def crowns(*sizes):
+    """Disjoint one-color crowns: the crown of size k has minima 0..k-1 and
+    maxima k..2k-1, maximum k+i covering minima i and i+1 mod k."""
+    colors, covers, shift = {}, set(), 0
+    for k in sizes:
+        for i in range(k):
+            colors[shift + i] = colors[shift + k + i] = ALPHA
+            covers |= {(shift + i, shift + k + i), (shift + (i + 1) % k, shift + k + i)}
+        shift += 2 * k
+    return VertexColoredPoset.build(colors, covers)
+
+
+def one_color_edges(p):
+    return EdgeColoredPoset(p.ids, frozenset((u, v, ALPHA) for u, v in p.covers))
+
+
+class TestCrowns:
+    """A 12-crown and two disjoint 6-crowns have the same vertex signatures
+    (one color, depth 0 or 1, degree 2), so only the search with undo tells
+    them apart."""
+
+    def test_twelve_crown_is_not_two_six_crowns(self):
+        one, two = crowns(6), crowns(3, 3)
+        assert vertex_color_isomorphism(one, two) is None
+        assert edge_color_isomorphism(one_color_edges(one), one_color_edges(two)) is None
+
+    def test_relabelled_twelve_crown_maps_back(self, rng):
+        p = crowns(6)
+        q = p.relabel(_shuffled_labels(rng, list(p.ids)))
+        phi = vertex_color_isomorphism(q, p)
+        assert phi is not None
+        assert sorted(phi) == list(q.ids) and sorted(phi.values()) == list(p.ids)
+        assert {(phi[u], phi[v]) for u, v in q.covers} == p.covers
+        assert all(p.color_of[phi[v]] is c for v, c in q.vertices)
+        psi = edge_color_isomorphism(one_color_edges(q), one_color_edges(p))
+        assert psi is not None
+        assert sorted(psi) == list(q.ids) and sorted(psi.values()) == list(p.ids)
+        assert {(psi[u], psi[v], c) for u, v, c in one_color_edges(q).covers} == \
+            one_color_edges(p).covers
+
+
 def test_brute_force_oracle_matches_enumeration(rng):
     for _ in range(6):
         p = random_colored_poset(rng, 6)

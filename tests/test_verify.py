@@ -11,7 +11,7 @@ from ranktwo import verify
 from ranktwo.algebras import Algebra, sigma0
 from ranktwo.build import fundamental_poset, semistandard_poset
 from ranktwo.fixtures import load_fixture
-from ranktwo.grid import triangle_dual
+from ranktwo.grid import Decomposition, decompose, triangle_dual
 from ranktwo.lattice import order_ideals, piece_rank_stats
 from ranktwo.poset import are_edge_color_isomorphic, vertex_color_isomorphism
 from ranktwo.weyl import (LaurentPoly2, alternating_sum, character_from_lattice,
@@ -76,6 +76,15 @@ def piece_rank_stats_off_by_one(m):
     m.setattr(verify, "piece_rank_stats", off)
 
 
+def decompose_in_reverse_order(m):
+    # the right pieces, so every sum still holds, in the wrong order
+    def reversed_pieces(grid):
+        dec = decompose(grid)
+        return Decomposition(dec.pieces[::-1], dec.labels[::-1], dec.order)
+
+    m.setattr(verify, "decompose", reversed_pieces)
+
+
 def tampered_tableau_weight(m):
     weight = ranktwo.tableaux.tableauwt
     m.setattr(ranktwo.tableaux, "tableauwt",
@@ -108,6 +117,7 @@ FAULTS = [
     ("weyl_character", tampered_orbit_sum),
     ("structure_condition", wrong_cartan_matrix),
     ("additivity", piece_rank_stats_off_by_one),
+    ("additivity", decompose_in_reverse_order),
     ("tableau_suite", tampered_tableau_weight),
     ("duality", triangle_dual_that_does_not_dualize),
     ("duality", dichotomy_claimed_for_a1a1),
