@@ -198,78 +198,56 @@ class Decomposition:
         return tuple(out)
 
 
-def _ideals_by_size(p: GridPoset, max_size: int):
-    """Yield (size, ideals-of-that-size) lists in deterministic order."""
-    base = p.base
-    layer: list[frozenset[int]] = [frozenset()]
-    yield 0, layer
-    lower = base.lower_covers
-    order = {v: i for i, v in enumerate(total_order(p))}
-    for size in range(1, max_size + 1):
-        nxt = set()
-        for ideal in layer:
-            for v in base.ids:
-                if v not in ideal and all(u in ideal for u in lower[v]):
-                    nxt.add(ideal | {v})
-        layer = sorted(nxt, key=lambda s: sorted(order[v] for v in s))
-        yield size, layer
-
-
-def _splits_validly(p: GridPoset, part: frozenset[int]) -> bool:
+def _splits_validly(part: int, rest: int, lower: list[int], upper: list[int],
+                    chain: list[int]) -> bool:
     """No maximal element of `part` sits on a higher chain than a maximal
-    element of the rest, and likewise for minimal elements.  The extremes of
-    each side are read from p's own covers."""
-    chain = p.chain_of
-    up, down = p.base.upper_covers, p.base.lower_covers
-    rest = set(p.base.ids) - part
+    element of `rest`, and likewise for minimal elements.  Both sides are
+    masks over one vertex order; lower, upper and chain give per bit the
+    masks of the vertex's lower and upper covers and its chain index."""
 
-    def extreme_chains(side, covers) -> list[int]:
-        return [chain[v] for v in side if not any(w in side for w in covers[v])]
+    def extreme_chains(side: int, covers: list[int]) -> list[int]:
+        return [c for b, c in enumerate(chain) if side >> b & 1 and not covers[b] & side]
 
-    max1, min1 = extreme_chains(part, up), extreme_chains(part, down)
-    max2, min2 = extreme_chains(rest, up), extreme_chains(rest, down)
-    return (max(max1, default=0) <= min(max2, default=10**9)
-            and max(min1, default=0) <= min(min2, default=10**9))
-
-
-def _first_piece(p: GridPoset) -> frozenset[int] | None:
-    """Smallest nonempty proper order ideal that splits off validly."""
-    n = len(p)
-    below = p.base.below
-    for size, layer in _ideals_by_size(p, n - 1):
-        if size == 0:
-            continue
-        for ideal in layer:
-            # order-ideal property holds by construction of the layers
-            assert all(below[v] <= ideal for v in ideal)
-            if _splits_validly(p, ideal):
-                return ideal
-    return None
+    return (max(extreme_chains(part, upper), default=0)
+            <= min(extreme_chains(rest, upper), default=10**9)
+            and max(extreme_chains(part, lower), default=0)
+            <= min(extreme_chains(rest, lower), default=10**9))
 
 
 def decompose(p: GridPoset) -> Decomposition:
-    """Maximal decomposition into indecomposable pieces (k = 1 when none)."""
-    from .build import fundamental_fixtures  # deferred: build imports grid
+    """Maximal decomposition into indecomposable pieces (k = 1 when none).
 
-    pieces: list[GridPoset] = []
-    remainder = p
-    while len(remainder):
-        part = _first_piece(remainder)
-        if part is None:
-            pieces.append(remainder)
-            break
-        pieces.append(remainder.restrict(part))
-        remainder = remainder.restrict(set(remainder.base.ids) - part)
-    labels: list[str | None] = []
+    The pieces are read off the masks of `order_ideals(p)`, so this raises
+    `TooManyIdeals` past its limit.  Each piece is the difference between
+    the union U of the pieces before it and the first lattice element in
+    (size, mask) order that strictly contains U and whose difference from
+    U splits validly from the rest: ties go to the least mask.  The top,
+    with nothing left beside it, always splits, so when no smaller element
+    does, what is left is the last piece.
+    """
+    from .build import fundamental_fixtures  # deferred: build imports grid
+    from .lattice import order_ideals  # deferred: lattice imports grid
+
+    lat = order_ideals(p)
+    order = lat.vertex_order
+    bit = {v: 1 << b for b, v in enumerate(order)}
+    lower = [sum(bit[u] for u in p.base.lower_covers[v]) for v in order]
+    upper = [sum(bit[w] for w in p.base.upper_covers[v]) for v in order]
+    chain = [p.chain_of[v] for v in order]
+    full, union, parts = lat.elements[-1], 0, []
+    # elements ascend in size, so every later piece lies past the one found
+    for mask in lat.elements:
+        if (mask != union and mask & union == union
+                and _splits_validly(mask ^ union, full ^ mask, lower, upper, chain)):
+            parts.append(mask ^ union)
+            union = mask
+    pieces = tuple(p.restrict(v for b, v in enumerate(order) if part >> b & 1)
+                   for part in parts)
     fixtures = fundamental_fixtures()
-    for piece in pieces:
-        label = None
-        for name, fund in fixtures.items():
-            if vertex_color_isomorphism(piece.base, fund.base) is not None:
-                label = name
-                break
-        labels.append(label)
-    return Decomposition(tuple(pieces), tuple(labels), total_order(p))
+    labels = tuple(next((name for name, fund in fixtures.items()
+                         if vertex_color_isomorphism(piece.base, fund.base) is not None), None)
+                   for piece in pieces)
+    return Decomposition(pieces, labels, order)
 
 
 def triangle_dual(p, algebra: Algebra):

@@ -150,10 +150,11 @@ class Verifier:
                     continue
                 for order in ORDERS:
                     lat = self.lattice(algebra, order, lam)
-                    # the search finds the builder's pieces, in order and
-                    # with their labels; the sums run on what it found
-                    dec = decompose(lat.poset)
-                    if len(dec) != lam[0] + lam[1] or dec != lat.built.decomposition:
+                    # the search finds the builder's pieces, in order and with
+                    # their labels; the sums then run on the builder's, whose
+                    # piece lattices the tableau suite reads too
+                    dec = lat.built.decomposition
+                    if len(dec) != lam[0] + lam[1] or decompose(lat.poset) != dec:
                         return False
                     for i in range(len(lat)):
                         if weight_via_decomposition(lat, i, dec) != lat.weight(i):

@@ -9,13 +9,12 @@ against their closed product forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .algebras import (ALPHA, BETA, Algebra, Color, POSITIVE_ROOTS, Weight,
-                       cartan_matrix, rho_check_pairing, simple_root)
+from .algebras import (ALPHA, BETA, Algebra, Color, Weight, cartan_matrix,
+                       rho_check_pairing, simple_root)
 from .lattice import IdealLattice, check_structure
 from .poset import RankFunction
 
@@ -214,17 +213,10 @@ def _reflection_matrix(algebra: Algebra, color: Color) -> Matrix2:
     return (e1, e2)
 
 
-@dataclass(frozen=True)
-class RootData:
-    algebra: Algebra
-    simple_roots: dict[Color, Weight]
-    positive_roots: tuple[Weight, ...]
-    elements: tuple[tuple[Matrix2, int], ...]  # (matrix, determinant)
-
-
 @lru_cache(maxsize=None)
-def weyl_group(algebra: Algebra) -> RootData:
-    """Close the two simple reflections under multiplication."""
+def weyl_group(algebra: Algebra) -> tuple[tuple[Matrix2, int], ...]:
+    """Close the two simple reflections under multiplication: the sorted
+    (matrix, determinant) pairs."""
     gens = [_reflection_matrix(algebra, ALPHA), _reflection_matrix(algebra, BETA)]
     identity: Matrix2 = ((1, 0), (0, 1))
     seen = {identity}
@@ -238,19 +230,13 @@ def weyl_group(algebra: Algebra) -> RootData:
                     seen.add(m2)
                     nxt.append(m2)
         frontier = nxt
-    elements = tuple(sorted(((m, _det(m)) for m in seen)))
-    return RootData(
-        algebra=algebra,
-        simple_roots={ALPHA: simple_root(algebra, ALPHA), BETA: simple_root(algebra, BETA)},
-        positive_roots=POSITIVE_ROOTS[algebra],
-        elements=elements,
-    )
+    return tuple(sorted(((m, _det(m)) for m in seen)))
 
 
 def alternating_sum(algebra: Algebra, mu: Weight) -> LaurentPoly2:
     """Signed Weyl-orbit sum of the exponential of mu."""
     out = LaurentPoly2.zero()
-    for m, det in weyl_group(algebra).elements:
+    for m, det in weyl_group(algebra):
         out = out + LaurentPoly2.monomial(*_apply(m, mu), det)
     return out
 

@@ -10,12 +10,11 @@ def brute_force_ideals(base: VertexColoredPoset) -> set[frozenset[int]]:
     """Independent oracle: filter all subsets for down-closure (n <= 20)."""
     ids = list(base.ids)
     assert len(ids) <= 20, "brute force oracle is for small posets"
-    below = base.below
     out = set()
     for r in range(len(ids) + 1):
         for combo in itertools.combinations(ids, r):
             s = frozenset(combo)
-            if all(below[v] <= s for v in s):
+            if all(u in s for u, v in base.covers if v in s):
                 out.add(s)
     return out
 

@@ -4,12 +4,12 @@ import pytest
 
 import goldens
 import ranktwo.grid
-from conftest import random_colored_poset
+from conftest import brute_force_ideals, random_colored_poset, transitive_reduction
 from ranktwo.algebras import ALPHA, BETA, Algebra
-from ranktwo.build import semistandard_poset
-from ranktwo.fixtures import load_fixture
-from ranktwo.grid import (GridPoset, decompose, has_max_property, total_order,
-                          triangle_dual, validate_grid)
+from ranktwo.build import fundamental_fixtures, semistandard_poset
+from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
+from ranktwo.grid import (Decomposition, GridPoset, decompose, has_max_property,
+                          total_order, triangle_dual, validate_grid)
 from ranktwo.poset import are_vertex_color_isomorphic, vertex_color_isomorphism
 
 
@@ -172,8 +172,8 @@ class TestDecompose:
             sorted(q.base.ids) for q in dec.pieces[1:]]
 
 
-def restrict_split(p: GridPoset, part: frozenset[int]) -> bool:
-    """Reference split test: extremes of the two validated restricted posets."""
+def extremes_split(p: GridPoset, part: frozenset[int]) -> bool:
+    """Split test on vertex sets: extremes of the two validated restricted posets."""
     chain = p.chain_of
     p1 = p.base.restrict(part)
     p2 = p.base.restrict(set(p.base.ids) - part)
@@ -183,6 +183,157 @@ def restrict_split(p: GridPoset, part: frozenset[int]) -> bool:
     min2 = [chain[v] for v in p2.minimal_elements]
     return (max(max1, default=0) <= min(max2, default=10**9)
             and max(min1, default=0) <= min(min2, default=10**9))
+
+
+def restrict_split(part: int, rest: int, lower, upper, chain) -> bool:
+    """Reference split test in `_splits_validly`'s mask signature: the poset on
+    bit indices that `lower` describes, restricted to `part | rest`, split by
+    `extremes_split`."""
+    n = len(chain)
+
+    def bits(mask):
+        return frozenset(b for b in range(n) if mask >> b & 1)
+
+    covers = [(u, v) for v in range(n) for u in bits(lower[v])]
+    assert sorted(covers) == sorted((u, w) for u in range(n) for w in bits(upper[u]))
+    g = GridPoset.build({b: ALPHA for b in range(n)}, covers, dict(enumerate(chain)))
+    return extremes_split(g.restrict(bits(part | rest)), bits(part))
+
+
+def _reference_first_piece(p: GridPoset) -> frozenset[int] | None:
+    """Smallest nonempty proper order ideal that splits off validly; the
+    ideals of each size grow from the layer below and are sorted by their
+    positions in p's total order."""
+    position = {v: i for i, v in enumerate(total_order(p))}
+    lower = p.base.lower_covers
+    layer = [frozenset()]
+    for _ in range(len(p) - 1):
+        grown = {ideal | {v} for ideal in layer for v in p.base.ids
+                 if v not in ideal and all(u in ideal for u in lower[v])}
+        layer = sorted(grown, key=lambda s: sorted(position[v] for v in s))
+        for ideal in layer:
+            if extremes_split(p, ideal):
+                return ideal
+    return None
+
+
+def reference_decompose(p: GridPoset) -> Decomposition:
+    """The layered frozenset search: split the smallest valid ideal off the
+    remainder, restrict, and repeat; label pieces by fixture isomorphism."""
+    pieces = []
+    remainder = p
+    while len(remainder):
+        part = _reference_first_piece(remainder)
+        if part is None:
+            pieces.append(remainder)
+            break
+        pieces.append(remainder.restrict(part))
+        remainder = remainder.restrict(set(remainder.base.ids) - part)
+    labels = []
+    for piece in pieces:
+        names = [name for name, fund in fundamental_fixtures().items()
+                 if vertex_color_isomorphism(piece.base, fund.base) is not None]
+        labels.append(names[0] if names else None)
+    return Decomposition(tuple(pieces), tuple(labels), total_order(p))
+
+
+BUILT_GRIDS = [semistandard_poset(algebra, order, lam).grid
+               for algebra in Algebra
+               for order in ("beta_alpha", "alpha_beta")
+               for lam in itertools.product(range(4), repeat=2)]
+
+
+def random_chain_grid(rng) -> GridPoset:
+    """A random grid on up to four chains of one color each: consecutive
+    members of a chain are related, and some members of chain c + 1 lie
+    below members of chain c, so every cover stays on a chain or steps one
+    chain down.  The colors may still break the two-color axioms."""
+    chain, relations, members, n = {}, set(), [], 0
+    for c in range(1, rng.randint(1, 4) + 1):
+        size = rng.randint(1, 3)
+        members.append(list(range(n, n + size)))
+        chain.update((v, c) for v in range(n, n + size))
+        relations.update(zip(range(n, n + size - 1), range(n + 1, n + size)))
+        n += size
+    for low_chain, high_chain in zip(members[1:], members):
+        for u in low_chain:
+            for v in high_chain:
+                if rng.random() < 0.3:
+                    relations.add((u, v))
+    color = {c: rng.choice((ALPHA, BETA)) for c in set(chain.values())}
+    return grid({v: color[c] for v, c in chain.items()},
+                transitive_reduction(n, relations), chain)
+
+
+def random_valid_grids(rng, count: int) -> list[GridPoset]:
+    out = []
+    while len(out) < count:
+        p = random_chain_grid(rng)
+        if not validate_grid(p):
+            out.append(p)
+    return out
+
+
+class TestDecomposeMatchesReference:
+    @staticmethod
+    def assert_same(grids):
+        for g in grids:
+            assert validate_grid(g) == [], g
+            assert decompose(g) == reference_decompose(g), g
+
+    def test_built_posets(self):
+        assert len(BUILT_GRIDS) == 128
+        self.assert_same(BUILT_GRIDS)
+
+    def test_valid_fixtures(self):
+        fixtures = [load_fixture(name) for name in FIXTURE_NAMES]
+        valid = [p for p in fixtures if isinstance(p, GridPoset) and not validate_grid(p)]
+        assert len(valid) == 2
+        self.assert_same(valid)
+
+    def test_random_valid_grids(self, rng):
+        grids = random_valid_grids(rng, 1500)
+        assert sum(len(decompose(g)) > 1 for g in grids) > 500
+        self.assert_same(grids)
+
+
+class TestDecomposeContract:
+    def test_tie_goes_to_the_least_mask(self):
+        # two incomparable vertices on one chain: either splits off first
+        p = grid({0: ALPHA, 1: ALPHA}, [], {0: 1, 1: 1})
+        dec = decompose(p)
+        assert dec.order == (1, 0)
+        assert [piece.base.ids for piece in dec.pieces] == [(1,), (0,)]
+
+    def test_empty(self):
+        assert decompose(grid({}, [], {})).pieces == ()
+
+    def test_random_invalid_grids(self, rng):
+        checked = 0
+        while checked < 300:
+            base = random_colored_poset(rng, rng.randint(1, 9))
+            p = GridPoset(base, tuple((v, rng.randint(1, 4)) for v in base.ids))
+            if not validate_grid(p):
+                continue
+            checked += 1
+            dec = decompose(p)
+            pieces = [frozenset(piece.base.ids) for piece in dec.pieces]
+            assert sorted(v for piece in pieces for v in piece) == sorted(base.ids)
+            ideals = brute_force_ideals(base)
+            bit = {v: 1 << b for b, v in enumerate(dec.order)}
+            union = frozenset()
+            for k, piece in enumerate(pieces):
+                rest = p.restrict(set(base.ids) - union)
+                splits = [s for s in brute_force_ideals(rest.base)
+                          if 0 < len(s) < len(rest) and extremes_split(rest, s)]
+                if k + 1 < len(pieces):
+                    # ties go to the least mask over the decomposition's order
+                    least = [s for s in splits if len(s) == min(map(len, splits))]
+                    assert piece == min(least, key=lambda s: sum(bit[v] for v in s))
+                else:
+                    assert piece == frozenset(rest.base.ids) and not splits
+                union |= piece
+                assert union in ideals
 
 
 def _random_grids(rng):

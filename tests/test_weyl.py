@@ -32,7 +32,7 @@ class TestWeylGroup:
     def test_orders(self):
         sizes = {Algebra.A1A1: 4, Algebra.A2: 6, Algebra.C2: 8, Algebra.G2: 12}
         for algebra, n in sizes.items():
-            assert len(weyl_group(algebra).elements) == n
+            assert len(weyl_group(algebra)) == n
 
     def test_positive_root_counts(self):
         counts = {Algebra.A1A1: 2, Algebra.A2: 3, Algebra.C2: 4, Algebra.G2: 6}
