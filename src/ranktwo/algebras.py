@@ -33,6 +33,14 @@ IDENTITY = {ALPHA: ALPHA, BETA: BETA}
 Weight = tuple[int, int]
 
 
+def nonnegative_weight(lam: Weight, error: type[ValueError] = ValueError) -> Weight:
+    """lam itself, or `error` if a coordinate is negative."""
+    a, b = lam
+    if a < 0 or b < 0:
+        raise error("weight coordinates must be nonnegative")
+    return lam
+
+
 class Algebra(enum.Enum):
     A1A1 = "a1a1"
     A2 = "a2"

@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Literal, Mapping
 
-from .algebras import ALPHA, BETA, Algebra, Color, Weight
+from .algebras import ALPHA, BETA, Algebra, Color, Weight, nonnegative_weight
 from .grid import Decomposition, GridPoset, total_order
 
 Order = Literal["beta_alpha", "alpha_beta"]
@@ -89,9 +89,7 @@ class SemistandardPoset:
 
 def _piece_sequence(algebra: Algebra, order: Order, lam: Weight) -> list[tuple[Which, int]]:
     """(kind, chain offset) per piece, in concatenation order."""
-    a, b = lam
-    if a < 0 or b < 0:
-        raise ValueError("weight coordinates must be nonnegative")
+    a, b = nonnegative_weight(lam)
     if order == "beta_alpha":
         return [("beta_fund", 0)] * b + [("alpha_fund", 1)] * a
     if order == "alpha_beta":

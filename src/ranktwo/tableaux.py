@@ -5,6 +5,13 @@ correspondence with Littelmann's column-block tableaux.
 Shapes are pairs (a, b): b columns of length two followed by a columns of
 length one.  A column is a tuple of one or two strictly increasing entries.
 
+Admissibility asks only about single columns and adjacent column pairs.
+Per algebra, two frozensets built on first use from the predicates hold the
+admissible columns and the admissible (left, right) pairs, and
+is_semistandard reads a tableau by membership in them; only a tableau of
+the wrong lengths or with a column outside the table goes through
+check_shape, for its ShapeError.
+
 The bijection reads a beta-alpha lattice through its builder pieces, one per
 column: an ideal's tableau maps each piece's part of its mask to a column,
 and a tableau's ideal ORs its columns' piece masks; no vertex set is built.
@@ -14,11 +21,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence, TypeVar
 
-from .algebras import ALPHA, BETA, Algebra, Color, Weight
+from .algebras import ALPHA, BETA, Algebra, Color, Weight, nonnegative_weight
 from .build import SemistandardPoset, fundamental_poset
 from .lattice import IdealLattice, _piece_elements, order_ideals
 from .poset import EdgeColoredPoset, edge_color_isomorphism
@@ -93,7 +99,7 @@ def tableauwt(algebra: Algebra, t: Tableau) -> Weight:
 def check_shape(algebra: Algebra, lam: Weight, t: Tableau) -> None:
     """Raise ShapeError unless t has shape lam over the right alphabet."""
     _require_simple(algebra)
-    a, b = lam
+    a, b = nonnegative_weight(lam, ShapeError)
     if len(t) != a + b:
         raise ShapeError(f"expected {a + b} columns, got {len(t)}")
     top = ALPHABET_SIZE[algebra]
@@ -129,21 +135,40 @@ def _column_admissible(algebra: Algebra, column: Column) -> bool:
     return True
 
 
-def is_semistandard(algebra: Algebra, lam: Weight, t: Tableau) -> bool:
-    """Admissibility within the fixed shape (ShapeError if malformed)."""
-    check_shape(algebra, lam, t)
-    if any(not _column_admissible(algebra, c) for c in t):
-        return False
-    return all(_pair_admissible(algebra, t[i], t[i + 1]) for i in range(len(t) - 1))
-
-
 def allowed_columns(algebra: Algebra, length: int) -> tuple[Column, ...]:
     top = ALPHABET_SIZE[algebra]
-    if length == 1:
-        return tuple((v,) for v in range(1, top + 1))
-    cols = [c for c in itertools.combinations(range(1, top + 1), 2)
-            if _column_admissible(algebra, c)]
-    return tuple(cols)
+    return tuple(c for c in itertools.combinations(range(1, top + 1), length)
+                 if _column_admissible(algebra, c))
+
+
+@lru_cache(maxsize=None)
+def _tables(algebra: Algebra) -> tuple[frozenset[Column], frozenset[tuple[Column, Column]]]:
+    """The admissible columns, and the admissible adjacent (left, right)
+    column pairs, of one simple algebra, built from the predicates."""
+    _require_simple(algebra)
+    columns = frozenset(allowed_columns(algebra, 1) + allowed_columns(algebra, 2))
+    pairs = frozenset((left, right) for left in columns for right in columns
+                      if _pair_admissible(algebra, left, right))
+    return columns, pairs
+
+
+def is_semistandard(algebra: Algebra, lam: Weight, t: Tableau) -> bool:
+    """Admissibility within the fixed shape (ShapeError if malformed).
+
+    The shape's column lengths, then membership in the algebra's column and
+    pair tables.  Wrong lengths or a column outside the table send t to
+    check_shape, which raises ShapeError if t is malformed; else a column
+    is inadmissible.
+    """
+    columns, pairs = _tables(algebra)
+    a, b = nonnegative_weight(lam, ShapeError)
+    # lengths as a list: tuple(map(...)) shrinks a guessed-size tuple, and
+    # each one freed would stock CPython's tuple free list (128 KB when full)
+    if (len(t) == a + b and list(map(len, t)) == [2] * b + [1] * a
+            and columns.issuperset(t)):
+        return pairs.issuperset(zip(t, t[1:]))
+    check_shape(algebra, lam, t)
+    return False
 
 
 def _sequences(options: Sequence[Sequence[T]],
@@ -158,10 +183,10 @@ def _sequences(options: Sequence[Sequence[T]],
 
 def enumerate_tableaux(algebra: Algebra, lam: Weight) -> tuple[Tableau, ...]:
     """All admissible tableaux of the given shape, sorted lexicographically."""
-    _require_simple(algebra)
-    a, b = lam
+    _, pairs = _tables(algebra)
+    a, b = nonnegative_weight(lam)
     options = [allowed_columns(algebra, 2)] * b + [allowed_columns(algebra, 1)] * a
-    return _sequences(options, lambda left, right: _pair_admissible(algebra, left, right))
+    return _sequences(options, lambda left, right: (left, right) in pairs)
 
 
 # --- tableau-native lattice ---------------------------------------------------
@@ -187,6 +212,7 @@ def _decrements(algebra: Algebra, t: Tableau):
     adjacent pairs, so a candidate is checked on the changed column and its
     neighbours, t[i-1:i+2], under that window's own shape.
     """
+    color_of = EDGE_COLOR_OF_VALUE[algebra]
     for i, column in enumerate(t):
         left, right = t[max(i - 1, 0):i], t[i + 1:i + 2]
         window = left + (column,) + right
@@ -201,7 +227,7 @@ def _decrements(algebra: Algebra, t: Tableau):
             except ShapeError:
                 ok = False
             if ok:
-                yield t[:i] + (new_col,) + t[i + 1:], EDGE_COLOR_OF_VALUE[algebra][e - 1]
+                yield t[:i] + (new_col,) + t[i + 1:], color_of[e - 1]
 
 
 def tableau_lattice(algebra: Algebra, lam: Weight) -> TableauLattice:
@@ -350,27 +376,23 @@ def wt_lit(algebra: Algebra, u: LittelmannTableau) -> Weight:
     _require_simple(algebra)
     n = entry_counts(col for block in u for col in block)
     if algebra is Algebra.A2:
-        pair = (Fraction(_n(n, 1) - _n(n, 2)), Fraction(_n(n, 2) - _n(n, 3)))
+        num, den = (_n(n, 1) - _n(n, 2), _n(n, 2) - _n(n, 3)), 1
     elif algebra is Algebra.C2:
-        pair = (
-            Fraction(_n(n, 1) - _n(n, 2) + _n(n, 3) - _n(n, 4), 2),
-            Fraction(_n(n, 2) - _n(n, 3), 2),
-        )
+        num, den = (_n(n, 1) - _n(n, 2) + _n(n, 3) - _n(n, 4), _n(n, 2) - _n(n, 3)), 2
     else:
-        pair = (
-            Fraction(_n(n, 1) - _n(n, 2) + 2 * _n(n, 3) - 2 * _n(n, 4)
-                     + _n(n, 5) - _n(n, 6), 6),
-            Fraction(_n(n, 2) - _n(n, 3) + _n(n, 4) - _n(n, 5), 6),
-        )
-    if pair[0].denominator != 1 or pair[1].denominator != 1:
-        raise ArithmeticError(f"non-integral block-tableau weight {pair}")
-    return (int(pair[0]), int(pair[1]))
+        num = (_n(n, 1) - _n(n, 2) + 2 * _n(n, 3) - 2 * _n(n, 4) + _n(n, 5) - _n(n, 6),
+               _n(n, 2) - _n(n, 3) + _n(n, 4) - _n(n, 5))
+        den = 6
+    (x, rx), (y, ry) = divmod(num[0], den), divmod(num[1], den)
+    if rx or ry:
+        raise ArithmeticError(f"non-integral block-tableau weight {num} / {den}")
+    return (x, y)
 
 
 def enumerate_littelmann(algebra: Algebra, lam: Weight) -> tuple[LittelmannTableau, ...]:
     """All semistandard block tableaux built from admissible blocks."""
     _require_simple(algebra)
-    a, b = lam
+    a, b = nonnegative_weight(lam)
     options = [admissible_blocks(algebra, 2)] * b + [admissible_blocks(algebra, 1)] * a
     return _sequences(options, lambda left, right: _row_compatible(left[-1], right[0]))
 

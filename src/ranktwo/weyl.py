@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .algebras import (ALPHA, BETA, Algebra, Color, Weight, cartan_matrix,
-                       rho_check_pairing, simple_root)
+                       nonnegative_weight, rho_check_pairing, simple_root)
 from .lattice import IdealLattice, check_structure
 from .poset import RankFunction
 
@@ -292,7 +292,7 @@ def rgf_product(algebra: Algebra, lam: Weight) -> QPoly:
     Numerator exponents are the pairings of lam+rho with the positive
     roots scaled to the denominator exponents of the same quotient.
     """
-    a, b = lam
+    a, b = nonnegative_weight(lam)
     if algebra is Algebra.A1A1:
         nums, dens = [a + 1, b + 1], [1, 1]
     elif algebra is Algebra.A2:

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -9,8 +10,10 @@ from ranktwo.fixtures import load_fixture
 from ranktwo.grid import GridPoset
 from ranktwo.lattice import order_ideals
 from ranktwo.poset import EdgeColoredPoset, are_edge_color_isomorphic
-from ranktwo.tableaux import (EDGE_COLOR_OF_VALUE, ShapeError, TableauLattice,
-                              _decrements, allowed_columns, enumerate_littelmann,
+from ranktwo.tableaux import (ALPHABET_SIZE, EDGE_COLOR_OF_VALUE, ShapeError,
+                              TableauLattice, _column_admissible, _decrements,
+                              _n, _pair_admissible, _tables, allowed_columns,
+                              check_shape, entry_counts, enumerate_littelmann,
                               enumerate_tableaux, from_littelmann,
                               ideal_of_tableau, is_semistandard,
                               littelmann_text, parse_tableau, tableau_lattice,
@@ -33,6 +36,100 @@ def brute_force_tableaux(algebra, lam):
         if is_semistandard(algebra, lam, combo):
             out.append(combo)
     return sorted(out)
+
+
+def reference_is_semistandard(algebra, lam, t):
+    """Oracle: check_shape, then the predicates on every column and adjacent
+    pair (the table-driven is_semistandard reads tables built from them)."""
+    check_shape(algebra, lam, t)
+    if any(not _column_admissible(algebra, c) for c in t):
+        return False
+    return all(_pair_admissible(algebra, t[i], t[i + 1]) for i in range(len(t) - 1))
+
+
+def outcome(check, algebra, lam, t):
+    try:
+        return check(algebra, lam, t)
+    except ShapeError:
+        return ShapeError
+
+
+def well_formed_columns(algebra):
+    top = ALPHABET_SIZE[algebra]
+    return [c for n in (1, 2) for c in itertools.combinations(range(1, top + 1), n)]
+
+
+def shapes_of_length(n):
+    return [(a, n - a) for a in range(n + 1)]
+
+
+class TestAdmissibilityTables:
+    @pytest.mark.parametrize("algebra", SIMPLE)
+    def test_tables_match_predicates(self, algebra):
+        columns, pairs = _tables(algebra)
+        cols = well_formed_columns(algebra)
+        assert columns == {c for c in cols if _column_admissible(algebra, c)}
+        assert pairs == {(left, right) for left, right in itertools.product(cols, repeat=2)
+                         if _column_admissible(algebra, left)
+                         and _column_admissible(algebra, right)
+                         and _pair_admissible(algebra, left, right)}
+
+    @pytest.mark.parametrize("algebra", SIMPLE)
+    def test_decrement_windows_match_reference(self, algebra, monkeypatch):
+        windows = []
+
+        def record(algebra, lam, t):
+            windows.append((lam, t))
+            return is_semistandard(algebra, lam, t)
+
+        monkeypatch.setattr("ranktwo.tableaux.is_semistandard", record)
+        for lam in itertools.product(range(4), repeat=2):
+            for t in enumerate_tableaux(algebra, lam):
+                list(_decrements(algebra, t))
+        assert windows
+        for lam, t in windows:
+            assert outcome(is_semistandard, algebra, lam, t) == \
+                outcome(reference_is_semistandard, algebra, lam, t), (lam, t)
+
+    @pytest.mark.parametrize("algebra", SIMPLE)
+    def test_short_sequences_match_reference(self, algebra):
+        # Entries run over 0..top+1, so columns may be out of range, not
+        # increasing or of the wrong length.  Sequences of one column use
+        # every column of length 1-3, of two columns every column of length
+        # 1-2; three-column sequences (the window size of _decrements) use
+        # the well-formed columns plus one malformed column of each kind,
+        # since all columns of length 1-2 would give 729,000 G2 sequences.
+        top = ALPHABET_SIZE[algebra]
+        entries = range(top + 2)
+
+        def columns(*lengths):
+            return [c for n in lengths for c in itertools.product(entries, repeat=n)]
+
+        malformed = [(0,), (top + 1,), (0, 1), (top, top + 1), (1, 1), (2, 1), (1, 2, 3)]
+        sequences = ([()] + [(c,) for c in columns(1, 2, 3)]
+                     + list(itertools.product(columns(1, 2), repeat=2))
+                     + list(itertools.product(well_formed_columns(algebra) + malformed,
+                                              repeat=3)))
+        for t in sequences:
+            for lam in shapes_of_length(len(t)) + [(len(t) + 1, 0)]:
+                assert outcome(is_semistandard, algebra, lam, t) == \
+                    outcome(reference_is_semistandard, algebra, lam, t), (lam, t)
+
+
+class TestNegativeWeights:
+    @pytest.mark.parametrize("lam", [(-1, 1), (2, -1), (-2, 0)])
+    @pytest.mark.parametrize("entry", [enumerate_tableaux, enumerate_littelmann,
+                                       tableau_lattice])
+    def test_enumerations_reject(self, entry, lam):
+        with pytest.raises(ValueError, match="nonnegative"):
+            entry(Algebra.A2, lam)
+
+    @pytest.mark.parametrize("check", [is_semistandard, check_shape])
+    def test_shape_check_rejects(self, check):
+        with pytest.raises(ShapeError, match="nonnegative"):
+            check(Algebra.A2, (-1, 1), ())
+        with pytest.raises(ShapeError, match="nonnegative"):
+            check(Algebra.G2, (2, -1), ((1,),))
 
 
 class TestAdmissibility:
@@ -307,6 +404,38 @@ class TestLittelmann:
         chi = character_from_lattice(
             order_ideals(semistandard_poset(algebra, "beta_alpha", lam)))
         assert total == chi
+
+
+def reference_wt_lit(algebra, u):
+    """Oracle: wt_lit's normalisation by exact fractions."""
+    n = entry_counts(col for block in u for col in block)
+    if algebra is Algebra.A2:
+        pair = (Fraction(_n(n, 1) - _n(n, 2)), Fraction(_n(n, 2) - _n(n, 3)))
+    elif algebra is Algebra.C2:
+        pair = (Fraction(_n(n, 1) - _n(n, 2) + _n(n, 3) - _n(n, 4), 2),
+                Fraction(_n(n, 2) - _n(n, 3), 2))
+    else:
+        pair = (Fraction(_n(n, 1) - _n(n, 2) + 2 * _n(n, 3) - 2 * _n(n, 4)
+                         + _n(n, 5) - _n(n, 6), 6),
+                Fraction(_n(n, 2) - _n(n, 3) + _n(n, 4) - _n(n, 5), 6))
+    if pair[0].denominator != 1 or pair[1].denominator != 1:
+        raise ArithmeticError(f"non-integral block-tableau weight {pair}")
+    return (int(pair[0]), int(pair[1]))
+
+
+class TestLittelmannWeight:
+    @pytest.mark.parametrize("algebra", SIMPLE)
+    def test_matches_fraction_reference(self, algebra):
+        for lam in itertools.product(range(4), repeat=2):
+            for u in enumerate_littelmann(algebra, lam):
+                assert wt_lit(algebra, u) == reference_wt_lit(algebra, u), u
+
+    @pytest.mark.parametrize("weight", [wt_lit, reference_wt_lit])
+    def test_non_integral_raises(self, weight):
+        with pytest.raises(ArithmeticError):
+            weight(Algebra.C2, (((1,),),))
+        with pytest.raises(ArithmeticError):
+            weight(Algebra.G2, (((1,), (2,)),))
 
 
 class TestTextFormats:

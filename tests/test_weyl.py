@@ -150,6 +150,12 @@ class TestRankGeneratingFunctions:
             assert closed.is_palindromic()
             assert closed.is_unimodal()
 
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    @pytest.mark.parametrize("lam", [(-2, 0), (0, -1)])
+    def test_negative_weight_rejected(self, algebra, lam):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rgf_product(algebra, lam)
+
     def test_inexact_division_raises(self):
         with pytest.raises(ArithmeticError):
             QPoly((1, 1, 1)).divide_exact(QPoly((1, 1)))
