@@ -214,21 +214,27 @@ def _splits_validly(part: int, rest: int, lower: list[int], upper: list[int],
             <= min(extreme_chains(rest, lower), default=10**9))
 
 
-def decompose(p: GridPoset) -> Decomposition:
+def decompose(p: GridPoset | IdealLattice) -> Decomposition:
     """Maximal decomposition into indecomposable pieces (k = 1 when none).
 
     The pieces are read off the masks of `order_ideals(p)`, so this raises
-    `TooManyIdeals` past its limit.  Each piece is the difference between
-    the union U of the pieces before it and the first lattice element in
-    (size, mask) order that strictly contains U and whose difference from
-    U splits validly from the rest: ties go to the least mask.  The top,
-    with nothing left beside it, always splits, so when no smaller element
-    does, what is left is the last piece.
+    `TooManyIdeals` past its limit; given the lattice already enumerated
+    from a grid poset, it reads that lattice's masks and enumerates nothing.
+    Each piece is the difference between the union U of the pieces before
+    it and the first lattice element in (size, mask) order that strictly
+    contains U and whose difference from U splits validly from the rest:
+    ties go to the least mask.  The top, with nothing left beside it, always
+    splits, so when no smaller element does, what is left is the last piece.
     """
     from .build import fundamental_fixtures  # deferred: build imports grid
-    from .lattice import order_ideals  # deferred: lattice imports grid
+    from .lattice import IdealLattice, order_ideals  # deferred: lattice imports grid
 
-    lat = order_ideals(p)
+    if isinstance(p, IdealLattice):
+        lat, p = p, p.poset
+        if not isinstance(p, GridPoset):
+            raise ValueError("decompose needs the lattice of a grid poset")
+    else:
+        lat = order_ideals(p)
     order = lat.vertex_order
     bit = {v: 1 << b for b, v in enumerate(order)}
     lower = [sum(bit[u] for u in p.base.lower_covers[v]) for v in order]

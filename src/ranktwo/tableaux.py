@@ -10,7 +10,18 @@ Per algebra, two frozensets built on first use from the predicates hold the
 admissible columns and the admissible (left, right) pairs, and
 is_semistandard reads a tableau by membership in them; only a tableau of
 the wrong lengths or with a column outside the table goes through
-check_shape, for its ShapeError.
+check_shape, for its ShapeError.  More per-algebra tables, also built
+on first use, serve the hot loops, each of which fetches them once:
+- each admissible column's one-entry decrements that land on an admissible
+  column, with the color of the new edge (tableau_lattice);
+- each column's weight and each admissible block's Littelmann numerator,
+  summed from per-entry weights (tableauwt, wt_lit);
+- the admissible (left, right) block pairs (enumerate_littelmann).
+Every caller shares a cached table, so each is read-only.
+
+A TableauLattice holds its covers as a frozenset of (i, j, color); the
+generic EdgeColoredPoset, whose validation keeps one reach mask per
+tableau, is built only on demand, through `edge_poset`.
 
 The bijection reads a beta-alpha lattice through its builder pieces, one per
 column: an ideal's tableau maps each piece's part of its mask to a column,
@@ -21,8 +32,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Sequence, TypeVar
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .algebras import ALPHA, BETA, Algebra, Color, Weight, nonnegative_weight
 from .build import SemistandardPoset, fundamental_poset
@@ -70,30 +82,42 @@ def _require_simple(algebra: Algebra) -> None:
         raise ValueError("tableaux are defined for the simple algebras only")
 
 
-def entry_counts(t) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for column in t:
-        for e in column:
-            counts[e] = counts.get(e, 0) + 1
-    return counts
+# Weight of one entry in fundamental-weight coordinates: a tableau weighs
+# the sum of its entries (G2's middle entry 4 weighs nothing).
+_ENTRY_WEIGHT: dict[Algebra, dict[int, Weight]] = {
+    Algebra.A2: {1: (1, 0), 2: (-1, 1), 3: (0, -1)},
+    Algebra.C2: {1: (1, 0), 2: (-1, 1), 3: (1, -1), 4: (-1, 0)},
+    Algebra.G2: {1: (1, 0), 2: (-1, 1), 3: (2, -1), 4: (0, 0), 5: (-2, 1),
+                 6: (1, -1), 7: (-1, 0)},
+}
+
+# The same for the entries of Littelmann blocks, and the block length that
+# divides their sum (a G2 block has six columns over six entries).
+_BLOCK_ENTRY_WEIGHT: dict[Algebra, dict[int, Weight]] = {
+    Algebra.A2: _ENTRY_WEIGHT[Algebra.A2],
+    Algebra.C2: _ENTRY_WEIGHT[Algebra.C2],
+    Algebra.G2: {1: (1, 0), 2: (-1, 1), 3: (2, -1), 4: (-2, 1), 5: (1, -1),
+                 6: (-1, 0)},
+}
+_BLOCK_LENGTH = {Algebra.A2: 1, Algebra.C2: 2, Algebra.G2: 6}
 
 
-def _n(counts: dict[int, int], k: int) -> int:
-    return counts.get(k, 0)
+def _total(table: Mapping, items) -> Weight:
+    """Sum of table[item] over the items; ShapeError for an item outside it."""
+    x = y = 0
+    for item in items:
+        try:
+            p, q = table[item]
+        except KeyError:
+            raise ShapeError(f"{item} is not over the alphabet") from None
+        x += p
+        y += q
+    return x, y
 
 
 def tableauwt(algebra: Algebra, t: Tableau) -> Weight:
-    """Weight of a tableau as a linear functional of its entry counts."""
-    _require_simple(algebra)
-    n = entry_counts(t)
-    if algebra is Algebra.A2:
-        return (_n(n, 1) - _n(n, 2), _n(n, 2) - _n(n, 3))
-    if algebra is Algebra.C2:
-        return (_n(n, 1) - _n(n, 2) + _n(n, 3) - _n(n, 4), _n(n, 2) - _n(n, 3))
-    return (
-        _n(n, 1) - _n(n, 2) + 2 * _n(n, 3) - 2 * _n(n, 5) + _n(n, 6) - _n(n, 7),
-        _n(n, 2) - _n(n, 3) + _n(n, 5) - _n(n, 6),
-    )
+    """Weight of a tableau: the sum of its columns' weights."""
+    return _total(_column_weights(algebra), t)
 
 
 def check_shape(algebra: Algebra, lam: Weight, t: Tableau) -> None:
@@ -152,6 +176,54 @@ def _tables(algebra: Algebra) -> tuple[frozenset[Column], frozenset[tuple[Column
     return columns, pairs
 
 
+@lru_cache(maxsize=None)
+def _decrement_table(algebra: Algebra) -> Mapping[Column, tuple[tuple[Column, Color], ...]]:
+    """Per admissible column, the admissible columns that lowering one of
+    its entries by one gives, in entry order, each with the color of the
+    new edge."""
+    columns, _ = _tables(algebra)
+    color_of = EDGE_COLOR_OF_VALUE[algebra]
+    lowered = {column: [(column[:j] + (e - 1,) + column[j + 1:], color_of[e - 1])
+                        for j, e in enumerate(column) if e > 1]
+               for column in columns}
+    return MappingProxyType({column: tuple((new, color) for new, color in pairs if new in columns)
+                             for column, pairs in lowered.items()})
+
+
+def _by_column(entry_weight: Mapping[int, Weight]) -> Mapping[Column, Weight]:
+    """Every well-formed column over entry_weight's alphabet, weighed."""
+    return MappingProxyType({c: _total(entry_weight, c) for n in (1, 2)
+                             for c in itertools.combinations(sorted(entry_weight), n)})
+
+
+@lru_cache(maxsize=None)
+def _column_weights(algebra: Algebra) -> Mapping[Column, Weight]:
+    """The weight of every well-formed column, inadmissible ones too."""
+    _require_simple(algebra)
+    return _by_column(_ENTRY_WEIGHT[algebra])
+
+
+@lru_cache(maxsize=None)
+def _block_weights(algebra: Algebra) -> tuple[Mapping[Column, Weight], Mapping[Block, Weight], int]:
+    """Littelmann numerators per well-formed block column and per
+    admissible block, and the block length that divides them."""
+    _require_simple(algebra)
+    columns = _by_column(_BLOCK_ENTRY_WEIGHT[algebra])
+    blocks = admissible_blocks(algebra, 1) + admissible_blocks(algebra, 2)
+    return (columns, MappingProxyType({block: _total(columns, block) for block in blocks}),
+            _BLOCK_LENGTH[algebra])
+
+
+@lru_cache(maxsize=None)
+def _block_pairs(algebra: Algebra) -> frozenset[tuple[Block, Block]]:
+    """The (left, right) pairs of admissible blocks whose facing columns,
+    left's last and right's first, are row compatible."""
+    _require_simple(algebra)
+    blocks = admissible_blocks(algebra, 1) + admissible_blocks(algebra, 2)
+    return frozenset((left, right) for left in blocks for right in blocks
+                     if _row_compatible(left[-1], right[0]))
+
+
 def is_semistandard(algebra: Algebra, lam: Weight, t: Tableau) -> bool:
     """Admissibility within the fixed shape (ShapeError if malformed).
 
@@ -194,52 +266,60 @@ def enumerate_tableaux(algebra: Algebra, lam: Weight) -> tuple[Tableau, ...]:
 
 @dataclass(frozen=True)
 class TableauLattice:
-    """The reverse-componentwise order on admissible tableaux."""
+    """The reverse-componentwise order on admissible tableaux, by its covers
+    (i, j, color): tableau j is tableau i with one entry lowered by one."""
 
     algebra: Algebra
     weight: Weight
     tableaux: tuple[Tableau, ...]
-    edge_poset: EdgeColoredPoset
+    covers: frozenset[tuple[int, int, Color]]
 
     def __len__(self) -> int:
         return len(self.tableaux)
 
+    @cached_property
+    def edge_poset(self) -> EdgeColoredPoset:
+        """The covers as a validated generic poset, built on demand."""
+        return EdgeColoredPoset(tuple(range(len(self.tableaux))), self.covers)
 
-def _decrements(algebra: Algebra, t: Tableau):
+
+def _windows(lam: Weight) -> list[tuple[int, Weight]]:
+    """Per column i of shape lam, where its window t[i-1:i+2] starts and
+    the window's own shape."""
+    a, b = lam
+    n = a + b
+    out = []
+    for i in range(n):
+        lo, hi = max(i - 1, 0), min(i + 2, n)
+        ones = hi - max(lo, b) if hi > b else 0
+        out.append((lo, (ones, hi - lo - ones)))
+    return out
+
+
+def _decrements(algebra: Algebra, t: Tableau, lowered: Mapping, windows: list):
     """Tableaux covering t-as-lattice-element: one entry lowered by one.
 
-    t is admissible, and admissibility asks only about single columns and
+    `lowered` is the algebra's decrement table, so every candidate's changed
+    column is admissible, and `windows` is _windows of t's shape.  t is
+    admissible, and admissibility asks only about single columns and
     adjacent pairs, so a candidate is checked on the changed column and its
     neighbours, t[i-1:i+2], under that window's own shape.
     """
-    color_of = EDGE_COLOR_OF_VALUE[algebra]
-    for i, column in enumerate(t):
-        left, right = t[max(i - 1, 0):i], t[i + 1:i + 2]
-        window = left + (column,) + right
-        ones = sum(len(c) == 1 for c in window)
-        shape = (ones, len(window) - ones)
-        for j, e in enumerate(column):
-            if e == 1:
-                continue
-            new_col = column[:j] + (e - 1,) + column[j + 1:]
-            try:
-                ok = is_semistandard(algebra, shape, left + (new_col,) + right)
-            except ShapeError:
-                ok = False
-            if ok:
-                yield t[:i] + (new_col,) + t[i + 1:], color_of[e - 1]
+    for i, (lo, shape) in enumerate(windows):
+        left, right = t[lo:i], t[i + 1:i + 2]
+        for new_col, color in lowered[t[i]]:
+            if is_semistandard(algebra, shape, left + (new_col,) + right):
+                yield t[:i] + (new_col,) + t[i + 1:], color
 
 
 def tableau_lattice(algebra: Algebra, lam: Weight) -> TableauLattice:
-    _require_simple(algebra)
+    lowered = _decrement_table(algebra)
     tabs = enumerate_tableaux(algebra, lam)
     index = {t: i for i, t in enumerate(tabs)}
-    covers = set()
-    for t in tabs:
-        for upper, color in _decrements(algebra, t):
-            covers.add((index[t], index[upper], color))
-    ep = EdgeColoredPoset(tuple(range(len(tabs))), frozenset(covers))
-    return TableauLattice(algebra, lam, tabs, ep)
+    windows = _windows(lam)
+    covers = frozenset((index[t], index[upper], color) for t in tabs
+                       for upper, color in _decrements(algebra, t, lowered, windows))
+    return TableauLattice(algebra, lam, tabs, covers)
 
 
 # --- per-column dictionary between fundamental ideals and columns ------------
@@ -348,9 +428,10 @@ def admissible_blocks(algebra: Algebra, rows: int) -> tuple[Block, ...]:
 def to_littelmann(algebra: Algebra, t: Tableau) -> LittelmannTableau:
     """Replace every column by its admissible block."""
     _require_simple(algebra)
+    single, double = _BLOCKS_SINGLE[algebra], _BLOCKS_DOUBLE[algebra]
     blocks = []
     for column in t:
-        table = _BLOCKS_DOUBLE[algebra] if len(column) == 2 else _BLOCKS_SINGLE[algebra]
+        table = double if len(column) == 2 else single
         if column not in table:
             raise ValueError(f"column {column} has no admissible block")
         blocks.append(table[column])
@@ -372,29 +453,30 @@ def from_littelmann(algebra: Algebra, u: LittelmannTableau) -> Tableau:
 
 
 def wt_lit(algebra: Algebra, u: LittelmannTableau) -> Weight:
-    """Normalized weight of a block tableau; always integral on admissible input."""
-    _require_simple(algebra)
-    n = entry_counts(col for block in u for col in block)
-    if algebra is Algebra.A2:
-        num, den = (_n(n, 1) - _n(n, 2), _n(n, 2) - _n(n, 3)), 1
-    elif algebra is Algebra.C2:
-        num, den = (_n(n, 1) - _n(n, 2) + _n(n, 3) - _n(n, 4), _n(n, 2) - _n(n, 3)), 2
-    else:
-        num = (_n(n, 1) - _n(n, 2) + 2 * _n(n, 3) - 2 * _n(n, 4) + _n(n, 5) - _n(n, 6),
-               _n(n, 2) - _n(n, 3) + _n(n, 4) - _n(n, 5))
-        den = 6
-    (x, rx), (y, ry) = divmod(num[0], den), divmod(num[1], den)
+    """Normalized weight of a block tableau; always integral on admissible input.
+
+    Each block's numerator comes from the block table, or column by column
+    for a block that is not admissible; the total is divided once.
+    """
+    column_num, block_num, length = _block_weights(algebra)
+    x = y = 0
+    for block in u:
+        num = block_num.get(block)
+        p, q = _total(column_num, block) if num is None else num
+        x += p
+        y += q
+    (qx, rx), (qy, ry) = divmod(x, length), divmod(y, length)
     if rx or ry:
-        raise ArithmeticError(f"non-integral block-tableau weight {num} / {den}")
-    return (x, y)
+        raise ArithmeticError(f"non-integral block-tableau weight {(x, y)} / {length}")
+    return (qx, qy)
 
 
 def enumerate_littelmann(algebra: Algebra, lam: Weight) -> tuple[LittelmannTableau, ...]:
     """All semistandard block tableaux built from admissible blocks."""
-    _require_simple(algebra)
+    pairs = _block_pairs(algebra)
     a, b = nonnegative_weight(lam)
     options = [admissible_blocks(algebra, 2)] * b + [admissible_blocks(algebra, 1)] * a
-    return _sequences(options, lambda left, right: _row_compatible(left[-1], right[0]))
+    return _sequences(options, lambda left, right: (left, right) in pairs)
 
 
 def tableau_text(t: Tableau) -> str:

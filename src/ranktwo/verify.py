@@ -150,11 +150,12 @@ class Verifier:
                     continue
                 for order in ORDERS:
                     lat = self.lattice(algebra, order, lam)
-                    # the search finds the builder's pieces, in order and with
-                    # their labels; the sums then run on the builder's, whose
-                    # piece lattices the tableau suite reads too
+                    # the search, on the ideals already enumerated, finds the
+                    # builder's pieces, in order and with their labels; the
+                    # sums then run on the builder's, whose piece lattices the
+                    # tableau suite reads too
                     dec = lat.built.decomposition
-                    if len(dec) != lam[0] + lam[1] or decompose(lat.poset) != dec:
+                    if len(dec) != lam[0] + lam[1] or decompose(lat) != dec:
                         return False
                     for i in range(len(lat)):
                         if weight_via_decomposition(lat, i, dec) != lat.weight(i):
@@ -176,24 +177,25 @@ class Verifier:
                 tabs = tl.tableaux
                 index = {t: k for k, t in enumerate(tabs)}
                 phi = []  # element of lat -> index of its tableau in tl
-                for i in range(len(lat)):
+                weights = [None] * len(tabs)  # tableauwt per tableau of tl
+                for i, weight in enumerate(lat.weights):
                     t = tableau_of_ideal(lat, i)
                     if ideal_of_tableau(lat, t) != i:
                         return False
-                    if tableauwt(algebra, t) != lat.weight(i):
+                    if tableauwt(algebra, t) != weight:
                         return False
                     phi.append(index[t])
+                    weights[index[t]] = weight
                 # phi, a bijection carrying the covers onto tl's with their
                 # colors, is an edge-colored isomorphism of the two lattices
                 if sorted(phi) != list(range(len(tabs))):
                     return False
-                if {(phi[i], phi[j], c) for i, j, c in lat.covers} != tl.edge_poset.covers:
+                if {(phi[i], phi[j], c) for i, j, c in lat.covers} != tl.covers:
                     return False
                 blocks = [to_littelmann(algebra, t) for t in tabs]
                 if sorted(blocks) != sorted(enumerate_littelmann(algebra, lam)):
                     return False
-                if any(wt_lit(algebra, u) != tableauwt(algebra, t)
-                       for t, u in zip(tabs, blocks)):
+                if any(wt_lit(algebra, u) != w for u, w in zip(blocks, weights)):
                     return False
         return True
 

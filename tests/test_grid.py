@@ -4,12 +4,14 @@ import pytest
 
 import goldens
 import ranktwo.grid
+import ranktwo.lattice
 from conftest import brute_force_ideals, random_colored_poset, transitive_reduction
 from ranktwo.algebras import ALPHA, BETA, Algebra
 from ranktwo.build import fundamental_fixtures, semistandard_poset
 from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
 from ranktwo.grid import (Decomposition, GridPoset, decompose, has_max_property,
                           total_order, triangle_dual, validate_grid)
+from ranktwo.lattice import order_ideals
 from ranktwo.poset import are_vertex_color_isomorphic, vertex_color_isomorphism
 
 
@@ -307,6 +309,26 @@ class TestDecomposeContract:
 
     def test_empty(self):
         assert decompose(grid({}, [], {})).pieces == ()
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_enumerated_lattice_gives_the_same_pieces(self, algebra, monkeypatch):
+        lattices = [order_ideals(semistandard_poset(algebra, order, lam))
+                    for order in ("beta_alpha", "alpha_beta")
+                    for lam in itertools.product(range(3), repeat=2)]
+        expected = [decompose(lat.poset) for lat in lattices]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decompose enumerated the ideals again")
+
+        monkeypatch.setattr(ranktwo.lattice, "order_ideals", refuse)
+        assert [decompose(lat) for lat in lattices] == expected
+        with pytest.raises(AssertionError, match="again"):
+            decompose(lattices[0].poset)  # the refusal is live
+
+    def test_lattice_of_a_plain_poset_is_refused(self):
+        lat = order_ideals(grid({0: ALPHA, 1: BETA}, [(0, 1)], {0: 2, 1: 1}).base)
+        with pytest.raises(ValueError, match="grid poset"):
+            decompose(lat)
 
     def test_random_invalid_grids(self, rng):
         checked = 0

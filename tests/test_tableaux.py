@@ -11,19 +11,33 @@ from ranktwo.grid import GridPoset
 from ranktwo.lattice import order_ideals
 from ranktwo.poset import EdgeColoredPoset, are_edge_color_isomorphic
 from ranktwo.tableaux import (ALPHABET_SIZE, EDGE_COLOR_OF_VALUE, ShapeError,
-                              TableauLattice, _column_admissible, _decrements,
-                              _n, _pair_admissible, _tables, allowed_columns,
-                              check_shape, entry_counts, enumerate_littelmann,
-                              enumerate_tableaux, from_littelmann,
-                              ideal_of_tableau, is_semistandard,
-                              littelmann_text, parse_tableau, tableau_lattice,
-                              tableau_of_ideal, tableau_text, tableauwt,
-                              to_littelmann, wt_lit, _BLOCKS_DOUBLE,
+                              TableauLattice, _block_pairs, _column_admissible,
+                              _decrement_table, _decrements, _pair_admissible,
+                              _row_compatible, _sequences, _tables, _windows,
+                              admissible_blocks, allowed_columns, check_shape,
+                              enumerate_littelmann, enumerate_tableaux,
+                              from_littelmann, ideal_of_tableau,
+                              is_semistandard, littelmann_text, parse_tableau,
+                              tableau_lattice, tableau_of_ideal, tableau_text,
+                              tableauwt, to_littelmann, wt_lit, _BLOCKS_DOUBLE,
                               _BLOCKS_SINGLE)
 from ranktwo.verify import Verifier
 from ranktwo.weyl import LaurentPoly2, character_from_lattice
 
 SIMPLE = (Algebra.A2, Algebra.C2, Algebra.G2)
+WEIGHTS = list(itertools.product(range(4), repeat=2))  # every weight <= (3,3)
+
+
+def entry_counts(t) -> dict[int, int]:
+    counts: dict[int, int] = {}
+    for column in t:
+        for e in column:
+            counts[e] = counts.get(e, 0) + 1
+    return counts
+
+
+def _n(counts: dict[int, int], k: int) -> int:
+    return counts.get(k, 0)
 
 
 def brute_force_tableaux(algebra, lam):
@@ -83,9 +97,8 @@ class TestAdmissibilityTables:
             return is_semistandard(algebra, lam, t)
 
         monkeypatch.setattr("ranktwo.tableaux.is_semistandard", record)
-        for lam in itertools.product(range(4), repeat=2):
-            for t in enumerate_tableaux(algebra, lam):
-                list(_decrements(algebra, t))
+        for lam in WEIGHTS:
+            tableau_lattice(algebra, lam)
         assert windows
         for lam, t in windows:
             assert outcome(is_semistandard, algebra, lam, t) == \
@@ -114,6 +127,21 @@ class TestAdmissibilityTables:
             for lam in shapes_of_length(len(t)) + [(len(t) + 1, 0)]:
                 assert outcome(is_semistandard, algebra, lam, t) == \
                     outcome(reference_is_semistandard, algebra, lam, t), (lam, t)
+
+
+    @pytest.mark.parametrize("algebra", SIMPLE)
+    def test_block_pairs_match_row_compatibility(self, algebra):
+        blocks = admissible_blocks(algebra, 1) + admissible_blocks(algebra, 2)
+        assert _block_pairs(algebra) == {
+            (left, right) for left, right in itertools.product(blocks, repeat=2)
+            if _row_compatible(left[-1], right[0])}
+
+    def test_windows(self):
+        # shape (2,3): columns of length 2, 2, 2, 1, 1
+        assert _windows((2, 3)) == [(0, (0, 2)), (0, (0, 3)), (1, (1, 2)),
+                                    (2, (2, 1)), (3, (2, 0))]
+        assert _windows((1, 0)) == [(0, (1, 0))]
+        assert _windows((0, 0)) == []
 
 
 class TestNegativeWeights:
@@ -267,7 +295,7 @@ class TestTableauLattice:
     def test_a2_first_fundamental_colors(self):
         tl = tableau_lattice(Algebra.A2, (1, 0))
         # three elements [3] -> [2] -> [1], colored beta then alpha
-        covers = sorted(tl.edge_poset.covers)
+        covers = sorted(tl.covers)
         by_pair = {(tl.tableaux[i], tl.tableaux[j]): c for i, j, c in covers}
         assert by_pair == {
             (((3,),), ((2,),)): BETA,
@@ -276,7 +304,7 @@ class TestTableauLattice:
 
     def test_empty_weight(self):
         tl = tableau_lattice(Algebra.G2, (0, 0))
-        assert len(tl) == 1 and not tl.edge_poset.covers
+        assert len(tl) == 1 and not tl.covers and not tl.edge_poset.covers
 
     @pytest.mark.parametrize("algebra", SIMPLE)
     def test_oracle_equivalence(self, algebra):
@@ -284,6 +312,58 @@ class TestTableauLattice:
             lat = order_ideals(semistandard_poset(algebra, "beta_alpha", lam))
             tl = tableau_lattice(algebra, lam)
             assert are_edge_color_isomorphic(lat.edge_poset, tl.edge_poset)
+
+
+def reference_window_decrements(algebra, t):
+    """Oracle: each one-entry decrement of t, whatever column it gives,
+    checked by is_semistandard on its window under the window's shape."""
+    color_of = EDGE_COLOR_OF_VALUE[algebra]
+    for i, column in enumerate(t):
+        left, right = t[max(i - 1, 0):i], t[i + 1:i + 2]
+        window = left + (column,) + right
+        ones = sum(len(c) == 1 for c in window)
+        shape = (ones, len(window) - ones)
+        for j, e in enumerate(column):
+            if e == 1:
+                continue
+            new_col = column[:j] + (e - 1,) + column[j + 1:]
+            try:
+                ok = is_semistandard(algebra, shape, left + (new_col,) + right)
+            except ShapeError:
+                ok = False
+            if ok:
+                yield t[:i] + (new_col,) + t[i + 1:], color_of[e - 1]
+
+
+def reference_tableau_lattice(algebra, lam):
+    """Oracle: (tableaux, covers) with the covers from the window check on
+    every decrement and validated as a generic EdgeColoredPoset (acyclic,
+    no transitive cover)."""
+    tabs = enumerate_tableaux(algebra, lam)
+    index = {t: i for i, t in enumerate(tabs)}
+    covers = {(index[t], index[upper], color) for t in tabs
+              for upper, color in reference_window_decrements(algebra, t)}
+    return tabs, EdgeColoredPoset(tuple(range(len(tabs))), frozenset(covers)).covers
+
+
+@pytest.mark.parametrize("algebra,lam", [(g, lam) for g in SIMPLE for lam in WEIGHTS]
+                         + [(Algebra.G2, (4, 4))])
+def test_tableau_lattice_matches_reference(algebra, lam):
+    tl = tableau_lattice(algebra, lam)
+    tabs, covers = reference_tableau_lattice(algebra, lam)
+    assert tl.tableaux == tabs
+    assert tl.covers == covers
+
+
+def test_tableau_lattice_builds_no_edge_poset(monkeypatch):
+    def refuse(self):
+        raise AssertionError("an EdgeColoredPoset was built")
+
+    monkeypatch.setattr(EdgeColoredPoset, "__post_init__", refuse)
+    tl = tableau_lattice(Algebra.G2, (3, 3))
+    assert len(tl) == 4096 and len(tl.covers) == 14310  # as in the ideal lattice
+    with pytest.raises(AssertionError, match="EdgeColoredPoset"):
+        tl.edge_poset  # the refusal is live: built on demand, it fires
 
 
 def reference_decrements(algebra, lam, t):
@@ -307,17 +387,20 @@ def test_window_decrements_match_full_check(algebra):
     # On the current tables, lowering an entry never breaks the pair with the
     # right neighbour, so only the left one changes what this test sees; the
     # window keeps both so that it stays exact by locality alone.
-    for lam in itertools.product(range(4), repeat=2):
+    lowered = _decrement_table(algebra)
+    for lam in WEIGHTS:
+        windows = _windows(lam)
         for t in enumerate_tableaux(algebra, lam):
-            assert list(_decrements(algebra, t)) == \
+            assert list(_decrements(algebra, t, lowered, windows)) == \
                 list(reference_decrements(algebra, lam, t)), (lam, t)
 
 
 class TestBijectionCheckCatchesTampering:
     """check_tableaux proves the lattice equivalence by the bijection itself;
-    a tableau lattice with one cover recolored or dropped must fail it.  Only
-    weight (1,1) is tampered with: the one-column lattices also define the
-    column dictionaries behind tableau_of_ideal."""
+    a tableau lattice with one cover recolored or dropped must fail it, and
+    one rebuilt with its own covers must pass.  Only weight (1,1) is
+    tampered with: the one-column lattices also define the column
+    dictionaries behind tableau_of_ideal."""
 
     @staticmethod
     def tampered(change):
@@ -325,11 +408,14 @@ class TestBijectionCheckCatchesTampering:
             tl = tableau_lattice(algebra, lam)
             if lam != (1, 1):
                 return tl
-            covers = sorted(tl.edge_poset.covers, key=lambda c: (c[0], c[1]))
-            covers = change(covers)
-            ep = EdgeColoredPoset(tl.edge_poset.elements, frozenset(covers))
-            return TableauLattice(tl.algebra, tl.weight, tl.tableaux, ep)
+            covers = sorted(tl.covers, key=lambda c: (c[0], c[1]))
+            return TableauLattice(tl.algebra, tl.weight, tl.tableaux,
+                                  frozenset(change(covers)))
         return build
+
+    @staticmethod
+    def keep(covers):
+        return covers
 
     @staticmethod
     def recolor(covers):
@@ -348,6 +434,25 @@ class TestBijectionCheckCatchesTampering:
         monkeypatch.setattr("ranktwo.tableaux.tableau_lattice",
                             self.tampered(getattr(self, change)))
         assert not Verifier((1, 1)).check_tableaux()
+
+    def test_rebuilt_untampered_passes(self, monkeypatch):
+        monkeypatch.setattr("ranktwo.tableaux.tableau_lattice", self.tampered(self.keep))
+        assert Verifier((1, 1)).check_tableaux()
+
+
+def reference_enumerate_littelmann(algebra, lam):
+    """Oracle: the block sequences pruned by row compatibility of the
+    facing columns, with no block-pair table."""
+    a, b = lam
+    options = [admissible_blocks(algebra, 2)] * b + [admissible_blocks(algebra, 1)] * a
+    return _sequences(options, lambda left, right: _row_compatible(left[-1], right[0]))
+
+
+@pytest.mark.parametrize("algebra", SIMPLE)
+def test_littelmann_enumeration_matches_row_pruning(algebra):
+    for lam in WEIGHTS:
+        assert enumerate_littelmann(algebra, lam) == \
+            reference_enumerate_littelmann(algebra, lam), lam
 
 
 class TestLittelmann:
@@ -426,7 +531,7 @@ def reference_wt_lit(algebra, u):
 class TestLittelmannWeight:
     @pytest.mark.parametrize("algebra", SIMPLE)
     def test_matches_fraction_reference(self, algebra):
-        for lam in itertools.product(range(4), repeat=2):
+        for lam in WEIGHTS:
             for u in enumerate_littelmann(algebra, lam):
                 assert wt_lit(algebra, u) == reference_wt_lit(algebra, u), u
 
@@ -436,6 +541,55 @@ class TestLittelmannWeight:
             weight(Algebra.C2, (((1,),),))
         with pytest.raises(ArithmeticError):
             weight(Algebra.G2, (((1,), (2,)),))
+
+
+    def test_inadmissible_block_is_weighed_by_columns(self):
+        # not an admissible C2 block, but integral: (1,0) + (-1,0) over 2
+        assert wt_lit(Algebra.C2, (((1,), (4,)),)) == (0, 0)
+        with pytest.raises(ShapeError):
+            wt_lit(Algebra.G2, (((7,),) * 6,))  # blocks of G2 use entries 1..6
+
+
+def reference_tableauwt(algebra, t):
+    """Oracle: the weight as a linear functional of the entry counts."""
+    n = entry_counts(t)
+    if algebra is Algebra.A2:
+        return (_n(n, 1) - _n(n, 2), _n(n, 2) - _n(n, 3))
+    if algebra is Algebra.C2:
+        return (_n(n, 1) - _n(n, 2) + _n(n, 3) - _n(n, 4), _n(n, 2) - _n(n, 3))
+    return (
+        _n(n, 1) - _n(n, 2) + 2 * _n(n, 3) - 2 * _n(n, 5) + _n(n, 6) - _n(n, 7),
+        _n(n, 2) - _n(n, 3) + _n(n, 5) - _n(n, 6),
+    )
+
+
+class TestTableauWeight:
+    @pytest.mark.parametrize("algebra", SIMPLE)
+    def test_matches_entry_count_reference(self, algebra):
+        for lam in WEIGHTS:
+            for t in enumerate_tableaux(algebra, lam):
+                assert tableauwt(algebra, t) == reference_tableauwt(algebra, t), t
+
+    @pytest.mark.parametrize("algebra", SIMPLE)
+    def test_every_well_formed_column(self, algebra):
+        # inadmissible columns too: the weight is defined on the alphabet
+        for column in well_formed_columns(algebra):
+            assert tableauwt(algebra, (column,)) == reference_tableauwt(algebra, (column,))
+
+    @pytest.mark.parametrize("t", [((4,),), ((2, 1),), ((0,),), ((1, 2, 3),)])
+    def test_column_off_the_alphabet_raises(self, t):
+        with pytest.raises(ShapeError):
+            tableauwt(Algebra.A2, t)
+
+    def test_a1a1_rejected(self):
+        with pytest.raises(ValueError, match="simple"):
+            tableauwt(Algebra.A1A1, ())
+        with pytest.raises(ValueError, match="simple"):
+            wt_lit(Algebra.A1A1, ())
+
+    def test_empty(self):
+        for algebra in SIMPLE:
+            assert tableauwt(algebra, ()) == wt_lit(algebra, ()) == (0, 0)
 
 
 class TestTextFormats:
