@@ -158,6 +158,7 @@ def cmd_export(args) -> int:
     obj = load(getattr(args, "in"))
     if isinstance(obj, dict) and "poset" in obj:  # lattice file
         lat = lattice_from_obj(obj)
+        del obj  # checked against lat: free it before rendering
         if args.format == "json":
             text = dumps(lattice_to_obj(lat))
         elif args.format == "dot":

@@ -25,9 +25,11 @@ from .build import SemistandardPoset
 from .grid import Decomposition, GridPoset, total_order
 from .poset import EdgeColoredPoset, VertexColoredPoset
 
-# Peak RSS (getrusage, Python 3.11, G2 (6,6)-(8,8)) is about 640 B per ideal
-# through weights and the character and rgf checks, 2.2 KB for `enumerate`
-# writing its file: 0.65 and 2.2 GB at 10**6.  G2 (8,8) has 531,441 ideals.
+# Peak RSS (getrusage, Python 3.11) per ideal: about 640 B in the library
+# through weights and the character and rgf checks (G2 (6,6)-(8,8)); on the
+# file path at G2 (6,6) and (7,7), 2.3 KB for `enumerate` writing its file
+# and 2.6-2.7 KB for `character --verify` and `export` reading one: 0.65,
+# 2.3 and 2.7 GB at 10**6.  G2 (8,8) has 531,441 ideals.
 DEFAULT_MAX_IDEALS = 10**6
 
 
@@ -180,10 +182,9 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
 def check_structure(lattice: IdealLattice, matrix: tuple[Weight, Weight]) -> bool:
     """True iff every edge of color c shifts the weight by row c of matrix."""
     weights = lattice.weights
-    rows = {ALPHA: matrix[0], BETA: matrix[1]}
     for i, j, c in lattice.covers:
         (p1, q1), (p2, q2) = weights[i], weights[j]
-        if (p2 - p1, q2 - q1) != rows[c]:
+        if (p2 - p1, q2 - q1) != matrix[c is BETA]:
             return False
     return True
 
@@ -192,18 +193,20 @@ def infer_structure_matrix(lattice: IdealLattice) -> tuple[Weight, Weight] | Non
     """The unique matrix satisfied by the weight shifts, or None.
 
     None signals either disagreeing shifts within one color class or a
-    color with no edges at all (the matrix would not be unique).
+    color with no edges at all (the matrix would not be unique).  Rows are
+    indexed by `color is BETA`, which hashes no enum.
     """
     weights = lattice.weights
-    rows: dict[Color, Weight] = {}
+    rows: list[Weight | None] = [None, None]
     for i, j, c in lattice.covers:
         (p1, q1), (p2, q2) = weights[i], weights[j]
         d = (p2 - p1, q2 - q1)
-        if rows.setdefault(c, d) != d:
+        k = c is BETA
+        if rows[k] is None:
+            rows[k] = d
+        elif rows[k] != d:
             return None
-    if set(rows) != {ALPHA, BETA}:
-        return None
-    return (rows[ALPHA], rows[BETA])
+    return None if None in rows else (rows[0], rows[1])
 
 
 def _piece_elements(lattice: IdealLattice, i: int,

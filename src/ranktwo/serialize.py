@@ -13,9 +13,10 @@ deterministic order, so parse -> re-serialize is byte-identical.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
-from .algebras import Color
+from .algebras import ALPHA, BETA, Color
 from .grid import GridPoset
 from .lattice import IdealLattice, order_ideals
 from .poset import EdgeColoredPoset, VertexColoredPoset, find_rank_function
@@ -86,25 +87,51 @@ def poset_from_obj(obj: Any) -> VertexColoredPoset | EdgeColoredPoset | GridPose
     raise ValueError(f"unknown poset kind {kind!r}")
 
 
+def _element_rows(lat: IdealLattice) -> list[list[int]]:
+    """Each element's vertex ids, sorted.  Covers ascend in (i, j), so the
+    first cover into j comes from its first lower cover i, whose row is
+    already made; j's row is i's with the one vertex j adds inserted (by
+    sorting a concatenation, which leaves no slack in the list)."""
+    elements, order = lat.elements, lat.vertex_order
+    rows: list = [None] * len(elements)
+    rows[0] = []  # the bottom, the empty ideal
+    for i, j, _ in lat.covers:
+        if rows[j] is None:
+            row = rows[i] + [order[(elements[i] ^ elements[j]).bit_length() - 1]]
+            row.sort()
+            rows[j] = row
+    return rows
+
+
+def _cover_rows(lat: IdealLattice) -> list[list]:
+    """[i, j, color] per cover, in the stored (i, j) order."""
+    a, b = ALPHA.value, BETA.value
+    return [[i, j, b if c is BETA else a] for i, j, c in lat.covers]
+
+
+def _weight_rows(lat: IdealLattice) -> list[list[int]]:
+    return list(map(list, lat.weights))
+
+
+# the rows of each lattice-file field, in the order a file is checked
+_ROWS = {"elements": _element_rows, "covers": _cover_rows, "weights": _weight_rows}
+
+
 def lattice_to_obj(lat: IdealLattice) -> dict[str, Any]:
-    return {
-        "poset": poset_to_obj(lat.poset),
-        "elements": [sorted(lat.element_vertices(i)) for i in range(len(lat))],
-        "covers": [[i, j, c.value] for i, j, c in sorted(lat.covers, key=lambda t: (t[0], t[1]))],
-        "weights": [list(w) for w in lat.weights],
-    }
+    return {"poset": poset_to_obj(lat.poset),
+            **{key: render(lat) for key, render in _ROWS.items()}}
 
 
 def lattice_from_obj(obj: Any) -> IdealLattice:
-    """Rebuild the lattice from its poset and check the file against it:
-    elements, covers with their colors, and weights must all match."""
+    """Rebuild the lattice from its poset and check the file against it one
+    field at a time: elements, covers with their colors, then weights must
+    each equal the canonical rows."""
     lat = order_ideals(poset_from_obj(_field(obj, "poset", dict, "lattice file")))
-    expected = lattice_to_obj(lat)
-    for key in ("elements", "covers", "weights"):
+    for key, render in _ROWS.items():
         rows = _field(obj, key, list, "lattice file")
-        # == takes 1.0 and True for 1; an equal row of ints and color
-        # strings holds nothing else
-        if rows != expected[key] or not {type(x) for row in rows for x in row} <= {int, str}:
+        # == takes 1.0 and True for 1, so the items' types are checked too;
+        # only after ==, which makes every row a list that chain can take
+        if rows != render(lat) or not set(map(type, chain.from_iterable(rows))) <= {int, str}:
             raise ValueError(f"lattice file {key} do not match its poset")
     return lat
 
@@ -145,7 +172,10 @@ def poset_to_dot(p: VertexColoredPoset | EdgeColoredPoset | GridPoset | IdealLat
     else:
         for v in range(len(p)) if isinstance(p, IdealLattice) else p.elements:
             lines.append(f'  "{v}";')
-        for u, v, c in sorted(p.covers, key=lambda t: (t[0], t[1])):
+        # a lattice's covers are stored in (i, j) order already
+        covers = p.covers if isinstance(p, IdealLattice) else sorted(
+            p.covers, key=lambda t: (t[0], t[1]))
+        for u, v, c in covers:
             lines.append(
                 f'  "{u}" -> "{v}" [label="{c.value}", color={_DOT_COLOR[c.value]}];')
     if isinstance(p, IdealLattice):

@@ -240,6 +240,16 @@ def _floats_in_first_row(lat, key):
     return {**lat, key: [*rows[:k], row, *rows[k + 1:]]}
 
 
+def _true_for_first_one(lat, key):
+    """lat with the first int 1 in lat[key] as true, which == still takes
+    as equal."""
+    rows = lat[key]
+    k = next(k for k, row in enumerate(rows) if 1 in row)
+    row = rows[k][:]
+    row[row.index(1)] = True
+    return {**lat, key: [*rows[:k], row, *rows[k + 1:]]}
+
+
 @pytest.mark.parametrize("command, corrupt", [
     ("enumerate", lambda poset, lat: _without(poset, "covers")),
     ("enumerate", lambda poset, lat: [poset]),
@@ -256,10 +266,18 @@ def _floats_in_first_row(lat, key):
     ("character", lambda poset, lat: _floats_in_first_row(lat, "elements")),
     ("character", lambda poset, lat: _floats_in_first_row(lat, "covers")),
     ("export", lambda poset, lat: _floats_in_first_row(lat, "weights")),
+    ("character", lambda poset, lat: _true_for_first_one(lat, "elements")),
+    ("export", lambda poset, lat: _true_for_first_one(lat, "covers")),
+    ("character", lambda poset, lat: _true_for_first_one(lat, "weights")),
+    ("export", lambda poset, lat: {
+        **lat, "covers": [lat["covers"][0][:2], *lat["covers"][1:]]}),
+    ("character", lambda poset, lat: {
+        **lat, "elements": [lat["elements"][0], *lat["elements"][1], *lat["elements"][2:]]}),
 ], ids=["poset-without-covers", "top-level-list", "string-chain-index",
         "edge-poset-to-enumerate", "repeated-vertex-id", "lattice-without-elements",
         "poset-file-as-lattice", "lattice-without-covers", "flipped-cover-color",
-        "float-element", "float-cover-index", "float-weight"])
+        "float-element", "float-cover-index", "float-weight", "true-element",
+        "true-cover-index", "true-weight", "cover-without-color", "bare-int-element-row"])
 def test_malformed_file_is_a_usage_error(tmp_path, capsys, command, corrupt):
     poset_file, lattice_file = tmp_path / "p.json", tmp_path / "l.json"
     run(capsys, "build", "--algebra", "c2", "--weight", "1,1",

@@ -190,6 +190,26 @@ class TestCoversMatchReference:
         assert broken_chains > 0
 
 
+class TestCoversAscend:
+    """Writers emit lat.covers as stored, with no re-sort: they must be in
+    (i, j) order."""
+
+    @staticmethod
+    def _assert_ascending(lat):
+        pairs = [(i, j) for i, j, _ in lat.covers]
+        assert pairs == sorted(pairs)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures(self, name):
+        self._assert_ascending(order_ideals(load_fixture(name)))
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_built_lattices(self, algebra):
+        for order in ("beta_alpha", "alpha_beta"):
+            for lam in itertools.product(range(4), repeat=2):
+                self._assert_ascending(order_ideals(semistandard_poset(algebra, order, lam)))
+
+
 class TestWeights:
     def test_first_fundamental_top_weight(self):
         lat = order_ideals(fundamental_poset(Algebra.A2, "alpha_fund"))
@@ -242,6 +262,16 @@ class TestStructureCondition:
         assert check_structure(lat, ((0, 0), (0, 0)))
         assert check_structure(lat, cartan_matrix(Algebra.G2))
         assert infer_structure_matrix(lat) is None
+
+    @pytest.mark.parametrize("color", [ALPHA, BETA])
+    def test_one_color_chain_infers_nothing(self, color):
+        lat = order_ideals(VertexColoredPoset.build({0: color, 1: color}, [(0, 1)]))
+        assert len(lat.covers) == 2
+        assert infer_structure_matrix(lat) is None
+        shift = (2, 0) if color is ALPHA else (0, 2)
+        rows = (shift, (9, 9)) if color is ALPHA else ((9, 9), shift)
+        assert check_structure(lat, rows)
+        assert not check_structure(lat, rows[::-1])
 
     def test_inferred_for_second_fundamental(self):
         lat = order_ideals(fundamental_poset(Algebra.A2, "beta_fund"))
