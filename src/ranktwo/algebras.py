@@ -16,6 +16,10 @@ class Color(enum.Enum):
     ALPHA = "a"
     BETA = "b"
 
+    # members are singletons compared by identity; Enum's own __hash__ is a
+    # Python-level hash of the name
+    __hash__ = object.__hash__
+
     def __lt__(self, other: "Color") -> bool:
         # alpha < beta, fixed for canonical serialization
         return self is Color.ALPHA and other is Color.BETA
@@ -46,6 +50,8 @@ class Algebra(enum.Enum):
     A2 = "a2"
     C2 = "c2"
     G2 = "g2"
+
+    __hash__ = object.__hash__  # as for Color
 
     @property
     def is_simple(self) -> bool:

@@ -5,6 +5,9 @@ Covers come from a chain walk: vertex_order splits into runs in which each
 vertex is a lower cover of the one before, chains whose bits descend going
 up.  An ideal can gain only the highest missing bit of a run, and does iff
 that vertex's lower covers are in it: one probe per run (six for G2 (a,a)).
+The walk writes the covers as three columns, `Covers`: lower and upper
+element indices and one byte per cover, 1 for beta; no object is made per
+cover, so the cyclic collector has nothing per cover to track.
 
 The statistics are read from those covers.  A one-color cover joins two
 elements of one component, so an element's least component size lo is that
@@ -17,6 +20,7 @@ functions.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,16 +29,44 @@ from .build import SemistandardPoset
 from .grid import Decomposition, GridPoset, total_order
 from .poset import EdgeColoredPoset, VertexColoredPoset
 
-# Peak RSS (getrusage, Python 3.11) per ideal: about 640 B in the library
-# through weights and the character and rgf checks (G2 (6,6)-(8,8)); on the
-# file path at G2 (6,6) and (7,7), 2.3 KB for `enumerate` writing its file
-# and 2.6-2.7 KB for `character --verify` and `export` reading one: 0.65,
-# 2.3 and 2.7 GB at 10**6.  G2 (8,8) has 531,441 ideals.
+# Peak RSS (getrusage, Python 3.11) per ideal: about 375 B in the library
+# through covers, weights and the character, rgf and structure checks (G2
+# (6,6)-(8,8)); on the file path at G2 (6,6) and (7,7), 2.0-2.1 KB for
+# `enumerate` writing its file and 2.3-2.5 KB for `character --verify` and
+# `export` reading one: 0.38, 2.1 and 2.5 GB at 10**6.  G2 (8,8) has
+# 531,441 ideals.
 DEFAULT_MAX_IDEALS = 10**6
 
 
 class TooManyIdeals(RuntimeError):
     pass
+
+
+_COLORS = (ALPHA, BETA)  # indexed by a cover's beta byte
+
+
+class Covers:
+    """A lattice's covers in (i, j) order, as columns: cover k goes from
+    element lower[k] up to element upper[k] and has color beta iff
+    beta[k] is 1.  Iterating, reversing or indexing gives (i, j, Color)."""
+
+    __slots__ = ("lower", "upper", "beta")
+
+    def __init__(self, lower: list[int], upper: list[int], beta: bytes) -> None:
+        self.lower, self.upper, self.beta = lower, upper, beta
+
+    def __len__(self) -> int:
+        return len(self.lower)
+
+    def __iter__(self) -> Iterator[tuple[int, int, Color]]:
+        return zip(self.lower, self.upper, map(_COLORS.__getitem__, self.beta))
+
+    def __reversed__(self) -> Iterator[tuple[int, int, Color]]:
+        return zip(reversed(self.lower), reversed(self.upper),
+                   map(_COLORS.__getitem__, reversed(self.beta)))
+
+    def __getitem__(self, k: int) -> tuple[int, int, Color]:
+        return self.lower[k], self.upper[k], _COLORS[self.beta[k]]
 
 
 @dataclass(frozen=True)
@@ -72,7 +104,7 @@ class IdealLattice:
         return self.elements[i].bit_count()
 
     @cached_property
-    def covers(self) -> tuple[tuple[int, int, Color], ...]:
+    def covers(self) -> Covers:
         # the chain walk of the module docstring; runs ascend, so covers are
         # in (element, bit) order
         order, base = self.vertex_order, self.base
@@ -84,17 +116,20 @@ class IdealLattice:
             else:
                 runs.append(bit[v])
         lower = [sum(bit[u] for u in base.lower_covers[v]) for v in order]
-        color = [base.color_of[v] for v in order]
+        beta = [base.color_of[v] is BETA for v in order]
         index = self.index_of
-        out = []
+        low, up, col = [], [], bytearray()
+        add_low, add_up, add_col = low.append, up.append, col.append
         for i, mask in enumerate(self.elements):
             for run in runs:
                 free = run & ~mask
                 if free:
                     b = free.bit_length() - 1
                     if lower[b] & mask == lower[b]:
-                        out.append((i, index[mask | 1 << b], color[b]))
-        return tuple(out)
+                        add_low(i)
+                        add_up(index[mask | 1 << b])
+                        add_col(beta[b])
+        return Covers(low, up, bytes(col))
 
     @cached_property
     def edge_poset(self) -> EdgeColoredPoset:
@@ -104,20 +139,21 @@ class IdealLattice:
     def _component_bounds(self) -> tuple[tuple[list[int], list[int]], ...]:
         """Flat lists lo and hi of each element's component bounds, for alpha
         then beta: index it by `color is BETA`, which hashes no enum."""
-        sizes = [mask.bit_count() for mask in self.elements]
+        sizes = list(map(int.bit_count, self.elements))
         bounds = (sizes, sizes[:]), (sizes[:], sizes[:])
         (alo, ahi), (blo, bhi) = bounds
+        cov = self.covers
         # covers ascend in i: lo[i] is final at (i, j), hi[j] on the way back
-        for i, j, c in self.covers:
-            if c is ALPHA:
-                alo[j] = alo[i]
-            else:
+        for i, j, b in zip(cov.lower, cov.upper, cov.beta):
+            if b:
                 blo[j] = blo[i]
-        for i, j, c in reversed(self.covers):
-            if c is ALPHA:
-                ahi[i] = ahi[j]
             else:
+                alo[j] = alo[i]
+        for i, j, b in zip(reversed(cov.lower), reversed(cov.upper), reversed(cov.beta)):
+            if b:
                 bhi[i] = bhi[j]
+            else:
+                ahi[i] = ahi[j]
         return bounds
 
     def rank_stats(self, i: int, color: Color) -> tuple[int, int]:
@@ -175,16 +211,17 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
         ideals += [mask | bit[v] for mask in ideals if mask & low == low]
         if len(ideals) > max_ideals:
             raise TooManyIdeals(f"more than {max_ideals} order ideals")
-    ideals.sort(key=lambda m: (m.bit_count(), m))
+    ideals.sort()
+    ideals.sort(key=int.bit_count)  # stable: (size, mask) order
     return IdealLattice(p, built, order, tuple(ideals))
 
 
 def check_structure(lattice: IdealLattice, matrix: tuple[Weight, Weight]) -> bool:
     """True iff every edge of color c shifts the weight by row c of matrix."""
-    weights = lattice.weights
-    for i, j, c in lattice.covers:
+    weights, cov = lattice.weights, lattice.covers
+    for i, j, b in zip(cov.lower, cov.upper, cov.beta):
         (p1, q1), (p2, q2) = weights[i], weights[j]
-        if (p2 - p1, q2 - q1) != matrix[c is BETA]:
+        if (p2 - p1, q2 - q1) != matrix[b]:
             return False
     return True
 
@@ -194,17 +231,16 @@ def infer_structure_matrix(lattice: IdealLattice) -> tuple[Weight, Weight] | Non
 
     None signals either disagreeing shifts within one color class or a
     color with no edges at all (the matrix would not be unique).  Rows are
-    indexed by `color is BETA`, which hashes no enum.
+    indexed by a cover's beta byte.
     """
-    weights = lattice.weights
+    weights, cov = lattice.weights, lattice.covers
     rows: list[Weight | None] = [None, None]
-    for i, j, c in lattice.covers:
+    for i, j, b in zip(cov.lower, cov.upper, cov.beta):
         (p1, q1), (p2, q2) = weights[i], weights[j]
         d = (p2 - p1, q2 - q1)
-        k = c is BETA
-        if rows[k] is None:
-            rows[k] = d
-        elif rows[k] != d:
+        if rows[b] is None:
+            rows[b] = d
+        elif rows[b] != d:
             return None
     return None if None in rows else (rows[0], rows[1])
 

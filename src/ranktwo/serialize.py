@@ -92,10 +92,10 @@ def _element_rows(lat: IdealLattice) -> list[list[int]]:
     first cover into j comes from its first lower cover i, whose row is
     already made; j's row is i's with the one vertex j adds inserted (by
     sorting a concatenation, which leaves no slack in the list)."""
-    elements, order = lat.elements, lat.vertex_order
+    elements, order, cov = lat.elements, lat.vertex_order, lat.covers
     rows: list = [None] * len(elements)
     rows[0] = []  # the bottom, the empty ideal
-    for i, j, _ in lat.covers:
+    for i, j in zip(cov.lower, cov.upper):
         if rows[j] is None:
             row = rows[i] + [order[(elements[i] ^ elements[j]).bit_length() - 1]]
             row.sort()
@@ -105,8 +105,8 @@ def _element_rows(lat: IdealLattice) -> list[list[int]]:
 
 def _cover_rows(lat: IdealLattice) -> list[list]:
     """[i, j, color] per cover, in the stored (i, j) order."""
-    a, b = ALPHA.value, BETA.value
-    return [[i, j, b if c is BETA else a] for i, j, c in lat.covers]
+    names, cov = (ALPHA.value, BETA.value), lat.covers
+    return [[i, j, names[b]] for i, j, b in zip(cov.lower, cov.upper, cov.beta)]
 
 
 def _weight_rows(lat: IdealLattice) -> list[list[int]]:

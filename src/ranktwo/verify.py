@@ -137,7 +137,7 @@ class Verifier:
                     lat = self.lattice(algebra, order, lam)
                     if not check_structure(lat, matrix):
                         return False
-                    both_colors = len({c for _, _, c in lat.covers}) == 2
+                    both_colors = len(set(lat.covers.beta)) == 2
                     if both_colors and infer_structure_matrix(lat) != matrix:
                         return False
         bad = order_ideals(load_fixture("nonsplitting_grid"))

@@ -39,6 +39,14 @@ class TestEnumeration:
             assert {lat.element_vertices(i) for i in range(len(lat))} == \
                 brute_force_ideals(base)
 
+    def test_elements_in_size_then_mask_order(self, rng):
+        # a grid's vertex order is not the scan's linear extension, so the
+        # scan does not list its masks in order
+        for p in _random_grids(rng):
+            for lat in order_ideals(p), order_ideals(p.base):
+                assert list(lat.elements) == sorted(lat.elements,
+                                                    key=lambda m: (m.bit_count(), m))
+
     def test_resource_guard(self):
         with pytest.raises(TooManyIdeals):
             order_ideals(load_fixture("chain_product_2x3"), max_ideals=5)
@@ -159,27 +167,27 @@ class TestCoversMatchReference:
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixtures(self, name):
         lat = order_ideals(load_fixture(name))
-        assert lat.covers == reference_covers(lat)
+        assert tuple(lat.covers) == reference_covers(lat)
 
     @pytest.mark.parametrize("algebra", list(Algebra))
     def test_built_lattices(self, algebra):
         for order in ("beta_alpha", "alpha_beta"):
             for lam in itertools.product(range(4), repeat=2):
                 lat = order_ideals(semistandard_poset(algebra, order, lam))
-                assert lat.covers == reference_covers(lat), (order, lam)
+                assert tuple(lat.covers) == reference_covers(lat), (order, lam)
 
     @pytest.mark.parametrize("order", ["beta_alpha", "alpha_beta"])
     def test_g2_44(self, order):
         lat = order_ideals(semistandard_poset(Algebra.G2, order, (4, 4)))
         assert len(lat) == 5 ** 6
-        assert lat.covers == reference_covers(lat)
+        assert tuple(lat.covers) == reference_covers(lat)
 
     def test_random_grids(self, rng):
         broken_chains = 0
         for p in _random_grids(rng):
             broken_chains += any("is not a chain" in v for v in validate_grid(p))
             lat = order_ideals(p)
-            assert lat.covers == reference_covers(lat), p
+            assert tuple(lat.covers) == reference_covers(lat), p
             _assert_statistics_match_edge_poset(lat)
             ideals = brute_force_ideals(p.base)
             color = p.base.color_of
@@ -208,6 +216,45 @@ class TestCoversAscend:
         for order in ("beta_alpha", "alpha_beta"):
             for lam in itertools.product(range(4), repeat=2):
                 self._assert_ascending(order_ideals(semistandard_poset(algebra, order, lam)))
+
+
+class TestCoversColumns:
+    """Covers are stored as columns; as a sequence they give the reference's
+    (i, j, Color) triples."""
+
+    @staticmethod
+    def _assert_columns(lat):
+        cov, ref = lat.covers, reference_covers(lat)
+        assert len(cov) == len(ref)
+        assert tuple(cov) == ref
+        assert tuple(reversed(cov)) == ref[::-1]
+        assert [cov[k] for k in range(len(ref))] == list(ref)
+        assert [cov[k] for k in range(-len(ref), 0)] == list(ref)
+        assert type(cov.beta) is bytes and set(cov.beta) <= {0, 1}
+        assert type(cov.lower) is list and type(cov.upper) is list
+        assert all(type(x) is int for x in cov.lower + cov.upper)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures(self, name):
+        self._assert_columns(order_ideals(load_fixture(name)))
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_built_lattices(self, algebra):
+        for order in ("beta_alpha", "alpha_beta"):
+            for lam in itertools.product(range(4), repeat=2):
+                self._assert_columns(order_ideals(semistandard_poset(algebra, order, lam)))
+
+    def test_random_grids(self, rng):
+        for p in _random_grids(rng):
+            self._assert_columns(order_ideals(p))
+
+    def test_single_element_has_no_covers(self):
+        lat = order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", (0, 0)))
+        assert len(lat) == 1
+        assert not lat.covers and len(lat.covers) == 0
+        assert tuple(lat.covers) == tuple(reversed(lat.covers)) == ()
+        with pytest.raises(IndexError):
+            lat.covers[0]
 
 
 class TestWeights:
