@@ -11,13 +11,10 @@ from .lattice import (IdealLattice, check_structure, infer_structure_matrix,
                       join_irreducible_poset, order_ideals,
                       weight_via_decomposition)
 from .poset import (EdgeColoredPoset, PosetError, RankFunction,
-                    VertexColoredPoset, diamond_coloring_check, disjoint_sum,
-                    find_rank_function, product, are_edge_color_isomorphic,
-                    are_vertex_color_isomorphic)
+                    VertexColoredPoset, find_rank_function, product)
 from .weyl import (LaurentPoly2, QPoly, alternating_sum,
-                   character_from_lattice, natural_rank, rgf_from_lattice,
-                   rgf_product, simple_reflection, verify_weyl_character,
-                   weyl_group)
+                   character_from_lattice, rgf_from_lattice, rgf_product,
+                   simple_reflection, verify_weyl_character, weyl_group)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

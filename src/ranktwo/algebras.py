@@ -9,7 +9,6 @@ of the Cartan matrix.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 
 
 class Color(enum.Enum):
@@ -79,37 +78,10 @@ def simple_root(algebra: Algebra, color: Color) -> Weight:
     return rows[0] if color is ALPHA else rows[1]
 
 
-# Positive roots in fundamental-weight coordinates.
-POSITIVE_ROOTS: dict[Algebra, tuple[Weight, ...]] = {
-    Algebra.A1A1: ((2, 0), (0, 2)),
-    Algebra.A2: ((2, -1), (-1, 2), (1, 1)),
-    Algebra.C2: ((2, -1), (-2, 2), (0, 1), (2, 0)),
-    Algebra.G2: ((2, -1), (-3, 2), (-1, 1), (1, 0), (3, -1), (0, 1)),
-}
-
 # Dynkin-diagram symmetry induced by the longest Weyl element: only the
 # A2 diagram has a nontrivial one among the rank-two cases.
 def sigma0(algebra: Algebra) -> dict[Color, Color]:
     return SWAP if algebra is Algebra.A2 else IDENTITY
-
-
-def lowest_weight(algebra: Algebra, lam: Weight) -> Weight:
-    """Weight of the minimal element, -w0(lam)."""
-    a, b = lam
-    if algebra is Algebra.A2:
-        return (-b, -a)
-    return (-a, -b)
-
-
-def rho_check_pairing(algebra: Algebra, mu: Weight) -> Fraction:
-    """<mu, rho^vee>: the coefficient sum when mu is written in simple roots."""
-    (p, q) = mu
-    (a, b), (c, d) = CARTAN[algebra]
-    det = a * d - b * c
-    # mu = x*alpha + y*beta  =>  (x, y) = mu . inverse(CARTAN)
-    x = Fraction(p * d - q * c, det)
-    y = Fraction(-p * b + q * a, det)
-    return x + y
 
 
 def parse_algebra(text: str) -> Algebra:

@@ -13,8 +13,7 @@ from .algebras import Algebra, cartan_matrix, parse_algebra
 from .build import semistandard_poset
 from .fixtures import FIXTURE_NAMES, load_fixture
 from .grid import GridPoset
-from .lattice import (DEFAULT_MAX_IDEALS, TooManyIdeals,
-                      infer_structure_matrix, order_ideals)
+from .lattice import DEFAULT_MAX_IDEALS, TooManyIdeals, order_ideals, structure_rows
 from .poset import EdgeColoredPoset
 from .serialize import (dump, dumps, lattice_from_obj, lattice_to_obj, load,
                         poset_from_obj, poset_to_dot, poset_to_obj)
@@ -80,15 +79,17 @@ def cmd_character(args) -> int:
         return 0
     algebra = args.algebra
     if algebra is None:
-        if not lat.covers:  # single element; the identity holds for any algebra
-            algebra = Algebra.A1A1
-        else:
-            matrix = infer_structure_matrix(lat)
-            matched = [g for g in Algebra if cartan_matrix(g) == matrix]
-            if not matched:
-                print("FAIL (no algebra matches the inferred structure matrix)")
-                return 1
-            algebra = matched[0]
+        # a color with no covers leaves its row free: with no beta covers
+        # every beta coordinate is 0, so the alpha row is (x, 0), which only
+        # A1+A1 has (likewise for alpha); with no covers any algebra fits
+        rows = structure_rows(lat)
+        matched = [] if rows is None else [
+            g for g in Algebra
+            if all(r is None or r == row for r, row in zip(rows, cartan_matrix(g)))]
+        if not matched:
+            print("FAIL (no algebra matches the inferred structure matrix)")
+            return 1
+        algebra = matched[0]
     lam = args.weight
     if lam is None:
         lam = lat.weight(lat.top)
@@ -130,7 +131,7 @@ def cmd_tableaux(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import bijection_report, run_verify, structure_report
+    from .verify import Verifier, bijection_report, structure_report
 
     if args.structure is not None:
         name = args.structure
@@ -145,7 +146,7 @@ def cmd_verify(args) -> int:
     elif args.bijection:
         report = bijection_report(args.seed_range)
     else:
-        report = run_verify(args.seed_range)
+        report = Verifier(args.seed_range).run_all()
     for check in report["checks"]:
         print(f"{check['status']:4} {check['name']} [{check['params']}] "
               f"({check['millis']} ms)")

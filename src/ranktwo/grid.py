@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .algebras import Algebra, Color, sigma0
 from .poset import PosetError, VertexColoredPoset, vertex_color_isomorphism
@@ -164,6 +164,17 @@ def has_max_property(p: GridPoset) -> bool:
     return False
 
 
+def carry_mask(mask: int, image_bit: Sequence[int]) -> int:
+    """The union of image_bit[b] over the set bits b of mask: a mask over one
+    vertex order carried into another, walking only the bits that are set."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= image_bit[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class Decomposition:
     """Ordered pieces of a grid poset; each prefix union is an order ideal."""
@@ -192,8 +203,7 @@ class Decomposition:
         out = []
         for sub in self.lattices:
             to_global = [bit[v] for v in sub.vertex_order]
-            masks = tuple(sum(g for b, g in enumerate(to_global) if local >> b & 1)
-                          for local in sub.elements)
+            masks = tuple(carry_mask(local, to_global) for local in sub.elements)
             out.append((sum(to_global), {m: k for k, m in enumerate(masks)}, masks))
         return tuple(out)
 

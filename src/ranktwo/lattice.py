@@ -178,10 +178,6 @@ class IdealLattice:
     def top(self) -> int:
         return len(self.elements) - 1
 
-    @cached_property
-    def bottom(self) -> int:
-        return 0
-
 
 def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
                  max_ideals: int = DEFAULT_MAX_IDEALS) -> IdealLattice:
@@ -226,13 +222,11 @@ def check_structure(lattice: IdealLattice, matrix: tuple[Weight, Weight]) -> boo
     return True
 
 
-def infer_structure_matrix(lattice: IdealLattice) -> tuple[Weight, Weight] | None:
-    """The unique matrix satisfied by the weight shifts, or None.
-
-    None signals either disagreeing shifts within one color class or a
-    color with no edges at all (the matrix would not be unique).  Rows are
-    indexed by a cover's beta byte.
-    """
+def structure_rows(lattice: IdealLattice) -> list[Weight | None] | None:
+    """The weight shift shared by all covers of each color, alpha then beta,
+    with None for a color that has no covers (its row is then free); None
+    overall when two covers of one color shift the weight differently.
+    Rows are indexed by a cover's beta byte."""
     weights, cov = lattice.weights, lattice.covers
     rows: list[Weight | None] = [None, None]
     for i, j, b in zip(cov.lower, cov.upper, cov.beta):
@@ -242,7 +236,17 @@ def infer_structure_matrix(lattice: IdealLattice) -> tuple[Weight, Weight] | Non
             rows[b] = d
         elif rows[b] != d:
             return None
-    return None if None in rows else (rows[0], rows[1])
+    return rows
+
+
+def infer_structure_matrix(lattice: IdealLattice) -> tuple[Weight, Weight] | None:
+    """The unique matrix satisfied by the weight shifts, or None.
+
+    None signals either disagreeing shifts within one color class or a
+    color with no edges at all (the matrix would not be unique).
+    """
+    rows = structure_rows(lattice)
+    return None if rows is None or None in rows else (rows[0], rows[1])
 
 
 def _piece_elements(lattice: IdealLattice, i: int,

@@ -1,10 +1,13 @@
-"""Colored posets given by Hasse covers, and their structural operations.
+"""Colored posets given by Hasse covers.
 
 Two flavours: vertex-colored posets (the P side, whose order ideals get
-enumerated) and edge-colored posets (the L side, lattices of ideals).
+enumerated; grids take their duals, recolorings, relabellings and
+restrictions) and edge-colored posets (the L side, lattices of ideals).
 Both are immutable after construction; construction validates acyclicity
 and irredundancy of the cover relation, rejecting transitive edges rather
-than repairing them.
+than repairing them.  Beside them: the colored product of two
+edge-colored posets, rank functions, and one isomorphism search over
+labelled covers for both flavours.
 """
 
 from __future__ import annotations
@@ -134,10 +137,6 @@ class VertexColoredPoset:
         return tuple(v for v in self.ids if not self.upper_covers[v])
 
     @cached_property
-    def minimal_elements(self) -> tuple[int, ...]:
-        return tuple(v for v in self.ids if not self.lower_covers[v])
-
-    @cached_property
     def components(self) -> tuple[frozenset[int], ...]:
         return _components(self.ids, self.covers)
 
@@ -195,30 +194,6 @@ class EdgeColoredPoset:
         return tuple(_topological_order(
             self.elements, {v: [w for w, _ in ws] for v, ws in self.upper_covers.items()}))
 
-    def dual(self) -> "EdgeColoredPoset":
-        return EdgeColoredPoset(self.elements, frozenset((v, u, c) for u, v, c in self.covers))
-
-    def recolor(self, sigma: Mapping[Color, Color]) -> "EdgeColoredPoset":
-        return EdgeColoredPoset(self.elements, frozenset((u, v, sigma[c]) for u, v, c in self.covers))
-
-    def relabel(self, mapping: Mapping[int, int]) -> "EdgeColoredPoset":
-        return EdgeColoredPoset(
-            tuple(sorted(mapping[v] for v in self.elements)),
-            frozenset((mapping[u], mapping[v], c) for u, v, c in self.covers),
-        )
-
-    def components(self, colors: Iterable[Color]) -> tuple[frozenset[int], ...]:
-        colors = set(colors)
-        pairs = [(u, v) for u, v, c in self.covers if c in colors]
-        return _components(self.elements, pairs)
-
-    def sub(self, keep: Iterable[int]) -> "EdgeColoredPoset":
-        keep = set(keep)
-        return EdgeColoredPoset(
-            tuple(v for v in self.elements if v in keep),
-            frozenset((u, v, c) for u, v, c in self.covers if u in keep and v in keep),
-        )
-
 
 def _components(ids: Iterable[int], pairs: Iterable[tuple[int, int]]) -> tuple[frozenset[int], ...]:
     parent = {v: v for v in ids}
@@ -237,13 +212,6 @@ def _components(ids: Iterable[int], pairs: Iterable[tuple[int, int]]) -> tuple[f
     for v in parent:
         groups.setdefault(find(v), set()).add(v)
     return tuple(sorted((frozenset(g) for g in groups.values()), key=lambda g: min(g)))
-
-
-def disjoint_sum(p: VertexColoredPoset, q: VertexColoredPoset) -> VertexColoredPoset:
-    """Disjoint sum; q's ids are shifted above p's to force disjointness."""
-    shift = max(p.ids) + 1 if len(p) else 0
-    q2 = q.relabel({v: v + shift for v in q.ids})
-    return VertexColoredPoset(p.vertices + q2.vertices, p.covers | q2.covers)
 
 
 def product(p: EdgeColoredPoset, q: EdgeColoredPoset) -> EdgeColoredPoset:
@@ -266,10 +234,6 @@ class RankFunction:
 
     ranks: tuple[tuple[int, int], ...]  # (element, rank), sorted by element
     length: int
-
-    @cached_property
-    def of(self) -> dict[int, int]:
-        return dict(self.ranks)
 
     def rank_sizes(self) -> tuple[int, ...]:
         sizes = [0] * (self.length + 1)
@@ -321,21 +285,6 @@ def find_rank_function(p) -> RankFunction | None:
     if present != set(range(length + 1)):
         return None
     return RankFunction(tuple(sorted(rank.items())), length)
-
-
-def diamond_coloring_check(p: EdgeColoredPoset) -> bool:
-    """Every diamond must have equal colors on its opposite sides."""
-    up = p.upper_covers
-    for s in p.elements:
-        outs = up[s]
-        for (u, cu), (v, cv) in itertools.combinations(outs, 2):
-            tops_u = dict(up[u])
-            for t, ct in up[v]:
-                if t in tops_u:
-                    # s->u colored cu, s->v colored cv, u->t, v->t
-                    if not (cu == ct and cv == tops_u[t]):
-                        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +366,3 @@ def edge_color_isomorphism(p: EdgeColoredPoset, q: EdgeColoredPoset) -> dict[int
     return _labelled_isomorphism(*(
         (x.linear_extension, x.lower_covers, dict.fromkeys(x.elements, "")) for x in (p, q)))
 
-
-def are_vertex_color_isomorphic(p: VertexColoredPoset, q: VertexColoredPoset) -> bool:
-    return vertex_color_isomorphism(p, q) is not None
-
-
-def are_edge_color_isomorphic(p: EdgeColoredPoset, q: EdgeColoredPoset) -> bool:
-    return edge_color_isomorphism(p, q) is not None

@@ -438,20 +438,6 @@ def to_littelmann(algebra: Algebra, t: Tableau) -> LittelmannTableau:
     return tuple(blocks)
 
 
-def from_littelmann(algebra: Algebra, u: LittelmannTableau) -> Tableau:
-    _require_simple(algebra)
-    single = {block: col for col, block in _BLOCKS_SINGLE[algebra].items()}
-    double = {block: col for col, block in _BLOCKS_DOUBLE[algebra].items()}
-    columns = []
-    for block in u:
-        rows = len(block[0])
-        table = double if rows == 2 else single
-        if block not in table:
-            raise ValueError(f"unknown block {block}")
-        columns.append(table[block])
-    return tuple(columns)
-
-
 def wt_lit(algebra: Algebra, u: LittelmannTableau) -> Weight:
     """Normalized weight of a block tableau; always integral on admissible input.
 
@@ -487,11 +473,3 @@ def tableau_text(t: Tableau) -> str:
 def littelmann_text(u: LittelmannTableau) -> str:
     return "|".join(tableau_text(block) for block in u)
 
-
-def parse_tableau(text: str) -> Tableau:
-    if text == "":
-        return ()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ValueError(f"malformed tableau text {text!r}")
-    parts = text[1:-1].split("][")
-    return tuple(tuple(int(e) for e in part.split(",")) for part in parts)

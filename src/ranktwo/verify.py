@@ -15,9 +15,10 @@ from typing import Callable
 from .algebras import ALPHA, BETA, Algebra, cartan_matrix, sigma0
 from .build import fundamental_poset, semistandard_poset
 from .fixtures import load_fixture
-from .grid import decompose, triangle_dual
+from .grid import carry_mask, decompose, triangle_dual
 from .lattice import (IdealLattice, check_structure, infer_structure_matrix,
-                      order_ideals, piece_rank_stats, weight_via_decomposition)
+                      order_ideals, piece_rank_stats, structure_rows,
+                      weight_via_decomposition)
 from .poset import find_rank_function, vertex_color_isomorphism
 from .weyl import (LaurentPoly2, QPoly, alternating_sum,
                    character_from_lattice, q_product, rgf_from_lattice,
@@ -251,12 +252,11 @@ class Verifier:
 
 def _dual_mapping(phi, lat_ba: IdealLattice, lat_ab: IdealLattice) -> list[int]:
     """Per element of lat_ab, the lat_ba element complementing its image under
-    phi, each mask carried bit by bit into lat_ba's vertex order."""
+    phi, each mask carried into lat_ba's vertex order."""
     bit = {v: 1 << b for b, v in enumerate(lat_ba.vertex_order)}
     image_bit = [bit[phi[v]] for v in lat_ab.vertex_order]
     full, index = sum(image_bit), lat_ba.index_of
-    return [index[full ^ sum(g for b, g in enumerate(image_bit) if mask >> b & 1)]
-            for mask in lat_ab.elements]
+    return [index[full ^ carry_mask(mask, image_bit)] for mask in lat_ab.elements]
 
 
 def _induced_lattice_iso_ok(algebra, phi, lat_ba: IdealLattice,
@@ -273,20 +273,19 @@ def _induced_lattice_iso_ok(algebra, phi, lat_ba: IdealLattice,
     return image_covers == dual_covers
 
 
-def run_verify(bound: tuple[int, int] = (3, 3)) -> dict:
-    return Verifier(bound).run_all()
-
-
 def structure_report(poset) -> dict:
     """Single structure-condition check used by `verify --structure`."""
     start = time.perf_counter()
     lat = order_ideals(poset)
-    matrix = infer_structure_matrix(lat)
+    rows = structure_rows(lat)
     millis = int((time.perf_counter() - start) * 1000)
-    if matrix is None:
+    if rows is None:
         params, status = "no matrix M satisfies the structure condition", "FAIL"
+    elif None in rows:
+        free = " or ".join(c for c, r in zip(("alpha", "beta"), rows) if r is None)
+        params, status = f"matrix M not unique: the lattice has no {free} covers", "FAIL"
     else:
-        params, status = f"unique matrix rows {matrix[0]} / {matrix[1]}", "PASS"
+        params, status = f"unique matrix rows {rows[0]} / {rows[1]}", "PASS"
     return {"checks": [{"name": "structure_condition", "params": params,
                         "status": status, "millis": millis}]}
 

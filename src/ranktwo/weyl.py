@@ -9,14 +9,12 @@ against their closed product forms.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .algebras import (ALPHA, BETA, Algebra, Color, Weight, cartan_matrix,
-                       nonnegative_weight, rho_check_pairing, simple_root)
-from .lattice import IdealLattice, check_structure
-from .poset import RankFunction
+from .algebras import (ALPHA, BETA, Algebra, Color, Weight, nonnegative_weight,
+                       simple_root)
+from .lattice import IdealLattice
 
 RHO: Weight = (1, 1)
 
@@ -40,10 +38,6 @@ class LaurentPoly2:
     @staticmethod
     def zero() -> "LaurentPoly2":
         return LaurentPoly2()
-
-    @staticmethod
-    def one() -> "LaurentPoly2":
-        return LaurentPoly2({(0, 0): 1})
 
     def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
         out = dict(self.coeffs)
@@ -73,17 +67,6 @@ class LaurentPoly2:
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
-
-    def apply_to_exponents(self, f) -> "LaurentPoly2":
-        """Push every monomial exponent pair through f (a lattice map)."""
-        out: dict[tuple[int, int], int] = {}
-        for key, c in self.coeffs.items():
-            k2 = f(key)
-            out[k2] = out.get(k2, 0) + c
-        return LaurentPoly2(out)
-
-    def evaluate_at_one(self) -> int:
-        return sum(self.coeffs.values())
 
     def terms(self) -> list[tuple[tuple[int, int], int]]:
         return sorted(self.coeffs.items())
@@ -156,9 +139,6 @@ class QPoly:
         if any(rem):
             raise ArithmeticError("inexact polynomial division")
         return QPoly(out)
-
-    def evaluate_at_one(self) -> int:
-        return sum(self.coeffs)
 
     def is_palindromic(self) -> bool:
         return self.coeffs == tuple(reversed(self.coeffs))
@@ -255,14 +235,6 @@ def verify_weyl_character(algebra: Algebra, lam: Weight, chi: LaurentPoly2) -> b
     return alternating_sum(algebra, RHO) * chi == numerator
 
 
-def is_weyl_invariant(algebra: Algebra, poly: LaurentPoly2) -> bool:
-    for color in (ALPHA, BETA):
-        moved = poly.apply_to_exponents(lambda w: simple_reflection(algebra, color, w))
-        if moved != poly:
-            return False
-    return True
-
-
 # --- Rank generating functions ----------------------------------------------
 
 
@@ -305,31 +277,3 @@ def rgf_product(algebra: Algebra, lam: Weight) -> QPoly:
         dens = [1, 1, 2, 3, 4, 5]
     return q_product(nums, dens)
 
-
-def natural_rank(lattice: IdealLattice, algebra: Algebra) -> RankFunction:
-    """Rank from the weight pairing with the dual Weyl vector.
-
-    Requires the lattice to satisfy the structure condition for the
-    algebra's Cartan matrix; otherwise the pairing values cannot form a
-    rank function and a ValueError is raised.
-    """
-    if not check_structure(lattice, cartan_matrix(algebra)):
-        raise ValueError("lattice violates the structure condition")
-    pairings = [rho_check_pairing(algebra, w) for w in lattice.weights]
-    top = max(pairings, default=Fraction(0))
-    length = 2 * top
-    if length.denominator != 1:
-        raise ValueError("non-integer length; not a splitting-poset weight set")
-    values = {}
-    for i, p in enumerate(pairings):
-        r = top + p
-        if r.denominator != 1:
-            raise ValueError("non-integer rank value")
-        values[i] = int(r)
-    length = int(length)
-    if set(values.values()) != set(range(length + 1)):
-        raise ValueError("pairing values do not fill 0..l")
-    for i, j, _ in lattice.covers:
-        if values[i] + 1 != values[j]:
-            raise ValueError("pairing is not a rank function")
-    return RankFunction(tuple(sorted(values.items())), length)

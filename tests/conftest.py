@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from ranktwo.algebras import ALPHA, BETA
-from ranktwo.poset import VertexColoredPoset
+from ranktwo.poset import EdgeColoredPoset, VertexColoredPoset
 
 
 def brute_force_ideals(base: VertexColoredPoset) -> set[frozenset[int]]:
@@ -38,6 +38,25 @@ def transitive_reduction(n: int, relations: set[tuple[int, int]]) -> set[tuple[i
             if not any(v in reach[w] for w in reach[u] if w != v):
                 covers.add((u, v))
     return covers
+
+
+def minimal_elements(p: VertexColoredPoset) -> tuple[int, ...]:
+    return tuple(v for v in p.ids if not p.lower_covers[v])
+
+
+def diamond_coloring_check(p: EdgeColoredPoset) -> bool:
+    """Every diamond must have equal colors on its opposite sides."""
+    up = p.upper_covers
+    for s in p.elements:
+        outs = up[s]
+        for (u, cu), (v, cv) in itertools.combinations(outs, 2):
+            tops_u = dict(up[u])
+            for t, ct in up[v]:
+                if t in tops_u:
+                    # s->u colored cu, s->v colored cv, u->t, v->t
+                    if not (cu == ct and cv == tops_u[t]):
+                        return False
+    return True
 
 
 def random_colored_poset(rng, n: int) -> VertexColoredPoset:

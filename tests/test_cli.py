@@ -62,6 +62,16 @@ class TestCharacter:
         assert code == 0
         assert "PASS (algebra a2, weight 1,1)" in out
 
+    @pytest.mark.parametrize("weight", ["1,0", "2,0", "0,3"])
+    def test_verify_infers_a1a1_from_one_color(self, tmp_path, capsys, weight):
+        poset_file, lattice_file = tmp_path / "p.json", tmp_path / "l.json"
+        run(capsys, "build", "--algebra", "a1a1", "--weight", weight,
+            "--out", str(poset_file))
+        run(capsys, "enumerate", "--in", str(poset_file), "--out", str(lattice_file))
+        code, out, _ = run(capsys, "character", "--in", str(lattice_file), "--verify")
+        assert code == 0
+        assert out.splitlines()[-1] == f"PASS (algebra a1a1, weight {weight})"
+
     def test_prints_sorted_terms(self, tmp_path, capsys):
         poset_file, lattice_file = tmp_path / "p.json", tmp_path / "l.json"
         run(capsys, "build", "--algebra", "a2", "--weight", "1,0",
@@ -157,6 +167,15 @@ class TestVerifyCommand:
         (check,) = json.loads(report.read_text())["checks"]
         assert check["status"] == "PASS"
         assert check["params"] == "unique matrix rows (2, -1) / (-2, 2)"
+
+    def test_structure_on_one_color_poset(self, tmp_path, capsys):
+        poset_file = tmp_path / "p.json"
+        run(capsys, "build", "--algebra", "a1a1", "--weight", "0,2",
+            "--out", str(poset_file))
+        code, out, _ = run(capsys, "verify", "--structure", str(poset_file))
+        assert code == 1
+        assert out.startswith("FAIL structure_condition "
+                              "[matrix M not unique: the lattice has no alpha covers]")
 
     def test_bijection_small_range(self, capsys):
         code, out, _ = run(capsys, "verify", "--bijection", "--seed-range", "1,1")

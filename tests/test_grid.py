@@ -5,14 +5,16 @@ import pytest
 import goldens
 import ranktwo.grid
 import ranktwo.lattice
-from conftest import brute_force_ideals, random_colored_poset, transitive_reduction
+from conftest import (brute_force_ideals, minimal_elements, random_colored_poset,
+                      transitive_reduction)
 from ranktwo.algebras import ALPHA, BETA, Algebra
 from ranktwo.build import fundamental_fixtures, semistandard_poset
 from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
-from ranktwo.grid import (Decomposition, GridPoset, decompose, has_max_property,
-                          total_order, triangle_dual, validate_grid)
+from ranktwo.grid import (Decomposition, GridPoset, carry_mask, decompose,
+                          has_max_property, total_order, triangle_dual,
+                          validate_grid)
 from ranktwo.lattice import order_ideals
-from ranktwo.poset import are_vertex_color_isomorphic, vertex_color_isomorphism
+from ranktwo.poset import vertex_color_isomorphism
 
 
 def grid(colors, covers, chain):
@@ -117,10 +119,10 @@ class TestDecompose:
         dec = decompose(p)
         assert [sorted(piece.base.ids) for piece in dec.pieces] == [
             [1, 3, 4, 5, 6, 10], [2, 7, 8, 9, 11]]
-        assert are_vertex_color_isomorphic(
-            dec.pieces[0].base, goldens.NONSPLITTING_PIECE_1.base)
-        assert are_vertex_color_isomorphic(
-            dec.pieces[1].base, goldens.NONSPLITTING_PIECE_2.base)
+        assert vertex_color_isomorphism(
+            dec.pieces[0].base, goldens.NONSPLITTING_PIECE_1.base) is not None
+        assert vertex_color_isomorphism(
+            dec.pieces[1].base, goldens.NONSPLITTING_PIECE_2.base) is not None
         assert dec.labels == (None, None)
 
     def test_c2_22(self):
@@ -181,8 +183,8 @@ def extremes_split(p: GridPoset, part: frozenset[int]) -> bool:
     p2 = p.base.restrict(set(p.base.ids) - part)
     max1 = [chain[v] for v in p1.maximal_elements]
     max2 = [chain[v] for v in p2.maximal_elements]
-    min1 = [chain[v] for v in p1.minimal_elements]
-    min2 = [chain[v] for v in p2.minimal_elements]
+    min1 = [chain[v] for v in minimal_elements(p1)]
+    min2 = [chain[v] for v in minimal_elements(p2)]
     return (max(max1, default=0) <= min(max2, default=10**9)
             and max(min1, default=0) <= min(min2, default=10**9))
 
@@ -397,6 +399,50 @@ class TestDecomposeMatchesRestrictSplit:
         self.assert_same_as_reference(monkeypatch, _random_grids(rng))
 
 
+def reference_carry(mask, image_bit):
+    """The mask carried by testing every bit position."""
+    return sum(g for b, g in enumerate(image_bit) if mask >> b & 1)
+
+
+class TestCarryMask:
+    """Walking the set bits carries a mask as testing every bit does."""
+
+    @staticmethod
+    def assert_carries_like_reference(masks, image_bit):
+        for mask in masks:
+            assert carry_mask(mask, image_bit) == reference_carry(mask, image_bit)
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_duality_maps(self, algebra):
+        for lam in itertools.product(range(4), repeat=2):
+            lat_ba, lat_ab = (order_ideals(semistandard_poset(algebra, order, lam))
+                              for order in ("beta_alpha", "alpha_beta"))
+            phi = vertex_color_isomorphism(lat_ab.base, triangle_dual(lat_ba.poset, algebra).base)
+            psi = {w: v for v, w in phi.items()}
+            for source, target, f in ((lat_ab, lat_ba, phi), (lat_ba, lat_ab, psi)):
+                bit = {v: 1 << b for b, v in enumerate(target.vertex_order)}
+                self.assert_carries_like_reference(
+                    source.elements, [bit[f[v]] for v in source.vertex_order])
+
+    @staticmethod
+    def assert_projections_like_reference(dec):
+        bit = {v: 1 << b for b, v in enumerate(dec.order)}
+        for sub, (_, _, masks) in zip(dec.lattices, dec.projections):
+            to_global = [bit[v] for v in sub.vertex_order]
+            assert masks == tuple(reference_carry(m, to_global) for m in sub.elements)
+
+    def test_builder_decompositions(self):
+        for algebra in Algebra:
+            for order in ("beta_alpha", "alpha_beta"):
+                for lam in itertools.product(range(4), repeat=2):
+                    dec = semistandard_poset(algebra, order, lam).decomposition
+                    self.assert_projections_like_reference(dec)
+
+    def test_random_grids(self, rng):
+        for p in _random_grids(rng):
+            self.assert_projections_like_reference(decompose(p))
+
+
 class TestTriangleDual:
     def test_involution(self):
         p = semistandard_poset(Algebra.C2, "beta_alpha", (2, 1)).grid
@@ -406,14 +452,14 @@ class TestTriangleDual:
         from ranktwo.build import fundamental_poset
 
         p = fundamental_poset(Algebra.A2, "alpha_fund")
-        assert are_vertex_color_isomorphic(triangle_dual(p, Algebra.A2).base, p.base)
+        assert vertex_color_isomorphism(triangle_dual(p, Algebra.A2).base, p.base) is not None
 
     @pytest.mark.parametrize("algebra", list(Algebra))
     @pytest.mark.parametrize("lam", [(1, 1), (2, 1), (2, 2)])
     def test_relates_the_two_orders(self, algebra, lam):
         pba = semistandard_poset(algebra, "beta_alpha", lam).grid
         pab = semistandard_poset(algebra, "alpha_beta", lam).grid
-        assert are_vertex_color_isomorphic(triangle_dual(pba, algebra).base, pab.base)
+        assert vertex_color_isomorphism(triangle_dual(pba, algebra).base, pab.base) is not None
 
     def test_dual_stays_a_valid_grid(self):
         pba = semistandard_poset(Algebra.C2, "beta_alpha", (1, 1)).grid
