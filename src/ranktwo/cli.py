@@ -92,7 +92,7 @@ def cmd_character(args) -> int:
         algebra = matched[0]
     lam = args.weight
     if lam is None:
-        lam = lat.weight(lat.top)
+        lam = lat.weights[lat.top]
         if lam[0] < 0 or lam[1] < 0:
             print("FAIL (maximal weight is not dominant)")
             return 1

@@ -14,8 +14,13 @@ elements of one component, so an element's least component size lo is that
 of any lower cover of that color and its greatest, hi, that of any upper
 one: a pass up the covers sets lo, a pass down sets hi.  An element of size
 s has rho = s - lo, length = hi - lo and weight coordinate m = 2 rho -
-length.  The generic `edge_poset` is built only for isomorphism and rank
-functions.
+length.  Statistics are whole-lattice columns with one entry per element:
+`rank_stats(color)` gives rho and length, `weights` every weight.  Along a
+decomposition, each piece contributes its own columns read through the
+index of every element's intersection with that piece, and the sums
+(`piece_rank_stats`, `weight_via_decomposition`) compare with the lattice's
+columns by `==`.  The generic `edge_poset` is built only for isomorphism
+and rank functions.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, sub
 
 from .algebras import ALPHA, BETA, Color, Weight
 from .build import SemistandardPoset
@@ -48,7 +54,7 @@ _COLORS = (ALPHA, BETA)  # indexed by a cover's beta byte
 class Covers:
     """A lattice's covers in (i, j) order, as columns: cover k goes from
     element lower[k] up to element upper[k] and has color beta iff
-    beta[k] is 1.  Iterating, reversing or indexing gives (i, j, Color)."""
+    beta[k] is 1.  Iterating gives (i, j, Color)."""
 
     __slots__ = ("lower", "upper", "beta")
 
@@ -60,13 +66,6 @@ class Covers:
 
     def __iter__(self) -> Iterator[tuple[int, int, Color]]:
         return zip(self.lower, self.upper, map(_COLORS.__getitem__, self.beta))
-
-    def __reversed__(self) -> Iterator[tuple[int, int, Color]]:
-        return zip(reversed(self.lower), reversed(self.upper),
-                   map(_COLORS.__getitem__, reversed(self.beta)))
-
-    def __getitem__(self, k: int) -> tuple[int, int, Color]:
-        return self.lower[k], self.upper[k], _COLORS[self.beta[k]]
 
 
 @dataclass(frozen=True)
@@ -99,9 +98,6 @@ class IdealLattice:
             out.append(order[low.bit_length() - 1])
             mask ^= low
         return frozenset(out)
-
-    def size_of(self, i: int) -> int:
-        return self.elements[i].bit_count()
 
     @cached_property
     def covers(self) -> Covers:
@@ -156,10 +152,11 @@ class IdealLattice:
                 ahi[i] = ahi[j]
         return bounds
 
-    def rank_stats(self, i: int, color: Color) -> tuple[int, int]:
-        """(rho, length) of element i within its component of one color."""
+    def rank_stats(self, color: Color) -> tuple[list[int], list[int]]:
+        """Columns rho and length: per element, its place in its component of
+        one color and that component's length."""
         lo, hi = self._component_bounds[color is BETA]
-        return self.size_of(i) - lo[i], hi[i] - lo[i]
+        return list(map(sub, map(int.bit_count, self.elements), lo)), list(map(sub, hi, lo))
 
     @cached_property
     def weights(self) -> tuple[Weight, ...]:
@@ -170,9 +167,6 @@ class IdealLattice:
             twice = 2 * mask.bit_count()
             out.append((twice - alo[i] - ahi[i], twice - blo[i] - bhi[i]))
         return tuple(out)
-
-    def weight(self, i: int) -> Weight:
-        return self.weights[i]
 
     @cached_property
     def top(self) -> int:
@@ -212,16 +206,6 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
     return IdealLattice(p, built, order, tuple(ideals))
 
 
-def check_structure(lattice: IdealLattice, matrix: tuple[Weight, Weight]) -> bool:
-    """True iff every edge of color c shifts the weight by row c of matrix."""
-    weights, cov = lattice.weights, lattice.covers
-    for i, j, b in zip(cov.lower, cov.upper, cov.beta):
-        (p1, q1), (p2, q2) = weights[i], weights[j]
-        if (p2 - p1, q2 - q1) != matrix[b]:
-            return False
-    return True
-
-
 def structure_rows(lattice: IdealLattice) -> list[Weight | None] | None:
     """The weight shift shared by all covers of each color, alpha then beta,
     with None for a color that has no covers (its row is then free); None
@@ -229,55 +213,54 @@ def structure_rows(lattice: IdealLattice) -> list[Weight | None] | None:
     Rows are indexed by a cover's beta byte."""
     weights, cov = lattice.weights, lattice.covers
     rows: list[Weight | None] = [None, None]
+    for b in (0, 1):  # each row from the first cover of its color
+        k = cov.beta.find(b)
+        if k >= 0:
+            (p1, q1), (p2, q2) = weights[cov.lower[k]], weights[cov.upper[k]]
+            rows[b] = (p2 - p1, q2 - q1)
     for i, j, b in zip(cov.lower, cov.upper, cov.beta):
         (p1, q1), (p2, q2) = weights[i], weights[j]
-        d = (p2 - p1, q2 - q1)
-        if rows[b] is None:
-            rows[b] = d
-        elif rows[b] != d:
+        if (p2 - p1, q2 - q1) != rows[b]:
             return None
     return rows
 
 
-def infer_structure_matrix(lattice: IdealLattice) -> tuple[Weight, Weight] | None:
-    """The unique matrix satisfied by the weight shifts, or None.
-
-    None signals either disagreeing shifts within one color class or a
-    color with no edges at all (the matrix would not be unique).
-    """
+def check_structure(lattice: IdealLattice, matrix: tuple[Weight, Weight]) -> bool:
+    """True iff every edge of color c shifts the weight by row c of matrix."""
     rows = structure_rows(lattice)
-    return None if rows is None or None in rows else (rows[0], rows[1])
+    return rows is not None and all(r is None or r == m for r, m in zip(rows, matrix))
 
 
-def _piece_elements(lattice: IdealLattice, i: int,
-                    dec: Decomposition) -> list[tuple[IdealLattice, int]]:
-    """(piece lattice, index of element i's intersection with that piece) per piece."""
+def _projections(lattice: IdealLattice,
+                 dec: Decomposition) -> list[tuple[IdealLattice, list[int]]]:
+    """Per piece, its lattice and the column of each element's intersection
+    with it, as an index in that lattice."""
     if lattice.vertex_order != dec.order:
         raise ValueError("the decomposition is of a grid with another vertex order")
-    mask = lattice.elements[i]
-    return [(sub, index[mask & bits])
-            for sub, (bits, index, _) in zip(dec.lattices, dec.projections)]
+    return [(piece, [index[mask & bits] for mask in lattice.elements])
+            for piece, (bits, index, _) in zip(dec.lattices, dec.projections)]
 
 
-def weight_via_decomposition(lattice: IdealLattice, i: int,
-                             dec: Decomposition) -> Weight:
-    """Sum of piece-lattice weights of the intersections with each piece."""
-    total = (0, 0)
-    for sub, j in _piece_elements(lattice, i, dec):
-        w = sub.weight(j)
-        total = (total[0] + w[0], total[1] + w[1])
-    return total
+def weight_via_decomposition(lattice: IdealLattice, dec: Decomposition) -> tuple[Weight, ...]:
+    """Per element, the sum of the piece-lattice weights of its intersections
+    with the pieces."""
+    ma = mb = [0] * len(lattice)
+    for piece, column in _projections(lattice, dec):
+        wa, wb = zip(*piece.weights)
+        ma = list(map(add, ma, map(wa.__getitem__, column)))
+        mb = list(map(add, mb, map(wb.__getitem__, column)))
+    return tuple(zip(ma, mb))
 
 
-def piece_rank_stats(lattice: IdealLattice, i: int, dec: Decomposition,
-                     color: Color) -> tuple[int, int]:
-    """(sum of piece rho, sum of piece lengths) for one color."""
-    rho = length = 0
-    beta = color is BETA
-    for sub, j in _piece_elements(lattice, i, dec):
-        lo, hi = sub._component_bounds[beta]
-        rho += sub.size_of(j) - lo[j]
-        length += hi[j] - lo[j]
+def piece_rank_stats(lattice: IdealLattice, dec: Decomposition,
+                     color: Color) -> tuple[list[int], list[int]]:
+    """Columns rho and length of one color, per element summed over its
+    intersections with the pieces."""
+    rho = length = [0] * len(lattice)
+    for piece, column in _projections(lattice, dec):
+        piece_rho, piece_length = piece.rank_stats(color)
+        rho = list(map(add, rho, map(piece_rho.__getitem__, column)))
+        length = list(map(add, length, map(piece_length.__getitem__, column)))
     return rho, length
 
 

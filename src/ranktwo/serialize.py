@@ -179,7 +179,7 @@ def poset_to_dot(p: VertexColoredPoset | EdgeColoredPoset | GridPoset | IdealLat
             lines.append(
                 f'  "{u}" -> "{v}" [label="{c.value}", color={_DOT_COLOR[c.value]}];')
     if isinstance(p, IdealLattice):
-        ranks = [(i, p.size_of(i)) for i in range(len(p))]
+        ranks = enumerate(map(int.bit_count, p.elements))
     else:
         rank = find_rank_function(p)
         ranks = () if rank is None else rank.ranks

@@ -38,7 +38,7 @@ from typing import Callable, Mapping, Sequence, TypeVar
 
 from .algebras import ALPHA, BETA, Algebra, Color, Weight, nonnegative_weight
 from .build import SemistandardPoset, fundamental_poset
-from .lattice import IdealLattice, _piece_elements, order_ideals
+from .lattice import IdealLattice, order_ideals
 from .poset import EdgeColoredPoset, edge_color_isomorphism
 
 Column = tuple[int, ...]
@@ -356,8 +356,9 @@ def _column_maps(lattice: IdealLattice) -> tuple[SemistandardPoset, list[tuple]]
 def tableau_of_ideal(lattice: IdealLattice, index: int) -> Tableau:
     """Tableau of one lattice element, column by builder piece."""
     sp, maps = _column_maps(lattice)
-    return tuple(columns[j] for (_, j), (columns, _) in
-                 zip(_piece_elements(lattice, index, sp.decomposition), maps))
+    mask = lattice.elements[index]
+    return tuple(columns[piece[mask & bits]] for (bits, piece, _), (columns, _) in
+                 zip(sp.decomposition.projections, maps))
 
 
 def ideal_of_tableau(lattice: IdealLattice, t: Tableau) -> int:

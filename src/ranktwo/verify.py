@@ -16,9 +16,8 @@ from .algebras import ALPHA, BETA, Algebra, cartan_matrix, sigma0
 from .build import fundamental_poset, semistandard_poset
 from .fixtures import load_fixture
 from .grid import carry_mask, decompose, triangle_dual
-from .lattice import (IdealLattice, check_structure, infer_structure_matrix,
-                      order_ideals, piece_rank_stats, structure_rows,
-                      weight_via_decomposition)
+from .lattice import (IdealLattice, check_structure, order_ideals,
+                      piece_rank_stats, structure_rows, weight_via_decomposition)
 from .poset import find_rank_function, vertex_color_isomorphism
 from .weyl import (LaurentPoly2, QPoly, alternating_sum,
                    character_from_lattice, q_product, rgf_from_lattice,
@@ -135,14 +134,9 @@ class Verifier:
             matrix = cartan_matrix(algebra)
             for lam in _weights_in_range(self.bound):
                 for order in ORDERS:
-                    lat = self.lattice(algebra, order, lam)
-                    if not check_structure(lat, matrix):
+                    if not check_structure(self.lattice(algebra, order, lam), matrix):
                         return False
-                    both_colors = len(set(lat.covers.beta)) == 2
-                    if both_colors and infer_structure_matrix(lat) != matrix:
-                        return False
-        bad = order_ideals(load_fixture("nonsplitting_grid"))
-        return infer_structure_matrix(bad) is None
+        return structure_rows(order_ideals(load_fixture("nonsplitting_grid"))) is None
 
     def check_additivity(self) -> bool:
         for algebra in Algebra:
@@ -158,12 +152,11 @@ class Verifier:
                     dec = lat.built.decomposition
                     if len(dec) != lam[0] + lam[1] or decompose(lat) != dec:
                         return False
-                    for i in range(len(lat)):
-                        if weight_via_decomposition(lat, i, dec) != lat.weight(i):
+                    if weight_via_decomposition(lat, dec) != lat.weights:
+                        return False
+                    for color in (ALPHA, BETA):
+                        if lat.rank_stats(color) != piece_rank_stats(lat, dec, color):
                             return False
-                        for color in (ALPHA, BETA):
-                            if lat.rank_stats(i, color) != piece_rank_stats(lat, i, dec, color):
-                                return False
         return True
 
     def check_tableaux(self) -> bool:

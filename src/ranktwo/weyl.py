@@ -240,8 +240,7 @@ def verify_weyl_character(algebra: Algebra, lam: Weight, chi: LaurentPoly2) -> b
 
 def rgf_from_lattice(lattice: IdealLattice) -> QPoly:
     counts: dict[int, int] = {}
-    for i in range(len(lattice)):
-        r = lattice.size_of(i)
+    for r in map(int.bit_count, lattice.elements):
         counts[r] = counts.get(r, 0) + 1
     top = max(counts) if counts else 0
     return QPoly(tuple(counts.get(r, 0) for r in range(top + 1)))

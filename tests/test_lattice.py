@@ -8,9 +8,9 @@ from ranktwo.algebras import ALPHA, BETA, Algebra, cartan_matrix
 from ranktwo.build import fundamental_poset, semistandard_poset
 from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
 from ranktwo.grid import GridPoset, decompose, validate_grid
-from ranktwo.lattice import (TooManyIdeals, _piece_elements, check_structure,
-                             infer_structure_matrix, join_irreducible_poset,
-                             order_ideals, piece_rank_stats,
+from ranktwo.lattice import (TooManyIdeals, _projections, check_structure,
+                             join_irreducible_poset, order_ideals,
+                             piece_rank_stats, structure_rows,
                              weight_via_decomposition)
 from ranktwo.poset import (EdgeColoredPoset, _components, _topological_order,
                            edge_color_isomorphism, find_rank_function, product,
@@ -60,14 +60,14 @@ class TestEnumeration:
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
         lat = order_ideals(chain)
         assert len(lat) == n + 1
-        assert [lat.size_of(i) for i in range(len(lat))] == list(range(n + 1))
+        assert [mask.bit_count() for mask in lat.elements] == list(range(n + 1))
 
     def test_cardinality_is_a_rank_function(self):
         lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (2, 1)))
         rf = find_rank_function(lat.edge_poset)
         assert rf is not None
         assert rf.length == len(lat.base)
-        assert rf.ranks == tuple((i, lat.size_of(i)) for i in range(len(lat)))
+        assert rf.ranks == tuple(enumerate(map(int.bit_count, lat.elements)))
 
     def test_diamond_property_everywhere(self):
         for algebra in Algebra:
@@ -130,20 +130,26 @@ def _stats_from_edge_poset(lat, color):
     """(rho, length) per element, from the generic edge-colored components."""
     out = {}
     for comp in edge_components(lat.edge_poset, [color]):
-        sizes = [lat.size_of(j) for j in comp]
+        sizes = [lat.elements[j].bit_count() for j in comp]
         for i in comp:
-            out[i] = (lat.size_of(i) - min(sizes), max(sizes) - min(sizes))
+            out[i] = (lat.elements[i].bit_count() - min(sizes), max(sizes) - min(sizes))
     return out
+
+
+def columns(pairs):
+    """Per-element pairs as the two columns the lattice statistics return."""
+    pairs = list(pairs)
+    return [x for x, _ in pairs], [y for _, y in pairs]
 
 
 def _assert_statistics_match_edge_poset(lat):
     alpha = _stats_from_edge_poset(lat, ALPHA)
     beta = _stats_from_edge_poset(lat, BETA)
+    for color, oracle in ((ALPHA, alpha), (BETA, beta)):
+        assert lat.rank_stats(color) == columns(oracle[i] for i in range(len(lat)))
     for i in range(len(lat)):
-        for color, oracle in ((ALPHA, alpha), (BETA, beta)):
-            assert lat.rank_stats(i, color) == oracle[i]
         (ra, la), (rb, lb) = alpha[i], beta[i]
-        assert lat.weight(i) == (2 * ra - la, 2 * rb - lb)
+        assert lat.weights[i] == (2 * ra - la, 2 * rb - lb)
 
 
 class TestStatisticsMatchEdgePoset:
@@ -244,9 +250,6 @@ class TestCoversColumns:
         cov, ref = lat.covers, reference_covers(lat)
         assert len(cov) == len(ref)
         assert tuple(cov) == ref
-        assert tuple(reversed(cov)) == ref[::-1]
-        assert [cov[k] for k in range(len(ref))] == list(ref)
-        assert [cov[k] for k in range(-len(ref), 0)] == list(ref)
         assert type(cov.beta) is bytes and set(cov.beta) <= {0, 1}
         assert type(cov.lower) is list and type(cov.upper) is list
         assert all(type(x) is int for x in cov.lower + cov.upper)
@@ -269,30 +272,28 @@ class TestCoversColumns:
         lat = order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", (0, 0)))
         assert len(lat) == 1
         assert not lat.covers and len(lat.covers) == 0
-        assert tuple(lat.covers) == tuple(reversed(lat.covers)) == ()
-        with pytest.raises(IndexError):
-            lat.covers[0]
+        assert tuple(lat.covers) == ()
 
 
 class TestWeights:
     def test_first_fundamental_top_weight(self):
         lat = order_ideals(fundamental_poset(Algebra.A2, "alpha_fund"))
-        assert lat.weight(lat.top) == (1, 0)
-        assert [lat.weight(i) for i in range(len(lat))] == [(0, -1), (-1, 1), (1, 0)]
+        assert lat.weights[lat.top] == (1, 0)
+        assert list(lat.weights) == [(0, -1), (-1, 1), (1, 0)]
 
     @pytest.mark.parametrize("algebra", list(Algebra))
     def test_extreme_weights(self, algebra):
         for lam in [(1, 0), (1, 1), (2, 1), (3, 2)]:
             lat = order_ideals(semistandard_poset(algebra, "beta_alpha", lam))
-            assert lat.weight(lat.top) == lam
-            assert lat.weight(0) == lowest_weight(algebra, lam)
+            assert lat.weights[lat.top] == lam
+            assert lat.weights[0] == lowest_weight(algebra, lam)
 
     def test_rank_stats_consistency(self):
         lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (1, 1)))
+        (ra, la), (rb, lb) = lat.rank_stats(ALPHA), lat.rank_stats(BETA)
         for i in range(len(lat)):
-            (ra, la), (rb, lb) = lat.rank_stats(i, ALPHA), lat.rank_stats(i, BETA)
-            assert 0 <= ra <= la and 0 <= rb <= lb
-            assert lat.weight(i) == (2 * ra - la, 2 * rb - lb)
+            assert 0 <= ra[i] <= la[i] and 0 <= rb[i] <= lb[i]
+            assert lat.weights[i] == (2 * ra[i] - la[i], 2 * rb[i] - lb[i])
 
     def test_fundamental_edges_shift_by_simple_roots(self):
         for algebra in Algebra:
@@ -300,8 +301,18 @@ class TestWeights:
             for which in ("alpha_fund", "beta_fund"):
                 lat = order_ideals(fundamental_poset(algebra, which))
                 for i, j, c in lat.covers:
-                    (p1, q1), (p2, q2) = lat.weight(i), lat.weight(j)
+                    (p1, q1), (p2, q2) = lat.weights[i], lat.weights[j]
                     assert (p2 - p1, q2 - q1) == rows[c]
+
+
+def infer_structure_matrix(lattice):
+    """The unique matrix satisfied by the weight shifts, or None.
+
+    None signals either disagreeing shifts within one color class or a
+    color with no edges at all (the matrix would not be unique).
+    """
+    rows = structure_rows(lattice)
+    return None if rows is None or None in rows else (rows[0], rows[1])
 
 
 class TestStructureCondition:
@@ -347,8 +358,7 @@ class TestDecompositionStatistics:
         sp = semistandard_poset(Algebra.C2, "beta_alpha", (2, 2))
         lat = order_ideals(sp)
         dec = decompose(sp.grid)
-        for i in range(len(lat)):
-            assert weight_via_decomposition(lat, i, dec) == lat.weight(i)
+        assert weight_via_decomposition(lat, dec) == lat.weights
 
     def test_empty_ideal_sums_piece_minima(self):
         sp = semistandard_poset(Algebra.C2, "beta_alpha", (2, 2))
@@ -357,18 +367,17 @@ class TestDecompositionStatistics:
         pieces_bottom = (0, 0)
         for piece in dec.pieces:
             sub = order_ideals(piece)
-            w = sub.weight(0)
+            w = sub.weights[0]
             pieces_bottom = (pieces_bottom[0] + w[0], pieces_bottom[1] + w[1])
-        assert weight_via_decomposition(lat, 0, dec) == pieces_bottom
-        assert lat.weight(0) == pieces_bottom
+        assert weight_via_decomposition(lat, dec)[0] == pieces_bottom
+        assert lat.weights[0] == pieces_bottom
 
     def test_rank_additivity_g2_11(self):
         sp = semistandard_poset(Algebra.G2, "beta_alpha", (1, 1))
         lat = order_ideals(sp)
         dec = decompose(sp.grid)
-        for i in range(len(lat)):
-            for color in (ALPHA, BETA):
-                assert lat.rank_stats(i, color) == piece_rank_stats(lat, i, dec, color)
+        for color in (ALPHA, BETA):
+            assert lat.rank_stats(color) == piece_rank_stats(lat, dec, color)
 
 
 def reference_piece_elements(lattice, i, dec):
@@ -384,21 +393,77 @@ def reference_piece_elements(lattice, i, dec):
     return out
 
 
-class TestPieceProjection:
-    """The masked lookup of _piece_elements gives the vertex-set projection."""
+def reference_rank_stats(lattice, i, color):
+    """Oracle: (rho, length) of element i within its component of one color."""
+    lo, hi = lattice._component_bounds[color is BETA]
+    return lattice.elements[i].bit_count() - lo[i], hi[i] - lo[i]
+
+
+def reference_weight_via_decomposition(lattice, i, dec):
+    """Oracle: the sum of piece-lattice weights of element i's intersections."""
+    total = (0, 0)
+    for sub, j in reference_piece_elements(lattice, i, dec):
+        w = sub.weights[j]
+        total = (total[0] + w[0], total[1] + w[1])
+    return total
+
+
+def reference_piece_rank_stats(lattice, i, dec, color):
+    """Oracle: (sum of piece rho, sum of piece lengths) of element i, one color."""
+    rho = length = 0
+    for sub, j in reference_piece_elements(lattice, i, dec):
+        r, n = reference_rank_stats(sub, j, color)
+        rho, length = rho + r, length + n
+    return rho, length
+
+
+def battery_grids(algebra):
+    """The grids of every built poset at weights up to (3,3) with a+b >= 2, in both orders."""
+    for order in ("beta_alpha", "alpha_beta"):
+        for lam in itertools.product(range(4), repeat=2):
+            if sum(lam) >= 2:
+                yield semistandard_poset(algebra, order, lam).grid
+
+
+class TestColumnsMatchReference:
+    """The whole-lattice statistics equal the per-element oracles."""
 
     @staticmethod
     def assert_matches_reference(grid):
         lat, dec = order_ideals(grid), decompose(grid)
-        for i in range(len(lat)):
-            assert _piece_elements(lat, i, dec) == reference_piece_elements(lat, i, dec)
+        elements = range(len(lat))
+        assert weight_via_decomposition(lat, dec) == tuple(
+            reference_weight_via_decomposition(lat, i, dec) for i in elements)
+        for color in (ALPHA, BETA):
+            assert lat.rank_stats(color) == columns(
+                reference_rank_stats(lat, i, color) for i in elements)
+            assert piece_rank_stats(lat, dec, color) == columns(
+                reference_piece_rank_stats(lat, i, dec, color) for i in elements)
 
     @pytest.mark.parametrize("algebra", list(Algebra))
     def test_battery_lattices(self, algebra):
-        for order in ("beta_alpha", "alpha_beta"):
-            for lam in itertools.product(range(4), repeat=2):
-                if sum(lam) >= 2:
-                    self.assert_matches_reference(semistandard_poset(algebra, order, lam).grid)
+        for grid in battery_grids(algebra):
+            self.assert_matches_reference(grid)
+
+    def test_random_grids(self, rng):
+        for p in _random_grids(rng):
+            self.assert_matches_reference(p)
+
+
+class TestPieceProjection:
+    """The projection columns give the vertex-set projection."""
+
+    @staticmethod
+    def assert_matches_reference(grid):
+        lat, dec = order_ideals(grid), decompose(grid)
+        reference = [reference_piece_elements(lat, i, dec) for i in range(len(lat))]
+        assert _projections(lat, dec) == [
+            (sub, [pieces[k][1] for pieces in reference]) for k, sub in enumerate(dec.lattices)]
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_battery_lattices(self, algebra):
+        for grid in battery_grids(algebra):
+            self.assert_matches_reference(grid)
 
     def test_random_grids(self, rng):
         for p in _random_grids(rng):
@@ -408,9 +473,12 @@ class TestPieceProjection:
         lat = order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", (2, 2)))
         dec = decompose(semistandard_poset(Algebra.C2, "beta_alpha", (2, 2)).grid)
         with pytest.raises(ValueError, match="another vertex order"):
-            _piece_elements(lat, 0, dec)
+            _projections(lat, dec)
         with pytest.raises(ValueError):
-            weight_via_decomposition(lat, 0, dec)
+            weight_via_decomposition(lat, dec)
+        for color in (ALPHA, BETA):
+            with pytest.raises(ValueError):
+                piece_rank_stats(lat, dec, color)
 
 
 class TestFunctoriality:
@@ -509,4 +577,4 @@ class TestVertexSumWeightOracle:
                 for v in lat.element_vertices(i):
                     r = rows[color[v]]
                     total = (total[0] + r[0], total[1] + r[1])
-                assert total == lat.weight(i)
+                assert total == lat.weights[i]

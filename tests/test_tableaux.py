@@ -268,8 +268,8 @@ class TestBijection:
         assert ideal_of_tableau(lat, ((6, 7),)) == 0
         # the chain-4 prefix of size four carries weight 3w_a - 2w_b
         i = ideal_of_tableau(lat, ((3, 6),))
-        assert lat.size_of(i) == 4
-        assert lat.weight(i) == (3, -2)
+        assert lat.elements[i].bit_count() == 4
+        assert lat.weights[i] == (3, -2)
 
 
 class TestWeights:
@@ -282,7 +282,7 @@ class TestWeights:
         for lam in [(1, 0), (0, 1), (1, 1), (2, 1)]:
             lat = order_ideals(semistandard_poset(algebra, "beta_alpha", lam))
             for i in range(len(lat)):
-                assert tableauwt(algebra, tableau_of_ideal(lat, i)) == lat.weight(i)
+                assert tableauwt(algebra, tableau_of_ideal(lat, i)) == lat.weights[i]
 
 
 class TestTableauLattice:

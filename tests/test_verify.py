@@ -69,9 +69,10 @@ def wrong_cartan_matrix(m):
 
 
 def piece_rank_stats_off_by_one(m):
-    def off(lattice, i, dec, color):
-        rho, length = piece_rank_stats(lattice, i, dec, color)
-        return rho + 1, length
+    def off(lattice, dec, color):
+        rho, length = piece_rank_stats(lattice, dec, color)
+        rho[-1] += 1  # the top element's rho only
+        return rho, length
 
     m.setattr(verify, "piece_rank_stats", off)
 

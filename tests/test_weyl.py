@@ -242,7 +242,7 @@ class TestNaturalRank:
         for lam in [(1, 0), (1, 1), (2, 2)]:
             lat = lattice(algebra, lam)
             nr = natural_rank(lat, algebra)
-            assert nr.ranks == tuple((i, lat.size_of(i)) for i in range(len(lat)))
+            assert nr.ranks == tuple(enumerate(map(int.bit_count, lat.elements)))
 
     def test_rejects_nonsplitting_lattice(self):
         lat = order_ideals(load_fixture("nonsplitting_grid"))
