@@ -21,11 +21,16 @@ index of every element's intersection with that piece, and the sums
 (`piece_rank_stats`, `weight_via_decomposition`) compare with the lattice's
 columns by `==`.  The generic `edge_poset` is built only for isomorphism
 and rank functions.
+
+Every element but the bottom adds one vertex to its first lower cover, the
+least i with a cover (i, j): the columns `first_lower` reads off the covers.
+`carry` takes every mask into another vertex order along them, one `|` per
+element, and a lattice file's element rows grow the same way.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add, sub
@@ -126,6 +131,28 @@ class IdealLattice:
                         add_up(index[mask | 1 << b])
                         add_col(beta[b])
         return Covers(low, up, bytes(col))
+
+    @cached_property
+    def first_lower(self) -> tuple[list[int], list[int]]:
+        """Columns first and added: per element j, its first lower cover,
+        the least i with a cover (i, j), and the bit of the one vertex j
+        adds to it; -1 in both for the bottom, which covers nothing."""
+        elements, cov = self.elements, self.covers
+        first = [-1] * len(elements)
+        for i, j in zip(reversed(cov.lower), reversed(cov.upper)):
+            first[j] = i  # covers ascend in i, so the least i is written last
+        return first, [-1] + [(elements[i] ^ mask).bit_length() - 1
+                              for i, mask in zip(first[1:], elements[1:])]
+
+    def carry(self, image_bit: Sequence[int]) -> list[int]:
+        """Each element's mask carried into another vertex order, where bit
+        b becomes image_bit[b]: one `|` per element, onto the carried mask
+        of its first lower cover."""
+        first, added = self.first_lower
+        out = [0]
+        for i, b in zip(first[1:], added[1:]):
+            out.append(out[i] | image_bit[b])
+        return out
 
     @cached_property
     def edge_poset(self) -> EdgeColoredPoset:

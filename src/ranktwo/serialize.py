@@ -88,18 +88,17 @@ def poset_from_obj(obj: Any) -> VertexColoredPoset | EdgeColoredPoset | GridPose
 
 
 def _element_rows(lat: IdealLattice) -> list[list[int]]:
-    """Each element's vertex ids, sorted.  Covers ascend in (i, j), so the
-    first cover into j comes from its first lower cover i, whose row is
-    already made; j's row is i's with the one vertex j adds inserted (by
-    sorting a concatenation, which leaves no slack in the list)."""
-    elements, order, cov = lat.elements, lat.vertex_order, lat.covers
-    rows: list = [None] * len(elements)
-    rows[0] = []  # the bottom, the empty ideal
-    for i, j in zip(cov.lower, cov.upper):
-        if rows[j] is None:
-            row = rows[i] + [order[(elements[i] ^ elements[j]).bit_length() - 1]]
-            row.sort()
-            rows[j] = row
+    """Each element's vertex ids, sorted: an element's row is its first
+    lower cover's, whose row is already made, with the one vertex it adds
+    inserted (by sorting a concatenation, which leaves no slack in the
+    list)."""
+    order = lat.vertex_order
+    first, added = lat.first_lower
+    rows: list[list[int]] = [[]]  # the bottom, the empty ideal
+    for i, b in zip(first[1:], added[1:]):
+        row = rows[i] + [order[b]]
+        row.sort()
+        rows.append(row)
     return rows
 
 

@@ -3,7 +3,10 @@
 Runs every check the library promises, over a weight range per algebra,
 and assembles a machine-readable report:
     {"checks": [{"name", "params", "status", "millis"}, ...]}
-Any FAIL makes the run unsuccessful.
+Any FAIL makes the run unsuccessful.  The sweep runs case by case: each
+(algebra, weight) has its lattices built once, every criterion's case run
+on them and then dropped, so one case's lattices are alive at a time; a
+criterion's millis is the summed time of its cases.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Callable
 from .algebras import ALPHA, BETA, Algebra, cartan_matrix, sigma0
 from .build import fundamental_poset, semistandard_poset
 from .fixtures import load_fixture
-from .grid import carry_mask, decompose, triangle_dual
+from .grid import decompose, triangle_dual
 from .lattice import (IdealLattice, check_structure, order_ideals,
                       piece_rank_stats, structure_rows, weight_via_decomposition)
 from .poset import find_rank_function, vertex_color_isomorphism
@@ -56,31 +59,43 @@ class Verifier:
     def __init__(self, bound: tuple[int, int] = (3, 3)):
         self.bound = bound
         self.checks: list[dict] = []
+        self._seconds: dict[str, float] = {}  # per criterion, its cases' summed time
+        self._case = None  # the (algebra, weight) whose lattices _cache holds
         self._cache: dict = {}
 
     def lattice(self, algebra, order, lam) -> IdealLattice:
-        key = (algebra, order, lam)
-        if key not in self._cache:
-            self._cache[key] = order_ideals(semistandard_poset(algebra, order, lam))
-        return self._cache[key]
+        """The lattice of P^order(lam), kept until one of another (algebra,
+        weight) is asked for, so a sweep that asks case by case holds one
+        case's lattices at a time."""
+        if self._case != (algebra, lam):
+            self._case, self._cache = (algebra, lam), {}
+        if order not in self._cache:
+            self._cache[order] = order_ideals(semistandard_poset(algebra, order, lam))
+        return self._cache[order]
 
     def run_check(self, name: str, params: str, fn: Callable[[], bool]) -> bool:
+        """Run one case of criterion `name` into its entry: the case's time
+        adds to the entry's millis, and the first case that fails or raises
+        makes the entry FAIL; the criterion's later cases are then skipped."""
+        if name not in self._seconds:
+            self._seconds[name] = 0.0
+            self.checks.append({"name": name, "params": params, "status": "PASS", "millis": 0})
+        entry = next(c for c in self.checks if c["name"] == name)
+        if entry["status"] == "FAIL":
+            return False
         start = time.perf_counter()
         try:
             ok = bool(fn())
         except Exception as exc:  # a crash is a failure with a diagnosis
             ok = False
-            params = f"{params}; error: {exc}"
-        millis = int((time.perf_counter() - start) * 1000)
-        self.checks.append({
-            "name": name,
-            "params": params,
-            "status": "PASS" if ok else "FAIL",
-            "millis": millis,
-        })
+            entry["params"] = f"{params}; error: {exc}"
+        self._seconds[name] += time.perf_counter() - start
+        entry["millis"] = int(self._seconds[name] * 1000)
+        if not ok:
+            entry["status"] = "FAIL"
         return ok
 
-    # -- criteria ---------------------------------------------------------
+    # -- criteria: each a whole check, or one (algebra, weight) case of one --
 
     def check_counts(self) -> bool:
         counts = [
@@ -102,120 +117,98 @@ class Verifier:
                 return False
         return True
 
-    def _sweep(self) -> list[tuple[Algebra, tuple[int, int]]]:
-        """Every algebra at every weight in the bound, plus (4,4) for A2 and C2."""
-        sweep = [(g, lam) for g in Algebra for lam in _weights_in_range(self.bound)]
-        return sweep + [(Algebra.A2, (4, 4)), (Algebra.C2, (4, 4))]
+    def _rgf_case(self, algebra, lam) -> bool:
+        closed = rgf_product(algebra, lam)
+        if not (closed.is_palindromic() and closed.is_unimodal()):
+            return False
+        return all(rgf_from_lattice(self.lattice(algebra, order, lam)) == closed
+                   for order in ORDERS)
 
-    def check_rgf(self) -> bool:
-        start = time.perf_counter()
-        for algebra, lam in self._sweep():
-            closed = rgf_product(algebra, lam)
-            if not (closed.is_palindromic() and closed.is_unimodal()):
-                return False
-            for order in ORDERS:
-                if rgf_from_lattice(self.lattice(algebra, order, lam)) != closed:
-                    return False
-        return (time.perf_counter() - start) < 60.0
+    def _orbit_sums(self) -> bool:
+        return all(alternating_sum(algebra, (1, 1)) == RHO_SUM_LITERAL[algebra]
+                   for algebra in SIMPLE)
 
-    def check_weyl(self) -> bool:
-        for algebra in SIMPLE:
-            if alternating_sum(algebra, (1, 1)) != RHO_SUM_LITERAL[algebra]:
-                return False
-        for algebra, lam in self._sweep():
-            for order in ORDERS:
-                chi = character_from_lattice(self.lattice(algebra, order, lam))
-                if not verify_weyl_character(algebra, lam, chi):
-                    return False
-        return True
+    def _weyl_case(self, algebra, lam) -> bool:
+        return all(verify_weyl_character(
+            algebra, lam, character_from_lattice(self.lattice(algebra, order, lam)))
+            for order in ORDERS)
 
-    def check_structure(self) -> bool:
-        for algebra in Algebra:
-            matrix = cartan_matrix(algebra)
-            for lam in _weights_in_range(self.bound):
-                for order in ORDERS:
-                    if not check_structure(self.lattice(algebra, order, lam), matrix):
-                        return False
+    def _structure_case(self, algebra, lam) -> bool:
+        matrix = cartan_matrix(algebra)
+        return all(check_structure(self.lattice(algebra, order, lam), matrix)
+                   for order in ORDERS)
+
+    def _nonsplitting(self) -> bool:
         return structure_rows(order_ideals(load_fixture("nonsplitting_grid"))) is None
 
-    def check_additivity(self) -> bool:
-        for algebra in Algebra:
-            for lam in _weights_in_range(self.bound):
-                if lam[0] + lam[1] < 2:
-                    continue
-                for order in ORDERS:
-                    lat = self.lattice(algebra, order, lam)
-                    # the search, on the ideals already enumerated, finds the
-                    # builder's pieces, in order and with their labels; the
-                    # sums then run on the builder's, whose piece lattices the
-                    # tableau suite reads too
-                    dec = lat.built.decomposition
-                    if len(dec) != lam[0] + lam[1] or decompose(lat) != dec:
-                        return False
-                    if weight_via_decomposition(lat, dec) != lat.weights:
-                        return False
-                    for color in (ALPHA, BETA):
-                        if lat.rank_stats(color) != piece_rank_stats(lat, dec, color):
-                            return False
+    def _additivity_case(self, algebra, lam) -> bool:
+        for order in ORDERS:
+            lat = self.lattice(algebra, order, lam)
+            # the search, on the ideals already enumerated, finds the
+            # builder's pieces, in order and with their labels; the sums
+            # then run on the builder's, whose piece lattices the tableau
+            # suite reads too
+            dec = lat.built.decomposition
+            if len(dec) != lam[0] + lam[1] or decompose(lat) != dec:
+                return False
+            if weight_via_decomposition(lat, dec) != lat.weights:
+                return False
+            for color in (ALPHA, BETA):
+                if lat.rank_stats(color) != piece_rank_stats(lat, dec, color):
+                    return False
         return True
 
-    def check_tableaux(self) -> bool:
+    def _tableau_case(self, algebra, lam) -> bool:
         from .tableaux import (enumerate_littelmann, ideal_of_tableau,
                                tableau_lattice, tableau_of_ideal, tableauwt,
                                to_littelmann, wt_lit)
 
-        for algebra in SIMPLE:
-            for lam in _weights_in_range(self.bound):
-                lat = self.lattice(algebra, "beta_alpha", lam)
-                tl = tableau_lattice(algebra, lam)
-                tabs = tl.tableaux
-                index = {t: k for k, t in enumerate(tabs)}
-                phi = []  # element of lat -> index of its tableau in tl
-                weights = [None] * len(tabs)  # tableauwt per tableau of tl
-                for i, weight in enumerate(lat.weights):
-                    t = tableau_of_ideal(lat, i)
-                    if ideal_of_tableau(lat, t) != i:
-                        return False
-                    if tableauwt(algebra, t) != weight:
-                        return False
-                    phi.append(index[t])
-                    weights[index[t]] = weight
-                # phi, a bijection carrying the covers onto tl's with their
-                # colors, is an edge-colored isomorphism of the two lattices
-                if sorted(phi) != list(range(len(tabs))):
-                    return False
-                if {(phi[i], phi[j], c) for i, j, c in lat.covers} != tl.covers:
-                    return False
-                blocks = [to_littelmann(algebra, t) for t in tabs]
-                if sorted(blocks) != sorted(enumerate_littelmann(algebra, lam)):
-                    return False
-                if any(wt_lit(algebra, u) != w for u, w in zip(blocks, weights)):
-                    return False
-        return True
-
-    def check_duality(self) -> bool:
-        for algebra in Algebra:
-            for lam in _weights_in_range(self.bound):
-                lat_ba = self.lattice(algebra, "beta_alpha", lam)
-                lat_ab = self.lattice(algebra, "alpha_beta", lam)
-                phi = vertex_color_isomorphism(
-                    lat_ab.base, triangle_dual(lat_ba.poset, algebra).base)
-                if phi is None or not _induced_lattice_iso_ok(algebra, phi, lat_ba, lat_ab):
-                    return False
-                # By Birkhoff's theorem J(P) and J(Q) are edge-colored
-                # isomorphic iff P and Q are vertex-colored isomorphic.
-                if algebra in SIMPLE:
-                    iso = vertex_color_isomorphism(lat_ba.base, lat_ab.base) is not None
-                    if iso != (lam[0] == 0 or lam[1] == 0):
-                        return False
-        return True
-
-    def check_quasi_gaussian(self) -> bool:
-        for m in range(5):
-            lat = self.lattice(Algebra.G2, "beta_alpha", (0, m))
-            if rgf_from_lattice(lat) != quasi_gaussian_product(m):
+        lat = self.lattice(algebra, "beta_alpha", lam)
+        tl = tableau_lattice(algebra, lam)
+        tabs = tl.tableaux
+        index = {t: k for k, t in enumerate(tabs)}
+        phi = []  # element of lat -> index of its tableau in tl
+        weights = [None] * len(tabs)  # tableauwt per tableau of tl
+        for i, weight in enumerate(lat.weights):
+            t = tableau_of_ideal(lat, i)
+            if ideal_of_tableau(lat, t) != i:
                 return False
+            if tableauwt(algebra, t) != weight:
+                return False
+            phi.append(index[t])
+            weights[index[t]] = weight
+        # phi, a bijection carrying the covers onto tl's with their colors,
+        # is an edge-colored isomorphism of the two lattices
+        if sorted(phi) != list(range(len(tabs))):
+            return False
+        if {(phi[i], phi[j], c) for i, j, c in lat.covers} != tl.covers:
+            return False
+        blocks = [to_littelmann(algebra, t) for t in tabs]
+        if sorted(blocks) != sorted(enumerate_littelmann(algebra, lam)):
+            return False
+        return all(wt_lit(algebra, u) == w for u, w in zip(blocks, weights))
+
+    def check_tableaux(self) -> bool:
+        return all(self._tableau_case(algebra, lam)
+                   for algebra in SIMPLE for lam in _weights_in_range(self.bound))
+
+    def _duality_case(self, algebra, lam) -> bool:
+        lat_ba = self.lattice(algebra, "beta_alpha", lam)
+        lat_ab = self.lattice(algebra, "alpha_beta", lam)
+        phi = vertex_color_isomorphism(
+            lat_ab.base, triangle_dual(lat_ba.poset, algebra).base)
+        if phi is None or not _induced_lattice_iso_ok(algebra, phi, lat_ba, lat_ab):
+            return False
+        # By Birkhoff's theorem J(P) and J(Q) are edge-colored isomorphic
+        # iff P and Q are vertex-colored isomorphic.
+        if algebra in SIMPLE:
+            iso = vertex_color_isomorphism(lat_ba.base, lat_ab.base) is not None
+            return iso == (lam[0] == 0 or lam[1] == 0)
         return True
+
+    def _quasi_gaussian_case(self, m: int) -> bool:
+        lat = self.lattice(Algebra.G2, "beta_alpha", (0, m))
+        return rgf_from_lattice(lat) == quasi_gaussian_product(m)
 
     def check_warmups(self) -> bool:
         chain23 = order_ideals(load_fixture("chain_product_2x3"))
@@ -230,16 +223,49 @@ class Verifier:
 
     def run_all(self) -> dict:
         bound_text = f"a<={self.bound[0]}, b<={self.bound[1]}"
-        self.run_check("counts", "golden lattice and fundamental sizes", self.check_counts)
-        self.run_check("rgf_product_identity", f"{bound_text} plus (4,4) for a2/c2", self.check_rgf)
-        self.run_check("weyl_character", f"{bound_text}, both orders, literal orbit sums", self.check_weyl)
-        self.run_check("structure_condition", f"{bound_text} plus nonsplitting fixture", self.check_structure)
-        self.run_check("additivity", f"{bound_text}, both colors, every element", self.check_additivity)
-        self.run_check("tableau_suite", f"simple algebras, {bound_text}", self.check_tableaux)
-        self.run_check("duality", f"{bound_text}; recolored dual; iso dichotomy on a2/c2/g2 "
-                       "posets, so on their lattices (Birkhoff)", self.check_duality)
-        self.run_check("quasi_gaussian", "second-weight family, m=0..4", self.check_quasi_gaussian)
-        self.run_check("warmup_goldens", "chain product 2x3 and catalan posets", self.check_warmups)
+        params = {
+            "counts": "golden lattice and fundamental sizes",
+            "rgf_product_identity": f"{bound_text} plus (4,4) for a2/c2",
+            "weyl_character": f"{bound_text}, both orders, literal orbit sums",
+            "structure_condition": f"{bound_text} plus nonsplitting fixture",
+            "additivity": f"{bound_text}, both colors, every element",
+            "tableau_suite": f"simple algebras, {bound_text}",
+            "duality": f"{bound_text}; recolored dual; iso dichotomy on a2/c2/g2 "
+                       "posets, so on their lattices (Birkhoff)",
+            "quasi_gaussian": "second-weight family, m=0..4",
+            "warmup_goldens": "chain product 2x3 and catalan posets",
+        }
+
+        def check(name, fn, *args):
+            self.run_check(name, params[name], partial(fn, *args))
+
+        check("counts", self.check_counts)
+        check("weyl_character", self._orbit_sums)
+        in_bound = _weights_in_range(self.bound)
+        # each (algebra, weight) once: the bound's, then (4,4) for a2/c2 and
+        # the quasi-Gaussian family's G2 weights beyond it
+        cases = [(g, lam) for g in Algebra for lam in in_bound]
+        extra = [(Algebra.A2, (4, 4)), (Algebra.C2, (4, 4))]
+        extra += [(Algebra.G2, (0, m)) for m in range(5)]
+        for algebra, lam in cases + [case for case in extra if case not in cases]:
+            if lam in in_bound or lam == (4, 4):
+                check("rgf_product_identity", self._rgf_case, algebra, lam)
+                check("weyl_character", self._weyl_case, algebra, lam)
+            if lam in in_bound:
+                check("structure_condition", self._structure_case, algebra, lam)
+                if lam[0] + lam[1] >= 2:
+                    check("additivity", self._additivity_case, algebra, lam)
+                if algebra in SIMPLE:
+                    check("tableau_suite", self._tableau_case, algebra, lam)
+                check("duality", self._duality_case, algebra, lam)
+            if algebra is Algebra.G2 and lam[0] == 0 and lam[1] <= 4:
+                check("quasi_gaussian", self._quasi_gaussian_case, lam[1])
+        self._case, self._cache = None, {}
+        # the rgf bound times the whole sweep's rgf cases, lattice builds included
+        check("rgf_product_identity", lambda: self._seconds["rgf_product_identity"] < 60.0)
+        check("structure_condition", self._nonsplitting)
+        check("warmup_goldens", self.check_warmups)
+        self.checks.sort(key=lambda c: list(params).index(c["name"]))
         return {"checks": self.checks}
 
 
@@ -249,21 +275,27 @@ def _dual_mapping(phi, lat_ba: IdealLattice, lat_ab: IdealLattice) -> list[int]:
     bit = {v: 1 << b for b, v in enumerate(lat_ba.vertex_order)}
     image_bit = [bit[phi[v]] for v in lat_ab.vertex_order]
     full, index = sum(image_bit), lat_ba.index_of
-    return [index[full ^ carry_mask(mask, image_bit)] for mask in lat_ab.elements]
+    return [index[full ^ mask] for mask in lat_ab.carry(image_bit)]
 
 
 def _induced_lattice_iso_ok(algebra, phi, lat_ba: IdealLattice,
                             lat_ab: IdealLattice) -> bool:
     """Check that ideal complements along phi give an edge-colored iso
     from the alpha-beta lattice onto the recolored dual of the beta-alpha one.
-    """
+    Covers compare as sorted keys (i * n + j) * 2 + beta; sigma0 flips beta
+    iff it swaps the two colors."""
     mapping = _dual_mapping(phi, lat_ba, lat_ab)
-    if len(set(mapping)) != len(lat_ba):
+    n = len(lat_ba)
+    if len(set(mapping)) != n:
         return False
-    sig = sigma0(algebra)
-    dual_covers = {(j, i, sig[c]) for i, j, c in lat_ba.covers}
-    image_covers = {(mapping[i], mapping[j], c) for i, j, c in lat_ab.covers}
-    return image_covers == dual_covers
+    flip = sigma0(algebra)[ALPHA] is BETA
+    cov = lat_ba.covers
+    dual_keys = sorted((j * n + i) * 2 + (b ^ flip)
+                       for i, j, b in zip(cov.lower, cov.upper, cov.beta))
+    cov = lat_ab.covers
+    image_keys = sorted((mapping[i] * n + mapping[j]) * 2 + b
+                        for i, j, b in zip(cov.lower, cov.upper, cov.beta))
+    return image_keys == dual_keys
 
 
 def structure_report(poset) -> dict:

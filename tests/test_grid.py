@@ -10,7 +10,7 @@ from conftest import (brute_force_ideals, minimal_elements, random_colored_poset
 from ranktwo.algebras import ALPHA, BETA, Algebra
 from ranktwo.build import fundamental_fixtures, semistandard_poset
 from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
-from ranktwo.grid import (Decomposition, GridPoset, carry_mask, decompose,
+from ranktwo.grid import (Decomposition, GridPoset, decompose,
                           has_max_property, total_order, triangle_dual,
                           validate_grid)
 from ranktwo.lattice import order_ideals
@@ -399,18 +399,43 @@ class TestDecomposeMatchesRestrictSplit:
         self.assert_same_as_reference(monkeypatch, _random_grids(rng))
 
 
+def carry_mask(mask, image_bit):
+    """The union of image_bit[b] over the set bits b of mask, walking only
+    the bits that are set."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= image_bit[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def reference_carry(mask, image_bit):
     """The mask carried by testing every bit position."""
     return sum(g for b, g in enumerate(image_bit) if mask >> b & 1)
 
 
 class TestCarryMask:
-    """Walking the set bits carries a mask as testing every bit does."""
+    """Carrying every mask along the first lower covers, and walking each
+    mask's set bits, both carry it as testing every bit does."""
 
     @staticmethod
-    def assert_carries_like_reference(masks, image_bit):
-        for mask in masks:
-            assert carry_mask(mask, image_bit) == reference_carry(mask, image_bit)
+    def assert_first_lower_is_first_cover(lat):
+        first, added = lat.first_lower
+        into = {}
+        for i, j, _ in lat.covers:
+            into.setdefault(j, i)
+        assert first == [-1] + [into[j] for j in range(1, len(lat))]
+        assert added[0] == -1
+        assert [lat.elements[i] | 1 << b for i, b in zip(first[1:], added[1:])] \
+            == list(lat.elements[1:])
+
+    @classmethod
+    def assert_carries_like_reference(cls, lat, image_bit):
+        reference = [reference_carry(mask, image_bit) for mask in lat.elements]
+        assert [carry_mask(mask, image_bit) for mask in lat.elements] == reference
+        assert lat.carry(image_bit) == reference
+        cls.assert_first_lower_is_first_cover(lat)
 
     @pytest.mark.parametrize("algebra", list(Algebra))
     def test_duality_maps(self, algebra):
@@ -422,14 +447,15 @@ class TestCarryMask:
             for source, target, f in ((lat_ab, lat_ba, phi), (lat_ba, lat_ab, psi)):
                 bit = {v: 1 << b for b, v in enumerate(target.vertex_order)}
                 self.assert_carries_like_reference(
-                    source.elements, [bit[f[v]] for v in source.vertex_order])
+                    source, [bit[f[v]] for v in source.vertex_order])
 
-    @staticmethod
-    def assert_projections_like_reference(dec):
+    @classmethod
+    def assert_projections_like_reference(cls, dec):
         bit = {v: 1 << b for b, v in enumerate(dec.order)}
         for sub, (_, _, masks) in zip(dec.lattices, dec.projections):
             to_global = [bit[v] for v in sub.vertex_order]
             assert masks == tuple(reference_carry(m, to_global) for m in sub.elements)
+            cls.assert_carries_like_reference(sub, to_global)
 
     def test_builder_decompositions(self):
         for algebra in Algebra:

@@ -2,6 +2,7 @@
 isomorphism dichotomy agrees with the lattice-level search, and the duality
 mapping on masks agrees with its vertex-set construction."""
 
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import ranktwo.tableaux
 from ranktwo import verify
 from ranktwo.algebras import Algebra, sigma0
-from ranktwo.build import fundamental_poset, semistandard_poset
+from ranktwo.build import SemistandardPoset, fundamental_poset, semistandard_poset
 from ranktwo.fixtures import load_fixture
 from ranktwo.grid import Decomposition, decompose, triangle_dual
 from ranktwo.lattice import order_ideals, piece_rank_stats
@@ -145,9 +146,80 @@ def test_crashing_check_fails_with_its_error(monkeypatch):
         raise RuntimeError("decomposition crashed")
 
     monkeypatch.setattr(verify, "decompose", crash)
-    check = run()["additivity"]
+    report = run()
+    check = report.pop("additivity")
     assert check["status"] == "FAIL"
     assert check["params"].endswith("; error: decomposition crashed")
+    assert check["params"].count("decomposition crashed") == 1
+    assert len(report) == 8
+    assert all(c["status"] == "PASS" for c in report.values()), report
+
+
+# --- the report, and the sweep run case by case -------------------------------
+
+
+GOLDEN_22 = [
+    ("counts", "golden lattice and fundamental sizes"),
+    ("rgf_product_identity", "a<=2, b<=2 plus (4,4) for a2/c2"),
+    ("weyl_character", "a<=2, b<=2, both orders, literal orbit sums"),
+    ("structure_condition", "a<=2, b<=2 plus nonsplitting fixture"),
+    ("additivity", "a<=2, b<=2, both colors, every element"),
+    ("tableau_suite", "simple algebras, a<=2, b<=2"),
+    ("duality", "a<=2, b<=2; recolored dual; iso dichotomy on a2/c2/g2 posets, "
+                "so on their lattices (Birkhoff)"),
+    ("quasi_gaussian", "second-weight family, m=0..4"),
+    ("warmup_goldens", "chain product 2x3 and catalan posets"),
+]
+
+
+def test_report_matches_golden():
+    checks = verify.Verifier((2, 2)).run_all()["checks"]
+    assert [sorted(c) for c in checks] == [["millis", "name", "params", "status"]] * 9
+    assert [(c["name"], c["params"], c["status"]) for c in checks] == \
+        [(name, params, "PASS") for name, params in GOLDEN_22]
+
+
+def test_run_check_sums_cases_and_keeps_the_first_failure(monkeypatch):
+    clock = [0.0]
+    monkeypatch.setattr(verify, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+
+    def case(seconds, ok=True, error=None):
+        def fn():
+            clock[0] += seconds
+            if error is not None:
+                raise RuntimeError(error)
+            return ok
+        return fn
+
+    v = verify.Verifier()
+    assert v.run_check("a", "p", case(0.25)) and v.run_check("b", "q", case(1.0))
+    assert not v.run_check("a", "p", case(0.5, error="first"))
+    assert not v.run_check("a", "p", case(2.0, error="second"))  # skipped
+    assert v.checks == [
+        {"name": "a", "params": "p; error: first", "status": "FAIL", "millis": 750},
+        {"name": "b", "params": "q", "status": "PASS", "millis": 1000},
+    ]
+
+
+def test_sweep_lattices_are_dropped_case_by_case(monkeypatch):
+    refs = []  # a weakref to every lattice of a built poset, in build order
+    cases = []
+
+    def recording_order_ideals(p, *args, **kwargs):
+        lat = order_ideals(p, *args, **kwargs)
+        if isinstance(p, SemistandardPoset):
+            case = (p.algebra, p.weight)
+            if not cases or cases[-1] != case:  # a new case starts
+                assert [ref() for ref in refs if ref() is not None] == [], case
+                cases.append(case)
+            refs.append(weakref.ref(lat))
+        return lat
+
+    monkeypatch.setattr(verify, "order_ideals", recording_order_ideals)
+    report = verify.Verifier((2, 2)).run_all()
+    assert all(c["status"] == "PASS" for c in report["checks"])
+    assert len(cases) == 2 + 4 * 9 + 2 + 2  # counts, sweep, (4,4)s, G2 (0,3), (0,4)
+    assert [ref() for ref in refs if ref() is not None] == []
 
 
 # --- the dichotomy on posets against the lattice-level search ----------------
