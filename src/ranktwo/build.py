@@ -88,12 +88,13 @@ class SemistandardPoset:
 
 
 def _piece_sequence(algebra: Algebra, order: Order, lam: Weight) -> list[tuple[Which, int]]:
-    """(kind, chain offset) per piece, in concatenation order."""
+    """(kind, chain offset) per piece, in concatenation order; the second
+    kind's offset is 1 only after pieces of the first, so chains are onto 1..m."""
     a, b = nonnegative_weight(lam)
     if order == "beta_alpha":
-        return [("beta_fund", 0)] * b + [("alpha_fund", 1)] * a
+        return [("beta_fund", 0)] * b + [("alpha_fund", int(b > 0))] * a
     if order == "alpha_beta":
-        return [("alpha_fund", 0)] * a + [("beta_fund", 1)] * b
+        return [("alpha_fund", 0)] * a + [("beta_fund", int(a > 0))] * b
     raise ValueError(f"order must be beta_alpha or alpha_beta, got {order!r}")
 
 
@@ -119,7 +120,7 @@ def semistandard_poset(algebra: Algebra, order: Order, lam: Weight) -> Semistand
                       if verts[lo][0] != verts[hi][0])
     for seg in segments.values():
         covers.update(zip(seg, seg[1:]))
-    grid = GridPoset.build(colors, covers, chain).normalized()
+    grid = GridPoset.build(colors, covers, chain)
     return SemistandardPoset(grid, algebra, order, lam)
 
 

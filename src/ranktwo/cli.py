@@ -15,8 +15,8 @@ from .fixtures import FIXTURE_NAMES, load_fixture
 from .grid import GridPoset
 from .lattice import DEFAULT_MAX_IDEALS, TooManyIdeals, order_ideals, structure_rows
 from .poset import EdgeColoredPoset
-from .serialize import (dump, dumps, lattice_from_obj, lattice_to_obj, load,
-                        poset_from_obj, poset_to_dot, poset_to_obj)
+from .serialize import (dumps, lattice_from_obj, lattice_to_obj, load, poset_from_obj,
+                        poset_to_dot, poset_to_obj)
 from .weyl import character_from_lattice, rgf_from_lattice, rgf_product, verify_weyl_character
 
 
@@ -131,7 +131,7 @@ def cmd_tableaux(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import Verifier, bijection_report, structure_report
+    from .verify import Verifier, structure_report
 
     if args.structure is not None:
         name = args.structure
@@ -143,15 +143,14 @@ def cmd_verify(args) -> int:
             print(f"no such fixture or file: {name}", file=sys.stderr)
             return 2
         report = structure_report(poset)
-    elif args.bijection:
-        report = bijection_report(args.seed_range)
     else:
-        report = Verifier(args.seed_range).run_all()
+        report = Verifier(args.seed_range).run_all(
+            ("tableau_suite",) if args.bijection else None)
     for check in report["checks"]:
         print(f"{check['status']:4} {check['name']} [{check['params']}] "
               f"({check['millis']} ms)")
     if args.out is not None:
-        dump(report, args.out)
+        _write_or_print(dumps(report), args.out)
     return 0 if all(c["status"] == "PASS" for c in report["checks"]) else 1
 
 

@@ -21,9 +21,7 @@ class GridPoset:
     """A vertex-colored poset with a chain function into [m].
 
     Chain indices are stored exactly as given, so that violations in the
-    input (jumped chains and the like) stay visible to validate_grid;
-    normalized() re-indexes onto a surjective 1..m', which is unique for
-    a connected grid poset.
+    input (jumped chains and the like) stay visible to validate_grid.
     """
 
     base: VertexColoredPoset
@@ -32,11 +30,6 @@ class GridPoset:
     def __post_init__(self):
         if sorted(v for v, _ in self.chains) != sorted(self.base.ids):
             raise PosetError("chain function must cover exactly the vertex set")
-
-    def normalized(self) -> "GridPoset":
-        used = sorted({c for _, c in self.chains})
-        renum = {c: i + 1 for i, c in enumerate(used)}
-        return GridPoset(self.base, tuple((v, renum[c]) for v, c in self.chains))
 
     @staticmethod
     def build(colors: Mapping[int, Color], covers: Iterable[tuple[int, int]],

@@ -144,11 +144,6 @@ def load(path: str) -> Any:
         return json.load(fh)
 
 
-def dump(obj: dict[str, Any], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps(obj))
-
-
 # --- DOT ---------------------------------------------------------------------
 
 _DOT_COLOR = {"a": "firebrick", "b": "royalblue"}

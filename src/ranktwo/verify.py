@@ -4,9 +4,10 @@ Runs every check the library promises, over a weight range per algebra,
 and assembles a machine-readable report:
     {"checks": [{"name", "params", "status", "millis"}, ...]}
 Any FAIL makes the run unsuccessful.  The sweep runs case by case: each
-(algebra, weight) has its lattices built once, every criterion's case run
-on them and then dropped, so one case's lattices are alive at a time; a
-criterion's millis is the summed time of its cases.
+(algebra, weight) has its lattices built once, every selected criterion's
+case run on them and then dropped, so one case's lattices are alive at a
+time; a criterion's millis is the summed time of its cases.  `ranktwo verify
+--bijection` is the same sweep with the tableau suite alone selected.
 """
 
 from __future__ import annotations
@@ -51,10 +52,6 @@ def quasi_gaussian_product(m: int) -> QPoly:
     return q_product((m + 1, m + 2, 2 * m + 3, 3 * m + 4, 3 * m + 5), (1, 2, 3, 4, 5))
 
 
-def _weights_in_range(bound: tuple[int, int]):
-    return [(a, b) for a in range(bound[0] + 1) for b in range(bound[1] + 1)]
-
-
 class Verifier:
     def __init__(self, bound: tuple[int, int] = (3, 3)):
         self.bound = bound
@@ -66,7 +63,8 @@ class Verifier:
     def lattice(self, algebra, order, lam) -> IdealLattice:
         """The lattice of P^order(lam), kept until one of another (algebra,
         weight) is asked for, so a sweep that asks case by case holds one
-        case's lattices at a time."""
+        case's lattices at a time; run_all drops a case's alpha_beta lattice
+        after duality, its last reader."""
         if self._case != (algebra, lam):
             self._case, self._cache = (algebra, lam), {}
         if order not in self._cache:
@@ -188,10 +186,6 @@ class Verifier:
             return False
         return all(wt_lit(algebra, u) == w for u, w in zip(blocks, weights))
 
-    def check_tableaux(self) -> bool:
-        return all(self._tableau_case(algebra, lam)
-                   for algebra in SIMPLE for lam in _weights_in_range(self.bound))
-
     def _duality_case(self, algebra, lam) -> bool:
         lat_ba = self.lattice(algebra, "beta_alpha", lam)
         lat_ab = self.lattice(algebra, "alpha_beta", lam)
@@ -221,7 +215,8 @@ class Verifier:
             return False
         return len(order_ideals(load_fixture("catalan_p3"))) == 14
 
-    def run_all(self) -> dict:
+    def run_all(self, criteria: tuple[str, ...] | None = None) -> dict:
+        """Run every criterion, or only those in `criteria`, in one case loop."""
         bound_text = f"a<={self.bound[0]}, b<={self.bound[1]}"
         params = {
             "counts": "golden lattice and fundamental sizes",
@@ -235,13 +230,18 @@ class Verifier:
             "quasi_gaussian": "second-weight family, m=0..4",
             "warmup_goldens": "chain product 2x3 and catalan posets",
         }
+        selected = set(params if criteria is None else criteria)
+        if not selected <= params.keys():  # an empty report would pass
+            raise ValueError(f"unknown criteria: {sorted(selected - params.keys())}")
 
         def check(name, fn, *args):
-            self.run_check(name, params[name], partial(fn, *args))
+            if name in selected:
+                self.run_check(name, params[name], partial(fn, *args))
 
         check("counts", self.check_counts)
         check("weyl_character", self._orbit_sums)
-        in_bound = _weights_in_range(self.bound)
+        in_bound = [(a, b) for a in range(self.bound[0] + 1)
+                    for b in range(self.bound[1] + 1)]
         # each (algebra, weight) once: the bound's, then (4,4) for a2/c2 and
         # the quasi-Gaussian family's G2 weights beyond it
         cases = [(g, lam) for g in Algebra for lam in in_bound]
@@ -255,9 +255,11 @@ class Verifier:
                 check("structure_condition", self._structure_case, algebra, lam)
                 if lam[0] + lam[1] >= 2:
                     check("additivity", self._additivity_case, algebra, lam)
+                check("duality", self._duality_case, algebra, lam)
+                # duality was the alpha_beta lattice's last reader
+                self._cache.pop("alpha_beta", None)
                 if algebra in SIMPLE:
                     check("tableau_suite", self._tableau_case, algebra, lam)
-                check("duality", self._duality_case, algebra, lam)
             if algebra is Algebra.G2 and lam[0] == 0 and lam[1] <= 4:
                 check("quasi_gaussian", self._quasi_gaussian_case, lam[1])
         self._case, self._cache = None, {}
@@ -313,10 +315,3 @@ def structure_report(poset) -> dict:
         params, status = f"unique matrix rows {rows[0]} / {rows[1]}", "PASS"
     return {"checks": [{"name": "structure_condition", "params": params,
                         "status": status, "millis": millis}]}
-
-
-def bijection_report(bound: tuple[int, int] = (3, 3)) -> dict:
-    v = Verifier(bound)
-    v.run_check("tableau_suite", f"simple algebras, a<={bound[0]}, b<={bound[1]}",
-                v.check_tableaux)
-    return {"checks": v.checks}

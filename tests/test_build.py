@@ -6,7 +6,8 @@ import goldens
 from ranktwo.algebras import ALPHA, BETA, Algebra
 from ranktwo.build import (fundamental_fixtures, fundamental_poset,
                            semistandard_poset, semistandard_poset_oracle)
-from ranktwo.grid import decompose, has_max_property, total_order, validate_grid
+from ranktwo.grid import (GridPoset, decompose, has_max_property, total_order,
+                          validate_grid)
 from ranktwo.lattice import order_ideals
 from ranktwo.poset import vertex_color_isomorphism
 
@@ -85,6 +86,12 @@ class TestFundamentalPosets:
         assert fundamental_fixtures()["c2(1,0)"] is fundamental_poset(Algebra.C2, "alpha_fund")
 
 
+def reference_normalized(grid):
+    """Oracle: the chains re-indexed onto 1..m in their order."""
+    renum = {c: i + 1 for i, c in enumerate(sorted({c for _, c in grid.chains}))}
+    return GridPoset(grid.base, tuple((v, renum[c]) for v, c in grid.chains))
+
+
 class TestSemistandardPosets:
     def test_empty_weight(self):
         sp = semistandard_poset(Algebra.G2, "beta_alpha", (0, 0))
@@ -134,6 +141,15 @@ class TestSemistandardPosets:
                     grid = semistandard_poset(algebra, order, (a, b)).grid
                     assert validate_grid(grid) == []
                     assert has_max_property(grid)
+
+    def test_chains_are_onto_one_to_m(self):
+        for algebra in Algebra:
+            for order in ("beta_alpha", "alpha_beta"):
+                for lam in itertools.product(range(5), repeat=2):
+                    grid = semistandard_poset(algebra, order, lam).grid
+                    assert grid == reference_normalized(grid), (algebra, order, lam)
+                    assert {c for _, c in grid.chains} == \
+                        set(range(1, grid.num_chains + 1)), (algebra, order, lam)
 
     def test_piece_spans_partition_ids(self):
         dec = semistandard_poset(Algebra.G2, "beta_alpha", (3, 2)).decomposition

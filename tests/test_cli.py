@@ -1,9 +1,12 @@
 import json
+import re
 
 import pytest
 
 import ranktwo.lattice
 from ranktwo.cli import main
+from ranktwo.serialize import dumps
+from ranktwo.verify import Verifier
 
 
 def run(capsys, *argv):
@@ -181,6 +184,27 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--bijection", "--seed-range", "1,1")
         assert code == 0
         assert "tableau_suite" in out
+
+    def test_bijection_line(self, capsys):
+        code, out, _ = run(capsys, "verify", "--bijection", "--seed-range", "2,2")
+        assert code == 0
+        assert re.fullmatch(r"PASS tableau_suite \[simple algebras, a<=2, b<=2\] "
+                            r"\(\d+ ms\)\n", out)
+
+    def test_report_file_is_the_canonical_dump(self, tmp_path, capsys, monkeypatch):
+        reports = []
+        run_all = Verifier.run_all
+
+        def recording_run_all(self, *args):
+            reports.append(run_all(self, *args))
+            return reports[-1]
+
+        monkeypatch.setattr(Verifier, "run_all", recording_run_all)
+        path = tmp_path / "report.json"
+        code, _, _ = run(capsys, "verify", "--seed-range", "1,1", "--out", str(path))
+        assert code == 0
+        (report,) = reports
+        assert path.read_bytes() == dumps(report).encode()
 
     def test_missing_fixture(self, capsys):
         code, _, err = run(capsys, "verify", "--structure", "no_such_thing")

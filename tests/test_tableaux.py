@@ -396,7 +396,7 @@ def test_window_decrements_match_full_check(algebra):
 
 
 class TestBijectionCheckCatchesTampering:
-    """check_tableaux proves the lattice equivalence by the bijection itself;
+    """The tableau suite proves the lattice equivalence by the bijection itself;
     a tableau lattice with one cover recolored or dropped must fail it, and
     one rebuilt with its own covers must pass.  Only weight (1,1) is
     tampered with: the one-column lattices also define the column
@@ -426,18 +426,23 @@ class TestBijectionCheckCatchesTampering:
     def drop(covers):
         return covers[1:]
 
+    @staticmethod
+    def suite_status():
+        (entry,) = Verifier((1, 1)).run_all(("tableau_suite",))["checks"]
+        return entry["status"]
+
     def test_untampered_passes(self):
-        assert Verifier((1, 1)).check_tableaux()
+        assert self.suite_status() == "PASS"
 
     @pytest.mark.parametrize("change", ["recolor", "drop"])
     def test_tampered_fails(self, monkeypatch, change):
         monkeypatch.setattr("ranktwo.tableaux.tableau_lattice",
                             self.tampered(getattr(self, change)))
-        assert not Verifier((1, 1)).check_tableaux()
+        assert self.suite_status() == "FAIL"
 
     def test_rebuilt_untampered_passes(self, monkeypatch):
         monkeypatch.setattr("ranktwo.tableaux.tableau_lattice", self.tampered(self.keep))
-        assert Verifier((1, 1)).check_tableaux()
+        assert self.suite_status() == "PASS"
 
 
 def reference_enumerate_littelmann(algebra, lam):

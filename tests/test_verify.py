@@ -222,6 +222,59 @@ def test_sweep_lattices_are_dropped_case_by_case(monkeypatch):
     assert [ref() for ref in refs if ref() is not None] == []
 
 
+def test_alpha_beta_lattice_is_dropped_before_the_tableau_suite(monkeypatch):
+    alpha_beta = {}  # (algebra, weight) -> weakref to its alpha_beta lattice
+    tableau_cases = []
+
+    def recording_order_ideals(p, *args, **kwargs):
+        lat = order_ideals(p, *args, **kwargs)
+        if isinstance(p, SemistandardPoset) and p.order == "alpha_beta":
+            alpha_beta[p.algebra, p.weight] = weakref.ref(lat)
+        return lat
+
+    tableau_case = verify.Verifier._tableau_case
+
+    def checked_tableau_case(self, algebra, lam):
+        assert alpha_beta[algebra, lam]() is None, (algebra, lam)
+        tableau_cases.append((algebra, lam))
+        return tableau_case(self, algebra, lam)
+
+    monkeypatch.setattr(verify, "order_ideals", recording_order_ideals)
+    monkeypatch.setattr(verify.Verifier, "_tableau_case", checked_tableau_case)
+    report = verify.Verifier((2, 2)).run_all()
+    assert all(c["status"] == "PASS" for c in report["checks"])
+    assert len(tableau_cases) == 3 * 9
+
+
+def test_tableau_suite_alone_runs_only_its_cases(monkeypatch):
+    built = []  # (algebra, order, weight) of every sweep lattice
+    ran = []  # the criterion of every case run
+
+    def recording_order_ideals(p, *args, **kwargs):
+        if isinstance(p, SemistandardPoset):
+            built.append((p.algebra, p.order, p.weight))
+        return order_ideals(p, *args, **kwargs)
+
+    run_check = verify.Verifier.run_check
+
+    def recording_run_check(self, name, params, fn):
+        ran.append(name)
+        return run_check(self, name, params, fn)
+
+    full = {c["name"]: c for c in verify.Verifier((2, 2)).run_all()["checks"]}
+    monkeypatch.setattr(verify, "order_ideals", recording_order_ideals)
+    monkeypatch.setattr(verify.Verifier, "run_check", recording_run_check)
+    (entry,) = verify.Verifier((2, 2)).run_all(("tableau_suite",))["checks"]
+    expected = full["tableau_suite"]
+    assert (entry["name"], entry["params"], entry["status"]) == \
+        (expected["name"], expected["params"], expected["status"])
+    assert ran == ["tableau_suite"] * 3 * 9
+    assert built == [(algebra, "beta_alpha", (a, b))
+                     for algebra in verify.SIMPLE for a in range(3) for b in range(3)]
+    with pytest.raises(ValueError, match="tableau_suit"):
+        verify.Verifier((2, 2)).run_all(("tableau_suit",))
+
+
 # --- the dichotomy on posets against the lattice-level search ----------------
 
 
@@ -252,7 +305,7 @@ def reference_dual_mapping(phi, lat_ba, lat_ab):
 
 def dual_pairs(algebra):
     """(lam, phi, lat_ba, lat_ab) at every weight up to (2,2), as check_duality builds them."""
-    for lam in verify._weights_in_range((2, 2)):
+    for lam in [(a, b) for a in range(3) for b in range(3)]:
         lat_ba, lat_ab = (order_ideals(semistandard_poset(algebra, order, lam))
                           for order in verify.ORDERS)
         phi = vertex_color_isomorphism(lat_ab.base, triangle_dual(lat_ba.poset, algebra).base)
