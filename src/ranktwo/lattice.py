@@ -16,11 +16,11 @@ one: a pass up the covers sets lo, a pass down sets hi.  An element of size
 s has rho = s - lo, length = hi - lo and weight coordinate m = 2 rho -
 length.  Statistics are whole-lattice columns with one entry per element:
 `rank_stats(color)` gives rho and length, `weights` every weight.  Along a
-decomposition, each piece contributes its own columns read through the
-index of every element's intersection with that piece, and the sums
-(`piece_rank_stats`, `weight_via_decomposition`) compare with the lattice's
-columns by `==`.  The generic `edge_poset` is built only for isomorphism
-and rank functions.
+decomposition, the one projection, `projection_columns`, indexes every
+element's intersection with each piece.  It has three readers: the sums
+`piece_rank_stats` and `weight_via_decomposition`, equal to the lattice's
+columns by `==`, and `tableaux.tableau_of_ideal`, a tableau column per piece.
+The generic `edge_poset` is built only for isomorphism and rank functions.
 
 Every element but the bottom adds one vertex to its first lower cover, the
 least i with a cover (i, j): the columns `first_lower` reads off the covers.
@@ -93,16 +93,6 @@ class IdealLattice:
     @cached_property
     def index_of(self) -> dict[int, int]:
         return {mask: i for i, mask in enumerate(self.elements)}
-
-    def element_vertices(self, i: int) -> frozenset[int]:
-        mask = self.elements[i]
-        order = self.vertex_order
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(order[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
 
     @cached_property
     def covers(self) -> Covers:
@@ -258,8 +248,8 @@ def check_structure(lattice: IdealLattice, matrix: tuple[Weight, Weight]) -> boo
     return rows is not None and all(r is None or r == m for r, m in zip(rows, matrix))
 
 
-def _projections(lattice: IdealLattice,
-                 dec: Decomposition) -> list[tuple[IdealLattice, list[int]]]:
+def projection_columns(lattice: IdealLattice,
+                       dec: Decomposition) -> list[tuple[IdealLattice, list[int]]]:
     """Per piece, its lattice and the column of each element's intersection
     with it, as an index in that lattice."""
     if lattice.vertex_order != dec.order:
@@ -272,7 +262,7 @@ def weight_via_decomposition(lattice: IdealLattice, dec: Decomposition) -> tuple
     """Per element, the sum of the piece-lattice weights of its intersections
     with the pieces."""
     ma = mb = [0] * len(lattice)
-    for piece, column in _projections(lattice, dec):
+    for piece, column in projection_columns(lattice, dec):
         wa, wb = zip(*piece.weights)
         ma = list(map(add, ma, map(wa.__getitem__, column)))
         mb = list(map(add, mb, map(wb.__getitem__, column)))
@@ -284,7 +274,7 @@ def piece_rank_stats(lattice: IdealLattice, dec: Decomposition,
     """Columns rho and length of one color, per element summed over its
     intersections with the pieces."""
     rho = length = [0] * len(lattice)
-    for piece, column in _projections(lattice, dec):
+    for piece, column in projection_columns(lattice, dec):
         piece_rho, piece_length = piece.rank_stats(color)
         rho = list(map(add, rho, map(piece_rho.__getitem__, column)))
         length = list(map(add, length, map(piece_length.__getitem__, column)))

@@ -24,8 +24,11 @@ generic EdgeColoredPoset, whose validation keeps one reach mask per
 tableau, is built only on demand, through `edge_poset`.
 
 The bijection reads a beta-alpha lattice through its builder pieces, one per
-column: an ideal's tableau maps each piece's part of its mask to a column,
-and a tableau's ideal ORs its columns' piece masks; no vertex set is built.
+column, as whole-lattice columns.  The tableaux read each piece's column of
+`lattice.projection_columns` through its column table: the one projection,
+whose other readers are additivity's `weight_via_decomposition` and
+`piece_rank_stats`.  The ideals OR their columns' piece masks position by
+position; no vertex set is built.
 """
 
 from __future__ import annotations
@@ -33,12 +36,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import or_
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence, TypeVar
 
 from .algebras import ALPHA, BETA, Algebra, Color, Weight, nonnegative_weight
 from .build import SemistandardPoset, fundamental_poset
-from .lattice import IdealLattice, order_ideals
+from .lattice import IdealLattice, order_ideals, projection_columns
 from .poset import EdgeColoredPoset, edge_color_isomorphism
 
 Column = tuple[int, ...]
@@ -353,23 +357,27 @@ def _column_maps(lattice: IdealLattice) -> tuple[SemistandardPoset, list[tuple]]
                 + [_piece_column_maps(sp.algebra, "alpha_fund")] * a)
 
 
-def tableau_of_ideal(lattice: IdealLattice, index: int) -> Tableau:
-    """Tableau of one lattice element, column by builder piece."""
+def tableau_of_ideal(lattice: IdealLattice) -> list[Tableau]:
+    """Every element's tableau: per builder piece, its projection column
+    read through the piece's column table; the columns zipped."""
     sp, maps = _column_maps(lattice)
-    mask = lattice.elements[index]
-    return tuple(columns[piece[mask & bits]] for (bits, piece, _), (columns, _) in
-                 zip(sp.decomposition.projections, maps))
+    columns = [list(map(column_of.__getitem__, index)) for (_, index), (column_of, _) in
+               zip(projection_columns(lattice, sp.decomposition), maps)]
+    return list(zip(*columns)) if columns else [()]
 
 
-def ideal_of_tableau(lattice: IdealLattice, t: Tableau) -> int:
-    """Index in `lattice` of the order ideal labelled by an admissible tableau."""
+def ideal_of_tableau(lattice: IdealLattice, tableaux: Sequence[Tableau]) -> list[int]:
+    """The index in `lattice` of the order ideal labelled by each admissible
+    tableau: per position, the ideal ORs its column's piece mask."""
     sp, maps = _column_maps(lattice)
-    if not is_semistandard(sp.algebra, sp.weight, t):
-        raise ValueError("tableau is not admissible for this shape")
-    mask = 0
-    for (_, _, masks), (_, element), column in zip(sp.decomposition.projections, maps, t):
-        mask |= masks[element[column]]
-    return lattice.index_of[mask]
+    for t in tableaux:
+        if not is_semistandard(sp.algebra, sp.weight, t):
+            raise ValueError(f"tableau {tableau_text(t)} is not admissible for this shape")
+    masks = [0] * len(tableaux)
+    for position, (_, _, piece_masks), (_, element_of) in zip(
+            zip(*tableaux), sp.decomposition.projections, maps):
+        masks = list(map(or_, masks, (piece_masks[element_of[c]] for c in position)))
+    return list(map(lattice.index_of.__getitem__, masks))
 
 
 # --- Littelmann column blocks -------------------------------------------------

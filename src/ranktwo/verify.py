@@ -75,10 +75,7 @@ class Verifier:
         """Run one case of criterion `name` into its entry: the case's time
         adds to the entry's millis, and the first case that fails or raises
         makes the entry FAIL; the criterion's later cases are then skipped."""
-        if name not in self._seconds:
-            self._seconds[name] = 0.0
-            self.checks.append({"name": name, "params": params, "status": "PASS", "millis": 0})
-        entry = next(c for c in self.checks if c["name"] == name)
+        entry = self._entry(name, params)
         if entry["status"] == "FAIL":
             return False
         start = time.perf_counter()
@@ -92,6 +89,13 @@ class Verifier:
         if not ok:
             entry["status"] = "FAIL"
         return ok
+
+    def _entry(self, name: str, params: str) -> dict:
+        """Criterion `name`'s entry, made PASS at 0 millis if it is new."""
+        if name not in self._seconds:
+            self._seconds[name] = 0.0
+            self.checks.append({"name": name, "params": params, "status": "PASS", "millis": 0})
+        return next(c for c in self.checks if c["name"] == name)
 
     # -- criteria: each a whole check, or one (algebra, weight) case of one --
 
@@ -162,29 +166,24 @@ class Verifier:
                                to_littelmann, wt_lit)
 
         lat = self.lattice(algebra, "beta_alpha", lam)
-        tl = tableau_lattice(algebra, lam)
-        tabs = tl.tableaux
-        index = {t: k for k, t in enumerate(tabs)}
-        phi = []  # element of lat -> index of its tableau in tl
-        weights = [None] * len(tabs)  # tableauwt per tableau of tl
-        for i, weight in enumerate(lat.weights):
-            t = tableau_of_ideal(lat, i)
-            if ideal_of_tableau(lat, t) != i:
-                return False
-            if tableauwt(algebra, t) != weight:
-                return False
-            phi.append(index[t])
-            weights[index[t]] = weight
-        # phi, a bijection carrying the covers onto tl's with their colors,
-        # is an edge-colored isomorphism of the two lattices
-        if sorted(phi) != list(range(len(tabs))):
+        tabs = tableau_of_ideal(lat)
+        if ideal_of_tableau(lat, tabs) != list(range(len(lat))):
             return False
-        if {(phi[i], phi[j], c) for i, j, c in lat.covers} != tl.covers:
+        if tuple(map(partial(tableauwt, algebra), tabs)) != lat.weights:
             return False
-        blocks = [to_littelmann(algebra, t) for t in tabs]
+        blocks = list(map(partial(to_littelmann, algebra), tabs))
+        if tuple(map(partial(wt_lit, algebra), blocks)) != lat.weights:
+            return False
         if sorted(blocks) != sorted(enumerate_littelmann(algebra, lam)):
             return False
-        return all(wt_lit(algebra, u) == w for u, w in zip(blocks, weights))
+        # phi (element of lat -> index of its tableau in tl), a bijection
+        # carrying the covers onto tl's with their colors, is an
+        # edge-colored isomorphism of the two lattices
+        tl = tableau_lattice(algebra, lam)
+        phi = list(map({t: k for k, t in enumerate(tl.tableaux)}.__getitem__, tabs))
+        if sorted(phi) != list(range(len(tl))):
+            return False
+        return {(phi[i], phi[j], c) for i, j, c in lat.covers} == tl.covers
 
     def _duality_case(self, algebra, lam) -> bool:
         lat_ba = self.lattice(algebra, "beta_alpha", lam)
@@ -234,6 +233,9 @@ class Verifier:
         if not selected <= params.keys():  # an empty report would pass
             raise ValueError(f"unknown criteria: {sorted(selected - params.keys())}")
 
+        for name in filter(selected.__contains__, params):  # an entry even with no case
+            self._entry(name, params[name])
+
         def check(name, fn, *args):
             if name in selected:
                 self.run_check(name, params[name], partial(fn, *args))
@@ -267,7 +269,6 @@ class Verifier:
         check("rgf_product_identity", lambda: self._seconds["rgf_product_identity"] < 60.0)
         check("structure_condition", self._nonsplitting)
         check("warmup_goldens", self.check_warmups)
-        self.checks.sort(key=lambda c: list(params).index(c["name"]))
         return {"checks": self.checks}
 
 

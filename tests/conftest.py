@@ -19,6 +19,12 @@ def brute_force_ideals(base: VertexColoredPoset) -> set[frozenset[int]]:
     return out
 
 
+def element_vertices(lat, i: int) -> frozenset[int]:
+    """The vertex set of lattice element i, read bit by bit off its mask."""
+    mask = lat.elements[i]
+    return frozenset(v for b, v in enumerate(lat.vertex_order) if mask >> b & 1)
+
+
 def transitive_reduction(n: int, relations: set[tuple[int, int]]) -> set[tuple[int, int]]:
     """Cover relation of the partial order generated by `relations` on 0..n-1."""
     reach = {v: set() for v in range(n)}

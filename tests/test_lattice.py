@@ -3,15 +3,15 @@ import sys
 
 import pytest
 
-from conftest import brute_force_ideals, diamond_coloring_check, random_colored_poset
+from conftest import (brute_force_ideals, diamond_coloring_check, element_vertices,
+                      random_colored_poset)
 from ranktwo.algebras import ALPHA, BETA, Algebra, cartan_matrix
 from ranktwo.build import fundamental_poset, semistandard_poset
 from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
 from ranktwo.grid import GridPoset, decompose, validate_grid
-from ranktwo.lattice import (TooManyIdeals, _projections, check_structure,
-                             join_irreducible_poset, order_ideals,
-                             piece_rank_stats, structure_rows,
-                             weight_via_decomposition)
+from ranktwo.lattice import (TooManyIdeals, check_structure, join_irreducible_poset,
+                             order_ideals, piece_rank_stats, projection_columns,
+                             structure_rows, weight_via_decomposition)
 from ranktwo.poset import (EdgeColoredPoset, _components, _topological_order,
                            edge_color_isomorphism, find_rank_function, product,
                            vertex_color_isomorphism, VertexColoredPoset)
@@ -34,7 +34,7 @@ class TestEnumeration:
             p = load_fixture(name)
             base = getattr(p, "base", p)
             lat = order_ideals(p)
-            assert {lat.element_vertices(i) for i in range(len(lat))} == \
+            assert {element_vertices(lat, i) for i in range(len(lat))} == \
                 brute_force_ideals(base)
 
     def test_elements_in_size_then_mask_order(self, rng):
@@ -216,7 +216,7 @@ class TestCoversMatchReference:
             color = p.base.color_of
             expected = {(s, s | {v}, color[v]) for s in ideals for v in p.base.ids
                         if v not in s and s | {v} in ideals}
-            assert {(lat.element_vertices(i), lat.element_vertices(j), c)
+            assert {(element_vertices(lat, i), element_vertices(lat, j), c)
                     for i, j, c in lat.covers} == expected
         assert broken_chains > 0
 
@@ -382,7 +382,7 @@ class TestDecompositionStatistics:
 
 def reference_piece_elements(lattice, i, dec):
     """Oracle: the element's vertex set matched against each piece's vertex order."""
-    s = lattice.element_vertices(i)
+    s = element_vertices(lattice, i)
     out = []
     for sub in dec.lattices:
         mask = 0
@@ -457,7 +457,7 @@ class TestPieceProjection:
     def assert_matches_reference(grid):
         lat, dec = order_ideals(grid), decompose(grid)
         reference = [reference_piece_elements(lat, i, dec) for i in range(len(lat))]
-        assert _projections(lat, dec) == [
+        assert projection_columns(lat, dec) == [
             (sub, [pieces[k][1] for pieces in reference]) for k, sub in enumerate(dec.lattices)]
 
     @pytest.mark.parametrize("algebra", list(Algebra))
@@ -473,7 +473,7 @@ class TestPieceProjection:
         lat = order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", (2, 2)))
         dec = decompose(semistandard_poset(Algebra.C2, "beta_alpha", (2, 2)).grid)
         with pytest.raises(ValueError, match="another vertex order"):
-            _projections(lat, dec)
+            projection_columns(lat, dec)
         with pytest.raises(ValueError):
             weight_via_decomposition(lat, dec)
         for color in (ALPHA, BETA):
@@ -574,7 +574,7 @@ class TestVertexSumWeightOracle:
             color = lat.base.color_of
             for i in range(len(lat)):
                 total = low
-                for v in lat.element_vertices(i):
+                for v in element_vertices(lat, i):
                     r = rows[color[v]]
                     total = (total[0] + r[0], total[1] + r[1])
                 assert total == lat.weights[i]

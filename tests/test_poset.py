@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (brute_force_ideals, diamond_coloring_check, minimal_elements,
-                      random_colored_poset, transitive_reduction)
+from conftest import (brute_force_ideals, diamond_coloring_check, element_vertices,
+                      minimal_elements, random_colored_poset, transitive_reduction)
 from ranktwo.algebras import ALPHA, BETA, SWAP, IDENTITY
 from ranktwo.build import fundamental_poset
 from ranktwo.algebras import Algebra
@@ -279,4 +279,4 @@ def test_brute_force_oracle_matches_enumeration(rng):
     for _ in range(6):
         p = random_colored_poset(rng, 6)
         lat = order_ideals(p)
-        assert {lat.element_vertices(i) for i in range(len(lat))} == brute_force_ideals(p)
+        assert {element_vertices(lat, i) for i in range(len(lat))} == brute_force_ideals(p)

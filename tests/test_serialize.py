@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from conftest import element_vertices
 from ranktwo.algebras import Algebra
 from ranktwo.build import semistandard_poset
 from ranktwo.cli import main
@@ -18,7 +19,7 @@ def reference_lattice_to_obj(lat: IdealLattice) -> dict:
     """The lattice file unpacked from each element's mask, covers sorted."""
     return {
         "poset": poset_to_obj(lat.poset),
-        "elements": [sorted(lat.element_vertices(i)) for i in range(len(lat))],
+        "elements": [sorted(element_vertices(lat, i)) for i in range(len(lat))],
         "covers": [[i, j, c.value] for i, j, c in sorted(lat.covers, key=lambda t: (t[0], t[1]))],
         "weights": [list(w) for w in lat.weights],
     }

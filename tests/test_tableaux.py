@@ -12,9 +12,9 @@ from ranktwo.lattice import order_ideals
 from ranktwo.poset import EdgeColoredPoset, edge_color_isomorphism
 from ranktwo.tableaux import (ALPHABET_SIZE, EDGE_COLOR_OF_VALUE, ShapeError,
                               TableauLattice, _block_pairs, _column_admissible,
-                              _decrement_table, _decrements, _pair_admissible,
-                              _require_simple, _row_compatible, _sequences,
-                              _tables, _windows, admissible_blocks,
+                              _column_maps, _decrement_table, _decrements,
+                              _pair_admissible, _require_simple, _row_compatible,
+                              _sequences, _tables, _windows, admissible_blocks,
                               allowed_columns, check_shape, enumerate_littelmann,
                               enumerate_tableaux, ideal_of_tableau,
                               is_semistandard, littelmann_text, tableau_lattice,
@@ -212,43 +212,85 @@ class TestEnumeration:
                 assert len(enumerate_tableaux(algebra, lam)) == len(lat)
 
 
+def reference_tableau_of_ideal(lattice, index):
+    """Oracle: the tableau of one element, its mask projected piece by piece
+    through the builder decomposition."""
+    sp, maps = _column_maps(lattice)
+    mask = lattice.elements[index]
+    return tuple(columns[piece[mask & bits]] for (bits, piece, _), (columns, _) in
+                 zip(sp.decomposition.projections, maps))
+
+
+def reference_ideal_of_tableau(lattice, t):
+    """Oracle: the index of one admissible tableau's ideal, its columns'
+    piece masks ORed one by one."""
+    sp, maps = _column_maps(lattice)
+    if not is_semistandard(sp.algebra, sp.weight, t):
+        raise ValueError("tableau is not admissible for this shape")
+    mask = 0
+    for (_, _, masks), (_, element), column in zip(sp.decomposition.projections, maps, t):
+        mask |= masks[element[column]]
+    return lattice.index_of[mask]
+
+
+class TestBijectionColumns:
+    """The whole-lattice columns equal the per-element references."""
+
+    @staticmethod
+    def assert_matches_reference(algebra, lam):
+        lat = order_ideals(semistandard_poset(algebra, "beta_alpha", lam))
+        assert tableau_of_ideal(lat) == [reference_tableau_of_ideal(lat, i)
+                                         for i in range(len(lat))]
+        tabs = enumerate_tableaux(algebra, lam)  # another order than the lattice's
+        assert ideal_of_tableau(lat, tabs) == [reference_ideal_of_tableau(lat, t)
+                                               for t in tabs]
+
+    @pytest.mark.parametrize("algebra", SIMPLE)
+    def test_every_weight_to_33(self, algebra):
+        for lam in WEIGHTS:
+            self.assert_matches_reference(algebra, lam)
+
+    def test_g2_44(self):
+        self.assert_matches_reference(Algebra.G2, (4, 4))
+
+
 class TestBijection:
     def test_extreme_labels(self):
         lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (1, 1)))
-        assert tableau_of_ideal(lat, 0) == ((3, 4), (4,))
-        assert tableau_of_ideal(lat, lat.top) == ((1, 2), (1,))
+        tabs = tableau_of_ideal(lat)
+        assert tabs[0] == ((3, 4), (4,))
+        assert tabs[lat.top] == ((1, 2), (1,))
 
     @pytest.mark.parametrize("algebra", SIMPLE)
     def test_round_trip(self, algebra):
-        for lam in [(1, 0), (0, 1), (1, 1), (2, 2)]:
+        for lam in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2)]:
             lat = order_ideals(semistandard_poset(algebra, "beta_alpha", lam))
-            seen = set()
-            for i in range(len(lat)):
-                t = tableau_of_ideal(lat, i)
-                seen.add(t)
-                assert ideal_of_tableau(lat, t) == i
-            assert seen == set(enumerate_tableaux(algebra, lam))
+            tabs = tableau_of_ideal(lat)
+            assert ideal_of_tableau(lat, tabs) == list(range(len(lat)))
+            assert set(tabs) == set(enumerate_tableaux(algebra, lam))
 
     def test_ideal_of_tableau_builds_no_poset(self, monkeypatch):
         algebra, lam = Algebra.G2, (2, 2)
         lat = order_ideals(semistandard_poset(algebra, "beta_alpha", lam))
         # tableau_of_ideal warms the per-piece column dictionaries
-        tableaux = [tableau_of_ideal(lat, i) for i in range(len(lat))]
+        tableaux = tableau_of_ideal(lat)
 
         def refuse(*args, **kwargs):
             raise AssertionError("ideal_of_tableau built a poset")
 
         monkeypatch.setattr(GridPoset, "build", staticmethod(refuse))
-        for i, t in enumerate(tableaux):
-            assert ideal_of_tableau(lat, t) == i
+        assert ideal_of_tableau(lat, tableaux) == list(range(len(lat)))
 
     def test_rejects_inadmissible(self):
         lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (0, 1)))
         with pytest.raises(ValueError):
-            ideal_of_tableau(lat, ((1, 4),))
+            ideal_of_tableau(lat, [((1, 4),)])
         lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (0, 2)))
+        with pytest.raises(ValueError, match=r"\[2,3\]\[2,3\]"):
+            ideal_of_tableau(lat, [((2, 3), (2, 3))])
+        # one inadmissible tableau among admissible ones
         with pytest.raises(ValueError):
-            ideal_of_tableau(lat, ((2, 3), (2, 3)))
+            ideal_of_tableau(lat, tableau_of_ideal(lat) + [((2, 3), (2, 3))])
 
     @pytest.mark.parametrize("lattice", [
         lambda: order_ideals(semistandard_poset(Algebra.C2, "alpha_beta", (1, 1))),
@@ -258,16 +300,16 @@ class TestBijection:
     def test_only_simple_beta_alpha_lattices_are_labelled(self, lattice):
         lat = lattice()
         with pytest.raises(ValueError):
-            tableau_of_ideal(lat, 0)
+            tableau_of_ideal(lat)
         with pytest.raises(ValueError):
-            ideal_of_tableau(lat, ((1, 2), (1,)))
+            ideal_of_tableau(lat, [((1, 2), (1,))])
 
     def test_g2_second_fundamental_dictionary_extremes(self):
         lat = order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", (0, 1)))
-        assert ideal_of_tableau(lat, ((1, 2),)) == lat.top
-        assert ideal_of_tableau(lat, ((6, 7),)) == 0
+        top, bottom, i = ideal_of_tableau(lat, [((1, 2),), ((6, 7),), ((3, 6),)])
+        assert top == lat.top
+        assert bottom == 0
         # the chain-4 prefix of size four carries weight 3w_a - 2w_b
-        i = ideal_of_tableau(lat, ((3, 6),))
         assert lat.elements[i].bit_count() == 4
         assert lat.weights[i] == (3, -2)
 
@@ -281,8 +323,7 @@ class TestWeights:
     def test_matches_lattice_weights(self, algebra):
         for lam in [(1, 0), (0, 1), (1, 1), (2, 1)]:
             lat = order_ideals(semistandard_poset(algebra, "beta_alpha", lam))
-            for i in range(len(lat)):
-                assert tableauwt(algebra, tableau_of_ideal(lat, i)) == lat.weights[i]
+            assert [tableauwt(algebra, t) for t in tableau_of_ideal(lat)] == list(lat.weights)
 
 
 class TestTableauLattice:

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import element_vertices
 import ranktwo.tableaux
 from ranktwo import verify
 from ranktwo.algebras import Algebra, sigma0
@@ -93,6 +94,24 @@ def tampered_tableau_weight(m):
               lambda algebra, t: (weight(algebra, t)[0] + 1, weight(algebra, t)[1]))
 
 
+def tampered_block_weight(m):
+    weight = ranktwo.tableaux.wt_lit
+    m.setattr(ranktwo.tableaux, "wt_lit",
+              lambda algebra, u: (weight(algebra, u)[0] + 1, weight(algebra, u)[1]))
+
+
+def two_elements_tableaux_swapped(m):
+    tableau_of_ideal = ranktwo.tableaux.tableau_of_ideal
+
+    def swapped(lattice):
+        tabs = tableau_of_ideal(lattice)
+        if len(tabs) > 1:
+            tabs[0], tabs[1] = tabs[1], tabs[0]
+        return tabs
+
+    m.setattr(ranktwo.tableaux, "tableau_of_ideal", swapped)
+
+
 def triangle_dual_that_does_not_dualize(m):
     m.setattr(verify, "triangle_dual", lambda p, algebra: p.recolor(sigma0(algebra)))
 
@@ -121,6 +140,8 @@ FAULTS = [
     ("additivity", piece_rank_stats_off_by_one),
     ("additivity", decompose_in_reverse_order),
     ("tableau_suite", tampered_tableau_weight),
+    ("tableau_suite", tampered_block_weight),
+    ("tableau_suite", two_elements_tableaux_swapped),
     ("duality", triangle_dual_that_does_not_dualize),
     ("duality", dichotomy_claimed_for_a1a1),
     ("quasi_gaussian", tampered_quasi_gaussian_product),
@@ -177,6 +198,22 @@ def test_report_matches_golden():
     assert [sorted(c) for c in checks] == [["millis", "name", "params", "status"]] * 9
     assert [(c["name"], c["params"], c["status"]) for c in checks] == \
         [(name, params, "PASS") for name, params in GOLDEN_22]
+
+
+@pytest.mark.parametrize("bound", [(0, 0), (1, 0), (0, 1)])
+def test_every_criterion_is_reported_even_with_no_case(bound):
+    # below (1,1) additivity, which needs a + b >= 2, has no case at all
+    bound_text = f"a<={bound[0]}, b<={bound[1]}"
+    checks = verify.Verifier(bound).run_all()["checks"]
+    assert [(c["name"], c["params"], c["status"]) for c in checks] == \
+        [(name, params.replace("a<=2, b<=2", bound_text), "PASS")
+         for name, params in GOLDEN_22]
+
+
+def test_a_selected_criterion_with_no_case_is_one_pass_entry():
+    assert verify.Verifier((1, 0)).run_all(("additivity",))["checks"] == [
+        {"name": "additivity", "params": "a<=1, b<=0, both colors, every element",
+         "status": "PASS", "millis": 0}]
 
 
 def test_run_check_sums_cases_and_keeps_the_first_failure(monkeypatch):
@@ -298,8 +335,8 @@ def reference_dual_mapping(phi, lat_ba, lat_ab):
     """Oracle: each element's vertex set carried through phi, complemented
     and looked up by vertex set."""
     all_ba = frozenset(lat_ba.base.ids)
-    index = {lat_ba.element_vertices(j): j for j in range(len(lat_ba))}
-    return [index[all_ba - frozenset(phi[v] for v in lat_ab.element_vertices(i))]
+    index = {element_vertices(lat_ba, j): j for j in range(len(lat_ba))}
+    return [index[all_ba - frozenset(phi[v] for v in element_vertices(lat_ab, i))]
             for i in range(len(lat_ab))]
 
 
