@@ -115,18 +115,19 @@ def cmd_rgf(args) -> int:
 
 
 def cmd_tableaux(args) -> int:
-    from .tableaux import (enumerate_littelmann, enumerate_tableaux,
-                           littelmann_text, tableau_text)
+    from .tableaux import (enumerate_littelmann, enumerate_tableaux, littelmann_of,
+                           littelmann_text, tableau_text, tableaux_of)
 
     if args.littelmann:
-        items = [littelmann_text(u) for u in enumerate_littelmann(args.algebra, args.weight)]
+        enumerate_codes, decode, text = enumerate_littelmann, littelmann_of, littelmann_text
     else:
-        items = [tableau_text(t) for t in enumerate_tableaux(args.algebra, args.weight)]
+        enumerate_codes, decode, text = enumerate_tableaux, tableaux_of, tableau_text
+    codes = enumerate_codes(args.algebra, args.weight)
     if args.count_only:
-        print(len(items))
+        print(len(codes))
         return 0
-    for item in items:
-        print(item)
+    for item in decode(args.algebra, args.weight, codes):
+        print(text(item))
     return 0
 
 
@@ -234,10 +235,11 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--seed-range", type=_parse_weight, default=(3, 3), metavar="A,B",
                    help="weight bounds per algebra (default 3,3)")
-    p.add_argument("--structure", default=None, metavar="FIXTURE_OR_FILE",
-                   help="only check the structure condition of one poset")
-    p.add_argument("--bijection", action="store_true",
-                   help="only run the tableau round-trip and weight suites")
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--structure", default=None, metavar="FIXTURE_OR_FILE",
+                      help="only check the structure condition of one poset")
+    only.add_argument("--bijection", action="store_true",
+                      help="only run the tableau round-trip and weight suites")
     p.add_argument("--out", default=None, help="write report.json here")
     p.set_defaults(fn=cmd_verify)
 

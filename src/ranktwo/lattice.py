@@ -19,7 +19,8 @@ length.  Statistics are whole-lattice columns with one entry per element:
 decomposition, the one projection, `projection_columns`, indexes every
 element's intersection with each piece.  It has three readers: the sums
 `piece_rank_stats` and `weight_via_decomposition`, equal to the lattice's
-columns by `==`, and `tableaux.tableau_of_ideal`, a tableau column per piece.
+columns by `==` and handed the projection built once per lattice, and
+`tableaux.tableau_of_ideal`, a column id per piece.
 The generic `edge_poset` is built only for isomorphism and rank functions.
 
 Every element but the bottom adds one vertex to its first lower cover, the
@@ -258,23 +259,25 @@ def projection_columns(lattice: IdealLattice,
             for piece, (bits, index, _) in zip(dec.lattices, dec.projections)]
 
 
-def weight_via_decomposition(lattice: IdealLattice, dec: Decomposition) -> tuple[Weight, ...]:
+def weight_via_decomposition(lattice: IdealLattice,
+                             projection: list[tuple[IdealLattice, list[int]]]) -> tuple[Weight, ...]:
     """Per element, the sum of the piece-lattice weights of its intersections
-    with the pieces."""
+    with the pieces; `projection` is projection_columns of the lattice."""
     ma = mb = [0] * len(lattice)
-    for piece, column in projection_columns(lattice, dec):
+    for piece, column in projection:
         wa, wb = zip(*piece.weights)
         ma = list(map(add, ma, map(wa.__getitem__, column)))
         mb = list(map(add, mb, map(wb.__getitem__, column)))
     return tuple(zip(ma, mb))
 
 
-def piece_rank_stats(lattice: IdealLattice, dec: Decomposition,
+def piece_rank_stats(lattice: IdealLattice, projection: list[tuple[IdealLattice, list[int]]],
                      color: Color) -> tuple[list[int], list[int]]:
     """Columns rho and length of one color, per element summed over its
-    intersections with the pieces."""
+    intersections with the pieces; `projection` is projection_columns of
+    the lattice."""
     rho = length = [0] * len(lattice)
-    for piece, column in projection_columns(lattice, dec):
+    for piece, column in projection:
         piece_rho, piece_length = piece.rank_stats(color)
         rho = list(map(add, rho, map(piece_rho.__getitem__, column)))
         length = list(map(add, length, map(piece_length.__getitem__, column)))

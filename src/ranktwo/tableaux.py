@@ -10,25 +10,36 @@ Per algebra, two frozensets built on first use from the predicates hold the
 admissible columns and the admissible (left, right) pairs, and
 is_semistandard reads a tableau by membership in them; only a tableau of
 the wrong lengths or with a column outside the table goes through
-check_shape, for its ShapeError.  More per-algebra tables, also built
-on first use, serve the hot loops, each of which fetches them once:
-- each admissible column's one-entry decrements that land on an admissible
-  column, with the color of the new edge (tableau_lattice);
-- each column's weight and each admissible block's Littelmann numerator,
-  summed from per-entry weights (tableauwt, wt_lit);
-- the admissible (left, right) block pairs (enumerate_littelmann).
-Every caller shares a cached table, so each is read-only.
+check_shape, for its ShapeError.
 
-A TableauLattice holds its covers as a frozenset of (i, j, color); the
-generic EdgeColoredPoset, whose validation keeps one reach mask per
-tableau, is built only on demand, through `edge_poset`.
+Everything else runs on integer codes.  `column_table` numbers each
+algebra's admissible columns in sorted order, and a tableau is the
+mixed-radix integer of its column ids, first column most significant, with
+radix R the number of columns; so codes sort exactly like the tableaux.
+Per column id, the table gives the admissible one-entry decrements with
+the beta bit of the new edge, the weight, and the Littelmann block id and
+numerator; it also gives the admissible pairs as a matrix on ids, and the
+admissible blocks, numbered in sorted order, with their pair matrix.  The
+one enumerator, `_sequences`, walks ids through a pair matrix and returns
+sorted codes: those of `enumerate_tableaux`, `enumerate_littelmann` and
+`tableau_lattice`.  Tuples are decoded (`tableaux_of`, `littelmann_of`)
+only for text and for callers that ask for them.  Every caller shares a
+cached table, so each is read-only.
+
+A TableauLattice holds the sorted codes with their index and its covers as
+`lattice.Covers` columns in (i, j) order.  Lowering column i's id from old
+to new lowers the code by (old - new) * R**(n-1-i), so the upper element
+is one lookup of an integer.  The generic EdgeColoredPoset, whose
+validation keeps one reach mask per tableau, is built only on demand,
+through `edge_poset`.
 
 The bijection reads a beta-alpha lattice through its builder pieces, one per
-column, as whole-lattice columns.  The tableaux read each piece's column of
-`lattice.projection_columns` through its column table: the one projection,
-whose other readers are additivity's `weight_via_decomposition` and
-`piece_rank_stats`.  The ideals OR their columns' piece masks position by
-position; no vertex set is built.
+column, as whole-lattice columns.  `tableau_of_ideal` reads each piece's
+column of `lattice.projection_columns` through its id table and gives
+every element's code: the one projection, whose other readers are
+additivity's `weight_via_decomposition` and `piece_rank_stats`.
+`ideal_of_tableau` ORs the codes' piece masks, position by position; no
+vertex set is built.
 """
 
 from __future__ import annotations
@@ -36,20 +47,18 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import or_
-from types import MappingProxyType
-from typing import Callable, Mapping, Sequence, TypeVar
+from operator import add, or_
+from typing import Mapping, NamedTuple, Sequence
 
 from .algebras import ALPHA, BETA, Algebra, Color, Weight, nonnegative_weight
 from .build import SemistandardPoset, fundamental_poset
-from .lattice import IdealLattice, order_ideals, projection_columns
+from .lattice import Covers, IdealLattice, order_ideals, projection_columns
 from .poset import EdgeColoredPoset, edge_color_isomorphism
 
 Column = tuple[int, ...]
 Tableau = tuple[Column, ...]
 Block = tuple[Column, ...]
 LittelmannTableau = tuple[Block, ...]
-T = TypeVar("T")
 
 
 class ShapeError(ValueError):
@@ -106,24 +115,6 @@ _BLOCK_ENTRY_WEIGHT: dict[Algebra, dict[int, Weight]] = {
 _BLOCK_LENGTH = {Algebra.A2: 1, Algebra.C2: 2, Algebra.G2: 6}
 
 
-def _total(table: Mapping, items) -> Weight:
-    """Sum of table[item] over the items; ShapeError for an item outside it."""
-    x = y = 0
-    for item in items:
-        try:
-            p, q = table[item]
-        except KeyError:
-            raise ShapeError(f"{item} is not over the alphabet") from None
-        x += p
-        y += q
-    return x, y
-
-
-def tableauwt(algebra: Algebra, t: Tableau) -> Weight:
-    """Weight of a tableau: the sum of its columns' weights."""
-    return _total(_column_weights(algebra), t)
-
-
 def check_shape(algebra: Algebra, lam: Weight, t: Tableau) -> None:
     """Raise ShapeError unless t has shape lam over the right alphabet."""
     _require_simple(algebra)
@@ -170,99 +161,150 @@ def allowed_columns(algebra: Algebra, length: int) -> tuple[Column, ...]:
 
 
 @lru_cache(maxsize=None)
-def _tables(algebra: Algebra) -> tuple[frozenset[Column], frozenset[tuple[Column, Column]]]:
-    """The admissible columns, and the admissible adjacent (left, right)
-    column pairs, of one simple algebra, built from the predicates."""
+def _tables(algebra: Algebra) -> tuple[frozenset[Column], frozenset[Column],
+                                       frozenset[tuple[Column, Column]]]:
+    """The admissible columns of length one, those of length two, and the
+    admissible adjacent (left, right) column pairs, of one simple algebra,
+    built from the predicates."""
     _require_simple(algebra)
-    columns = frozenset(allowed_columns(algebra, 1) + allowed_columns(algebra, 2))
-    pairs = frozenset((left, right) for left in columns for right in columns
+    ones, twos = frozenset(allowed_columns(algebra, 1)), frozenset(allowed_columns(algebra, 2))
+    pairs = frozenset((left, right) for left in ones | twos for right in ones | twos
                       if _pair_admissible(algebra, left, right))
-    return columns, pairs
+    return ones, twos, pairs
+
+
+class ColumnTable(NamedTuple):
+    """One simple algebra's admissible columns and blocks, each numbered in
+    sorted order, and what the code paths read per column id."""
+
+    columns: tuple[Column, ...]  # by id
+    pair: tuple[bytes, ...]  # pair[left][right] is 1 iff the pair is admissible
+    # per id, (new id, beta) for each one-entry decrement onto an admissible
+    # column, in entry order, beta the bit of the new edge's color
+    lowered: tuple[tuple[tuple[int, int], ...], ...]
+    weight: tuple[Weight, ...]  # per id
+    block: tuple[int, ...]  # per id, its Littelmann block's id
+    numerator: tuple[Weight, ...]  # per id, its block's weight numerator
+    blocks: tuple[Block, ...]  # by block id
+    # block_pair[left][right] is 1 iff left's last column and right's first
+    # are row compatible
+    block_pair: tuple[bytes, ...]
+    block_length: int  # divides a block tableau's numerator
+
+    @property
+    def radix(self) -> int:
+        return len(self.columns)
+
+
+def _weigh(entry_weight: Mapping[int, Weight], entries) -> Weight:
+    return tuple(map(sum, zip(*map(entry_weight.__getitem__, entries))))
 
 
 @lru_cache(maxsize=None)
-def _decrement_table(algebra: Algebra) -> Mapping[Column, tuple[tuple[Column, Color], ...]]:
-    """Per admissible column, the admissible columns that lowering one of
-    its entries by one gives, in entry order, each with the color of the
-    new edge."""
-    columns, _ = _tables(algebra)
+def column_table(algebra: Algebra) -> ColumnTable:
+    """The algebra's ColumnTable, built from the predicates and the block
+    tables."""
+    ones, twos, pairs = _tables(algebra)
+    columns = tuple(sorted(ones | twos))
+    id_of = {column: k for k, column in enumerate(columns)}
     color_of = EDGE_COLOR_OF_VALUE[algebra]
-    lowered = {column: [(column[:j] + (e - 1,) + column[j + 1:], color_of[e - 1])
-                        for j, e in enumerate(column) if e > 1]
-               for column in columns}
-    return MappingProxyType({column: tuple((new, color) for new, color in pairs if new in columns)
-                             for column, pairs in lowered.items()})
 
+    def lowered(column):
+        for j, e in enumerate(column):
+            new = column[:j] + (e - 1,) + column[j + 1:]
+            if new in id_of:
+                yield id_of[new], int(color_of[e - 1] is BETA)
 
-def _by_column(entry_weight: Mapping[int, Weight]) -> Mapping[Column, Weight]:
-    """Every well-formed column over entry_weight's alphabet, weighed."""
-    return MappingProxyType({c: _total(entry_weight, c) for n in (1, 2)
-                             for c in itertools.combinations(sorted(entry_weight), n)})
-
-
-@lru_cache(maxsize=None)
-def _column_weights(algebra: Algebra) -> Mapping[Column, Weight]:
-    """The weight of every well-formed column, inadmissible ones too."""
-    _require_simple(algebra)
-    return _by_column(_ENTRY_WEIGHT[algebra])
-
-
-@lru_cache(maxsize=None)
-def _block_weights(algebra: Algebra) -> tuple[Mapping[Column, Weight], Mapping[Block, Weight], int]:
-    """Littelmann numerators per well-formed block column and per
-    admissible block, and the block length that divides them."""
-    _require_simple(algebra)
-    columns = _by_column(_BLOCK_ENTRY_WEIGHT[algebra])
-    blocks = admissible_blocks(algebra, 1) + admissible_blocks(algebra, 2)
-    return (columns, MappingProxyType({block: _total(columns, block) for block in blocks}),
-            _BLOCK_LENGTH[algebra])
-
-
-@lru_cache(maxsize=None)
-def _block_pairs(algebra: Algebra) -> frozenset[tuple[Block, Block]]:
-    """The (left, right) pairs of admissible blocks whose facing columns,
-    left's last and right's first, are row compatible."""
-    _require_simple(algebra)
-    blocks = admissible_blocks(algebra, 1) + admissible_blocks(algebra, 2)
-    return frozenset((left, right) for left in blocks for right in blocks
-                     if _row_compatible(left[-1], right[0]))
+    blocks = tuple(sorted(admissible_blocks(algebra, 1) + admissible_blocks(algebra, 2)))
+    block_of = [(_BLOCKS_DOUBLE if len(c) == 2 else _BLOCKS_SINGLE)[algebra][c] for c in columns]
+    entry_weight, block_entry_weight = _ENTRY_WEIGHT[algebra], _BLOCK_ENTRY_WEIGHT[algebra]
+    return ColumnTable(
+        columns,
+        tuple(bytes((left, right) in pairs for right in columns) for left in columns),
+        tuple(tuple(lowered(c)) for c in columns),
+        tuple(_weigh(entry_weight, c) for c in columns),
+        tuple(map(blocks.index, block_of)),
+        tuple(_weigh(block_entry_weight, itertools.chain(*block)) for block in block_of),
+        blocks,
+        tuple(bytes(_row_compatible(left[-1], right[0]) for right in blocks) for left in blocks),
+        _BLOCK_LENGTH[algebra])
 
 
 def is_semistandard(algebra: Algebra, lam: Weight, t: Tableau) -> bool:
     """Admissibility within the fixed shape (ShapeError if malformed).
 
-    The shape's column lengths, then membership in the algebra's column and
-    pair tables.  Wrong lengths or a column outside the table send t to
+    Membership of the first b columns in the algebra's table of columns of
+    length two and of the rest in that of length one, then of the adjacent
+    pairs in its pair table.  A column outside its table sends t to
     check_shape, which raises ShapeError if t is malformed; else a column
     is inadmissible.
     """
-    columns, pairs = _tables(algebra)
+    ones, twos, pairs = _tables(algebra)
     a, b = nonnegative_weight(lam, ShapeError)
-    # lengths as a list: tuple(map(...)) shrinks a guessed-size tuple, and
-    # each one freed would stock CPython's tuple free list (128 KB when full)
-    if (len(t) == a + b and list(map(len, t)) == [2] * b + [1] * a
-            and columns.issuperset(t)):
+    if len(t) == a + b and twos.issuperset(t[:b]) and ones.issuperset(t[b:]):
         return pairs.issuperset(zip(t, t[1:]))
     check_shape(algebra, lam, t)
     return False
 
 
-def _sequences(options: Sequence[Sequence[T]],
-               compatible: Callable[[T, T], bool]) -> tuple[tuple[T, ...], ...]:
-    """Every sequence taking one item from each options[i] in which each
-    consecutive pair is compatible, sorted lexicographically."""
-    seqs: list[tuple[T, ...]] = [()]
-    for items in options:
-        seqs = [s + (x,) for s in seqs for x in items if not s or compatible(s[-1], x)]
-    return tuple(sorted(seqs))
+# --- codes ---------------------------------------------------------------------
 
 
-def enumerate_tableaux(algebra: Algebra, lam: Weight) -> tuple[Tableau, ...]:
-    """All admissible tableaux of the given shape, sorted lexicographically."""
-    _, pairs = _tables(algebra)
+def _sequences(lengths: Sequence[int], lam: Weight, pair: Sequence[bytes]) -> list[int]:
+    """Every sequence of ids of shape lam, each consecutive pair admissible
+    by `pair`, as sorted codes.  lengths[x] is id x's column length (rows
+    for a block); the ids ascend at each position and each sequence extends
+    in order, so the codes come out sorted."""
     a, b = nonnegative_weight(lam)
-    options = [allowed_columns(algebra, 2)] * b + [allowed_columns(algebra, 1)] * a
-    return _sequences(options, lambda left, right: (left, right) in pairs)
+    of_length = {n: [x for x, m in enumerate(lengths) if m == n] for n in (1, 2)}
+    options = [of_length[2]] * b + [of_length[1]] * a
+    if not options:
+        return [0]
+    radix = len(pair)
+    codes = list(options[0])
+    for items in options[1:]:
+        after = [[x for x in items if row[x]] for row in pair]
+        codes = [c * radix + x for c in codes for x in after[c % radix]]
+    return codes
+
+
+def _id_columns(codes: Sequence[int], n: int, radix: int) -> list[list[int]]:
+    """Per position of n, first to last, each code's id there."""
+    return [[c // place % radix for c in codes]
+            for place in (radix ** (n - 1 - k) for k in range(n))]
+
+
+def _decode(by_id: Sequence, lam: Weight, codes: Sequence[int]) -> list[tuple]:
+    radix, n = len(by_id), lam[0] + lam[1]
+    places = [radix ** (n - 1 - k) for k in range(n)]
+    return [tuple(by_id[c // place % radix] for place in places) for c in codes]
+
+
+def enumerate_tableaux(algebra: Algebra, lam: Weight) -> list[int]:
+    """The codes of all admissible tableaux of the given shape, sorted."""
+    table = column_table(algebra)
+    return _sequences(list(map(len, table.columns)), lam, table.pair)
+
+
+def tableaux_of(algebra: Algebra, lam: Weight, codes: Sequence[int]) -> list[Tableau]:
+    """The tableaux of shape lam with these codes."""
+    return _decode(column_table(algebra).columns, lam, codes)
+
+
+def column_sums(algebra: Algebra, lam: Weight,
+                codes: Sequence[int]) -> tuple[list[Weight], list[Weight], list[int]]:
+    """Per code of shape lam, from its column ids: its tableau's weight and
+    its block tableau's weight numerator, each a sum over the ids, and the
+    block tableau's code."""
+    table = column_table(algebra)
+    per_id = [*zip(*table.weight), *zip(*table.numerator)]
+    sums = [[0] * len(codes) for _ in per_id]
+    blocks = [0] * len(codes)
+    for ids in _id_columns(codes, lam[0] + lam[1], table.radix):
+        sums = [list(map(add, total, map(v.__getitem__, ids))) for total, v in zip(sums, per_id)]
+        blocks = [c * len(table.blocks) + table.block[x] for c, x in zip(blocks, ids)]
+    wa, wb, na, nb = sums
+    return list(zip(wa, wb)), list(zip(na, nb)), blocks
 
 
 # --- tableau-native lattice ---------------------------------------------------
@@ -270,21 +312,28 @@ def enumerate_tableaux(algebra: Algebra, lam: Weight) -> tuple[Tableau, ...]:
 
 @dataclass(frozen=True)
 class TableauLattice:
-    """The reverse-componentwise order on admissible tableaux, by its covers
-    (i, j, color): tableau j is tableau i with one entry lowered by one."""
+    """The reverse-componentwise order on admissible tableaux: their sorted
+    codes, each code's index, and the covers (i, j) in (i, j) order, where
+    tableau j is tableau i with one entry lowered by one."""
 
     algebra: Algebra
     weight: Weight
-    tableaux: tuple[Tableau, ...]
-    covers: frozenset[tuple[int, int, Color]]
+    codes: list[int]
+    index: dict[int, int]
+    covers: Covers
 
     def __len__(self) -> int:
-        return len(self.tableaux)
+        return len(self.codes)
+
+    @property
+    def tableaux(self) -> list[Tableau]:
+        """The tableaux, decoded on each access."""
+        return tableaux_of(self.algebra, self.weight, self.codes)
 
     @cached_property
     def edge_poset(self) -> EdgeColoredPoset:
         """The covers as a validated generic poset, built on demand."""
-        return EdgeColoredPoset(tuple(range(len(self.tableaux))), self.covers)
+        return EdgeColoredPoset(tuple(range(len(self.codes))), frozenset(self.covers))
 
 
 def _windows(lam: Weight) -> list[tuple[int, Weight]]:
@@ -300,38 +349,40 @@ def _windows(lam: Weight) -> list[tuple[int, Weight]]:
     return out
 
 
-def _decrements(algebra: Algebra, t: Tableau, lowered: Mapping, windows: list):
-    """Tableaux covering t-as-lattice-element: one entry lowered by one.
-
-    `lowered` is the algebra's decrement table, so every candidate's changed
-    column is admissible, and `windows` is _windows of t's shape.  t is
-    admissible, and admissibility asks only about single columns and
-    adjacent pairs, so a candidate is checked on the changed column and its
-    neighbours, t[i-1:i+2], under that window's own shape.
-    """
-    for i, (lo, shape) in enumerate(windows):
-        left, right = t[lo:i], t[i + 1:i + 2]
-        for new_col, color in lowered[t[i]]:
-            if is_semistandard(algebra, shape, left + (new_col,) + right):
-                yield t[:i] + (new_col,) + t[i + 1:], color
-
-
 def tableau_lattice(algebra: Algebra, lam: Weight) -> TableauLattice:
-    lowered = _decrement_table(algebra)
-    tabs = enumerate_tableaux(algebra, lam)
-    index = {t: i for i, t in enumerate(tabs)}
-    windows = _windows(lam)
-    covers = frozenset((index[t], index[upper], color) for t in tabs
-                       for upper, color in _decrements(algebra, t, lowered, windows))
-    return TableauLattice(algebra, lam, tabs, covers)
+    """Each element's decrements from the column table are checked by one
+    is_semistandard call on the changed column and its neighbours, t[i-1:i+2],
+    under that window's own shape: t is admissible, and admissibility asks
+    only about single columns and adjacent pairs.  A decrement at an earlier
+    position, or of an earlier entry, lowers the code more, so taking both
+    in order gives each element's upper covers in ascending order."""
+    table = column_table(algebra)
+    codes = enumerate_tableaux(algebra, lam)
+    index = {code: k for k, code in enumerate(codes)}
+    n, radix, columns = lam[0] + lam[1], table.radix, table.columns
+    spans = [(i, lo, min(i + 2, n), shape, radix ** (n - 1 - i))
+             for i, (lo, shape) in enumerate(_windows(lam))]
+    down = [[(old - new, beta, columns[new]) for new, beta in lowered]
+            for old, lowered in enumerate(table.lowered)]
+    low, up, beta = [], [], bytearray()
+    for k, (code, ids) in enumerate(zip(codes, zip(*_id_columns(codes, n, radix)))):
+        t = tuple(map(columns.__getitem__, ids))
+        for i, lo, hi, shape, place in spans:
+            for step, b, new_column in down[ids[i]]:
+                if is_semistandard(algebra, shape, t[lo:i] + (new_column,) + t[i + 1:hi]):
+                    low.append(k)
+                    up.append(index[code - step * place])
+                    beta.append(b)
+    return TableauLattice(algebra, lam, codes, index, Covers(low, up, bytes(beta)))
 
 
-# --- per-column dictionary between fundamental ideals and columns ------------
+# --- per-column dictionary between fundamental ideals and column ids ---------
 
 
 @lru_cache(maxsize=None)
-def _piece_column_maps(algebra: Algebra, which: str) -> tuple[tuple[Column, ...], dict]:
-    """(column per fundamental-lattice element, column -> element) for one piece type.
+def _piece_column_maps(algebra: Algebra, which: str) -> tuple[tuple[int, ...], dict[int, int]]:
+    """(column id per fundamental-lattice element, column id -> element)
+    for one piece type.
 
     The dictionary is the unique edge-colored isomorphism between the
     fundamental ideal lattice and the one-column tableau lattice.
@@ -342,8 +393,8 @@ def _piece_column_maps(algebra: Algebra, which: str) -> tuple[tuple[Column, ...]
     iso = edge_color_isomorphism(fund.edge_poset, tl.edge_poset)
     if iso is None:
         raise RuntimeError("fundamental lattice does not match its column lattice")
-    columns = tuple(tl.tableaux[iso[i]][0] for i in range(len(fund)))
-    return columns, {column: k for k, column in enumerate(columns)}
+    ids = tuple(tl.codes[iso[i]] for i in range(len(fund)))  # one column: code = id
+    return ids, {x: k for k, x in enumerate(ids)}
 
 
 def _column_maps(lattice: IdealLattice) -> tuple[SemistandardPoset, list[tuple]]:
@@ -357,26 +408,35 @@ def _column_maps(lattice: IdealLattice) -> tuple[SemistandardPoset, list[tuple]]
                 + [_piece_column_maps(sp.algebra, "alpha_fund")] * a)
 
 
-def tableau_of_ideal(lattice: IdealLattice) -> list[Tableau]:
-    """Every element's tableau: per builder piece, its projection column
-    read through the piece's column table; the columns zipped."""
+def tableau_of_ideal(lattice: IdealLattice) -> list[int]:
+    """Every element's tableau, as its code: per builder piece, its
+    projection column read through the piece's id table and appended as
+    the next digit."""
     sp, maps = _column_maps(lattice)
-    columns = [list(map(column_of.__getitem__, index)) for (_, index), (column_of, _) in
-               zip(projection_columns(lattice, sp.decomposition), maps)]
-    return list(zip(*columns)) if columns else [()]
+    radix = column_table(sp.algebra).radix
+    codes = [0] * len(lattice)
+    for (_, index), (id_of, _) in zip(projection_columns(lattice, sp.decomposition), maps):
+        codes = [c * radix + id_of[i] for c, i in zip(codes, index)]
+    return codes
 
 
-def ideal_of_tableau(lattice: IdealLattice, tableaux: Sequence[Tableau]) -> list[int]:
+def ideal_of_tableau(lattice: IdealLattice, codes: Sequence[int]) -> list[int]:
     """The index in `lattice` of the order ideal labelled by each admissible
-    tableau: per position, the ideal ORs its column's piece mask."""
+    tableau's code: per position, the ideal ORs its column id's piece mask."""
     sp, maps = _column_maps(lattice)
-    for t in tableaux:
-        if not is_semistandard(sp.algebra, sp.weight, t):
-            raise ValueError(f"tableau {tableau_text(t)} is not admissible for this shape")
-    masks = [0] * len(tableaux)
-    for position, (_, _, piece_masks), (_, element_of) in zip(
-            zip(*tableaux), sp.decomposition.projections, maps):
-        masks = list(map(or_, masks, (piece_masks[element_of[c]] for c in position)))
+    radix = column_table(sp.algebra).radix
+    admissible = set(enumerate_tableaux(sp.algebra, sp.weight))
+    if not admissible.issuperset(codes):
+        bad = next(c for c in codes if c not in admissible)
+        name = (f"tableau {tableau_text(tableaux_of(sp.algebra, sp.weight, [bad])[0])}"
+                if isinstance(bad, int) and 0 <= bad < radix ** len(maps) else f"code {bad!r}")
+        raise ValueError(f"{name} is not admissible for this shape")
+    masks = [0] * len(codes)
+    for ids, (_, _, piece_masks), (_, element_of) in zip(
+            _id_columns(codes, len(maps), radix),
+            sp.decomposition.projections, maps):
+        mask_of = {x: piece_masks[e] for x, e in element_of.items()}
+        masks = list(map(or_, masks, map(mask_of.__getitem__, ids)))
     return list(map(lattice.index_of.__getitem__, masks))
 
 
@@ -434,44 +494,16 @@ def admissible_blocks(algebra: Algebra, rows: int) -> tuple[Block, ...]:
     return tuple(sorted(table.values()))
 
 
-def to_littelmann(algebra: Algebra, t: Tableau) -> LittelmannTableau:
-    """Replace every column by its admissible block."""
-    _require_simple(algebra)
-    single, double = _BLOCKS_SINGLE[algebra], _BLOCKS_DOUBLE[algebra]
-    blocks = []
-    for column in t:
-        table = double if len(column) == 2 else single
-        if column not in table:
-            raise ValueError(f"column {column} has no admissible block")
-        blocks.append(table[column])
-    return tuple(blocks)
+def enumerate_littelmann(algebra: Algebra, lam: Weight) -> list[int]:
+    """The codes of all semistandard block tableaux built from admissible
+    blocks, sorted, over the block ids."""
+    table = column_table(algebra)
+    return _sequences([len(block[0]) for block in table.blocks], lam, table.block_pair)
 
 
-def wt_lit(algebra: Algebra, u: LittelmannTableau) -> Weight:
-    """Normalized weight of a block tableau; always integral on admissible input.
-
-    Each block's numerator comes from the block table, or column by column
-    for a block that is not admissible; the total is divided once.
-    """
-    column_num, block_num, length = _block_weights(algebra)
-    x = y = 0
-    for block in u:
-        num = block_num.get(block)
-        p, q = _total(column_num, block) if num is None else num
-        x += p
-        y += q
-    (qx, rx), (qy, ry) = divmod(x, length), divmod(y, length)
-    if rx or ry:
-        raise ArithmeticError(f"non-integral block-tableau weight {(x, y)} / {length}")
-    return (qx, qy)
-
-
-def enumerate_littelmann(algebra: Algebra, lam: Weight) -> tuple[LittelmannTableau, ...]:
-    """All semistandard block tableaux built from admissible blocks."""
-    pairs = _block_pairs(algebra)
-    a, b = nonnegative_weight(lam)
-    options = [admissible_blocks(algebra, 2)] * b + [admissible_blocks(algebra, 1)] * a
-    return _sequences(options, lambda left, right: (left, right) in pairs)
+def littelmann_of(algebra: Algebra, lam: Weight, codes: Sequence[int]) -> list[LittelmannTableau]:
+    """The block tableaux of shape lam with these codes."""
+    return _decode(column_table(algebra).blocks, lam, codes)
 
 
 def tableau_text(t: Tableau) -> str:

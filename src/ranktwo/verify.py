@@ -20,8 +20,8 @@ from .algebras import ALPHA, BETA, Algebra, cartan_matrix, sigma0
 from .build import fundamental_poset, semistandard_poset
 from .fixtures import load_fixture
 from .grid import decompose, triangle_dual
-from .lattice import (IdealLattice, check_structure, order_ideals,
-                      piece_rank_stats, structure_rows, weight_via_decomposition)
+from .lattice import (IdealLattice, check_structure, order_ideals, piece_rank_stats,
+                      projection_columns, structure_rows, weight_via_decomposition)
 from .poset import find_rank_function, vertex_color_isomorphism
 from .weyl import (LaurentPoly2, QPoly, alternating_sum,
                    character_from_lattice, q_product, rgf_from_lattice,
@@ -153,37 +153,40 @@ class Verifier:
             dec = lat.built.decomposition
             if len(dec) != lam[0] + lam[1] or decompose(lat) != dec:
                 return False
-            if weight_via_decomposition(lat, dec) != lat.weights:
+            projection = projection_columns(lat, dec)
+            if weight_via_decomposition(lat, projection) != lat.weights:
                 return False
             for color in (ALPHA, BETA):
-                if lat.rank_stats(color) != piece_rank_stats(lat, dec, color):
+                if lat.rank_stats(color) != piece_rank_stats(lat, projection, color):
                     return False
         return True
 
     def _tableau_case(self, algebra, lam) -> bool:
-        from .tableaux import (enumerate_littelmann, ideal_of_tableau,
-                               tableau_lattice, tableau_of_ideal, tableauwt,
-                               to_littelmann, wt_lit)
+        from .tableaux import (column_sums, column_table, enumerate_littelmann,
+                               ideal_of_tableau, tableau_lattice, tableau_of_ideal)
 
         lat = self.lattice(algebra, "beta_alpha", lam)
-        tabs = tableau_of_ideal(lat)
-        if ideal_of_tableau(lat, tabs) != list(range(len(lat))):
-            return False
-        if tuple(map(partial(tableauwt, algebra), tabs)) != lat.weights:
-            return False
-        blocks = list(map(partial(to_littelmann, algebra), tabs))
-        if tuple(map(partial(wt_lit, algebra), blocks)) != lat.weights:
-            return False
-        if sorted(blocks) != sorted(enumerate_littelmann(algebra, lam)):
-            return False
+        codes = tableau_of_ideal(lat)
         # phi (element of lat -> index of its tableau in tl), a bijection
         # carrying the covers onto tl's with their colors, is an
-        # edge-colored isomorphism of the two lattices
+        # edge-colored isomorphism of the two lattices; the code of an
+        # inadmissible tableau has no index
         tl = tableau_lattice(algebra, lam)
-        phi = list(map({t: k for k, t in enumerate(tl.tableaux)}.__getitem__, tabs))
+        phi = [tl.index.get(code, -1) for code in codes]
         if sorted(phi) != list(range(len(tl))):
             return False
-        return {(phi[i], phi[j], c) for i, j, c in lat.covers} == tl.covers
+        if ideal_of_tableau(lat, codes) != list(range(len(lat))):
+            return False
+        cov, image = tl.covers, lat.covers
+        if _cover_keys(cov.lower, cov.upper, cov.beta, len(tl)) != _cover_keys(
+                map(phi.__getitem__, image.lower), map(phi.__getitem__, image.upper),
+                image.beta, len(tl)):
+            return False
+        weights, numerators, blocks = column_sums(algebra, lam, codes)
+        length = column_table(algebra).block_length
+        return (weights == list(lat.weights)
+                and numerators == [(length * p, length * q) for p, q in lat.weights]
+                and sorted(blocks) == enumerate_littelmann(algebra, lam))
 
     def _duality_case(self, algebra, lam) -> bool:
         lat_ba = self.lattice(algebra, "beta_alpha", lam)
@@ -285,20 +288,22 @@ def _induced_lattice_iso_ok(algebra, phi, lat_ba: IdealLattice,
                             lat_ab: IdealLattice) -> bool:
     """Check that ideal complements along phi give an edge-colored iso
     from the alpha-beta lattice onto the recolored dual of the beta-alpha one.
-    Covers compare as sorted keys (i * n + j) * 2 + beta; sigma0 flips beta
-    iff it swaps the two colors."""
+    Covers compare as sorted keys; the dual reverses each cover, and sigma0
+    flips beta iff it swaps the two colors."""
     mapping = _dual_mapping(phi, lat_ba, lat_ab)
     n = len(lat_ba)
     if len(set(mapping)) != n:
         return False
     flip = sigma0(algebra)[ALPHA] is BETA
-    cov = lat_ba.covers
-    dual_keys = sorted((j * n + i) * 2 + (b ^ flip)
-                       for i, j, b in zip(cov.lower, cov.upper, cov.beta))
-    cov = lat_ab.covers
-    image_keys = sorted((mapping[i] * n + mapping[j]) * 2 + b
-                        for i, j, b in zip(cov.lower, cov.upper, cov.beta))
-    return image_keys == dual_keys
+    cov, image = lat_ba.covers, lat_ab.covers
+    return _cover_keys(cov.upper, cov.lower, (b ^ flip for b in cov.beta), n) == _cover_keys(
+        map(mapping.__getitem__, image.lower), map(mapping.__getitem__, image.upper),
+        image.beta, n)
+
+
+def _cover_keys(lower, upper, beta, n: int) -> list[int]:
+    """Covers (i, j) of an n-element lattice as sorted keys (i * n + j) * 2 + beta."""
+    return sorted((i * n + j) * 2 + b for i, j, b in zip(lower, upper, beta))
 
 
 def structure_report(poset) -> dict:

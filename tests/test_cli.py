@@ -4,6 +4,7 @@ import re
 import pytest
 
 import ranktwo.lattice
+import ranktwo.tableaux
 from ranktwo.cli import main
 from ranktwo.serialize import dumps
 from ranktwo.verify import Verifier
@@ -148,6 +149,17 @@ class TestTableaux:
                            "--littelmann", "--count-only")
         assert code == 0 and out.strip() == "16"
 
+    @pytest.mark.parametrize("form", [[], ["--littelmann"]], ids=["columns", "blocks"])
+    def test_count_only_renders_no_text(self, capsys, monkeypatch, form):
+        def refuse(*args):
+            raise AssertionError("count-only rendered text")
+
+        for name in ("tableau_text", "littelmann_text"):
+            monkeypatch.setattr(ranktwo.tableaux, name, refuse)
+        code, out, _ = run(capsys, "tableaux", "--algebra", "g2", "--weight", "2,2",
+                           "--count-only", *form)
+        assert (code, out) == (0, "729\n")
+
 
 class TestVerifyCommand:
     def test_structure_fixture_fails(self, tmp_path, capsys):
@@ -184,6 +196,13 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--bijection", "--seed-range", "1,1")
         assert code == 0
         assert "tableau_suite" in out
+
+    def test_bijection_and_structure_together_are_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--bijection", "--structure", "two_color_example"])
+        assert exc.value.code == 2
+        _, err = capsys.readouterr()
+        assert "not allowed with argument" in err
 
     def test_bijection_line(self, capsys):
         code, out, _ = run(capsys, "verify", "--bijection", "--seed-range", "2,2")

@@ -1,5 +1,7 @@
 import itertools
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 import pytest
 
@@ -8,24 +10,159 @@ from ranktwo.algebras import ALPHA, BETA, Algebra
 from ranktwo.build import fundamental_poset, semistandard_poset
 from ranktwo.fixtures import load_fixture
 from ranktwo.grid import GridPoset
-from ranktwo.lattice import order_ideals
+from ranktwo.lattice import Covers, order_ideals
 from ranktwo.poset import EdgeColoredPoset, edge_color_isomorphism
 from ranktwo.tableaux import (ALPHABET_SIZE, EDGE_COLOR_OF_VALUE, ShapeError,
-                              TableauLattice, _block_pairs, _column_admissible,
-                              _column_maps, _decrement_table, _decrements,
+                              TableauLattice, _column_admissible, _column_maps,
                               _pair_admissible, _require_simple, _row_compatible,
-                              _sequences, _tables, _windows, admissible_blocks,
-                              allowed_columns, check_shape, enumerate_littelmann,
+                              _tables, _windows, admissible_blocks,
+                              allowed_columns, check_shape, column_sums,
+                              column_table, enumerate_littelmann,
                               enumerate_tableaux, ideal_of_tableau,
-                              is_semistandard, littelmann_text, tableau_lattice,
-                              tableau_of_ideal, tableau_text, tableauwt,
-                              to_littelmann, wt_lit, _BLOCKS_DOUBLE,
-                              _BLOCKS_SINGLE)
+                              is_semistandard, littelmann_of, littelmann_text,
+                              tableau_lattice, tableau_of_ideal, tableau_text,
+                              tableaux_of, _BLOCK_ENTRY_WEIGHT, _BLOCK_LENGTH,
+                              _BLOCKS_DOUBLE, _BLOCKS_SINGLE, _ENTRY_WEIGHT)
 from ranktwo.verify import Verifier
 from ranktwo.weyl import LaurentPoly2, character_from_lattice
 
 SIMPLE = (Algebra.A2, Algebra.C2, Algebra.G2)
 WEIGHTS = list(itertools.product(range(4), repeat=2))  # every weight <= (3,3)
+# where the code paths must equal the tuple references
+CASES = [(g, lam) for g in SIMPLE for lam in WEIGHTS] + [(Algebra.G2, (4, 4))]
+
+
+# --- the tuple paths, kept beside their tests as references for the codes -----
+
+
+def _total(table, items):
+    """Sum of table[item] over the items; ShapeError for an item outside it."""
+    x = y = 0
+    for item in items:
+        try:
+            p, q = table[item]
+        except KeyError:
+            raise ShapeError(f"{item} is not over the alphabet") from None
+        x += p
+        y += q
+    return x, y
+
+
+def _by_column(entry_weight):
+    """Every well-formed column over entry_weight's alphabet, weighed."""
+    return MappingProxyType({c: _total(entry_weight, c) for n in (1, 2)
+                             for c in itertools.combinations(sorted(entry_weight), n)})
+
+
+@lru_cache(maxsize=None)
+def _column_weights(algebra):
+    """The weight of every well-formed column, inadmissible ones too."""
+    _require_simple(algebra)
+    return _by_column(_ENTRY_WEIGHT[algebra])
+
+
+def tableauwt(algebra, t):
+    """Reference: the weight of a tableau, the sum of its columns' weights."""
+    return _total(_column_weights(algebra), t)
+
+
+@lru_cache(maxsize=None)
+def _block_weights(algebra):
+    """Littelmann numerators per well-formed block column and per
+    admissible block, and the block length that divides them."""
+    _require_simple(algebra)
+    columns = _by_column(_BLOCK_ENTRY_WEIGHT[algebra])
+    blocks = admissible_blocks(algebra, 1) + admissible_blocks(algebra, 2)
+    return (columns, MappingProxyType({block: _total(columns, block) for block in blocks}),
+            _BLOCK_LENGTH[algebra])
+
+
+def wt_lit(algebra, u):
+    """Reference: the normalized weight of a block tableau; always integral
+    on admissible input.  Each block's numerator comes from the block
+    table, or column by column for a block that is not admissible; the
+    total is divided once."""
+    column_num, block_num, length = _block_weights(algebra)
+    x = y = 0
+    for block in u:
+        num = block_num.get(block)
+        p, q = _total(column_num, block) if num is None else num
+        x += p
+        y += q
+    (qx, rx), (qy, ry) = divmod(x, length), divmod(y, length)
+    if rx or ry:
+        raise ArithmeticError(f"non-integral block-tableau weight {(x, y)} / {length}")
+    return (qx, qy)
+
+
+def to_littelmann(algebra, t):
+    """Reference: every column replaced by its admissible block."""
+    _require_simple(algebra)
+    single, double = _BLOCKS_SINGLE[algebra], _BLOCKS_DOUBLE[algebra]
+    blocks = []
+    for column in t:
+        table = double if len(column) == 2 else single
+        if column not in table:
+            raise ValueError(f"column {column} has no admissible block")
+        blocks.append(table[column])
+    return tuple(blocks)
+
+
+@lru_cache(maxsize=None)
+def _decrement_table(algebra):
+    """Reference: per admissible column, the admissible columns that
+    lowering one of its entries by one gives, in entry order, each with
+    the color of the new edge."""
+    ones, twos, _ = _tables(algebra)
+    columns = ones | twos
+    color_of = EDGE_COLOR_OF_VALUE[algebra]
+    lowered = {column: [(column[:j] + (e - 1,) + column[j + 1:], color_of[e - 1])
+                        for j, e in enumerate(column) if e > 1]
+               for column in columns}
+    return MappingProxyType({column: tuple((new, color) for new, color in pairs if new in columns)
+                             for column, pairs in lowered.items()})
+
+
+def _decrements(algebra, t, lowered, windows):
+    """Reference: the tableaux covering t-as-lattice-element, one entry
+    lowered by one, each checked on the changed column and its neighbours
+    under that window's own shape."""
+    for i, (lo, shape) in enumerate(windows):
+        left, right = t[lo:i], t[i + 1:i + 2]
+        for new_col, color in lowered[t[i]]:
+            if is_semistandard(algebra, shape, left + (new_col,) + right):
+                yield t[:i] + (new_col,) + t[i + 1:], color
+
+
+def reference_sequences(options, compatible):
+    """Reference: every sequence taking one item from each options[i] in
+    which each consecutive pair is compatible, sorted lexicographically."""
+    seqs = [()]
+    for items in options:
+        seqs = [s + (x,) for s in seqs for x in items if not s or compatible(s[-1], x)]
+    return tuple(sorted(seqs))
+
+
+def reference_enumerate_tableaux(algebra, lam):
+    """Reference: all admissible tableaux of the shape, as sorted tuples."""
+    _, _, pairs = _tables(algebra)
+    a, b = lam
+    options = [allowed_columns(algebra, 2)] * b + [allowed_columns(algebra, 1)] * a
+    return reference_sequences(options, lambda left, right: (left, right) in pairs)
+
+
+def tableaux(algebra, lam):
+    """The enumerated codes of shape lam, decoded."""
+    return tableaux_of(algebra, lam, enumerate_tableaux(algebra, lam))
+
+
+def encode(algebra, t):
+    """The code of a tableau whose columns are all admissible."""
+    table = column_table(algebra)
+    code = 0
+    for column in t:
+        code = code * table.radix + table.columns.index(column)
+    return code
 
 
 def entry_counts(t) -> dict[int, int]:
@@ -80,9 +217,10 @@ def shapes_of_length(n):
 class TestAdmissibilityTables:
     @pytest.mark.parametrize("algebra", SIMPLE)
     def test_tables_match_predicates(self, algebra):
-        columns, pairs = _tables(algebra)
+        ones, twos, pairs = _tables(algebra)
         cols = well_formed_columns(algebra)
-        assert columns == {c for c in cols if _column_admissible(algebra, c)}
+        assert ones == {c for c in cols if len(c) == 1 and _column_admissible(algebra, c)}
+        assert twos == {c for c in cols if len(c) == 2 and _column_admissible(algebra, c)}
         assert pairs == {(left, right) for left, right in itertools.product(cols, repeat=2)
                          if _column_admissible(algebra, left)
                          and _column_admissible(algebra, right)
@@ -132,7 +270,10 @@ class TestAdmissibilityTables:
     @pytest.mark.parametrize("algebra", SIMPLE)
     def test_block_pairs_match_row_compatibility(self, algebra):
         blocks = admissible_blocks(algebra, 1) + admissible_blocks(algebra, 2)
-        assert _block_pairs(algebra) == {
+        table = column_table(algebra)
+        assert {(table.blocks[left], table.blocks[right])
+                for left, row in enumerate(table.block_pair)
+                for right, ok in enumerate(row) if ok} == {
             (left, right) for left, right in itertools.product(blocks, repeat=2)
             if _row_compatible(left[-1], right[0])}
 
@@ -142,6 +283,40 @@ class TestAdmissibilityTables:
                                     (2, (2, 1)), (3, (2, 0))]
         assert _windows((1, 0)) == [(0, (1, 0))]
         assert _windows((0, 0)) == []
+
+
+class TestColumnTable:
+    """Per column id, the table equals the tuple references."""
+
+    @pytest.mark.parametrize("algebra", SIMPLE)
+    def test_columns_and_pairs(self, algebra):
+        ones, twos, pairs = _tables(algebra)
+        table = column_table(algebra)
+        assert table.columns == tuple(sorted(ones | twos))
+        assert table.radix == len(ones) + len(twos)
+        assert {(table.columns[left], table.columns[right])
+                for left, row in enumerate(table.pair)
+                for right, ok in enumerate(row) if ok} == pairs
+
+    @pytest.mark.parametrize("algebra", SIMPLE)
+    def test_decrements(self, algebra):
+        table = column_table(algebra)
+        for column, lowered in zip(table.columns, table.lowered):
+            assert [(table.columns[new], BETA if beta else ALPHA) for new, beta in lowered] \
+                == list(_decrement_table(algebra)[column]), column
+
+    @pytest.mark.parametrize("algebra", SIMPLE)
+    def test_weights_and_blocks(self, algebra):
+        table = column_table(algebra)
+        assert table.blocks == tuple(sorted(admissible_blocks(algebra, 1)
+                                            + admissible_blocks(algebra, 2)))
+        length = table.block_length
+        for k, column in enumerate(table.columns):
+            (block,) = to_littelmann(algebra, (column,))
+            assert table.weight[k] == tableauwt(algebra, (column,))
+            assert table.blocks[table.block[k]] == block
+            x, y = wt_lit(algebra, (block,))
+            assert table.numerator[k] == (length * x, length * y)
 
 
 class TestNegativeWeights:
@@ -197,13 +372,13 @@ class TestEnumeration:
         assert len(enumerate_tableaux(Algebra.G2, (2, 2))) == 729
 
     def test_c2_11_label_set(self):
-        assert set(enumerate_tableaux(Algebra.C2, (1, 1))) == goldens.C2_11_TABLEAUX
+        assert set(tableaux(Algebra.C2, (1, 1))) == goldens.C2_11_TABLEAUX
 
     @pytest.mark.parametrize("algebra,lam", [
         (Algebra.A2, (2, 2)), (Algebra.C2, (2, 1)), (Algebra.C2, (0, 3)),
         (Algebra.G2, (1, 1)), (Algebra.G2, (2, 0)), (Algebra.G2, (0, 2))])
     def test_matches_brute_force(self, algebra, lam):
-        assert list(enumerate_tableaux(algebra, lam)) == brute_force_tableaux(algebra, lam)
+        assert tableaux(algebra, lam) == brute_force_tableaux(algebra, lam)
 
     def test_counts_match_lattices(self):
         for algebra in SIMPLE:
@@ -211,13 +386,21 @@ class TestEnumeration:
                 lat = order_ideals(semistandard_poset(algebra, "beta_alpha", lam))
                 assert len(enumerate_tableaux(algebra, lam)) == len(lat)
 
+    @pytest.mark.parametrize("algebra,lam", CASES)
+    def test_sorted_codes_decode_to_sorted_tuples(self, algebra, lam):
+        codes = enumerate_tableaux(algebra, lam)
+        assert codes == sorted(codes)
+        assert tableaux_of(algebra, lam, codes) == sorted(reference_enumerate_tableaux(algebra, lam))
+        assert [encode(algebra, t) for t in tableaux_of(algebra, lam, codes)] == codes
+
 
 def reference_tableau_of_ideal(lattice, index):
     """Oracle: the tableau of one element, its mask projected piece by piece
     through the builder decomposition."""
     sp, maps = _column_maps(lattice)
+    columns = column_table(sp.algebra).columns
     mask = lattice.elements[index]
-    return tuple(columns[piece[mask & bits]] for (bits, piece, _), (columns, _) in
+    return tuple(columns[ids[piece[mask & bits]]] for (bits, piece, _), (ids, _) in
                  zip(sp.decomposition.projections, maps))
 
 
@@ -227,9 +410,10 @@ def reference_ideal_of_tableau(lattice, t):
     sp, maps = _column_maps(lattice)
     if not is_semistandard(sp.algebra, sp.weight, t):
         raise ValueError("tableau is not admissible for this shape")
+    columns = column_table(sp.algebra).columns
     mask = 0
     for (_, _, masks), (_, element), column in zip(sp.decomposition.projections, maps, t):
-        mask |= masks[element[column]]
+        mask |= masks[element[columns.index(column)]]
     return lattice.index_of[mask]
 
 
@@ -239,11 +423,11 @@ class TestBijectionColumns:
     @staticmethod
     def assert_matches_reference(algebra, lam):
         lat = order_ideals(semistandard_poset(algebra, "beta_alpha", lam))
-        assert tableau_of_ideal(lat) == [reference_tableau_of_ideal(lat, i)
-                                         for i in range(len(lat))]
-        tabs = enumerate_tableaux(algebra, lam)  # another order than the lattice's
-        assert ideal_of_tableau(lat, tabs) == [reference_ideal_of_tableau(lat, t)
-                                               for t in tabs]
+        assert tableaux_of(algebra, lam, tableau_of_ideal(lat)) == [
+            reference_tableau_of_ideal(lat, i) for i in range(len(lat))]
+        codes = enumerate_tableaux(algebra, lam)  # another order than the lattice's
+        assert ideal_of_tableau(lat, codes) == [reference_ideal_of_tableau(lat, t)
+                                                for t in tableaux_of(algebra, lam, codes)]
 
     @pytest.mark.parametrize("algebra", SIMPLE)
     def test_every_weight_to_33(self, algebra):
@@ -257,7 +441,7 @@ class TestBijectionColumns:
 class TestBijection:
     def test_extreme_labels(self):
         lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (1, 1)))
-        tabs = tableau_of_ideal(lat)
+        tabs = tableaux_of(Algebra.C2, (1, 1), tableau_of_ideal(lat))
         assert tabs[0] == ((3, 4), (4,))
         assert tabs[lat.top] == ((1, 2), (1,))
 
@@ -265,9 +449,10 @@ class TestBijection:
     def test_round_trip(self, algebra):
         for lam in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2)]:
             lat = order_ideals(semistandard_poset(algebra, "beta_alpha", lam))
-            tabs = tableau_of_ideal(lat)
-            assert ideal_of_tableau(lat, tabs) == list(range(len(lat)))
-            assert set(tabs) == set(enumerate_tableaux(algebra, lam))
+            codes = tableau_of_ideal(lat)
+            assert ideal_of_tableau(lat, codes) == list(range(len(lat)))
+            assert set(codes) == set(enumerate_tableaux(algebra, lam))
+            assert set(tableaux_of(algebra, lam, codes)) == set(tableaux(algebra, lam))
 
     def test_ideal_of_tableau_builds_no_poset(self, monkeypatch):
         algebra, lam = Algebra.G2, (2, 2)
@@ -283,14 +468,20 @@ class TestBijection:
 
     def test_rejects_inadmissible(self):
         lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (0, 1)))
-        with pytest.raises(ValueError):
-            ideal_of_tableau(lat, [((1, 4),)])
+        # the inadmissible column (1,4) has no id, so no tableau holding it has a code
+        assert (1, 4) not in column_table(Algebra.C2).columns
+        with pytest.raises(ValueError, match=r"tableau \[1\] is not admissible"):
+            ideal_of_tableau(lat, [encode(Algebra.C2, ((1,),))])  # a column too short
+        with pytest.raises(ValueError, match="code 9 is not admissible"):
+            ideal_of_tableau(lat, [9])  # beyond the nine one-column codes
+        with pytest.raises(ValueError, match="code -1 "):
+            ideal_of_tableau(lat, [-1])
         lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (0, 2)))
         with pytest.raises(ValueError, match=r"\[2,3\]\[2,3\]"):
-            ideal_of_tableau(lat, [((2, 3), (2, 3))])
+            ideal_of_tableau(lat, [encode(Algebra.C2, ((2, 3), (2, 3)))])
         # one inadmissible tableau among admissible ones
         with pytest.raises(ValueError):
-            ideal_of_tableau(lat, tableau_of_ideal(lat) + [((2, 3), (2, 3))])
+            ideal_of_tableau(lat, tableau_of_ideal(lat) + [encode(Algebra.C2, ((2, 3), (2, 3)))])
 
     @pytest.mark.parametrize("lattice", [
         lambda: order_ideals(semistandard_poset(Algebra.C2, "alpha_beta", (1, 1))),
@@ -302,11 +493,12 @@ class TestBijection:
         with pytest.raises(ValueError):
             tableau_of_ideal(lat)
         with pytest.raises(ValueError):
-            ideal_of_tableau(lat, [((1, 2), (1,))])
+            ideal_of_tableau(lat, [0])
 
     def test_g2_second_fundamental_dictionary_extremes(self):
         lat = order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", (0, 1)))
-        top, bottom, i = ideal_of_tableau(lat, [((1, 2),), ((6, 7),), ((3, 6),)])
+        top, bottom, i = ideal_of_tableau(
+            lat, [encode(Algebra.G2, t) for t in [((1, 2),), ((6, 7),), ((3, 6),)]])
         assert top == lat.top
         assert bottom == 0
         # the chain-4 prefix of size four carries weight 3w_a - 2w_b
@@ -323,7 +515,10 @@ class TestWeights:
     def test_matches_lattice_weights(self, algebra):
         for lam in [(1, 0), (0, 1), (1, 1), (2, 1)]:
             lat = order_ideals(semistandard_poset(algebra, "beta_alpha", lam))
-            assert [tableauwt(algebra, t) for t in tableau_of_ideal(lat)] == list(lat.weights)
+            codes = tableau_of_ideal(lat)
+            assert [tableauwt(algebra, t) for t in tableaux_of(algebra, lam, codes)] == \
+                list(lat.weights)
+            assert column_sums(algebra, lam, codes)[0] == list(lat.weights)
 
 
 class TestTableauLattice:
@@ -337,7 +532,8 @@ class TestTableauLattice:
         tl = tableau_lattice(Algebra.A2, (1, 0))
         # three elements [3] -> [2] -> [1], colored beta then alpha
         covers = sorted(tl.covers)
-        by_pair = {(tl.tableaux[i], tl.tableaux[j]): c for i, j, c in covers}
+        tabs = tl.tableaux
+        by_pair = {(tabs[i], tabs[j]): c for i, j, c in covers}
         assert by_pair == {
             (((3,),), ((2,),)): BETA,
             (((2,),), ((1,),)): ALPHA,
@@ -380,20 +576,21 @@ def reference_tableau_lattice(algebra, lam):
     """Oracle: (tableaux, covers) with the covers from the window check on
     every decrement and validated as a generic EdgeColoredPoset (acyclic,
     no transitive cover)."""
-    tabs = enumerate_tableaux(algebra, lam)
+    tabs = reference_enumerate_tableaux(algebra, lam)
     index = {t: i for i, t in enumerate(tabs)}
     covers = {(index[t], index[upper], color) for t in tabs
               for upper, color in reference_window_decrements(algebra, t)}
     return tabs, EdgeColoredPoset(tuple(range(len(tabs))), frozenset(covers)).covers
 
 
-@pytest.mark.parametrize("algebra,lam", [(g, lam) for g in SIMPLE for lam in WEIGHTS]
-                         + [(Algebra.G2, (4, 4))])
+@pytest.mark.parametrize("algebra,lam", CASES)
 def test_tableau_lattice_matches_reference(algebra, lam):
     tl = tableau_lattice(algebra, lam)
     tabs, covers = reference_tableau_lattice(algebra, lam)
-    assert tl.tableaux == tabs
-    assert tl.covers == covers
+    assert tl.tableaux == list(tabs)
+    assert tl.codes == enumerate_tableaux(algebra, lam)
+    assert tl.index == {code: k for k, code in enumerate(tl.codes)}
+    assert list(tl.covers) == sorted(covers, key=lambda c: c[:2])  # in (i, j) order
 
 
 def test_tableau_lattice_builds_no_edge_poset(monkeypatch):
@@ -431,7 +628,7 @@ def test_window_decrements_match_full_check(algebra):
     lowered = _decrement_table(algebra)
     for lam in WEIGHTS:
         windows = _windows(lam)
-        for t in enumerate_tableaux(algebra, lam):
+        for t in reference_enumerate_tableaux(algebra, lam):
             assert list(_decrements(algebra, t, lowered, windows)) == \
                 list(reference_decrements(algebra, lam, t)), (lam, t)
 
@@ -449,23 +646,24 @@ class TestBijectionCheckCatchesTampering:
             tl = tableau_lattice(algebra, lam)
             if lam != (1, 1):
                 return tl
-            covers = sorted(tl.covers, key=lambda c: (c[0], c[1]))
-            return TableauLattice(tl.algebra, tl.weight, tl.tableaux,
-                                  frozenset(change(covers)))
+            cov = tl.covers
+            lower, upper, beta = change(list(cov.lower), list(cov.upper), bytearray(cov.beta))
+            return TableauLattice(tl.algebra, tl.weight, tl.codes, tl.index,
+                                  Covers(lower, upper, bytes(beta)))
         return build
 
     @staticmethod
-    def keep(covers):
-        return covers
+    def keep(lower, upper, beta):
+        return lower, upper, beta
 
     @staticmethod
-    def recolor(covers):
-        i, j, c = covers[0]
-        return [(i, j, BETA if c is ALPHA else ALPHA)] + covers[1:]
+    def recolor(lower, upper, beta):
+        beta[0] ^= 1
+        return lower, upper, beta
 
     @staticmethod
-    def drop(covers):
-        return covers[1:]
+    def drop(lower, upper, beta):
+        return lower[1:], upper[1:], beta[1:]
 
     @staticmethod
     def suite_status():
@@ -491,14 +689,33 @@ def reference_enumerate_littelmann(algebra, lam):
     facing columns, with no block-pair table."""
     a, b = lam
     options = [admissible_blocks(algebra, 2)] * b + [admissible_blocks(algebra, 1)] * a
-    return _sequences(options, lambda left, right: _row_compatible(left[-1], right[0]))
+    return reference_sequences(options, lambda left, right: _row_compatible(left[-1], right[0]))
+
+
+def littelmann(algebra, lam):
+    """The enumerated block codes of shape lam, decoded."""
+    return littelmann_of(algebra, lam, enumerate_littelmann(algebra, lam))
 
 
 @pytest.mark.parametrize("algebra", SIMPLE)
 def test_littelmann_enumeration_matches_row_pruning(algebra):
-    for lam in WEIGHTS:
-        assert enumerate_littelmann(algebra, lam) == \
-            reference_enumerate_littelmann(algebra, lam), lam
+    for lam in WEIGHTS + ([(4, 4)] if algebra is Algebra.G2 else []):
+        codes = enumerate_littelmann(algebra, lam)
+        assert codes == sorted(codes), lam
+        assert littelmann_of(algebra, lam, codes) == \
+            list(reference_enumerate_littelmann(algebra, lam)), lam
+
+
+@pytest.mark.parametrize("algebra,lam", CASES)
+def test_column_sums_match_references(algebra, lam):
+    codes = enumerate_tableaux(algebra, lam)
+    tabs = tableaux_of(algebra, lam, codes)
+    weights, numerators, blocks = column_sums(algebra, lam, codes)
+    length = column_table(algebra).block_length
+    assert weights == [tableauwt(algebra, t) for t in tabs]
+    assert numerators == [(length * x, length * y) for x, y in
+                          (wt_lit(algebra, to_littelmann(algebra, t)) for t in tabs)]
+    assert littelmann_of(algebra, lam, blocks) == [to_littelmann(algebra, t) for t in tabs]
 
 
 def from_littelmann(algebra: Algebra, u) -> tuple:
@@ -541,7 +758,7 @@ class TestLittelmann:
 
     def test_round_trip(self):
         for algebra in SIMPLE:
-            for t in enumerate_tableaux(algebra, (1, 1)):
+            for t in tableaux(algebra, (1, 1)):
                 assert from_littelmann(algebra, to_littelmann(algebra, t)) == t
 
     def test_unknown_block_named(self):
@@ -549,7 +766,7 @@ class TestLittelmann:
             from_littelmann(Algebra.C2, (((9, 9), (9, 9)),))
 
     def test_weight_preservation_c2_22(self):
-        for t in enumerate_tableaux(Algebra.C2, (2, 2)):
+        for t in tableaux(Algebra.C2, (2, 2)):
             assert wt_lit(Algebra.C2, to_littelmann(Algebra.C2, t)) == \
                 tableauwt(Algebra.C2, t)
 
@@ -557,15 +774,14 @@ class TestLittelmann:
         (Algebra.A2, (2, 1)), (Algebra.C2, (1, 1)), (Algebra.C2, (2, 2)),
         (Algebra.G2, (1, 1))])
     def test_bijection_with_block_tableaux(self, algebra, lam):
-        tabs = enumerate_tableaux(algebra, lam)
-        image = [to_littelmann(algebra, t) for t in tabs]
-        assert sorted(image) == sorted(enumerate_littelmann(algebra, lam))
+        image = [to_littelmann(algebra, t) for t in tableaux(algebra, lam)]
+        assert sorted(image) == littelmann(algebra, lam)
 
     @pytest.mark.parametrize("algebra,lam", [
         (Algebra.A2, (1, 1)), (Algebra.C2, (1, 1)), (Algebra.G2, (1, 1))])
     def test_splitting_sum(self, algebra, lam):
         total = LaurentPoly2.zero()
-        for u in enumerate_littelmann(algebra, lam):
+        for u in littelmann(algebra, lam):
             total = total + LaurentPoly2.monomial(*wt_lit(algebra, u))
         chi = character_from_lattice(
             order_ideals(semistandard_poset(algebra, "beta_alpha", lam)))
@@ -593,7 +809,7 @@ class TestLittelmannWeight:
     @pytest.mark.parametrize("algebra", SIMPLE)
     def test_matches_fraction_reference(self, algebra):
         for lam in WEIGHTS:
-            for u in enumerate_littelmann(algebra, lam):
+            for u in littelmann(algebra, lam):
                 assert wt_lit(algebra, u) == reference_wt_lit(algebra, u), u
 
     @pytest.mark.parametrize("weight", [wt_lit, reference_wt_lit])
@@ -628,7 +844,7 @@ class TestTableauWeight:
     @pytest.mark.parametrize("algebra", SIMPLE)
     def test_matches_entry_count_reference(self, algebra):
         for lam in WEIGHTS:
-            for t in enumerate_tableaux(algebra, lam):
+            for t in tableaux(algebra, lam):
                 assert tableauwt(algebra, t) == reference_tableauwt(algebra, t), t
 
     @pytest.mark.parametrize("algebra", SIMPLE)

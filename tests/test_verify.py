@@ -14,7 +14,8 @@ from ranktwo.algebras import Algebra, sigma0
 from ranktwo.build import SemistandardPoset, fundamental_poset, semistandard_poset
 from ranktwo.fixtures import load_fixture
 from ranktwo.grid import Decomposition, decompose, triangle_dual
-from ranktwo.lattice import order_ideals, piece_rank_stats
+import ranktwo.lattice
+from ranktwo.lattice import order_ideals, piece_rank_stats, projection_columns
 from ranktwo.poset import edge_color_isomorphism, vertex_color_isomorphism
 from ranktwo.weyl import (LaurentPoly2, alternating_sum, character_from_lattice,
                           rgf_product)
@@ -71,8 +72,8 @@ def wrong_cartan_matrix(m):
 
 
 def piece_rank_stats_off_by_one(m):
-    def off(lattice, dec, color):
-        rho, length = piece_rank_stats(lattice, dec, color)
+    def off(lattice, projection, color):
+        rho, length = piece_rank_stats(lattice, projection, color)
         rho[-1] += 1  # the top element's rho only
         return rho, length
 
@@ -88,28 +89,54 @@ def decompose_in_reverse_order(m):
     m.setattr(verify, "decompose", reversed_pieces)
 
 
+def tampered_column_table(m, name, change):
+    """The column table with change(table, entry) applied to each column
+    id's entry of field `name`."""
+    column_table = ranktwo.tableaux.column_table
+
+    def tampered(algebra):
+        table = column_table(algebra)
+        return table._replace(**{name: tuple(change(table, entry)
+                                             for entry in getattr(table, name))})
+
+    m.setattr(ranktwo.tableaux, "column_table", tampered)
+
+
 def tampered_tableau_weight(m):
-    weight = ranktwo.tableaux.tableauwt
-    m.setattr(ranktwo.tableaux, "tableauwt",
-              lambda algebra, t: (weight(algebra, t)[0] + 1, weight(algebra, t)[1]))
+    tampered_column_table(m, "weight", lambda table, w: (w[0] + 1, w[1]))
 
 
 def tampered_block_weight(m):
-    weight = ranktwo.tableaux.wt_lit
-    m.setattr(ranktwo.tableaux, "wt_lit",
-              lambda algebra, u: (weight(algebra, u)[0] + 1, weight(algebra, u)[1]))
+    # each block's weight off by one: its numerator off by one block length
+    tampered_column_table(m, "numerator",
+                          lambda table, w: (w[0] + table.block_length, w[1]))
 
 
-def two_elements_tableaux_swapped(m):
-    tableau_of_ideal = ranktwo.tableaux.tableau_of_ideal
+def tampered_element_codes(change):
+    def fault(m):
+        tableau_of_ideal = ranktwo.tableaux.tableau_of_ideal
 
-    def swapped(lattice):
-        tabs = tableau_of_ideal(lattice)
-        if len(tabs) > 1:
-            tabs[0], tabs[1] = tabs[1], tabs[0]
-        return tabs
+        def tampered(lattice):
+            codes = tableau_of_ideal(lattice)
+            change(codes, lattice)
+            return codes
 
-    m.setattr(ranktwo.tableaux, "tableau_of_ideal", swapped)
+        m.setattr(ranktwo.tableaux, "tableau_of_ideal", tampered)
+    fault.__name__ = change.__name__
+    return fault
+
+
+@tampered_element_codes
+def two_elements_tableaux_swapped(codes, lattice):
+    if len(codes) > 1:
+        codes[0], codes[1] = codes[1], codes[0]
+
+
+@tampered_element_codes
+def one_element_code_inadmissible(codes, lattice):
+    # past every code of the shape: radix ** (number of columns)
+    a, b = lattice.built.weight
+    codes[-1] = ranktwo.tableaux.column_table(lattice.built.algebra).radix ** (a + b)
 
 
 def triangle_dual_that_does_not_dualize(m):
@@ -142,6 +169,7 @@ FAULTS = [
     ("tableau_suite", tampered_tableau_weight),
     ("tableau_suite", tampered_block_weight),
     ("tableau_suite", two_elements_tableaux_swapped),
+    ("tableau_suite", one_element_code_inadmissible),
     ("duality", triangle_dual_that_does_not_dualize),
     ("duality", dichotomy_claimed_for_a1a1),
     ("quasi_gaussian", tampered_quasi_gaussian_product),
@@ -174,6 +202,25 @@ def test_crashing_check_fails_with_its_error(monkeypatch):
     assert check["params"].count("decomposition crashed") == 1
     assert len(report) == 8
     assert all(c["status"] == "PASS" for c in report.values()), report
+
+
+def test_additivity_projects_each_lattice_once(monkeypatch):
+    projected = []  # (algebra, order, weight) of every projection built
+
+    def recording_projection_columns(lattice, dec):
+        sp = lattice.built
+        projected.append((sp.algebra, sp.order, sp.weight))
+        return projection_columns(lattice, dec)
+
+    # raising=False: a tree where verify does not import it still runs the test
+    monkeypatch.setattr(verify, "projection_columns", recording_projection_columns,
+                        raising=False)
+    monkeypatch.setattr(ranktwo.lattice, "projection_columns", recording_projection_columns)
+    (entry,) = verify.Verifier((2, 2)).run_all(("additivity",))["checks"]
+    assert entry["status"] == "PASS"
+    assert sorted(projected, key=repr) == sorted(
+        [(algebra, order, (a, b)) for algebra in Algebra for order in verify.ORDERS
+         for a in range(3) for b in range(3) if a + b >= 2], key=repr)
 
 
 # --- the report, and the sweep run case by case -------------------------------
