@@ -5,9 +5,12 @@ Covers come from a chain walk: vertex_order splits into runs in which each
 vertex is a lower cover of the one before, chains whose bits descend going
 up.  An ideal can gain only the highest missing bit of a run, and does iff
 that vertex's lower covers are in it: one probe per run (six for G2 (a,a)).
-The walk writes the covers as three columns, `Covers`: lower and upper
-element indices and one byte per cover, 1 for beta; no object is made per
-cover, so the cyclic collector has nothing per cover to track.
+Elements ascend in (size, mask) and a cover adds one vertex, so every cover
+from the block of size s ends in the block of size s + 1: the walk goes one
+block at a time and indexes only the next one, never the whole lattice.
+It writes the covers as three columns, `Covers`: lower and upper element
+indices and one byte per cover, 1 for beta; no object is made per cover,
+so the cyclic collector has nothing per cover to track.
 
 The statistics are read from those covers.  A one-color cover joins two
 elements of one component, so an element's least component size lo is that
@@ -15,12 +18,13 @@ of any lower cover of that color and its greatest, hi, that of any upper
 one: a pass up the covers sets lo, a pass down sets hi.  An element of size
 s has rho = s - lo, length = hi - lo and weight coordinate m = 2 rho -
 length.  Statistics are whole-lattice columns with one entry per element:
-`rank_stats(color)` gives rho and length, `weights` every weight.  Along a
-decomposition, the one projection, `projection_columns`, indexes every
-element's intersection with each piece.  It has three readers: the sums
-`piece_rank_stats` and `weight_via_decomposition`, equal to the lattice's
-columns by `==` and handed the projection built once per lattice, and
-`tableaux.tableau_of_ideal`, a column id per piece.
+`rank_stats(color)` gives rho and length, and `weights` is a `Weights`, the
+columns m_a and m_b read as (m_a, m_b) pairs; no tuple is kept per
+element.  Along a decomposition, the one projection, `projection_columns`,
+indexes every element's intersection with each piece.  It has three
+readers: the sums `piece_rank_stats` and `weight_via_decomposition`, equal
+to the lattice's columns by `==` and handed the projection built once per
+lattice, and `tableaux.tableau_of_ideal`, a column id per piece.
 The generic `edge_poset` is built only for isomorphism and rank functions.
 
 Every element but the bottom adds one vertex to its first lower cover, the
@@ -31,6 +35,7 @@ element, and a lattice file's element rows grow the same way.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,12 +46,12 @@ from .build import SemistandardPoset
 from .grid import Decomposition, GridPoset, total_order
 from .poset import EdgeColoredPoset, VertexColoredPoset
 
-# Peak RSS (getrusage, Python 3.11) per ideal: about 375 B in the library
-# through covers, weights and the character, rgf and structure checks (G2
-# (6,6)-(8,8)); on the file path at G2 (6,6) and (7,7), 2.0-2.1 KB for
-# `enumerate` writing its file and 2.3-2.5 KB for `character --verify` and
-# `export` reading one: 0.38, 2.1 and 2.5 GB at 10**6.  G2 (8,8) has
-# 531,441 ideals.
+# Peak RSS growth (getrusage, Python 3.11) per ideal: 257-284 B in the
+# library through covers, weights and the character, rgf and structure
+# checks (G2 (5,5)-(8,8)); on the file path at G2 (6,6) and (7,7), 1.8-1.9
+# KB for `enumerate` writing its file and 2.2-2.4 KB for `character
+# --verify` and `export` reading one: 0.29, 1.9 and 2.4 GB at 10**6.  G2
+# (8,8) has 531,441 ideals.
 DEFAULT_MAX_IDEALS = 10**6
 
 
@@ -74,6 +79,31 @@ class Covers:
         return zip(self.lower, self.upper, map(_COLORS.__getitem__, self.beta))
 
 
+class Weights:
+    """Every element's weight as two columns: element i has weight
+    (alpha[i], beta[i]), its coordinates m_a and m_b.  Indexing gives that
+    pair, iterating gives every pair, and == compares the columns."""
+
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha: list[int], beta: list[int]) -> None:
+        self.alpha, self.beta = alpha, beta
+
+    def __len__(self) -> int:
+        return len(self.alpha)
+
+    def __getitem__(self, i: int) -> Weight:
+        return self.alpha[i], self.beta[i]
+
+    def __iter__(self) -> Iterator[Weight]:
+        return zip(self.alpha, self.beta)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Weights):
+            return NotImplemented
+        return self.alpha == other.alpha and self.beta == other.beta
+
+
 @dataclass(frozen=True)
 class IdealLattice:
     """All order ideals of a poset, as bitmasks over a fixed vertex order."""
@@ -93,13 +123,16 @@ class IdealLattice:
 
     @cached_property
     def index_of(self) -> dict[int, int]:
+        # for lookups by mask across the whole lattice; the covers walk
+        # indexes one size block at a time instead
         return {mask: i for i, mask in enumerate(self.elements)}
 
     @cached_property
     def covers(self) -> Covers:
-        # the chain walk of the module docstring; runs ascend, so covers are
-        # in (element, bit) order
-        order, base = self.vertex_order, self.base
+        # the chain walk of the module docstring, one size block at a time:
+        # a cover adds one vertex, so it ends in the next block, the only
+        # one indexed; runs ascend, so covers are in (element, bit) order
+        order, base, elements = self.vertex_order, self.base, self.elements
         bit = {v: 1 << b for b, v in enumerate(order)}
         runs = []
         for b, v in enumerate(order):
@@ -109,18 +142,21 @@ class IdealLattice:
                 runs.append(bit[v])
         lower = [sum(bit[u] for u in base.lower_covers[v]) for v in order]
         beta = [base.color_of[v] is BETA for v in order]
-        index = self.index_of
+        # ends[s]: one past the last element of size s
+        ends = [bisect_right(elements, s, key=int.bit_count) for s in range(len(order) + 1)]
         low, up, col = [], [], bytearray()
         add_low, add_up, add_col = low.append, up.append, col.append
-        for i, mask in enumerate(self.elements):
-            for run in runs:
-                free = run & ~mask
-                if free:
-                    b = free.bit_length() - 1
-                    if lower[b] & mask == lower[b]:
-                        add_low(i)
-                        add_up(index[mask | 1 << b])
-                        add_col(beta[b])
+        for start, mid, end in zip([0] + ends, ends, ends[1:]):
+            index = dict(zip(elements[mid:end], range(mid, end)))
+            for i, mask in enumerate(elements[start:mid], start):
+                for run in runs:
+                    free = run & ~mask
+                    if free:
+                        b = free.bit_length() - 1
+                        if lower[b] & mask == lower[b]:
+                            add_low(i)
+                            add_up(index[mask | 1 << b])
+                            add_col(beta[b])
         return Covers(low, up, bytes(col))
 
     @cached_property
@@ -177,14 +213,12 @@ class IdealLattice:
         return list(map(sub, map(int.bit_count, self.elements), lo)), list(map(sub, hi, lo))
 
     @cached_property
-    def weights(self) -> tuple[Weight, ...]:
-        (alo, ahi), (blo, bhi) = self._component_bounds
-        out = []
-        for i, mask in enumerate(self.elements):
-            # m = 2 rho - length = 2 size - lo - hi, per color
-            twice = 2 * mask.bit_count()
-            out.append((twice - alo[i] - ahi[i], twice - blo[i] - bhi[i]))
-        return tuple(out)
+    def weights(self) -> Weights:
+        # m = 2 rho - length = 2 size - lo - hi, per color
+        sizes = list(map(int.bit_count, self.elements))
+        twice = list(map(add, sizes, sizes))
+        return Weights(*(list(map(sub, twice, map(add, lo, hi)))
+                         for lo, hi in self._component_bounds))
 
     @cached_property
     def top(self) -> int:
@@ -229,16 +263,17 @@ def structure_rows(lattice: IdealLattice) -> list[Weight | None] | None:
     with None for a color that has no covers (its row is then free); None
     overall when two covers of one color shift the weight differently.
     Rows are indexed by a cover's beta byte."""
-    weights, cov = lattice.weights, lattice.covers
+    wa, wb, cov = lattice.weights.alpha, lattice.weights.beta, lattice.covers
     rows: list[Weight | None] = [None, None]
     for b in (0, 1):  # each row from the first cover of its color
         k = cov.beta.find(b)
         if k >= 0:
-            (p1, q1), (p2, q2) = weights[cov.lower[k]], weights[cov.upper[k]]
-            rows[b] = (p2 - p1, q2 - q1)
+            i, j = cov.lower[k], cov.upper[k]
+            rows[b] = (wa[j] - wa[i], wb[j] - wb[i])
+    # each row's two shifts; a color with no covers is never looked up
+    ra, rb = ([None if r is None else r[c] for r in rows] for c in (0, 1))
     for i, j, b in zip(cov.lower, cov.upper, cov.beta):
-        (p1, q1), (p2, q2) = weights[i], weights[j]
-        if (p2 - p1, q2 - q1) != rows[b]:
+        if wa[j] - wa[i] != ra[b] or wb[j] - wb[i] != rb[b]:
             return None
     return rows
 
@@ -260,15 +295,15 @@ def projection_columns(lattice: IdealLattice,
 
 
 def weight_via_decomposition(lattice: IdealLattice,
-                             projection: list[tuple[IdealLattice, list[int]]]) -> tuple[Weight, ...]:
+                             projection: list[tuple[IdealLattice, list[int]]]) -> Weights:
     """Per element, the sum of the piece-lattice weights of its intersections
     with the pieces; `projection` is projection_columns of the lattice."""
     ma = mb = [0] * len(lattice)
     for piece, column in projection:
-        wa, wb = zip(*piece.weights)
-        ma = list(map(add, ma, map(wa.__getitem__, column)))
-        mb = list(map(add, mb, map(wb.__getitem__, column)))
-    return tuple(zip(ma, mb))
+        w = piece.weights
+        ma = list(map(add, ma, map(w.alpha.__getitem__, column)))
+        mb = list(map(add, mb, map(w.beta.__getitem__, column)))
+    return Weights(ma, mb)
 
 
 def piece_rank_stats(lattice: IdealLattice, projection: list[tuple[IdealLattice, list[int]]],

@@ -52,7 +52,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .algebras import ALPHA, BETA, Algebra, Color, Weight, nonnegative_weight
 from .build import SemistandardPoset, fundamental_poset
-from .lattice import Covers, IdealLattice, order_ideals, projection_columns
+from .lattice import Covers, IdealLattice, Weights, order_ideals, projection_columns
 from .poset import EdgeColoredPoset, edge_color_isomorphism
 
 Column = tuple[int, ...]
@@ -292,10 +292,10 @@ def tableaux_of(algebra: Algebra, lam: Weight, codes: Sequence[int]) -> list[Tab
 
 
 def column_sums(algebra: Algebra, lam: Weight,
-                codes: Sequence[int]) -> tuple[list[Weight], list[Weight], list[int]]:
+                codes: Sequence[int]) -> tuple[Weights, Weights, list[int]]:
     """Per code of shape lam, from its column ids: its tableau's weight and
-    its block tableau's weight numerator, each a sum over the ids, and the
-    block tableau's code."""
+    its block tableau's weight numerator, each a sum over the ids and held
+    as two columns, and the block tableau's code."""
     table = column_table(algebra)
     per_id = [*zip(*table.weight), *zip(*table.numerator)]
     sums = [[0] * len(codes) for _ in per_id]
@@ -304,7 +304,7 @@ def column_sums(algebra: Algebra, lam: Weight,
         sums = [list(map(add, total, map(v.__getitem__, ids))) for total, v in zip(sums, per_id)]
         blocks = [c * len(table.blocks) + table.block[x] for c, x in zip(blocks, ids)]
     wa, wb, na, nb = sums
-    return list(zip(wa, wb)), list(zip(na, nb)), blocks
+    return Weights(wa, wb), Weights(na, nb), blocks
 
 
 # --- tableau-native lattice ---------------------------------------------------

@@ -20,8 +20,9 @@ from .algebras import ALPHA, BETA, Algebra, cartan_matrix, sigma0
 from .build import fundamental_poset, semistandard_poset
 from .fixtures import load_fixture
 from .grid import decompose, triangle_dual
-from .lattice import (IdealLattice, check_structure, order_ideals, piece_rank_stats,
-                      projection_columns, structure_rows, weight_via_decomposition)
+from .lattice import (IdealLattice, Weights, check_structure, order_ideals,
+                      piece_rank_stats, projection_columns, structure_rows,
+                      weight_via_decomposition)
 from .poset import find_rank_function, vertex_color_isomorphism
 from .weyl import (LaurentPoly2, QPoly, alternating_sum,
                    character_from_lattice, q_product, rgf_from_lattice,
@@ -183,9 +184,10 @@ class Verifier:
                 image.beta, len(tl)):
             return False
         weights, numerators, blocks = column_sums(algebra, lam, codes)
-        length = column_table(algebra).block_length
-        return (weights == list(lat.weights)
-                and numerators == [(length * p, length * q) for p, q in lat.weights]
+        scale = column_table(algebra).block_length.__mul__
+        w = lat.weights
+        return (weights == w
+                and numerators == Weights(list(map(scale, w.alpha)), list(map(scale, w.beta)))
                 and sorted(blocks) == enumerate_littelmann(algebra, lam))
 
     def _duality_case(self, algebra, lam) -> bool:

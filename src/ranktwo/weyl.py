@@ -9,6 +9,7 @@ against their closed product forms.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from typing import Iterable
 
@@ -222,10 +223,7 @@ def alternating_sum(algebra: Algebra, mu: Weight) -> LaurentPoly2:
 
 
 def character_from_lattice(lattice: IdealLattice) -> LaurentPoly2:
-    out: dict[tuple[int, int], int] = {}
-    for w in lattice.weights:
-        out[w] = out.get(w, 0) + 1
-    return LaurentPoly2(out)
+    return LaurentPoly2(Counter(lattice.weights))
 
 
 def verify_weyl_character(algebra: Algebra, lam: Weight, chi: LaurentPoly2) -> bool:

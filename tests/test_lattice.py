@@ -1,4 +1,6 @@
 import itertools
+import os
+import subprocess
 import sys
 
 import pytest
@@ -9,7 +11,7 @@ from ranktwo.algebras import ALPHA, BETA, Algebra, cartan_matrix
 from ranktwo.build import fundamental_poset, semistandard_poset
 from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
 from ranktwo.grid import GridPoset, decompose, validate_grid
-from ranktwo.lattice import (TooManyIdeals, check_structure, join_irreducible_poset,
+from ranktwo.lattice import (TooManyIdeals, Weights, check_structure, join_irreducible_poset,
                              order_ideals, piece_rank_stats, projection_columns,
                              structure_rows, weight_via_decomposition)
 from ranktwo.poset import (EdgeColoredPoset, _components, _topological_order,
@@ -184,33 +186,55 @@ def _random_grids(rng):
         yield GridPoset(base, tuple((v, rng.randint(1, 4)) for v in base.ids))
 
 
+def assert_walk_matches_reference(lat):
+    """The covers walk and the weights leave the lattice-wide index unbuilt,
+    and the walk gives the reference's covers."""
+    covers = lat.covers
+    lat.weights
+    assert "index_of" not in vars(lat)
+    assert tuple(covers) == reference_covers(lat)
+
+
 class TestCoversMatchReference:
-    """The chain walk gives the per-vertex scan's covers, in the same order."""
+    """The chain walk, one size block at a time, gives the per-vertex scan's
+    covers, in the same order."""
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixtures(self, name):
-        lat = order_ideals(load_fixture(name))
-        assert tuple(lat.covers) == reference_covers(lat)
+        assert_walk_matches_reference(order_ideals(load_fixture(name)))
 
     @pytest.mark.parametrize("algebra", list(Algebra))
     def test_built_lattices(self, algebra):
         for order in ("beta_alpha", "alpha_beta"):
             for lam in itertools.product(range(4), repeat=2):
-                lat = order_ideals(semistandard_poset(algebra, order, lam))
-                assert tuple(lat.covers) == reference_covers(lat), (order, lam)
+                assert_walk_matches_reference(order_ideals(semistandard_poset(algebra, order, lam)))
 
     @pytest.mark.parametrize("order", ["beta_alpha", "alpha_beta"])
     def test_g2_44(self, order):
         lat = order_ideals(semistandard_poset(Algebra.G2, order, (4, 4)))
         assert len(lat) == 5 ** 6
-        assert tuple(lat.covers) == reference_covers(lat)
+        assert_walk_matches_reference(lat)
+
+    def test_random_posets(self, rng):
+        # not grids: the vertex order is the poset's linear extension
+        for _ in range(40):
+            p = random_colored_poset(rng, rng.randint(1, 10))
+            lat = order_ideals(p)
+            assert lat.vertex_order == p.linear_extension
+            assert_walk_matches_reference(lat)
+
+    def test_single_element(self):
+        lat = order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", (0, 0)))
+        assert len(lat) == 1
+        assert_walk_matches_reference(lat)
+        assert len(lat.covers) == 0 and list(lat.weights) == [(0, 0)]
 
     def test_random_grids(self, rng):
         broken_chains = 0
         for p in _random_grids(rng):
             broken_chains += any("is not a chain" in v for v in validate_grid(p))
             lat = order_ideals(p)
-            assert tuple(lat.covers) == reference_covers(lat), p
+            assert_walk_matches_reference(lat)
             _assert_statistics_match_edge_poset(lat)
             ideals = brute_force_ideals(p.base)
             color = p.base.color_of
@@ -303,6 +327,79 @@ class TestWeights:
                 for i, j, c in lat.covers:
                     (p1, q1), (p2, q2) = lat.weights[i], lat.weights[j]
                     assert (p2 - p1, q2 - q1) == rows[c]
+
+
+class TestWeightsColumns:
+    """Weights hold two integer columns and read as (m_a, m_b) pairs."""
+
+    @staticmethod
+    def _lattice():
+        return order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (2, 1)))
+
+    def test_pair_indexing(self):
+        lat = self._lattice()
+        w = lat.weights
+        assert w[lat.top] == (2, 1) and type(w[lat.top]) is tuple
+        assert w[0] == lowest_weight(Algebra.C2, (2, 1))
+        assert all(w[i] == (w.alpha[i], w.beta[i]) for i in range(len(lat)))
+
+    def test_columns_are_int_lists(self):
+        w = self._lattice().weights
+        assert type(w.alpha) is list and type(w.beta) is list
+        assert all(type(x) is int for x in w.alpha + w.beta)
+
+    def test_iteration_yields_pairs(self):
+        w = self._lattice().weights
+        pairs = list(w)
+        assert all(type(p) is tuple and len(p) == 2 for p in pairs)
+        assert pairs == [w[i] for i in range(len(w))]
+
+    def test_len(self):
+        lat = self._lattice()
+        assert len(lat.weights) == len(lat.weights.alpha) == len(lat.weights.beta) == len(lat)
+
+    def test_equality_compares_columns(self):
+        w = self._lattice().weights
+        assert w == Weights(w.alpha[:], w.beta[:])
+        for k in (0, len(w) // 2, len(w) - 1):
+            for column in ("alpha", "beta"):
+                alpha, beta = w.alpha[:], w.beta[:]
+                (alpha if column == "alpha" else beta)[k] += 1
+                assert w != Weights(alpha, beta), (k, column)
+        assert w != tuple(w) and w != list(w)
+
+
+# order_ideals -> covers -> weights -> character -> structure on G2 (5,5),
+# printing the growth of ru_maxrss (KB on Linux) over the built poset
+_PIPELINE_GROWTH = """
+import resource
+from ranktwo.algebras import Algebra, cartan_matrix
+from ranktwo.build import semistandard_poset
+from ranktwo.lattice import check_structure, order_ideals
+from ranktwo.weyl import character_from_lattice
+
+sp = semistandard_poset(Algebra.G2, "beta_alpha", (5, 5))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+lat = order_ideals(sp)
+lat.covers, lat.weights
+character_from_lattice(lat)
+assert check_structure(lat, cartan_matrix(Algebra.G2))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
+def test_lattice_core_memory():
+    """The lattice core holds no tuple per element or per cover: 46,656
+    ideals and 196,700 covers grow the peak by at most 14 MB (11.9-12.0 MB
+    measured on Python 3.10-3.12; 16.6-17.0 MB with a tuple per weight)."""
+    import ranktwo
+
+    src = os.path.dirname(os.path.dirname(ranktwo.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", _PIPELINE_GROWTH], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert int(out) <= 14 * 1024
 
 
 def infer_structure_matrix(lattice):
@@ -434,8 +531,8 @@ class TestColumnsMatchReference:
         lat, dec = order_ideals(grid), decompose(grid)
         projection = projection_columns(lat, dec)
         elements = range(len(lat))
-        assert weight_via_decomposition(lat, projection) == tuple(
-            reference_weight_via_decomposition(lat, i, dec) for i in elements)
+        assert weight_via_decomposition(lat, projection) == Weights(*columns(
+            reference_weight_via_decomposition(lat, i, dec) for i in elements))
         for color in (ALPHA, BETA):
             assert lat.rank_stats(color) == columns(
                 reference_rank_stats(lat, i, color) for i in elements)
