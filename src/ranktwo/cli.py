@@ -72,7 +72,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_character(args) -> int:
-    lat = lattice_from_obj(load(getattr(args, "in")))
+    lat = lattice_from_obj(load(getattr(args, "in")), args.max_ideals)
     chi = character_from_lattice(lat)
     print(chi)
     if not args.verify:
@@ -158,7 +158,7 @@ def cmd_verify(args) -> int:
 def cmd_export(args) -> int:
     obj = load(getattr(args, "in"))
     if isinstance(obj, dict) and "poset" in obj:  # lattice file
-        lat = lattice_from_obj(obj)
+        lat = lattice_from_obj(obj, args.max_ideals)
         del obj  # checked against lat: free it before rendering
         if args.format == "json":
             text = dumps(lattice_to_obj(lat))
@@ -218,6 +218,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="check the alternating-sum identity")
     p.add_argument("--algebra", type=_algebra, default=None)
     p.add_argument("--weight", type=_parse_weight, default=None, metavar="A,B")
+    add_common(p, max_ideals=True)
     p.set_defaults(fn=cmd_character)
 
     p = sub.add_parser("rgf", help="print the closed rank generating function")
@@ -247,6 +248,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", required=True)
     p.add_argument("--format", choices=("json", "dot", "text"), default="json")
     p.add_argument("--out", default=None)
+    add_common(p, max_ideals=True)
     p.set_defaults(fn=cmd_export)
 
     return parser

@@ -241,11 +241,20 @@ def decompose(p: GridPoset | IdealLattice) -> Decomposition:
             union = mask
     pieces = tuple(p.restrict(v for b, v in enumerate(order) if part >> b & 1)
                    for part in parts)
-    fixtures = fundamental_fixtures()
-    labels = tuple(next((name for name, fund in fixtures.items()
-                         if vertex_color_isomorphism(piece.base, fund.base) is not None), None)
-                   for piece in pieces)
-    return Decomposition(pieces, labels, order)
+    # pieces equal by vertex-order position are isomorphic, so each shape
+    # is searched against the fixtures once
+    fixtures, label_of, labels = fundamental_fixtures(), {}, []
+    for piece in pieces:
+        base = piece.base
+        at = {v: k for k, v in enumerate(v for v in order if v in base.color_of)}
+        shape = (tuple(base.color_of[v] for v in at),
+                 frozenset((at[u], at[v]) for u, v in base.covers))
+        if shape not in label_of:
+            label_of[shape] = next((name for name, fund in fixtures.items()
+                                    if vertex_color_isomorphism(base, fund.base) is not None),
+                                   None)
+        labels.append(label_of[shape])
+    return Decomposition(pieces, tuple(labels), order)
 
 
 def triangle_dual(p, algebra: Algebra):

@@ -10,12 +10,17 @@ from the block of size s ends in the block of size s + 1: the walk goes one
 block at a time and indexes only the next one, never the whole lattice.
 It writes the covers as three columns, `Covers`: lower and upper element
 indices and one byte per cover, 1 for beta; no object is made per cover,
-so the cyclic collector has nothing per cover to track.
+so the cyclic collector has nothing per cover to track.  Each element
+index is one int object, made in the dict of its block and read back from
+it when that block is the lower one, so the lower and upper columns share
+it: a cover costs two pointers and a byte, an element one int.
 
 The statistics are read from those covers.  A one-color cover joins two
 elements of one component, so an element's least component size lo is that
 of any lower cover of that color and its greatest, hi, that of any upper
-one: a pass up the covers sets lo, a pass down sets hi.  An element of size
+one: a pass up the covers sets lo, a pass down sets hi.  The passes run on
+lists; the four bound columns are then kept as `array("I")`, 4 bytes an
+entry, since a bound never exceeds the vertex count.  An element of size
 s has rho = s - lo, length = hi - lo and weight coordinate m = 2 rho -
 length.  Statistics are whole-lattice columns with one entry per element:
 `rank_stats(color)` gives rho and length, and `weights` is a `Weights`, the
@@ -35,6 +40,7 @@ element, and a lattice file's element rows grow the same way.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -46,11 +52,11 @@ from .build import SemistandardPoset
 from .grid import Decomposition, GridPoset, total_order
 from .poset import EdgeColoredPoset, VertexColoredPoset
 
-# Peak RSS growth (getrusage, Python 3.11) per ideal: 257-284 B in the
+# Peak RSS growth (getrusage, Python 3.11) per ideal: 202-233 B in the
 # library through covers, weights and the character, rgf and structure
-# checks (G2 (5,5)-(8,8)); on the file path at G2 (6,6) and (7,7), 1.8-1.9
-# KB for `enumerate` writing its file and 2.2-2.4 KB for `character
-# --verify` and `export` reading one: 0.29, 1.9 and 2.4 GB at 10**6.  G2
+# checks (G2 (5,5)-(8,8)); on the file path at G2 (6,6) and (7,7), 1.7-1.9
+# KB for `enumerate` writing its file and 2.1-2.4 KB for `character
+# --verify` and `export` reading one: 0.23, 1.9 and 2.4 GB at 10**6.  G2
 # (8,8) has 531,441 ideals.
 DEFAULT_MAX_IDEALS = 10**6
 
@@ -146,9 +152,12 @@ class IdealLattice:
         ends = [bisect_right(elements, s, key=int.bit_count) for s in range(len(order) + 1)]
         low, up, col = [], [], bytearray()
         add_low, add_up, add_col = low.append, up.append, col.append
-        for start, mid, end in zip([0] + ends, ends, ends[1:]):
-            index = dict(zip(elements[mid:end], range(mid, end)))
-            for i, mask in enumerate(elements[start:mid], start):
+        # each index is one int object, made in its block's dict: covers up
+        # into the block read it there, and so do covers down from it
+        index = {0: 0}  # the bottom, the only element of size 0
+        for mid, end in zip(ends, ends[1:]):
+            below, index = index, dict(zip(elements[mid:end], range(mid, end)))
+            for mask, i in below.items():
                 for run in runs:
                     free = run & ~mask
                     if free:
@@ -186,12 +195,13 @@ class IdealLattice:
         return EdgeColoredPoset(tuple(range(len(self.elements))), frozenset(self.covers))
 
     @cached_property
-    def _component_bounds(self) -> tuple[tuple[list[int], list[int]], ...]:
-        """Flat lists lo and hi of each element's component bounds, for alpha
+    def _component_bounds(self) -> tuple[tuple[array, array], ...]:
+        """Columns lo and hi of each element's component bounds, for alpha
         then beta: index it by `color is BETA`, which hashes no enum."""
         sizes = list(map(int.bit_count, self.elements))
-        bounds = (sizes, sizes[:]), (sizes[:], sizes[:])
-        (alo, ahi), (blo, bhi) = bounds
+        cols = [sizes, sizes[:], sizes[:], sizes[:]]
+        alo, ahi, blo, bhi = cols
+        del sizes
         cov = self.covers
         # covers ascend in i: lo[i] is final at (i, j), hi[j] on the way back
         for i, j, b in zip(cov.lower, cov.upper, cov.beta):
@@ -204,7 +214,12 @@ class IdealLattice:
                 bhi[i] = bhi[j]
             else:
                 ahi[i] = ahi[j]
-        return bounds
+        # the passes run on lists, which index faster; the columns are kept
+        # at 4 bytes an entry, each list freed as soon as it is converted
+        del alo, ahi, blo, bhi
+        for k in range(4):
+            cols[k] = array("I", cols[k])
+        return (cols[0], cols[1]), (cols[2], cols[3])
 
     def rank_stats(self, color: Color) -> tuple[list[int], list[int]]:
         """Columns rho and length: per element, its place in its component of
@@ -214,10 +229,11 @@ class IdealLattice:
 
     @cached_property
     def weights(self) -> Weights:
-        # m = 2 rho - length = 2 size - lo - hi, per color
-        sizes = list(map(int.bit_count, self.elements))
-        twice = list(map(add, sizes, sizes))
-        return Weights(*(list(map(sub, twice, map(add, lo, hi)))
+        # m = 2 rho - length = (size - lo) + (size - hi), per color, with no
+        # whole-lattice column but the result
+        elements = self.elements
+        return Weights(*(list(map(add, map(sub, map(int.bit_count, elements), lo),
+                                  map(sub, map(int.bit_count, elements), hi)))
                          for lo, hi in self._component_bounds))
 
     @cached_property

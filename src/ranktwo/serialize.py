@@ -18,7 +18,7 @@ from typing import Any
 
 from .algebras import ALPHA, BETA, Color
 from .grid import GridPoset
-from .lattice import IdealLattice, order_ideals
+from .lattice import DEFAULT_MAX_IDEALS, IdealLattice, order_ideals
 from .poset import EdgeColoredPoset, VertexColoredPoset, find_rank_function
 
 
@@ -121,11 +121,11 @@ def lattice_to_obj(lat: IdealLattice) -> dict[str, Any]:
             **{key: render(lat) for key, render in _ROWS.items()}}
 
 
-def lattice_from_obj(obj: Any) -> IdealLattice:
-    """Rebuild the lattice from its poset and check the file against it one
-    field at a time: elements, covers with their colors, then weights must
-    each equal the canonical rows."""
-    lat = order_ideals(poset_from_obj(_field(obj, "poset", dict, "lattice file")))
+def lattice_from_obj(obj: Any, max_ideals: int = DEFAULT_MAX_IDEALS) -> IdealLattice:
+    """Rebuild the lattice from its poset, refusing beyond `max_ideals`, and
+    check the file against it one field at a time: elements, covers with
+    their colors, then weights must each equal the canonical rows."""
+    lat = order_ideals(poset_from_obj(_field(obj, "poset", dict, "lattice file")), max_ideals)
     for key, render in _ROWS.items():
         rows = _field(obj, key, list, "lattice file")
         # == takes 1.0 and True for 1, so the items' types are checked too;
@@ -141,7 +141,10 @@ def dumps(obj: dict[str, Any]) -> str:
 
 def load(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:  # a malformed file, like any other
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 # --- DOT ---------------------------------------------------------------------

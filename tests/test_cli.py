@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+import ranktwo.cli
 import ranktwo.lattice
 import ranktwo.tableaux
 from ranktwo.cli import main
@@ -49,6 +50,8 @@ class TestBuildEnumerate:
     @pytest.mark.parametrize("value", ["0", "-5", "ten"])
     def test_max_ideals_must_be_a_positive_integer(self, tmp_path, capsys, value):
         for argv in (["enumerate", "--in", str(tmp_path / "p.json")],
+                     ["character", "--in", str(tmp_path / "l.json")],
+                     ["export", "--in", str(tmp_path / "l.json")],
                      ["rgf", "--algebra", "g2", "--weight", "2,2", "--check-product"]):
             with pytest.raises(SystemExit) as exc:
                 main([*argv, "--max-ideals", value])
@@ -118,6 +121,7 @@ class TestRefusedFiles:
         lattice_file.write_text(json.dumps(
             {"poset": poset, "elements": [], "covers": [], "weights": []}))
         monkeypatch.setattr(ranktwo.lattice.order_ideals, "__defaults__", (10,))
+        monkeypatch.setattr(ranktwo.cli, "DEFAULT_MAX_IDEALS", 10)  # --max-ideals
         return poset_file, lattice_file
 
     @pytest.mark.parametrize("argv", [
@@ -130,6 +134,36 @@ class TestRefusedFiles:
         argv = [a.format(poset=poset_file, lattice=lattice_file) for a in argv]
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", "refused: more than 10 order ideals\n")
+
+
+class TestMaxIdealsOnLatticeFiles:
+    """character and export rebuild the lattice of a file's poset, so they
+    take enumerate's --max-ideals: a G2 (2,2) file, 729 ideals, is refused
+    below its own size and read at it."""
+
+    @pytest.fixture
+    def lattice_file(self, tmp_path, capsys):
+        poset_file, lattice_file = tmp_path / "p.json", tmp_path / "l.json"
+        run(capsys, "build", "--algebra", "g2", "--weight", "2,2", "--out", str(poset_file))
+        run(capsys, "enumerate", "--in", str(poset_file), "--out", str(lattice_file))
+        return lattice_file
+
+    ARGV = [["character", "--verify"], ["export", "--format", "json"],
+            ["export", "--format", "text"]]
+
+    @pytest.mark.parametrize("argv", ARGV)
+    def test_refused_below_its_size(self, lattice_file, capsys, argv):
+        command, *rest = argv
+        code, out, err = run(capsys, command, "--in", str(lattice_file), *rest,
+                             "--max-ideals", "728")
+        assert (code, out, err) == (1, "", "refused: more than 728 order ideals\n")
+
+    @pytest.mark.parametrize("argv", ARGV)
+    def test_read_at_its_size(self, lattice_file, capsys, argv):
+        command, *rest = argv
+        code, out, err = run(capsys, command, "--in", str(lattice_file), *rest,
+                             "--max-ideals", "729")
+        assert code == 0 and out and err == ""
 
 
 class TestTableaux:
@@ -352,6 +386,25 @@ def test_malformed_file_is_a_usage_error(tmp_path, capsys, command, corrupt):
             "character": ["--verify"], "export": ["--format", "text"]}[command]
     code, out, err = run(capsys, command, "--in", str(bad), *argv)
     assert code == 2 and err.startswith("error: ") and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--in", "{deep}", "--out", "{out}"],
+    ["character", "--in", "{deep}", "--verify"],
+    ["export", "--in", "{deep}", "--format", "text"],
+    ["verify", "--structure", "{deep}"],
+], ids=["enumerate", "character", "export", "verify-structure"])
+def test_deeply_nested_file_is_a_usage_error(tmp_path, capsys, argv):
+    """The JSON parser recurses once per nesting level; past the recursion
+    limit the file is malformed like any other (exit 2), not a verification
+    FAIL with a traceback (exit 1)."""
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = [a.format(deep=deep, out=tmp_path / "out.json") for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {deep}: JSON nested too deeply\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_character_verify_on_trivial_lattice(tmp_path, capsys):

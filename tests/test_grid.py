@@ -301,6 +301,45 @@ class TestDecomposeMatchesReference:
         self.assert_same(grids)
 
 
+def _piece_shape(piece, order):
+    """A piece's colors and covers, its vertices taken by position in order."""
+    color = piece.base.color_of
+    at = {v: k for k, v in enumerate(v for v in order if v in color)}
+    return (tuple(color[v] for v in at),
+            frozenset((at[u], at[v]) for u, v in piece.base.covers))
+
+
+class TestDecomposeLabelsEachShapeOnce:
+    LATTICES = [order_ideals(semistandard_poset(algebra, order, lam))
+                for algebra in Algebra
+                for order in ("beta_alpha", "alpha_beta")
+                for lam in itertools.product(range(4), repeat=2)]
+
+    def test_one_search_per_shape_gives_the_labels_of_a_search_per_piece(self, monkeypatch):
+        fixtures, probes = fundamental_fixtures(), []
+
+        def recording(p, q):
+            probes.append((p, q))
+            return vertex_color_isomorphism(p, q)
+
+        monkeypatch.setattr(ranktwo.grid, "vertex_color_isomorphism", recording)
+        pieces = searched = 0
+        for lat in self.LATTICES:
+            probes.clear()
+            dec = decompose(lat)
+            assert dec.labels == tuple(
+                next((name for name, fund in fixtures.items()
+                      if vertex_color_isomorphism(piece.base, fund.base) is not None), None)
+                for piece in dec.pieces), lat.built
+            searched_pieces = {id(p) for p, _ in probes}
+            # every shape needs a search, so this leaves one piece per shape
+            assert len(searched_pieces) <= len({_piece_shape(piece, dec.order)
+                                                for piece in dec.pieces}), lat.built
+            assert len({(id(p), id(q)) for p, q in probes}) == len(probes), lat.built
+            pieces, searched = pieces + len(dec), searched + len(searched_pieces)
+        assert (pieces, searched) == (384, 192)
+
+
 class TestDecomposeContract:
     def test_tie_goes_to_the_least_mask(self):
         # two incomparable vertices on one chain: either splits off first

@@ -1,4 +1,5 @@
 import itertools
+from array import array
 import os
 import subprocess
 import sys
@@ -277,6 +278,8 @@ class TestCoversColumns:
         assert type(cov.beta) is bytes and set(cov.beta) <= {0, 1}
         assert type(cov.lower) is list and type(cov.upper) is list
         assert all(type(x) is int for x in cov.lower + cov.upper)
+        # one int object per element index, shared by both columns
+        assert len({id(x) for x in cov.lower + cov.upper}) <= len(lat)
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixtures(self, name):
@@ -311,6 +314,16 @@ class TestWeights:
             lat = order_ideals(semistandard_poset(algebra, "beta_alpha", lam))
             assert lat.weights[lat.top] == lam
             assert lat.weights[0] == lowest_weight(algebra, lam)
+
+    def test_component_bounds_are_4_byte_columns(self):
+        lat = order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", (2, 1)))
+        lat.weights
+        for lo, hi in lat._component_bounds:
+            assert all(type(c) is array and c.typecode == "I" and c.itemsize == 4
+                       and len(c) == len(lat) for c in (lo, hi))
+        for color in (ALPHA, BETA):
+            rho, length = lat.rank_stats(color)
+            assert type(rho) is list and type(length) is list
 
     def test_rank_stats_consistency(self):
         lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (1, 1)))
@@ -370,36 +383,44 @@ class TestWeightsColumns:
 
 
 # order_ideals -> covers -> weights -> character -> structure on G2 (5,5),
-# printing the growth of ru_maxrss (KB on Linux) over the built poset
+# printing the growth of the process's peak RSS (KB) over the built poset.
+# The peak is VmHWM, which exec starts afresh: ru_maxrss would carry over
+# the peak of the process that spawned this one, so under a test runner
+# larger than the whole pipeline it would read a growth of 0.
 _PIPELINE_GROWTH = """
-import resource
 from ranktwo.algebras import Algebra, cartan_matrix
 from ranktwo.build import semistandard_poset
 from ranktwo.lattice import check_structure, order_ideals
 from ranktwo.weyl import character_from_lattice
 
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
 sp = semistandard_poset(Algebra.G2, "beta_alpha", (5, 5))
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = peak_kb()
 lat = order_ideals(sp)
 lat.covers, lat.weights
 character_from_lattice(lat)
 assert check_structure(lat, cartan_matrix(Algebra.G2))
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+print(peak_kb() - before)
 """
 
 
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KB on Linux")
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_lattice_core_memory():
-    """The lattice core holds no tuple per element or per cover: 46,656
-    ideals and 196,700 covers grow the peak by at most 14 MB (11.9-12.0 MB
-    measured on Python 3.10-3.12; 16.6-17.0 MB with a tuple per weight)."""
+    """The lattice core holds no tuple per element or per cover, one int
+    object per element index and 4-byte component bounds: 46,656 ideals and
+    196,700 covers grow the peak by at most 10 MB (8.9-9.2 MB measured on
+    Python 3.10-3.12; 11.9-12.1 MB with two int objects per index and the
+    bounds as lists, 16.6-17.0 MB with a tuple per weight as well)."""
     import ranktwo
 
     src = os.path.dirname(os.path.dirname(ranktwo.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", _PIPELINE_GROWTH], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert int(out) <= 14 * 1024
+    assert int(out) <= 10 * 1024
 
 
 def infer_structure_matrix(lattice):
