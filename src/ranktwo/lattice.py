@@ -45,6 +45,7 @@ from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, count, repeat
 from operator import add, sub
 
 from .algebras import ALPHA, BETA, Color, Weight
@@ -134,6 +135,13 @@ class IdealLattice:
         return {mask: i for i, mask in enumerate(self.elements)}
 
     @cached_property
+    def _block_ends(self) -> list[int]:
+        """ends[s]: one past the last element of size s.  Elements ascend in
+        size, so those of one size form one block."""
+        return [bisect_right(self.elements, s, key=int.bit_count)
+                for s in range(len(self.vertex_order) + 1)]
+
+    @cached_property
     def covers(self) -> Covers:
         # the chain walk of the module docstring, one size block at a time:
         # a cover adds one vertex, so it ends in the next block, the only
@@ -148,8 +156,7 @@ class IdealLattice:
                 runs.append(bit[v])
         lower = [sum(bit[u] for u in base.lower_covers[v]) for v in order]
         beta = [base.color_of[v] is BETA for v in order]
-        # ends[s]: one past the last element of size s
-        ends = [bisect_right(elements, s, key=int.bit_count) for s in range(len(order) + 1)]
+        ends = self._block_ends
         low, up, col = [], [], bytearray()
         add_low, add_up, add_col = low.append, up.append, col.append
         # each index is one int object, made in its block's dict: covers up
@@ -229,11 +236,13 @@ class IdealLattice:
 
     @cached_property
     def weights(self) -> Weights:
-        # m = 2 rho - length = (size - lo) + (size - hi), per color, with no
-        # whole-lattice column but the result
-        elements = self.elements
-        return Weights(*(list(map(add, map(sub, map(int.bit_count, elements), lo),
-                                  map(sub, map(int.bit_count, elements), hi)))
+        # m = 2 rho - length = 2 size - lo - hi, per color; 2 size is read
+        # off the size blocks, one repeat per block, so no column is built
+        # but the result and no method is called per element
+        ends = self._block_ends
+        per_size = list(map(sub, ends, [0] + ends[:-1]))  # elements of each size
+        return Weights(*(list(map(sub, chain.from_iterable(map(repeat, count(0, 2), per_size)),
+                                  map(add, lo, hi)))
                          for lo, hi in self._component_bounds))
 
     @cached_property

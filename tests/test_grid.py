@@ -309,35 +309,34 @@ def _piece_shape(piece, order):
             frozenset((at[u], at[v]) for u, v in piece.base.covers))
 
 
-class TestDecomposeLabelsEachShapeOnce:
-    LATTICES = [order_ideals(semistandard_poset(algebra, order, lam))
-                for algebra in Algebra
-                for order in ("beta_alpha", "alpha_beta")
-                for lam in itertools.product(range(4), repeat=2)]
+def test_decompose_searches_each_piece_shape_once(monkeypatch):
+    """On every built lattice up to (3,3), one fixture search per distinct
+    piece shape gives the labels of a search per piece."""
+    fixtures, probes = fundamental_fixtures(), []
 
-    def test_one_search_per_shape_gives_the_labels_of_a_search_per_piece(self, monkeypatch):
-        fixtures, probes = fundamental_fixtures(), []
+    def recording(p, q):
+        probes.append((p, q))
+        return vertex_color_isomorphism(p, q)
 
-        def recording(p, q):
-            probes.append((p, q))
-            return vertex_color_isomorphism(p, q)
-
-        monkeypatch.setattr(ranktwo.grid, "vertex_color_isomorphism", recording)
-        pieces = searched = 0
-        for lat in self.LATTICES:
-            probes.clear()
-            dec = decompose(lat)
-            assert dec.labels == tuple(
-                next((name for name, fund in fixtures.items()
-                      if vertex_color_isomorphism(piece.base, fund.base) is not None), None)
-                for piece in dec.pieces), lat.built
-            searched_pieces = {id(p) for p, _ in probes}
-            # every shape needs a search, so this leaves one piece per shape
-            assert len(searched_pieces) <= len({_piece_shape(piece, dec.order)
-                                                for piece in dec.pieces}), lat.built
-            assert len({(id(p), id(q)) for p, q in probes}) == len(probes), lat.built
-            pieces, searched = pieces + len(dec), searched + len(searched_pieces)
-        assert (pieces, searched) == (384, 192)
+    monkeypatch.setattr(ranktwo.grid, "vertex_color_isomorphism", recording)
+    pieces = searched = 0
+    for algebra in Algebra:
+        for order in ("beta_alpha", "alpha_beta"):
+            for lam in itertools.product(range(4), repeat=2):
+                probes.clear()
+                dec = decompose(order_ideals(semistandard_poset(algebra, order, lam)))
+                case = (algebra, order, lam)
+                assert dec.labels == tuple(
+                    next((name for name, fund in fixtures.items()
+                          if vertex_color_isomorphism(piece.base, fund.base) is not None), None)
+                    for piece in dec.pieces), case
+                searched_pieces = {id(p) for p, _ in probes}
+                # every shape needs a search, so this leaves one piece per shape
+                assert len(searched_pieces) <= len({_piece_shape(piece, dec.order)
+                                                    for piece in dec.pieces}), case
+                assert len({(id(p), id(q)) for p, q in probes}) == len(probes), case
+                pieces, searched = pieces + len(dec), searched + len(searched_pieces)
+    assert (pieces, searched) == (384, 192)
 
 
 class TestDecomposeContract:
