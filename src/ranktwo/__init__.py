@@ -15,7 +15,7 @@ from .poset import (EdgeColoredPoset, PosetError, RankFunction,
                     VertexColoredPoset, find_rank_function, product)
 from .weyl import (LaurentPoly2, QPoly, alternating_sum,
                    character_from_lattice, rgf_from_lattice, rgf_product,
-                   simple_reflection, verify_weyl_character, weyl_group)
+                   simple_reflection, verify_weyl_character)
 
 __all__ = [name for name, value in globals().items()
            if not name.startswith("_") and not isinstance(value, _ModuleType)]

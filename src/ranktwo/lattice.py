@@ -25,7 +25,8 @@ s has rho = s - lo, length = hi - lo and weight coordinate m = 2 rho -
 length.  Statistics are whole-lattice columns with one entry per element:
 `rank_stats(color)` gives rho and length, and `weights` is a `Weights`, the
 columns m_a and m_b read as (m_a, m_b) pairs; no tuple is kept per
-element.  Along a decomposition, the one projection, `projection_columns`,
+element.  `rank_sizes` counts the elements of each size off the size
+blocks.  Along a decomposition, the one projection, `projection_columns`,
 indexes every element's intersection with each piece.  It has three
 readers: the sums `piece_rank_stats` and `weight_via_decomposition`, equal
 to the lattice's columns by `==` and handed the projection built once per
@@ -235,12 +236,17 @@ class IdealLattice:
         return list(map(sub, map(int.bit_count, self.elements), lo)), list(map(sub, hi, lo))
 
     @cached_property
+    def rank_sizes(self) -> list[int]:
+        """Per size s, the number of elements of size s: its block's length."""
+        ends = self._block_ends
+        return list(map(sub, ends, [0] + ends[:-1]))
+
+    @cached_property
     def weights(self) -> Weights:
         # m = 2 rho - length = 2 size - lo - hi, per color; 2 size is read
         # off the size blocks, one repeat per block, so no column is built
         # but the result and no method is called per element
-        ends = self._block_ends
-        per_size = list(map(sub, ends, [0] + ends[:-1]))  # elements of each size
+        per_size = self.rank_sizes
         return Weights(*(list(map(sub, chain.from_iterable(map(repeat, count(0, 2), per_size)),
                                   map(add, lo, hi)))
                          for lo, hi in self._component_bounds))

@@ -235,8 +235,9 @@ class Verifier:
             "warmup_goldens": "chain product 2x3 and catalan posets",
         }
         selected = set(params if criteria is None else criteria)
-        if not selected <= params.keys():  # an empty report would pass
-            raise ValueError(f"unknown criteria: {sorted(selected - params.keys())}")
+        if not selected or not selected <= params.keys():  # an empty report would pass
+            raise ValueError(f"unknown criteria: {sorted(selected - params.keys())}"
+                             if selected else "no criteria selected")
 
         for name in filter(selected.__contains__, params):  # an entry even with no case
             self._entry(name, params[name])

@@ -3,14 +3,14 @@
 The group ring of the weight lattice is modelled by two-variable integer
 Laurent polynomials with x and y standing for the exponentials of the two
 fundamental weights.  Characters of the ideal lattices are verified
-against the alternating-sum quotient, and rank generating functions
-against their closed product forms.
+against the alternating-sum quotient, each alternating sum a signed walk
+of one Weyl orbit, and rank generating functions, the lattices' counts
+per size, against their closed product forms.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from typing import Iterable
 
 from .algebras import (ALPHA, BETA, Algebra, Color, Weight, nonnegative_weight,
@@ -158,27 +158,6 @@ class QPoly:
 
 # --- Weyl group -------------------------------------------------------------
 
-Matrix2 = tuple[tuple[int, int], tuple[int, int]]
-
-
-def _apply(m: Matrix2, w: Weight) -> Weight:
-    # weights are row vectors
-    (a, b), (c, d) = m
-    p, q = w
-    return (p * a + q * c, p * b + q * d)
-
-
-def _matmul(m1: Matrix2, m2: Matrix2) -> Matrix2:
-    # row-vector convention: (v m1) m2 = v (m1 m2)
-    rows = []
-    for r in m1:
-        rows.append(_apply(m2, r))
-    return (rows[0], rows[1])
-
-
-def _det(m: Matrix2) -> int:
-    return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-
 
 def simple_reflection(algebra: Algebra, color: Color, mu: Weight) -> Weight:
     """s_gamma(mu) = mu - <mu, gamma-coordinate> * gamma."""
@@ -188,38 +167,28 @@ def simple_reflection(algebra: Algebra, color: Color, mu: Weight) -> Weight:
     return (p - coeff * root[0], q - coeff * root[1])
 
 
-def _reflection_matrix(algebra: Algebra, color: Color) -> Matrix2:
-    e1 = simple_reflection(algebra, color, (1, 0))
-    e2 = simple_reflection(algebra, color, (0, 1))
-    return (e1, e2)
-
-
-@lru_cache(maxsize=None)
-def weyl_group(algebra: Algebra) -> tuple[tuple[Matrix2, int], ...]:
-    """Close the two simple reflections under multiplication: the sorted
-    (matrix, determinant) pairs."""
-    gens = [_reflection_matrix(algebra, ALPHA), _reflection_matrix(algebra, BETA)]
-    identity: Matrix2 = ((1, 0), (0, 1))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                m2 = _matmul(m, g)
-                if m2 not in seen:
-                    seen.add(m2)
-                    nxt.append(m2)
-        frontier = nxt
-    return tuple(sorted(((m, _det(m)) for m in seen)))
-
-
 def alternating_sum(algebra: Algebra, mu: Weight) -> LaurentPoly2:
-    """Signed Weyl-orbit sum of the exponential of mu."""
-    out = LaurentPoly2.zero()
-    for m, det in weyl_group(algebra):
-        out = out + LaurentPoly2.monomial(*_apply(m, mu), det)
-    return out
+    """A_mu, the sum over W of det(w) e^(w mu), by one walk of mu's orbit.
+
+    Each weight the walk reaches gets the opposite sign of the one it came
+    from, as a simple reflection has determinant -1.  For regular mu, w mu
+    determines w and so gets det(w).  A singular mu has a dominant orbit
+    point fixed by a simple reflection, so its stabilizer holds equally many
+    elements of each determinant and every term cancels (Humphreys,
+    Introduction to Lie Algebras, 10.3): the walk returns zero at the first
+    reflection that lands on a weight already of its own sign.
+    """
+    sign = {tuple(mu): 1}
+    walk = list(sign)
+    for w in walk:  # breadth first: walk grows by each weight reached
+        for color in (ALPHA, BETA):
+            v = simple_reflection(algebra, color, w)
+            if v not in sign:
+                sign[v] = -sign[w]
+                walk.append(v)
+            elif sign[v] == sign[w]:
+                return LaurentPoly2.zero()
+    return LaurentPoly2(sign)
 
 
 def character_from_lattice(lattice: IdealLattice) -> LaurentPoly2:
@@ -237,11 +206,8 @@ def verify_weyl_character(algebra: Algebra, lam: Weight, chi: LaurentPoly2) -> b
 
 
 def rgf_from_lattice(lattice: IdealLattice) -> QPoly:
-    counts: dict[int, int] = {}
-    for r in map(int.bit_count, lattice.elements):
-        counts[r] = counts.get(r, 0) + 1
-    top = max(counts) if counts else 0
-    return QPoly(tuple(counts.get(r, 0) for r in range(top + 1)))
+    """The number of elements of each size, read off the size blocks."""
+    return QPoly(lattice.rank_sizes)
 
 
 def q_product(nums: Iterable[int], dens: Iterable[int]) -> QPoly:

@@ -144,8 +144,17 @@ def triangle_dual_that_does_not_dualize(m):
 
 
 def dichotomy_claimed_for_a1a1(m):
-    # P^ba(1,1) and P^ab(1,1) of A1+A1 are the same two-point antichain
-    m.setattr(verify, "SIMPLE", tuple(Algebra))
+    # P^ba(1,1) and P^ab(1,1) of A1+A1 are the same two-point antichain; the
+    # claim is made only while the duality case runs, as other criteria read
+    # SIMPLE too
+    duality_case = verify.Verifier._duality_case
+
+    def claimed(self, algebra, lam):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "SIMPLE", tuple(Algebra))
+            return duality_case(self, algebra, lam)
+
+    m.setattr(verify.Verifier, "_duality_case", claimed)
 
 
 def tampered_quasi_gaussian_product(m):
@@ -154,7 +163,9 @@ def tampered_quasi_gaussian_product(m):
 
 
 def wrong_warmup_fixture(m):
-    m.setattr(verify, "load_fixture", lambda name: load_fixture("catalan_p3"))
+    # only the warm-up's chain product: the structure condition loads a fixture too
+    m.setattr(verify, "load_fixture", lambda name: load_fixture(
+        "catalan_p3" if name == "chain_product_2x3" else name))
 
 
 FAULTS = [
@@ -181,9 +192,12 @@ FAULTS = [
                          ids=[f"{name}-{fault.__name__}" for name, fault in FAULTS])
 def test_fault_fails_its_criterion(monkeypatch, name, fault):
     fault(monkeypatch)
-    check = run()[name]
+    report = run()
+    check = report.pop(name)
     assert check["status"] == "FAIL"
     assert "error:" not in check["params"]
+    assert len(report) == 8
+    assert all(c["status"] == "PASS" for c in report.values()), report
 
 
 def test_every_criterion_has_a_fault():
@@ -357,6 +371,13 @@ def test_tableau_suite_alone_runs_only_its_cases(monkeypatch):
                      for algebra in verify.SIMPLE for a in range(3) for b in range(3)]
     with pytest.raises(ValueError, match="tableau_suit"):
         verify.Verifier((2, 2)).run_all(("tableau_suit",))
+
+
+@pytest.mark.parametrize("criteria", [(), []], ids=["tuple", "list"])
+def test_an_empty_selection_is_refused(criteria):
+    # a report with no entry would pass with nothing checked
+    with pytest.raises(ValueError, match="no criteria selected"):
+        verify.Verifier((1, 1)).run_all(criteria)
 
 
 # --- the dichotomy on posets against the lattice-level search ----------------

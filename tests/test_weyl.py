@@ -3,15 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import random_colored_poset
 from ranktwo.algebras import ALPHA, BETA, CARTAN, Algebra, cartan_matrix
 from ranktwo.build import semistandard_poset
-from ranktwo.fixtures import load_fixture
+from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
 from ranktwo.lattice import IdealLattice, check_structure, order_ideals
 from ranktwo.poset import RankFunction
 from ranktwo.verify import RHO_SUM_LITERAL, quasi_gaussian_product
 from ranktwo.weyl import (LaurentPoly2, QPoly, alternating_sum,
                           character_from_lattice, rgf_from_lattice, rgf_product,
-                          simple_reflection, verify_weyl_character, weyl_group)
+                          simple_reflection, verify_weyl_character)
 
 
 # Positive roots in fundamental-weight coordinates.
@@ -25,6 +26,51 @@ POSITIVE_ROOTS = {
 
 def lattice(algebra, lam, order="beta_alpha"):
     return order_ideals(semistandard_poset(algebra, order, lam))
+
+
+def _apply(m, w):
+    # weights are row vectors
+    (a, b), (c, d) = m
+    p, q = w
+    return (p * a + q * c, p * b + q * d)
+
+
+def reference_weyl_group(algebra: Algebra):
+    """The Weyl group as sorted (matrix, determinant) pairs: the closure of
+    the two simple reflections' matrices under multiplication."""
+    gens = [tuple(simple_reflection(algebra, color, e) for e in ((1, 0), (0, 1)))
+            for color in (ALPHA, BETA)]
+    identity = ((1, 0), (0, 1))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                m2 = (_apply(g, m[0]), _apply(g, m[1]))  # m times g
+                if m2 not in seen:
+                    seen.add(m2)
+                    nxt.append(m2)
+        frontier = nxt
+    return sorted((m, m[0][0] * m[1][1] - m[0][1] * m[1][0]) for m in seen)
+
+
+def reference_alternating_sum(algebra: Algebra, mu) -> LaurentPoly2:
+    """Oracle: the literal sum over W of det(w) e^(w mu), one monomial per
+    group element."""
+    out = LaurentPoly2.zero()
+    for m, det in reference_weyl_group(algebra):
+        out = out + LaurentPoly2.monomial(*_apply(m, mu), det)
+    return out
+
+
+def reference_rank_counts(lattice: IdealLattice) -> QPoly:
+    """Oracle: the number of elements of each popcount, counted mask by mask."""
+    counts: dict[int, int] = {}
+    for r in map(int.bit_count, lattice.elements):
+        counts[r] = counts.get(r, 0) + 1
+    top = max(counts) if counts else 0
+    return QPoly(tuple(counts.get(r, 0) for r in range(top + 1)))
 
 
 def is_weyl_invariant(algebra: Algebra, poly: LaurentPoly2) -> bool:
@@ -92,9 +138,11 @@ class TestWeylGroup:
                 assert simple_reflection(algebra, color, once) == mu
 
     def test_orders(self):
+        # rho is regular: its signed orbit sum has one term per group element
         sizes = {Algebra.A1A1: 4, Algebra.A2: 6, Algebra.C2: 8, Algebra.G2: 12}
         for algebra, n in sizes.items():
-            assert len(weyl_group(algebra)) == n
+            assert len(reference_weyl_group(algebra)) == n
+            assert len(alternating_sum(algebra, (1, 1)).coeffs) == n
 
     def test_positive_root_counts(self):
         counts = {Algebra.A1A1: 2, Algebra.A2: 3, Algebra.C2: 4, Algebra.G2: 6}
@@ -113,6 +161,23 @@ class TestAlternatingSums:
         for (p, q) in POSITIVE_ROOTS[algebra]:
             prod = prod * (LaurentPoly2.monomial(0, 0) - LaurentPoly2.monomial(-p, -q))
         assert prod == alternating_sum(algebra, (1, 1))
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_orbit_walk_matches_the_sum_over_the_group(self, algebra):
+        walls = 0
+        for mu in itertools.product(range(-6, 7), repeat=2):
+            expected = reference_alternating_sum(algebra, mu)
+            assert alternating_sum(algebra, mu) == expected, mu
+            walls += not expected
+        # the zero sums are the weights on one of the 2, 3, 4 or 6 walls
+        # through the origin, those fixed by a reflection in W
+        assert walls == {Algebra.A1A1: 25, Algebra.A2: 37, Algebra.C2: 43,
+                         Algebra.G2: 51}[algebra]
+
+    def test_list_weight(self):
+        for algebra in Algebra:
+            assert alternating_sum(algebra, [2, 1]) == alternating_sum(algebra, (2, 1))
+            assert alternating_sum(algebra, [0, 1]) == LaurentPoly2.zero()
 
     def test_wall_weight_vanishes(self):
         # (0,1) is fixed by one reflection, so the signed orbit sum cancels
@@ -226,6 +291,29 @@ class TestRankGeneratingFunctions:
     def test_quasi_gaussian_family(self, m):
         lat = lattice(Algebra.G2, (0, m))
         assert rgf_from_lattice(lat) == quasi_gaussian_product(m)
+
+
+class TestRankCountsMatchReference:
+    """rgf_from_lattice, read off the size blocks, against a count per mask."""
+
+    @staticmethod
+    def _assert_counts(lat):
+        assert rgf_from_lattice(lat) == reference_rank_counts(lat)
+        assert sum(lat.rank_sizes) == len(lat)
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_built_lattices(self, algebra):
+        for order in ("beta_alpha", "alpha_beta"):
+            for lam in itertools.product(range(4), repeat=2):
+                self._assert_counts(lattice(algebra, lam, order))
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures(self, name):
+        self._assert_counts(order_ideals(load_fixture(name)))
+
+    def test_random_posets(self, rng):
+        for _ in range(40):
+            self._assert_counts(order_ideals(random_colored_poset(rng, rng.randint(1, 10))))
 
 
 class TestNaturalRank:
