@@ -1,19 +1,20 @@
 """Lattices of order ideals with edge colors inherited from vertex colors,
 per-color component statistics, element weights, and the structure condition.
 
-Covers come from a chain walk: vertex_order splits into runs in which each
-vertex is a lower cover of the one before, chains whose bits descend going
-up.  An ideal can gain only the highest missing bit of a run, and does iff
-that vertex's lower covers are in it: one probe per run (six for G2 (a,a)).
-Elements ascend in (size, mask) and a cover adds one vertex, so every cover
-from the block of size s ends in the block of size s + 1: the walk goes one
-block at a time and indexes only the next one, never the whole lattice.
-It writes the covers as three columns, `Covers`: lower and upper element
-indices and one byte per cover, 1 for beta; no object is made per cover,
-so the cyclic collector has nothing per cover to track.  Each element
-index is one int object, made in the dict of its block and read back from
-it when that block is the lower one, so the lower and upper columns share
-it: a cover costs two pointers and a byte, an element one int.
+One walk, `order_ideals`, makes the elements and the covers together.
+vertex_order splits into runs in which each vertex is a lower cover of the
+one before, chains whose bits descend going up.  An ideal can gain only the
+highest missing bit of a run, and does iff that vertex's lower covers are
+in it: one probe per run (six for G2 (a,a)).  A cover adds one vertex, so
+the covers up from the block of size s reach exactly the elements of size
+s + 1: the walk goes up one block at a time, each block the sorted set of
+the masks the one below reached, so elements ascend in (size, mask) and
+covers in (i, j).  Only the block just made is indexed, never the whole
+lattice.  The covers are three columns, `Covers`: lower and upper element
+indices as `array("I")`, 4 bytes each, and one byte per cover, 1 for beta.
+No object is made per cover or kept per element index, so the cyclic
+collector has nothing per cover to track.  The walk also counts the
+elements of each size, `rank_sizes`, off its blocks.
 
 The statistics are read from those covers.  A one-color cover joins two
 elements of one component, so an element's least component size lo is that
@@ -25,12 +26,13 @@ s has rho = s - lo, length = hi - lo and weight coordinate m = 2 rho -
 length.  Statistics are whole-lattice columns with one entry per element:
 `rank_stats(color)` gives rho and length, and `weights` is a `Weights`, the
 columns m_a and m_b read as (m_a, m_b) pairs; no tuple is kept per
-element.  `rank_sizes` counts the elements of each size off the size
-blocks.  Along a decomposition, the one projection, `projection_columns`,
-indexes every element's intersection with each piece.  It has three
-readers: the sums `piece_rank_stats` and `weight_via_decomposition`, equal
-to the lattice's columns by `==` and handed the projection built once per
-lattice, and `tableaux.tableau_of_ideal`, a column id per piece.
+element, and equal coordinates share one int object.  Sizes are read off
+the size blocks, never recounted per element.  Along a decomposition, the
+one projection, `projection_columns`, indexes every element's intersection
+with each piece.  It has three readers: the sums `piece_rank_stats` and
+`weight_via_decomposition`, equal to the lattice's columns by `==` and
+handed the projection built once per lattice, and
+`tableaux.tableau_of_ideal`, a column id per piece.
 The generic `edge_poset` is built only for isomorphism and rank functions.
 
 Every element but the bottom adds one vertex to its first lower cover, the
@@ -42,9 +44,8 @@ element, and a lattice file's element rows grow the same way.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, repeat
 from operator import add, sub
@@ -54,12 +55,12 @@ from .build import SemistandardPoset
 from .grid import Decomposition, GridPoset, total_order
 from .poset import EdgeColoredPoset, VertexColoredPoset
 
-# Peak RSS growth (getrusage, Python 3.11) per ideal: 202-233 B in the
+# Peak RSS per ideal (Python 3.11): 126-142 B of growth (VmHWM) in the
 # library through covers, weights and the character, rgf and structure
-# checks (G2 (5,5)-(8,8)); on the file path at G2 (6,6) and (7,7), 1.7-1.9
-# KB for `enumerate` writing its file and 2.1-2.4 KB for `character
-# --verify` and `export` reading one: 0.23, 1.9 and 2.4 GB at 10**6.  G2
-# (8,8) has 531,441 ideals.
+# checks (G2 (5,5)-(8,8)); on the file path at G2 (6,6) and (7,7), the
+# process peak (getrusage) is 1.8-1.9 KB for `enumerate` writing its file
+# and 2.2-2.4 KB for `character --verify` and `export` reading one: 0.14,
+# 1.9 and 2.4 GB at 10**6.  G2 (8,8) has 531,441 ideals.
 DEFAULT_MAX_IDEALS = 10**6
 
 
@@ -77,7 +78,7 @@ class Covers:
 
     __slots__ = ("lower", "upper", "beta")
 
-    def __init__(self, lower: list[int], upper: list[int], beta: bytes) -> None:
+    def __init__(self, lower: Sequence[int], upper: Sequence[int], beta: bytes) -> None:
         self.lower, self.upper, self.beta = lower, upper, beta
 
     def __len__(self) -> int:
@@ -120,6 +121,10 @@ class IdealLattice:
     built: SemistandardPoset | None  # the builder output `poset` came from, if any
     vertex_order: tuple[int, ...]
     elements: tuple[int, ...]  # bitmasks, sorted by (size, value)
+    # both made by the walk with the elements: per size s, the number of
+    # elements of size s, which form one block; and the covers
+    rank_sizes: tuple[int, ...] = field(compare=False, repr=False)
+    _covers: Covers = field(compare=False, repr=False)
 
     @cached_property
     def base(self) -> VertexColoredPoset:
@@ -131,50 +136,15 @@ class IdealLattice:
 
     @cached_property
     def index_of(self) -> dict[int, int]:
-        # for lookups by mask across the whole lattice; the covers walk
-        # indexes one size block at a time instead
+        # lookups by mask across the whole lattice; the walk indexes per block
         return {mask: i for i, mask in enumerate(self.elements)}
 
     @cached_property
-    def _block_ends(self) -> list[int]:
-        """ends[s]: one past the last element of size s.  Elements ascend in
-        size, so those of one size form one block."""
-        return [bisect_right(self.elements, s, key=int.bit_count)
-                for s in range(len(self.vertex_order) + 1)]
-
-    @cached_property
     def covers(self) -> Covers:
-        # the chain walk of the module docstring, one size block at a time:
-        # a cover adds one vertex, so it ends in the next block, the only
-        # one indexed; runs ascend, so covers are in (element, bit) order
-        order, base, elements = self.vertex_order, self.base, self.elements
-        bit = {v: 1 << b for b, v in enumerate(order)}
-        runs = []
-        for b, v in enumerate(order):
-            if b and v in base.lower_covers[order[b - 1]]:
-                runs[-1] |= bit[v]
-            else:
-                runs.append(bit[v])
-        lower = [sum(bit[u] for u in base.lower_covers[v]) for v in order]
-        beta = [base.color_of[v] is BETA for v in order]
-        ends = self._block_ends
-        low, up, col = [], [], bytearray()
-        add_low, add_up, add_col = low.append, up.append, col.append
-        # each index is one int object, made in its block's dict: covers up
-        # into the block read it there, and so do covers down from it
-        index = {0: 0}  # the bottom, the only element of size 0
-        for mid, end in zip(ends, ends[1:]):
-            below, index = index, dict(zip(elements[mid:end], range(mid, end)))
-            for mask, i in below.items():
-                for run in runs:
-                    free = run & ~mask
-                    if free:
-                        b = free.bit_length() - 1
-                        if lower[b] & mask == lower[b]:
-                            add_low(i)
-                            add_up(index[mask | 1 << b])
-                            add_col(beta[b])
-        return Covers(low, up, bytes(col))
+        # the walk's columns; a cached_property, not a field, because the
+        # benchmark wraps this function to time and count the covers
+        # (ROADMAP item 1 moves that hook)
+        return self._covers
 
     @cached_property
     def first_lower(self) -> tuple[list[int], list[int]]:
@@ -206,7 +176,7 @@ class IdealLattice:
     def _component_bounds(self) -> tuple[tuple[array, array], ...]:
         """Columns lo and hi of each element's component bounds, for alpha
         then beta: index it by `color is BETA`, which hashes no enum."""
-        sizes = list(map(int.bit_count, self.elements))
+        sizes = list(self._per_size(count()))
         cols = [sizes, sizes[:], sizes[:], sizes[:]]
         alo, ahi, blo, bhi = cols
         del sizes
@@ -233,22 +203,23 @@ class IdealLattice:
         """Columns rho and length: per element, its place in its component of
         one color and that component's length."""
         lo, hi = self._component_bounds[color is BETA]
-        return list(map(sub, map(int.bit_count, self.elements), lo)), list(map(sub, hi, lo))
+        return list(map(sub, self._per_size(count()), lo)), list(map(sub, hi, lo))
 
-    @cached_property
-    def rank_sizes(self) -> list[int]:
-        """Per size s, the number of elements of size s: its block's length."""
-        ends = self._block_ends
-        return list(map(sub, ends, [0] + ends[:-1]))
+    def _per_size(self, values: Iterator[int]) -> Iterator[int]:
+        """Per element of size s, the s-th of `values`: one repeat per block."""
+        return chain.from_iterable(map(repeat, values, self.rank_sizes))
 
     @cached_property
     def weights(self) -> Weights:
-        # m = 2 rho - length = 2 size - lo - hi, per color; 2 size is read
-        # off the size blocks, one repeat per block, so no column is built
-        # but the result and no method is called per element
-        per_size = self.rank_sizes
-        return Weights(*(list(map(sub, chain.from_iterable(map(repeat, count(0, 2), per_size)),
-                                  map(add, lo, hi)))
+        # m = 2 rho - length = 2 size - lo - hi, per color.  Each m is read
+        # from one table of the values -n..n, so equal weights share one int
+        # object (CPython shares only -5..256).  The index is m + n: since
+        # 0 <= lo <= size <= hi <= n, m = (size - lo) - (hi - size) lies in
+        # -n..n and m + n in 0..2n; a negative index would wrap silently.
+        n = len(self.vertex_order)
+        table = list(range(-n, n + 1))
+        return Weights(*(list(map(table.__getitem__,
+                                  map(sub, self._per_size(count(n, 2)), map(add, lo, hi))))
                          for lo, hi in self._component_bounds))
 
     @cached_property
@@ -258,15 +229,18 @@ class IdealLattice:
 
 def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
                  max_ideals: int = DEFAULT_MAX_IDEALS) -> IdealLattice:
-    """Enumerate all order ideals of p, refusing beyond `max_ideals`.
+    """All order ideals of p and their covers, refusing beyond `max_ideals`.
 
     Vertices are taken in the grid total order (chains ascending, descending
     inside a chain) when available, else in a linear extension; bit b of a
-    mask is vertex_order[b].  The scan visits vertices along a linear
-    extension and, for each vertex v, extends the list of ideals found so
-    far by v added to every ideal that holds all lower covers of v.  The
+    mask is vertex_order[b].  The chain walk of the module docstring goes
+    up one size block at a time: every element of block s is probed once
+    per run, and each hit records a cover, its lower index, upper mask and
+    beta byte.  Block s + 1 is the sorted set of those upper masks, so the
+    elements come out in (size, mask) order and the covers in (i, j) order;
+    only that block is indexed, to turn the masks into upper indices.  The
     count only grows, so the refusal fires exactly when the final count
-    would exceed `max_ideals`, before the list grows past twice that.
+    would exceed `max_ideals`, as soon as a block takes the count past it.
     """
     built = p if isinstance(p, SemistandardPoset) else None
     if built is not None:
@@ -276,17 +250,39 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
     base = p.base if isinstance(p, GridPoset) else p
     order = total_order(p) if isinstance(p, GridPoset) else base.linear_extension
     bit = {v: 1 << b for b, v in enumerate(order)}
-    ideals = [0]
-    for v in base.linear_extension:
-        low = 0
-        for u in base.lower_covers[v]:
-            low |= bit[u]
-        ideals += [mask | bit[v] for mask in ideals if mask & low == low]
-        if len(ideals) > max_ideals:
+    runs = []
+    for b, v in enumerate(order):
+        if b and v in base.lower_covers[order[b - 1]]:
+            runs[-1] |= bit[v]
+        else:
+            runs.append(bit[v])
+    lower = [sum(bit[u] for u in base.lower_covers[v]) for v in order]
+    beta = [base.color_of[v] is BETA for v in order]
+    low, up, col = array("I"), array("I"), bytearray()
+    add_low, add_col = low.append, col.append
+    blocks, block, start = [], [0], 0  # the bottom, the only element of size 0
+    while block:
+        if start + len(block) > max_ideals:
             raise TooManyIdeals(f"more than {max_ideals} order ideals")
-    ideals.sort()
-    ideals.sort(key=int.bit_count)  # stable: (size, mask) order
-    return IdealLattice(p, built, order, tuple(ideals))
+        blocks.append(block)
+        uppers = []
+        add_up = uppers.append
+        for i, mask in enumerate(block, start):
+            missing = ~mask
+            for run in runs:
+                free = run & missing
+                if free:
+                    b = free.bit_length() - 1
+                    if lower[b] & mask == lower[b]:
+                        add_low(i)
+                        add_up(mask | 1 << b)
+                        add_col(beta[b])
+        start += len(block)
+        block = sorted(set(uppers))
+        index = dict(zip(block, range(start, start + len(block))))
+        up.extend(map(index.__getitem__, uppers))
+    return IdealLattice(p, built, order, tuple(chain.from_iterable(blocks)),
+                        tuple(map(len, blocks)), Covers(low, up, bytes(col)))
 
 
 def structure_rows(lattice: IdealLattice) -> list[Weight | None] | None:

@@ -103,9 +103,12 @@ def _element_rows(lat: IdealLattice) -> list[list[int]]:
 
 
 def _cover_rows(lat: IdealLattice) -> list[list]:
-    """[i, j, color] per cover, in the stored (i, j) order."""
-    names, cov = (ALPHA.value, BETA.value), lat.covers
-    return [[i, j, names[b]] for i, j, b in zip(cov.lower, cov.upper, cov.beta)]
+    """[i, j, color] per cover, in the stored (i, j) order.  The index
+    columns make a new int per entry read, so indices are read through one
+    list of them: an int object per element, not two per cover."""
+    names, cov, ids = (ALPHA.value, BETA.value), lat.covers, list(range(len(lat)))
+    return [[i, j, names[b]] for i, j, b in zip(map(ids.__getitem__, cov.lower),
+                                                map(ids.__getitem__, cov.upper), cov.beta)]
 
 
 def _weight_rows(lat: IdealLattice) -> list[list[int]]:

@@ -11,7 +11,7 @@ from conftest import (brute_force_ideals, diamond_coloring_check, element_vertic
 from ranktwo.algebras import ALPHA, BETA, Algebra, cartan_matrix
 from ranktwo.build import fundamental_poset, semistandard_poset
 from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
-from ranktwo.grid import GridPoset, decompose, validate_grid
+from ranktwo.grid import GridPoset, decompose, total_order, validate_grid
 from ranktwo.lattice import (TooManyIdeals, Weights, check_structure, join_irreducible_poset,
                              order_ideals, piece_rank_stats, projection_columns,
                              structure_rows, weight_via_decomposition)
@@ -41,8 +41,8 @@ class TestEnumeration:
                 brute_force_ideals(base)
 
     def test_elements_in_size_then_mask_order(self, rng):
-        # a grid's vertex order is not the scan's linear extension, so the
-        # scan does not list its masks in order
+        # under a grid's vertex order the masks a block reaches come in no
+        # order; the walk sorts each block
         for p in _random_grids(rng):
             for lat in order_ideals(p), order_ideals(p.base):
                 assert list(lat.elements) == sorted(lat.elements,
@@ -51,6 +51,18 @@ class TestEnumeration:
     def test_resource_guard(self):
         with pytest.raises(TooManyIdeals):
             order_ideals(load_fixture("chain_product_2x3"), max_ideals=5)
+
+    @pytest.mark.parametrize("build", [
+        lambda: load_fixture("chain_product_2x3"),
+        lambda: semistandard_poset(Algebra.G2, "beta_alpha", (0, 0)),
+        lambda: semistandard_poset(Algebra.C2, "alpha_beta", (2, 1)),
+        lambda: semistandard_poset(Algebra.G2, "beta_alpha", (2, 2))])
+    def test_refusal_boundary_is_exact(self, build):
+        p = build()
+        n = len(order_ideals(p))
+        assert len(order_ideals(p, max_ideals=n)) == n
+        with pytest.raises(TooManyIdeals):
+            order_ideals(p, max_ideals=n - 1)
 
     def test_long_chain_needs_no_recursion(self, monkeypatch):
         n = 3000
@@ -179,6 +191,93 @@ def reference_covers(lat):
     return tuple(out)
 
 
+def reference_scan(p):
+    """The vertex order and the masks of every ideal in (size, mask) order,
+    by a scan along a linear extension: for each vertex v in turn, extend
+    the ideals found so far by v added to every ideal that holds all lower
+    covers of v, then sort."""
+    p = getattr(p, "grid", p)  # a builder output is enumerated as its grid
+    base = getattr(p, "base", p)
+    order = total_order(p) if isinstance(p, GridPoset) else base.linear_extension
+    bit = {v: 1 << b for b, v in enumerate(order)}
+    ideals = [0]
+    for v in base.linear_extension:
+        low = sum(bit[u] for u in base.lower_covers[v])
+        ideals += [mask | bit[v] for mask in ideals if mask & low == low]
+    return order, sorted(ideals, key=lambda m: (m.bit_count(), m))
+
+
+def reference_block_walk(lat):
+    """Cover columns lower, upper and beta by the chain walk over the given
+    elements, one size block at a time, each block indexed by a dict."""
+    order, base, elements = lat.vertex_order, lat.base, lat.elements
+    bit = {v: 1 << b for b, v in enumerate(order)}
+    runs = []
+    for b, v in enumerate(order):
+        if b and v in base.lower_covers[order[b - 1]]:
+            runs[-1] |= bit[v]
+        else:
+            runs.append(bit[v])
+    lower = [sum(bit[u] for u in base.lower_covers[v]) for v in order]
+    sizes = [m.bit_count() for m in elements]
+    ends = list(itertools.accumulate(sizes.count(s) for s in range(len(order) + 1)))
+    low, up, beta = [], [], []
+    index = {0: 0}
+    for mid, end in zip(ends, ends[1:]):
+        below, index = index, dict(zip(elements[mid:end], range(mid, end)))
+        for mask, i in below.items():
+            for run in runs:
+                free = run & ~mask
+                if free:
+                    b = free.bit_length() - 1
+                    if lower[b] & mask == lower[b]:
+                        low.append(i)
+                        up.append(index[mask | 1 << b])
+                        beta.append(int(base.color_of[order[b]] is BETA))
+    return low, up, beta
+
+
+def assert_walk_matches_scan(p):
+    """order_ideals gives the scan's vertex order and elements and the block
+    walk's cover columns over them."""
+    lat = order_ideals(p)
+    order, elements = reference_scan(p)
+    assert lat.vertex_order == order
+    assert list(lat.elements) == elements
+    cov = lat.covers
+    assert (list(cov.lower), list(cov.upper), list(cov.beta)) == reference_block_walk(lat)
+    assert lat.rank_sizes == tuple(len(list(g)) for _, g in
+                                   itertools.groupby(elements, int.bit_count))
+
+
+class TestOneWalkMatchesScanAndBlockWalk:
+    """The one walk that makes elements and covers together gives the
+    linear-extension scan's elements and the covers the block walk finds
+    over them, column by column."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures(self, name):
+        assert_walk_matches_scan(load_fixture(name))
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_built_lattices(self, algebra):
+        for order in ("beta_alpha", "alpha_beta"):
+            for lam in itertools.product(range(4), repeat=2):
+                assert_walk_matches_scan(semistandard_poset(algebra, order, lam))
+
+    @pytest.mark.parametrize("order", ["beta_alpha", "alpha_beta"])
+    def test_g2_44(self, order):
+        assert_walk_matches_scan(semistandard_poset(Algebra.G2, order, (4, 4)))
+
+    def test_random_posets(self, rng):
+        for _ in range(40):
+            assert_walk_matches_scan(random_colored_poset(rng, rng.randint(1, 10)))
+
+    def test_random_grids(self, rng):
+        for p in _random_grids(rng):
+            assert_walk_matches_scan(p)
+
+
 def _random_grids(rng):
     """40 random posets under arbitrary chain indices, so that some "chains"
     hold incomparable vertices."""
@@ -276,10 +375,9 @@ class TestCoversColumns:
         assert len(cov) == len(ref)
         assert tuple(cov) == ref
         assert type(cov.beta) is bytes and set(cov.beta) <= {0, 1}
-        assert type(cov.lower) is list and type(cov.upper) is list
-        assert all(type(x) is int for x in cov.lower + cov.upper)
-        # one int object per element index, shared by both columns
-        assert len({id(x) for x in cov.lower + cov.upper}) <= len(lat)
+        # 4 bytes per index, no int object per element index
+        for column in cov.lower, cov.upper:
+            assert type(column) is array and column.typecode == "I"
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixtures(self, name):
@@ -409,18 +507,20 @@ print(peak_kb() - before)
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_lattice_core_memory():
-    """The lattice core holds no tuple per element or per cover, one int
-    object per element index and 4-byte component bounds: 46,656 ideals and
-    196,700 covers grow the peak by at most 10 MB (8.9-9.2 MB measured on
-    Python 3.10-3.12; 11.9-12.1 MB with two int objects per index and the
-    bounds as lists, 16.6-17.0 MB with a tuple per weight as well)."""
+    """The lattice core holds no tuple per element or per cover, 4-byte
+    cover indices and component bounds, and shared weight ints: 46,656
+    ideals and 196,700 covers grow the peak by at most 7 MB (5.5-5.8 MB
+    measured on Python 3.10-3.12; 9.0-9.1 MB with one int object per
+    element index in list cover columns and a scan before the covers walk,
+    11.9-12.1 MB with two int objects per index and the bounds as lists,
+    16.6-17.0 MB with a tuple per weight as well)."""
     import ranktwo
 
     src = os.path.dirname(os.path.dirname(ranktwo.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", _PIPELINE_GROWTH], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert int(out) <= 10 * 1024
+    assert int(out) <= 7 * 1024
 
 
 def infer_structure_matrix(lattice):

@@ -42,6 +42,14 @@ class TestWriterMatchesReference:
         lat = order_ideals(load_fixture(name))
         assert lattice_to_obj(lat) == reference_lattice_to_obj(lat)
 
+    def test_cover_rows_share_one_int_per_element(self):
+        # the covers' index columns make a new int per entry read; the rows
+        # of a file being written or checked read them through one per element
+        lat = order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", (3, 3)))
+        rows = lattice_to_obj(lat)["covers"]
+        assert len(rows) == len(lat.covers) > len(lat)
+        assert len({id(x) for row in rows for x in row[:2]}) <= len(lat)
+
 
 # sha256 of `ranktwo enumerate` output, recorded before the writer read its
 # rows off the covers
