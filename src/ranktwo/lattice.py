@@ -3,36 +3,27 @@ per-color component statistics, element weights, and the structure condition.
 
 One walk, `order_ideals`, makes the elements and the covers together.
 vertex_order splits into runs in which each vertex is a lower cover of the
-one before, chains whose bits descend going up.  An ideal can gain only the
-highest missing bit of a run, and does iff that vertex's lower covers are
-in it: one probe per run (six for G2 (a,a)).  A cover adds one vertex, so
-the covers up from the block of size s reach exactly the elements of size
-s + 1: the walk goes up one block at a time, each block the sorted set of
-the masks the one below reached, so elements ascend in (size, mask) and
-covers in (i, j).  Only the block just made is indexed, never the whole
-lattice.  The covers are three columns, `Covers`: lower and upper element
-indices as `array("I")`, 4 bytes each, and one byte per cover, 1 for beta.
-No object is made per cover or kept per element index, so the cyclic
-collector has nothing per cover to track.  The walk also counts the
-elements of each size, `rank_sizes`, off its blocks.
+one before.  An ideal can gain only the highest missing bit of a run, and
+does iff that vertex's lower covers are in it: one probe per run (six for
+G2 (a,a)).  A cover adds one vertex, so the walk goes up one size block at
+a time, each block the sorted set of the masks the one below reached:
+elements ascend in (size, mask), covers in (i, j), and only the block being
+reached is indexed.  `Covers` is three columns: lower and upper element
+indices as `array("I")`, and one byte per cover, 1 for beta; no object is
+kept per cover or per element index.  The blocks' lengths are `rank_sizes`.
 
 The statistics are read from those covers.  A one-color cover joins two
 elements of one component, so an element's least component size lo is that
 of any lower cover of that color and its greatest, hi, that of any upper
-one: a pass up the covers sets lo, a pass down sets hi.  The passes run on
-lists; the four bound columns are then kept as `array("I")`, 4 bytes an
-entry, since a bound never exceeds the vertex count.  An element of size
-s has rho = s - lo, length = hi - lo and weight coordinate m = 2 rho -
-length.  Statistics are whole-lattice columns with one entry per element:
-`rank_stats(color)` gives rho and length, and `weights` is a `Weights`, the
-columns m_a and m_b read as (m_a, m_b) pairs; no tuple is kept per
-element, and equal coordinates share one int object.  Sizes are read off
-the size blocks, never recounted per element.  Along a decomposition, the
-one projection, `projection_columns`, indexes every element's intersection
-with each piece.  It has three readers: the sums `piece_rank_stats` and
-`weight_via_decomposition`, equal to the lattice's columns by `==` and
-handed the projection built once per lattice, and
-`tableaux.tableau_of_ideal`, a column id per piece.
+one: a pass up the covers sets lo, a pass down sets hi, each on lists then
+kept as 4-byte columns.  An element of size s has rho = s - lo, length =
+hi - lo and weight coordinate m = 2 rho - length, whole-lattice columns:
+`rank_stats(color)` gives rho and length and `weights` the columns m_a and
+m_b as a `Weights`; equal coordinates share one int object, and sizes are
+read off the size blocks.  Along a decomposition, `projection_columns`
+indexes every element's intersection with each piece, for the sums
+`piece_rank_stats` and `weight_via_decomposition`, equal to the lattice's
+columns, and for `tableaux.tableau_of_ideal`.
 The generic `edge_poset` is built only for isomorphism and rank functions.
 
 Every element but the bottom adds one vertex to its first lower cover, the
@@ -55,12 +46,11 @@ from .build import SemistandardPoset
 from .grid import Decomposition, GridPoset, total_order
 from .poset import EdgeColoredPoset, VertexColoredPoset
 
-# Peak RSS per ideal (Python 3.11): 126-142 B of growth (VmHWM) in the
-# library through covers, weights and the character, rgf and structure
-# checks (G2 (5,5)-(8,8)); on the file path at G2 (6,6) and (7,7), the
-# process peak (getrusage) is 1.8-1.9 KB for `enumerate` writing its file
-# and 2.2-2.4 KB for `character --verify` and `export` reading one: 0.14,
-# 1.9 and 2.4 GB at 10**6.  G2 (8,8) has 531,441 ideals.
+# Peak RSS per ideal (Python 3.11): 125-145 B of growth (VmHWM) in the
+# library through covers, weights and the character, rgf and structure checks
+# (G2 (5,5)-(8,8), which has 531,441 ideals); at G2 (6,6) and (7,7) the process
+# peak (getrusage) is 1.8-1.9 KB for `enumerate` writing its file and 2.2-2.4
+# KB for `character --verify` and `export` reading one: 0.15, 1.9, 2.4 GB at 10**6.
 DEFAULT_MAX_IDEALS = 10**6
 
 
@@ -86,6 +76,13 @@ class Covers:
 
     def __iter__(self) -> Iterator[tuple[int, int, Color]]:
         return zip(self.lower, self.upper, map(_COLORS.__getitem__, self.beta))
+
+    def shared(self, n: int) -> Iterator[tuple[int, int, int]]:
+        """(i, j, beta byte) per cover of an n-element lattice, for readers
+        that keep indices: reading a column makes an int per entry, so these
+        are read through one list of the n, an int per element."""
+        ids = list(range(n))
+        return zip(map(ids.__getitem__, self.lower), map(ids.__getitem__, self.upper), self.beta)
 
 
 class Weights:
@@ -141,9 +138,8 @@ class IdealLattice:
 
     @cached_property
     def covers(self) -> Covers:
-        # the walk's columns; a cached_property, not a field, because the
-        # benchmark wraps this function to time and count the covers
-        # (ROADMAP item 1 moves that hook)
+        # the walk's columns; not a field, because the benchmark wraps this
+        # function to time and count the covers (ROADMAP item 1 moves that)
         return self._covers
 
     @cached_property
@@ -177,8 +173,7 @@ class IdealLattice:
         """Columns lo and hi of each element's component bounds, for alpha
         then beta: index it by `color is BETA`, which hashes no enum."""
         sizes = list(self._per_size(count()))
-        cols = [sizes, sizes[:], sizes[:], sizes[:]]
-        alo, ahi, blo, bhi = cols
+        alo, ahi, blo, bhi = cols = [sizes, sizes[:], sizes[:], sizes[:]]
         del sizes
         cov = self.covers
         # covers ascend in i: lo[i] is final at (i, j), hi[j] on the way back
@@ -239,8 +234,8 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
     beta byte.  Block s + 1 is the sorted set of those upper masks, so the
     elements come out in (size, mask) order and the covers in (i, j) order;
     only that block is indexed, to turn the masks into upper indices.  The
-    count only grows, so the refusal fires exactly when the final count
-    would exceed `max_ideals`, as soon as a block takes the count past it.
+    refusal is exact: it fires as soon as the masks reached take the count
+    past `max_ideals`, so a pending block holds at most that many.
     """
     built = p if isinstance(p, SemistandardPoset) else None
     if built is not None:
@@ -258,15 +253,18 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
             runs.append(bit[v])
     lower = [sum(bit[u] for u in base.lower_covers[v]) for v in order]
     beta = [base.color_of[v] is BETA for v in order]
+    if max_ideals < 1:
+        raise TooManyIdeals(f"more than {max_ideals} order ideals")
     low, up, col = array("I"), array("I"), bytearray()
     add_low, add_col = low.append, col.append
     blocks, block, start = [], [0], 0  # the bottom, the only element of size 0
+    room = max_ideals - 1  # elements the blocks above may still add
     while block:
-        if start + len(block) > max_ideals:
-            raise TooManyIdeals(f"more than {max_ideals} order ideals")
         blocks.append(block)
-        uppers = []
-        add_up = uppers.append
+        # the next block's masks, each to its rank in the order first reached,
+        # and per cover that rank; refused as soon as the masks overflow room
+        reached, ranks = {}, array("I")
+        add_rank = ranks.append
         for i, mask in enumerate(block, start):
             missing = ~mask
             for run in runs:
@@ -274,13 +272,18 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
                 if free:
                     b = free.bit_length() - 1
                     if lower[b] & mask == lower[b]:
+                        r = reached.setdefault(mask | 1 << b, len(reached))
+                        if r == room:  # a new mask, one past the room
+                            raise TooManyIdeals(f"more than {max_ideals} order ideals")
                         add_low(i)
-                        add_up(mask | 1 << b)
+                        add_rank(r)
                         add_col(beta[b])
         start += len(block)
-        block = sorted(set(uppers))
+        room -= len(reached)
+        block = sorted(reached)
         index = dict(zip(block, range(start, start + len(block))))
-        up.extend(map(index.__getitem__, uppers))
+        at = list(map(index.__getitem__, reached))  # per rank, the element index
+        up.extend(map(at.__getitem__, ranks))
     return IdealLattice(p, built, order, tuple(chain.from_iterable(blocks)),
                         tuple(map(len, blocks)), Covers(low, up, bytes(col)))
 

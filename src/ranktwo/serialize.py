@@ -103,12 +103,10 @@ def _element_rows(lat: IdealLattice) -> list[list[int]]:
 
 
 def _cover_rows(lat: IdealLattice) -> list[list]:
-    """[i, j, color] per cover, in the stored (i, j) order.  The index
-    columns make a new int per entry read, so indices are read through one
-    list of them: an int object per element, not two per cover."""
-    names, cov, ids = (ALPHA.value, BETA.value), lat.covers, list(range(len(lat)))
-    return [[i, j, names[b]] for i, j, b in zip(map(ids.__getitem__, cov.lower),
-                                                map(ids.__getitem__, cov.upper), cov.beta)]
+    """[i, j, color] per cover, in the stored (i, j) order, with one int
+    object per element index."""
+    names = (ALPHA.value, BETA.value)
+    return [[i, j, names[b]] for i, j, b in lat.covers.shared(len(lat))]
 
 
 def _weight_rows(lat: IdealLattice) -> list[list[int]]:

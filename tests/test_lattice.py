@@ -64,6 +64,24 @@ class TestEnumeration:
         with pytest.raises(TooManyIdeals):
             order_ideals(p, max_ideals=n - 1)
 
+    def test_refusal_does_not_build_the_next_block(self):
+        # a 400-vertex antichain: 401 ideals of size <= 1, then 79,800 of
+        # size 2, reached by 159,600 covers.  The walk refuses as soon as the
+        # masks it has reached overflow the bound (about 1.3 MB traced at
+        # its peak), not after collecting every cover of the block (18 MB)
+        import tracemalloc
+
+        p = VertexColoredPoset.build({v: ALPHA for v in range(400)}, ())
+        p.linear_extension, p.lower_covers
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyIdeals):
+                order_ideals(p, max_ideals=10**4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_long_chain_needs_no_recursion(self, monkeypatch):
         n = 3000
         chain = VertexColoredPoset.build({v: ALPHA for v in range(n)},
