@@ -527,7 +527,7 @@ print(peak_kb() - before)
 def test_lattice_core_memory():
     """The lattice core holds no tuple per element or per cover, 4-byte
     cover indices and component bounds, and shared weight ints: 46,656
-    ideals and 196,700 covers grow the peak by at most 7 MB (5.5-5.8 MB
+    ideals and 196,700 covers grow the peak by at most 7 MB (5.6-5.8 MB
     measured on Python 3.10-3.12; 9.0-9.1 MB with one int object per
     element index in list cover columns and a scan before the covers walk,
     11.9-12.1 MB with two int objects per index and the bounds as lists,
