@@ -29,7 +29,9 @@ The generic `edge_poset` is built only for isomorphism and rank functions.
 Every element but the bottom adds one vertex to its first lower cover, the
 least i with a cover (i, j): the columns `first_lower` reads off the covers.
 `carry` takes every mask into another vertex order along them, one `|` per
-element, and a lattice file's element rows grow the same way.
+element, and a lattice file's element rows grow the same way.  A cover
+adds one vertex and takes its color, so `carries_covers`, the one
+isomorphism check, reads a map onto the elements by its covers' mask steps.
 """
 
 from __future__ import annotations
@@ -132,11 +134,6 @@ class IdealLattice:
         return len(self.elements)
 
     @cached_property
-    def index_of(self) -> dict[int, int]:
-        # lookups by mask across the whole lattice; the walk indexes per block
-        return {mask: i for i, mask in enumerate(self.elements)}
-
-    @cached_property
     def covers(self) -> Covers:
         # the walk's columns; not a field, because the benchmark wraps this
         # function to time and count the covers (ROADMAP item 1 moves that)
@@ -163,6 +160,25 @@ class IdealLattice:
         for i, b in zip(first[1:], added[1:]):
             out.append(out[i] | image_bit[b])
         return out
+
+    def carries_covers(self, masks: Sequence[int], lower: Sequence[int], upper: Sequence[int],
+                       beta: bytes, flip: int = 0) -> bool:
+        """Whether sending element k of another lattice to the ideal masks[k]
+        takes each of its covers (i, j, b) to a one-vertex step up from
+        masks[i] to masks[j] whose vertex is colored beta iff b ^ flip, no
+        two covers from one i add one vertex, and the lattices have equally
+        many covers.  With masks onto the elements, the map is then
+        injective on covers, so an edge-colored isomorphism onto this one."""
+        beta_bit = [self.base.color_of[v] is BETA for v in self.vertex_order]
+        added = [0] * len(masks)  # per i, the vertices its covers have added
+        for i, j, b in zip(lower, upper, beta):
+            step = masks[i] ^ masks[j]
+            # an empty step would read beta_bit[-1]: index -1 wraps silently
+            if (not step or step & (masks[i] | added[i]) or step & (step - 1)
+                    or beta_bit[step.bit_length() - 1] != b ^ flip):
+                return False
+            added[i] |= step
+        return len(lower) == len(self.covers)
 
     @cached_property
     def edge_poset(self) -> EdgeColoredPoset:

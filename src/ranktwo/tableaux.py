@@ -26,20 +26,19 @@ sorted codes: those of `enumerate_tableaux`, `enumerate_littelmann` and
 only for text and for callers that ask for them.  Every caller shares a
 cached table, so each is read-only.
 
-A TableauLattice holds the sorted codes with their index and its covers as
-`lattice.Covers` columns in (i, j) order.  Lowering column i's id from old
-to new lowers the code by (old - new) * R**(n-1-i), so the upper element
-is one lookup of an integer.  The generic EdgeColoredPoset, whose
-validation keeps one reach mask per tableau, is built only on demand,
-through `edge_poset`.
+A TableauLattice holds the sorted codes and its covers as `lattice.Covers`
+columns in (i, j) order.  Lowering column i's id from old to new lowers the
+code by (old - new) * R**(n-1-i), so the upper element is one lookup of an
+integer.  The generic EdgeColoredPoset, whose validation keeps one reach
+mask per tableau, is built only on demand, through `edge_poset`.
 
 The bijection reads a beta-alpha lattice through its builder pieces, one per
 column, as whole-lattice columns.  `tableau_of_ideal` reads each piece's
 column of `lattice.projection_columns` through its id table and gives
 every element's code: the one projection, whose other readers are
 additivity's `weight_via_decomposition` and `piece_rank_stats`.
-`ideal_of_tableau` ORs the codes' piece masks, position by position; no
-vertex set is built.
+`ideal_of_tableau` ORs the codes' piece masks, position by position, into
+each code's ideal mask; no vertex set is built.
 """
 
 from __future__ import annotations
@@ -313,13 +312,12 @@ def column_sums(algebra: Algebra, lam: Weight,
 @dataclass(frozen=True)
 class TableauLattice:
     """The reverse-componentwise order on admissible tableaux: their sorted
-    codes, each code's index, and the covers (i, j) in (i, j) order, where
-    tableau j is tableau i with one entry lowered by one."""
+    codes, and the covers (i, j) in (i, j) order, where tableau j is
+    tableau i with one entry lowered by one."""
 
     algebra: Algebra
     weight: Weight
     codes: list[int]
-    index: dict[int, int]
     covers: Covers
 
     def __len__(self) -> int:
@@ -373,7 +371,7 @@ def tableau_lattice(algebra: Algebra, lam: Weight) -> TableauLattice:
                     low.append(k)
                     up.append(index[code - step * place])
                     beta.append(b)
-    return TableauLattice(algebra, lam, codes, index, Covers(low, up, bytes(beta)))
+    return TableauLattice(algebra, lam, codes, Covers(low, up, bytes(beta)))
 
 
 # --- per-column dictionary between fundamental ideals and column ids ---------
@@ -421,8 +419,8 @@ def tableau_of_ideal(lattice: IdealLattice) -> list[int]:
 
 
 def ideal_of_tableau(lattice: IdealLattice, codes: Sequence[int]) -> list[int]:
-    """The index in `lattice` of the order ideal labelled by each admissible
-    tableau's code: per position, the ideal ORs its column id's piece mask."""
+    """The mask of the order ideal labelled by each admissible tableau's
+    code: per position, the ideal ORs its column id's piece mask."""
     sp, maps = _column_maps(lattice)
     radix = column_table(sp.algebra).radix
     admissible = set(enumerate_tableaux(sp.algebra, sp.weight))
@@ -437,7 +435,7 @@ def ideal_of_tableau(lattice: IdealLattice, codes: Sequence[int]) -> list[int]:
             sp.decomposition.projections, maps):
         mask_of = {x: piece_masks[e] for x, e in element_of.items()}
         masks = list(map(or_, masks, map(mask_of.__getitem__, ids)))
-    return list(map(lattice.index_of.__getitem__, masks))
+    return masks
 
 
 # --- Littelmann column blocks -------------------------------------------------

@@ -168,20 +168,18 @@ class Verifier:
 
         lat = self.lattice(algebra, "beta_alpha", lam)
         codes = tableau_of_ideal(lat)
-        # phi (element of lat -> index of its tableau in tl), a bijection
-        # carrying the covers onto tl's with their colors, is an
-        # edge-colored isomorphism of the two lattices; the code of an
-        # inadmissible tableau has no index
+        # the codes, sorted, are tl's (an inadmissible one is not), each
+        # code's ideal is its element's, and these masks carry tl's covers
+        # with their colors onto lat's: an edge-colored isomorphism
         tl = tableau_lattice(algebra, lam)
-        phi = [tl.index.get(code, -1) for code in codes]
-        if sorted(phi) != list(range(len(tl))):
+        order = sorted(range(len(codes)), key=codes.__getitem__)
+        if list(map(codes.__getitem__, order)) != tl.codes:
             return False
-        if ideal_of_tableau(lat, codes) != list(range(len(lat))):
+        masks = ideal_of_tableau(lat, tl.codes)
+        if masks != list(map(lat.elements.__getitem__, order)):
             return False
-        cov, image = tl.covers, lat.covers
-        if _cover_keys(cov.lower, cov.upper, cov.beta, len(tl)) != _cover_keys(
-                map(phi.__getitem__, image.lower), map(phi.__getitem__, image.upper),
-                image.beta, len(tl)):
+        cov = tl.covers
+        if not lat.carries_covers(masks, cov.lower, cov.upper, cov.beta):
             return False
         weights, numerators, blocks = column_sums(algebra, lam, codes)
         scale = column_table(algebra).block_length.__mul__
@@ -278,35 +276,21 @@ class Verifier:
         return {"checks": self.checks}
 
 
-def _dual_mapping(phi, lat_ba: IdealLattice, lat_ab: IdealLattice) -> list[int]:
-    """Per element of lat_ab, the lat_ba element complementing its image under
-    phi, each mask carried into lat_ba's vertex order."""
-    bit = {v: 1 << b for b, v in enumerate(lat_ba.vertex_order)}
-    image_bit = [bit[phi[v]] for v in lat_ab.vertex_order]
-    full, index = sum(image_bit), lat_ba.index_of
-    return [index[full ^ mask] for mask in lat_ab.carry(image_bit)]
-
-
 def _induced_lattice_iso_ok(algebra, phi, lat_ba: IdealLattice,
                             lat_ab: IdealLattice) -> bool:
     """Check that ideal complements along phi give an edge-colored iso
-    from the alpha-beta lattice onto the recolored dual of the beta-alpha one.
-    Covers compare as sorted keys; the dual reverses each cover, and sigma0
-    flips beta iff it swaps the two colors."""
-    mapping = _dual_mapping(phi, lat_ba, lat_ab)
-    n = len(lat_ba)
-    if len(set(mapping)) != n:
+    from the alpha-beta lattice onto the recolored dual of the beta-alpha one:
+    the complements are lat_ba's elements, each once; the dual reverses
+    each cover, and sigma0 flips beta iff it swaps the two colors."""
+    bit = {v: 1 << b for b, v in enumerate(lat_ba.vertex_order)}
+    image_bit = [bit[phi[v]] for v in lat_ab.vertex_order]
+    full = sum(image_bit)
+    image = [full ^ mask for mask in lat_ab.carry(image_bit)]
+    if sorted(image) != sorted(lat_ba.elements):
         return False
     flip = sigma0(algebra)[ALPHA] is BETA
-    cov, image = lat_ba.covers, lat_ab.covers
-    return _cover_keys(cov.upper, cov.lower, (b ^ flip for b in cov.beta), n) == _cover_keys(
-        map(mapping.__getitem__, image.lower), map(mapping.__getitem__, image.upper),
-        image.beta, n)
-
-
-def _cover_keys(lower, upper, beta, n: int) -> list[int]:
-    """Covers (i, j) of an n-element lattice as sorted keys (i * n + j) * 2 + beta."""
-    return sorted((i * n + j) * 2 + b for i, j, b in zip(lower, upper, beta))
+    cov = lat_ab.covers
+    return lat_ba.carries_covers(image, cov.upper, cov.lower, cov.beta, flip)
 
 
 def structure_report(poset) -> dict:

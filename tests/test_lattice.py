@@ -1,5 +1,6 @@
 import itertools
 from array import array
+from dataclasses import fields
 import os
 import subprocess
 import sys
@@ -12,13 +13,13 @@ from ranktwo.algebras import ALPHA, BETA, Algebra, cartan_matrix
 from ranktwo.build import fundamental_poset, semistandard_poset
 from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
 from ranktwo.grid import GridPoset, decompose, total_order, validate_grid
-from ranktwo.lattice import (TooManyIdeals, Weights, check_structure, join_irreducible_poset,
-                             order_ideals, piece_rank_stats, projection_columns,
-                             structure_rows, weight_via_decomposition)
+from ranktwo.lattice import (IdealLattice, TooManyIdeals, Weights, check_structure,
+                             join_irreducible_poset, order_ideals, piece_rank_stats,
+                             projection_columns, structure_rows, weight_via_decomposition)
 from ranktwo.poset import (EdgeColoredPoset, _components, _topological_order,
                            edge_color_isomorphism, find_rank_function, product,
                            vertex_color_isomorphism, VertexColoredPoset)
-from ranktwo.tableaux import tableau_lattice
+from ranktwo.tableaux import TableauLattice, tableau_lattice
 
 
 class TestEnumeration:
@@ -201,11 +202,12 @@ class TestStatisticsMatchEdgePoset:
 def reference_covers(lat):
     """Reference cover list: try every vertex on every ideal, in bit order."""
     color = lat.base.color_of
+    index = {mask: i for i, mask in enumerate(lat.elements)}
     out = []
     for i, mask in enumerate(lat.elements):
         for b, v in enumerate(lat.vertex_order):
-            if not (mask >> b) & 1 and mask | (1 << b) in lat.index_of:
-                out.append((i, lat.index_of[mask | (1 << b)], color[v]))
+            if not (mask >> b) & 1 and mask | (1 << b) in index:
+                out.append((i, index[mask | (1 << b)], color[v]))
     return tuple(out)
 
 
@@ -305,12 +307,15 @@ def _random_grids(rng):
 
 
 def assert_walk_matches_reference(lat):
-    """The covers walk and the weights leave the lattice-wide index unbuilt,
-    and the walk gives the reference's covers."""
-    covers = lat.covers
-    lat.weights
-    assert "index_of" not in vars(lat)
-    assert tuple(covers) == reference_covers(lat)
+    """The walk gives the reference's covers."""
+    assert tuple(lat.covers) == reference_covers(lat)
+
+
+def test_no_lattice_keeps_a_whole_lattice_index():
+    # the walk indexes one size block at a time, and the isomorphism checks
+    # compare masks, so neither lattice type has a mask or code -> index map
+    assert not hasattr(IdealLattice, "index_of")
+    assert "index" not in {f.name for f in fields(TableauLattice)}
 
 
 class TestCoversMatchReference:
@@ -361,6 +366,101 @@ class TestCoversMatchReference:
             assert {(element_vertices(lat, i), element_vertices(lat, j), c)
                     for i, j, c in lat.covers} == expected
         assert broken_chains > 0
+
+
+def reference_carries_covers(lat, masks, lower, upper, beta, flip=0):
+    """Oracle: the masks looked up as element indices, which must be onto,
+    and the carried covers compared with the lattice's as sorted keys
+    (i * n + j) * 2 + beta."""
+    index = {mask: k for k, mask in enumerate(lat.elements)}
+    phi = [index.get(mask, -1) for mask in masks]
+    n = len(lat)
+    if sorted(phi) != list(range(n)):
+        return False
+
+    def keys(lower, upper, beta):
+        return sorted((i * n + j) * 2 + b for i, j, b in zip(lower, upper, beta))
+
+    cov = lat.covers
+    return keys(cov.lower, cov.upper, cov.beta) == keys(
+        map(phi.__getitem__, lower), map(phi.__getitem__, upper), (b ^ flip for b in beta))
+
+
+def renumbered(lat, rng):
+    """lat under a shuffled numbering, as another lattice with the masks of
+    its elements: (masks, lower, upper, beta), the covers in lat's order."""
+    order = list(range(len(lat)))
+    rng.shuffle(order)  # element k of the other lattice is lat's order[k]
+    where = [0] * len(lat)
+    for k, e in enumerate(order):
+        where[e] = k
+    cov = lat.covers
+    return ([lat.elements[e] for e in order], [where[i] for i in cov.lower],
+            [where[j] for j in cov.upper], bytearray(cov.beta))
+
+
+def covers_mutations(masks, lower, upper, beta):
+    """The other lattice untampered, then under each mutation of its middle
+    cover (i, j): its beta byte flipped, the masks of i and j swapped, its
+    upper end moved onto an element that does not cover i (none when every
+    other element does), the cover dropped, and the cover before it
+    replaced by a copy of it."""
+    yield "untampered", masks, lower, upper, beta
+    if not lower:
+        return
+    k = len(lower) // 2
+    i, j = lower[k], upper[k]
+    flipped = beta[:]
+    flipped[k] ^= 1
+    yield "beta flipped", masks, lower, upper, flipped
+    swapped = masks[:]
+    swapped[i], swapped[j] = masks[j], masks[i]
+    yield "masks swapped", swapped, lower, upper, beta
+    covered = {jj for ii, jj in zip(lower, upper) if ii == i}
+    other = next((e for e in range(len(masks)) if e != i and e not in covered), None)
+    if other is not None:
+        moved = upper[:]
+        moved[k] = other
+        yield "upper moved", masks, lower, moved, beta
+    yield "dropped", masks, *(column[:k] + column[k + 1:] for column in (lower, upper, beta))
+    if k:
+        yield "duplicated", masks, *(column[:k - 1] + column[k:k + 1] + column[k:]
+                                     for column in (lower, upper, beta))
+
+
+class TestCarriesCoversMatchesReference:
+    """The one-vertex-step check on masks agrees with the sorted cover keys
+    on every built lattice, untampered and under each mutation, with the
+    colors as they are and flipped; with them as they are, the untampered
+    numbering passes and every mutation fails."""
+
+    @staticmethod
+    def assert_agrees(lat, rng):
+        for name, masks, lower, upper, beta in covers_mutations(*renumbered(lat, rng)):
+            assert lat.carries_covers(masks, lower, upper, beta) is (name == "untampered")
+            for flip in (0, 1):
+                assert lat.carries_covers(masks, lower, upper, beta, flip) is \
+                    reference_carries_covers(lat, masks, lower, upper, beta, flip), (name, flip)
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_built_lattices(self, algebra, rng):
+        for order in ("beta_alpha", "alpha_beta"):
+            for lam in itertools.product(range(4), repeat=2):
+                self.assert_agrees(order_ideals(semistandard_poset(algebra, order, lam)), rng)
+
+    @pytest.mark.parametrize("order", ["beta_alpha", "alpha_beta"])
+    def test_g2_44(self, order, rng):
+        self.assert_agrees(order_ideals(semistandard_poset(Algebra.G2, order, (4, 4))), rng)
+
+
+def test_carries_covers_refuses_a_zero_step():
+    # one beta vertex: the cover 0 -> 1 sent to two equal masks adds no
+    # vertex; its step 0 has bit_length 0, and beta_bit[-1] would wrap
+    # onto the one vertex, whose color the cover has
+    lat = order_ideals(VertexColoredPoset.build({0: BETA}, ()))
+    assert lat.carries_covers([0, 1], [0], [1], b"\x01")
+    for mask in (0, 1):
+        assert not lat.carries_covers([mask, mask], [0], [1], b"\x01")
 
 
 class TestCoversAscend:
@@ -626,7 +726,7 @@ def reference_piece_elements(lattice, i, dec):
         for b, v in enumerate(sub.vertex_order):
             if v in s:
                 mask |= 1 << b
-        out.append((sub, sub.index_of[mask]))
+        out.append((sub, sub.elements.index(mask)))
     return out
 
 

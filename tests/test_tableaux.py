@@ -405,7 +405,7 @@ def reference_tableau_of_ideal(lattice, index):
 
 
 def reference_ideal_of_tableau(lattice, t):
-    """Oracle: the index of one admissible tableau's ideal, its columns'
+    """Oracle: the mask of one admissible tableau's ideal, its columns'
     piece masks ORed one by one."""
     sp, maps = _column_maps(lattice)
     if not is_semistandard(sp.algebra, sp.weight, t):
@@ -414,7 +414,7 @@ def reference_ideal_of_tableau(lattice, t):
     mask = 0
     for (_, _, masks), (_, element), column in zip(sp.decomposition.projections, maps, t):
         mask |= masks[element[columns.index(column)]]
-    return lattice.index_of[mask]
+    return mask
 
 
 class TestBijectionColumns:
@@ -450,7 +450,7 @@ class TestBijection:
         for lam in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2)]:
             lat = order_ideals(semistandard_poset(algebra, "beta_alpha", lam))
             codes = tableau_of_ideal(lat)
-            assert ideal_of_tableau(lat, codes) == list(range(len(lat)))
+            assert ideal_of_tableau(lat, codes) == list(lat.elements)
             assert set(codes) == set(enumerate_tableaux(algebra, lam))
             assert set(tableaux_of(algebra, lam, codes)) == set(tableaux(algebra, lam))
 
@@ -464,7 +464,7 @@ class TestBijection:
             raise AssertionError("ideal_of_tableau built a poset")
 
         monkeypatch.setattr(GridPoset, "build", staticmethod(refuse))
-        assert ideal_of_tableau(lat, tableaux) == list(range(len(lat)))
+        assert ideal_of_tableau(lat, tableaux) == list(lat.elements)
 
     def test_rejects_inadmissible(self):
         lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (0, 1)))
@@ -497,13 +497,13 @@ class TestBijection:
 
     def test_g2_second_fundamental_dictionary_extremes(self):
         lat = order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", (0, 1)))
-        top, bottom, i = ideal_of_tableau(
+        top, bottom, mask = ideal_of_tableau(
             lat, [encode(Algebra.G2, t) for t in [((1, 2),), ((6, 7),), ((3, 6),)]])
-        assert top == lat.top
-        assert bottom == 0
+        assert top == lat.elements[lat.top]
+        assert bottom == lat.elements[0]
         # the chain-4 prefix of size four carries weight 3w_a - 2w_b
-        assert lat.elements[i].bit_count() == 4
-        assert lat.weights[i] == (3, -2)
+        assert mask.bit_count() == 4
+        assert lat.weights[lat.elements.index(mask)] == (3, -2)
 
 
 class TestWeights:
@@ -589,7 +589,6 @@ def test_tableau_lattice_matches_reference(algebra, lam):
     tabs, covers = reference_tableau_lattice(algebra, lam)
     assert tl.tableaux == list(tabs)
     assert tl.codes == enumerate_tableaux(algebra, lam)
-    assert tl.index == {code: k for k, code in enumerate(tl.codes)}
     assert list(tl.covers) == sorted(covers, key=lambda c: c[:2])  # in (i, j) order
 
 
@@ -648,7 +647,7 @@ class TestBijectionCheckCatchesTampering:
                 return tl
             cov = tl.covers
             lower, upper, beta = change(list(cov.lower), list(cov.upper), bytearray(cov.beta))
-            return TableauLattice(tl.algebra, tl.weight, tl.codes, tl.index,
+            return TableauLattice(tl.algebra, tl.weight, tl.codes,
                                   Covers(lower, upper, bytes(beta)))
         return build
 
