@@ -15,8 +15,8 @@ from .fixtures import FIXTURE_NAMES, load_fixture
 from .grid import GridPoset
 from .lattice import DEFAULT_MAX_IDEALS, TooManyIdeals, order_ideals, structure_rows
 from .poset import EdgeColoredPoset
-from .serialize import (dumps, lattice_from_obj, lattice_to_obj, load, poset_from_obj,
-                        poset_to_dot, poset_to_obj)
+from .serialize import (canonical_lattice, dumps, lattice_from_obj, lattice_text, load, parse,
+                        poset_from_obj, poset_to_dot, poset_to_obj, read)
 from .weyl import character_from_lattice, rgf_from_lattice, rgf_product, verify_weyl_character
 
 
@@ -67,12 +67,17 @@ def cmd_build(args) -> int:
 def cmd_enumerate(args) -> int:
     poset = poset_from_obj(load(getattr(args, "in")))
     lat = order_ideals(poset, max_ideals=args.max_ideals)
-    _write_or_print(dumps(lattice_to_obj(lat)), args.out)
+    _write_or_print(lattice_text(lat), args.out)
     return 0
 
 
 def cmd_character(args) -> int:
-    lat = lattice_from_obj(load(getattr(args, "in")), args.max_ideals)
+    path = getattr(args, "in")
+    text = read(path)
+    lat = canonical_lattice(text, path, args.max_ideals)
+    if lat is None:
+        lat = lattice_from_obj(parse(text, path), args.max_ideals)
+    del text  # checked against lat: free it before the character
     chi = character_from_lattice(lat)
     print(chi)
     if not args.verify:
@@ -156,12 +161,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    obj = load(getattr(args, "in"))
-    if isinstance(obj, dict) and "poset" in obj:  # lattice file
-        lat = lattice_from_obj(obj, args.max_ideals)
-        del obj  # checked against lat: free it before rendering
+    path = getattr(args, "in")
+    text = read(path)
+    lat = canonical_lattice(text, path, args.max_ideals)
+    if lat is None:
+        obj = parse(text, path)
+        if isinstance(obj, dict) and "poset" in obj:  # lattice file
+            lat = lattice_from_obj(obj, args.max_ideals)
+            del obj  # checked against lat: free it before rendering
+    elif args.format == "json":
+        _write_or_print(text, args.out)  # the checked file is its own export
+        return 0
+    del text
+    if lat is not None:
         if args.format == "json":
-            text = dumps(lattice_to_obj(lat))
+            text = lattice_text(lat)
         elif args.format == "dot":
             text = poset_to_dot(lat)
         else:

@@ -51,8 +51,8 @@ from .poset import EdgeColoredPoset, VertexColoredPoset
 # Peak RSS per ideal (Python 3.11): 125-145 B of growth (VmHWM) in the
 # library through covers, weights and the character, rgf and structure checks
 # (G2 (5,5)-(8,8), which has 531,441 ideals); at G2 (6,6) and (7,7) the process
-# peak (getrusage) is 1.8-1.9 KB for `enumerate` writing its file and 2.2-2.4
-# KB for `character --verify` and `export` reading one: 0.15, 1.9, 2.4 GB at 10**6.
+# peak (getrusage) is 1.5 KB for `enumerate` writing its file and 1.0-1.1 KB
+# for `character --verify` and `export` reading one: 0.15, 1.5, 1.1 GB at 10**6.
 DEFAULT_MAX_IDEALS = 10**6
 
 

@@ -7,13 +7,18 @@ JSON layouts:
             "weights": [[m_a, m_b]]}
 
 Serialization is canonical: keys sorted, fixed separators, lists in a
-deterministic order, so parse -> re-serialize is byte-identical.
+deterministic order, so parse -> re-serialize is byte-identical.  A lattice
+file is the canonical text of the lattice of its poset, so reading one
+compares bytes: its poset is read at its canonical place, the lattice is
+enumerated once, and the text is compared in place with the canonical
+pieces.  Only a file that differs is parsed whole and checked field by field.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from collections.abc import Callable, Iterator
+from itertools import islice
 from typing import Any
 
 from .algebras import ALPHA, BETA, Color
@@ -115,37 +120,128 @@ def _weight_rows(lat: IdealLattice) -> list[list[int]]:
 
 # the rows of each lattice-file field, in the order a file is checked
 _ROWS = {"elements": _element_rows, "covers": _cover_rows, "weights": _weight_rows}
+_RENDER = {"poset": lambda lat: poset_to_obj(lat.poset), **_ROWS}
 
 
 def lattice_to_obj(lat: IdealLattice) -> dict[str, Any]:
-    return {"poset": poset_to_obj(lat.poset),
-            **{key: render(lat) for key, render in _ROWS.items()}}
+    return {key: render(lat) for key, render in _RENDER.items()}
+
+
+_BLOCK = 4096  # rows per piece: a piece is made, compared or written, then freed
+
+
+def _field_text(lat: IdealLattice, key: str, rows: list[list]) -> Iterator[str]:
+    """The canonical text of a row field in pieces of _BLOCK rows, the rows'
+    ints read through string tables made once per lattice: vertex ids,
+    element indices and weight values."""
+    if key == "elements":
+        ids = {v: str(v) for v in lat.vertex_order}
+        texts = (",".join(map(ids.__getitem__, row)) for row in rows)
+    elif key == "covers":
+        index = list(map(str, range(len(lat))))
+        color = {c.value: f'"{c.value}"' for c in (ALPHA, BETA)}
+        texts = (f"{index[i]},{index[j]},{color[c]}" for i, j, c in rows)
+    else:
+        n = len(lat.vertex_order)  # every weight coordinate lies in -n..n
+        values = {m: str(m) for m in range(-n, n + 1)}
+        texts = (f"{values[a]},{values[b]}" for a, b in rows)
+    sep = "[["
+    while block := list(islice(texts, _BLOCK)):
+        yield sep + "],[".join(block)
+        sep = "],["
+    yield "[]" if sep == "[[" else "]]"
+
+
+def _pieces(lat: IdealLattice, field: Callable[[str], Any]) -> Iterator[str]:
+    """The canonical text of lat's lattice file in pieces, keys sorted;
+    field(key) gives the poset's object or a row field's rows, each asked
+    for only when its text is reached."""
+    sep = "{"
+    for key in sorted(_RENDER):
+        yield f'{sep}"{key}":'
+        sep = ","
+        if key == "poset":
+            yield _json(field(key))
+        else:
+            yield from _field_text(lat, key, field(key))
+    yield "}\n"
+
+
+def lattice_text(lat: IdealLattice) -> str:
+    """dumps(lattice_to_obj(lat)), byte for byte, with the rows' ints read
+    through string tables; each field's rows are freed once written."""
+    return "".join(_pieces(lat, lattice_to_obj(lat).pop))
+
+
+def _equals_pieces(text: str, pieces: Iterator[str]) -> bool:
+    """Whether text is the concatenation of pieces, compared in place."""
+    at = 0
+    for piece in pieces:
+        if not text.startswith(piece, at):
+            return False
+        at += len(piece)
+    return at == len(text)
+
+
+_POSET_KEY = ',"poset":'  # in a canonical lattice file, after covers and elements
+_DECODER = json.JSONDecoder()
+
+
+def canonical_lattice(text: str, path: str,
+                      max_ideals: int = DEFAULT_MAX_IDEALS) -> IdealLattice | None:
+    """The lattice of a lattice file's text when the text is that lattice's
+    canonical file, else None.  The poset is read at its canonical place and
+    the lattice enumerated once, refusing beyond `max_ideals`; the poset is
+    trusted only once every byte of the text equals the canonical pieces,
+    each rendered one field at a time."""
+    at = text.find(_POSET_KEY)
+    if at < 0:
+        return None
+    try:
+        poset = poset_from_obj(_DECODER.raw_decode(text, at + len(_POSET_KEY))[0])
+    except RecursionError:  # a malformed file, like any other
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    except ValueError:  # not a poset at this place: the whole file decides
+        return None
+    lat = order_ideals(poset, max_ideals)
+    return lat if _equals_pieces(text, _pieces(lat, lambda key: _RENDER[key](lat))) else None
 
 
 def lattice_from_obj(obj: Any, max_ideals: int = DEFAULT_MAX_IDEALS) -> IdealLattice:
     """Rebuild the lattice from its poset, refusing beyond `max_ideals`, and
     check the file against it one field at a time: elements, covers with
-    their colors, then weights must each equal the canonical rows."""
+    their colors, then weights must each re-serialize to the canonical text,
+    which 1.0 or true for 1 does not."""
     lat = order_ideals(poset_from_obj(_field(obj, "poset", dict, "lattice file")), max_ideals)
     for key, render in _ROWS.items():
-        rows = _field(obj, key, list, "lattice file")
-        # == takes 1.0 and True for 1, so the items' types are checked too;
-        # only after ==, which makes every row a list that chain can take
-        if rows != render(lat) or not set(map(type, chain.from_iterable(rows))) <= {int, str}:
+        text = _json(_field(obj, key, list, "lattice file"))
+        if not _equals_pieces(text, _field_text(lat, key, render(lat))):
             raise ValueError(f"lattice file {key} do not match its poset")
     return lat
 
 
+def _json(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def dumps(obj: dict[str, Any]) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return _json(obj) + "\n"
+
+
+def read(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+def parse(text: str, path: str) -> Any:
+    try:
+        return json.loads(text)
+    except RecursionError:  # a malformed file, like any other
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def load(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:  # a malformed file, like any other
-            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return parse(read(path), path)
 
 
 # --- DOT ---------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 import ranktwo.cli
 import ranktwo.lattice
+import ranktwo.serialize
 import ranktwo.tableaux
 from ranktwo.cli import main
 from ranktwo.serialize import dumps
@@ -405,6 +406,74 @@ def test_deeply_nested_file_is_a_usage_error(tmp_path, capsys, argv):
     assert (code, out) == (2, "")
     assert err == f"error: {deep}: JSON nested too deeply\n"
     assert not (tmp_path / "out.json").exists()
+
+
+class TestCanonicalLatticeFiles:
+    """A lattice file is read by comparing its bytes with the canonical text
+    of its poset's lattice; only a file that differs is parsed whole."""
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        poset_file, lattice_file = tmp_path / "p.json", tmp_path / "l.json"
+        run(capsys, "build", "--algebra", "c2", "--weight", "1,1", "--out", str(poset_file))
+        run(capsys, "enumerate", "--in", str(poset_file), "--out", str(lattice_file))
+        return poset_file, lattice_file
+
+    def _check_and_export(self, capsys, lattice_file, source):
+        code, out, _ = run(capsys, "character", "--in", str(source), "--verify")
+        assert code == 0 and out.splitlines()[-1] == "PASS (algebra c2, weight 1,1)"
+        again = lattice_file.parent / "again.json"
+        code, _, _ = run(capsys, "export", "--in", str(source), "--format", "json",
+                         "--out", str(again))
+        assert code == 0 and again.read_bytes() == lattice_file.read_bytes()
+
+    def test_canonical_file_is_not_parsed(self, files, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a canonical lattice file was parsed")
+
+        for module in (ranktwo.serialize, ranktwo.cli):
+            monkeypatch.setattr(module, "lattice_from_obj", refuse)
+        monkeypatch.setattr(ranktwo.cli, "parse", refuse)
+        _, lattice_file = files
+        self._check_and_export(capsys, lattice_file, lattice_file)
+
+    @pytest.mark.parametrize("layout", [{"indent": 1}, {}], ids=["pretty", "spaced"])
+    def test_equal_values_in_another_layout_are_read(self, files, capsys, layout):
+        _, lattice_file = files
+        other = lattice_file.parent / "other.json"
+        other.write_text(json.dumps(json.loads(lattice_file.read_text()), **layout))
+        self._check_and_export(capsys, lattice_file, other)
+
+    @pytest.mark.parametrize("argv", [["character", "--verify"], ["export", "--format", "json"]])
+    @pytest.mark.parametrize("forge, key", [
+        ("other-poset", "elements"), ("flipped-cover-color", "covers")])
+    def test_forged_canonical_text_is_refused(self, files, tmp_path, capsys, argv, forge, key):
+        """The poset read at its canonical place is trusted only through the
+        byte comparison: the file then is parsed and checked field by field."""
+        poset_file, lattice_file = files
+        text = lattice_file.read_text()
+        if forge == "other-poset":
+            other = tmp_path / "q.json"
+            run(capsys, "build", "--algebra", "c2", "--weight", "1,1", "--order", "ab",
+                "--out", str(other))
+            forged = text.replace(f',"poset":{poset_file.read_text().strip()},',
+                                  f',"poset":{other.read_text().strip()},')
+        else:
+            forged = text.replace('"a"]', '"b"]', 1)
+        assert forged != text
+        bad = tmp_path / "bad.json"
+        bad.write_text(forged)
+        command, *rest = argv
+        code, out, err = run(capsys, command, "--in", str(bad), *rest)
+        assert (code, out, err) == (2, "", f"error: lattice file {key} do not match its poset\n")
+
+    @pytest.mark.parametrize("argv", [["character", "--verify"], ["export", "--format", "json"]])
+    def test_deep_value_at_the_poset_place(self, tmp_path, capsys, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"covers":[],"elements":[],"poset":' + "[" * 100_000)
+        command, *rest = argv
+        code, out, err = run(capsys, command, "--in", str(deep), *rest)
+        assert (code, out, err) == (2, "", f"error: {deep}: JSON nested too deeply\n")
 
 
 def test_character_verify_on_trivial_lattice(tmp_path, capsys):

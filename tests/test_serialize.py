@@ -12,7 +12,7 @@ from ranktwo.build import semistandard_poset
 from ranktwo.cli import main
 from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
 from ranktwo.lattice import IdealLattice, order_ideals
-from ranktwo.serialize import dumps, lattice_to_obj, poset_to_obj
+from ranktwo.serialize import dumps, lattice_text, lattice_to_obj, poset_to_obj
 
 
 def reference_lattice_to_obj(lat: IdealLattice) -> dict:
@@ -36,11 +36,13 @@ class TestWriterMatchesReference:
     def test_built_lattices(self):
         for case, lat in _built_lattices():
             assert lattice_to_obj(lat) == reference_lattice_to_obj(lat), case
+            assert lattice_text(lat) == dumps(lattice_to_obj(lat)), case
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixtures(self, name):
         lat = order_ideals(load_fixture(name))
         assert lattice_to_obj(lat) == reference_lattice_to_obj(lat)
+        assert lattice_text(lat) == dumps(lattice_to_obj(lat))
 
     def test_cover_rows_share_one_int_per_element(self):
         # the covers' index columns make a new int per entry read; the rows
