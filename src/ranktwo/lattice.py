@@ -8,7 +8,12 @@ does iff that vertex's lower covers are in it: one probe per run (six for
 G2 (a,a)).  A cover adds one vertex, so the walk goes up one size block at
 a time, each block the sorted set of the masks the one below reached:
 elements ascend in (size, mask), covers in (i, j), and only the block being
-reached is indexed.  `Covers` is three columns: lower and upper element
+reached is indexed.  The walk holds the masks of two blocks at a time and
+keeps none: every element but the bottom is its first lower cover, the
+least i with a cover (i, j), plus one vertex (Stanley, EC1 3.4), and as
+each block is walked in i order, the first i to reach a mask is that cover.
+`first_lower` gives the two columns, first lower cover and added bit, that
+the walk records there.  `Covers` is three columns: lower and upper element
 indices as `array("I")`, and one byte per cover, 1 for beta; no object is
 kept per cover or per element index.  The blocks' lengths are `rank_sizes`.
 
@@ -26,12 +31,13 @@ indexes every element's intersection with each piece, for the sums
 columns, and for `tableaux.tableau_of_ideal`.
 The generic `edge_poset` is built only for isomorphism and rank functions.
 
-Every element but the bottom adds one vertex to its first lower cover, the
-least i with a cover (i, j): the columns `first_lower` reads off the covers.
-`carry` takes every mask into another vertex order along them, one `|` per
-element, and a lattice file's element rows grow the same way.  A cover
-adds one vertex and takes its color, so `carries_covers`, the one
-isomorphism check, reads a map onto the elements by its covers' mask steps.
+`carry` takes every mask into another vertex order along the first lower
+covers, one `|` per element, and a lattice file's element rows grow the
+same way.  `elements`, the masks themselves, is that carry with every bit
+kept, made on first use by the readers that need masks: `grid.decompose`,
+`projection_columns`, duality and the tableau suite.  A cover adds one
+vertex and takes its color, so `carries_covers`, the one isomorphism
+check, reads a map onto the elements by its covers' mask steps.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from operator import add, sub
 
 from .algebras import ALPHA, BETA, Color, Weight
@@ -48,11 +54,11 @@ from .build import SemistandardPoset
 from .grid import Decomposition, GridPoset, total_order
 from .poset import EdgeColoredPoset, VertexColoredPoset
 
-# Peak RSS per ideal (Python 3.11): 125-145 B of growth (VmHWM) in the
+# Peak RSS per ideal (Python 3.11): 85-92 B of growth (VmHWM) in the
 # library through covers, weights and the character, rgf and structure checks
 # (G2 (5,5)-(8,8), which has 531,441 ideals); at G2 (6,6) and (7,7) the process
-# peak (getrusage) is 1.5 KB for `enumerate` writing its file and 1.0-1.1 KB
-# for `character --verify` and `export` reading one: 0.15, 1.5, 1.1 GB at 10**6.
+# peak (getrusage) is 1.4 KB for `enumerate` writing its file and 0.95-1.0 KB
+# for `character --verify` and `export` reading one: 0.09, 1.4, 1.0 GB at 10**6.
 DEFAULT_MAX_IDEALS = 10**6
 
 
@@ -114,16 +120,19 @@ class Weights:
 
 @dataclass(frozen=True)
 class IdealLattice:
-    """All order ideals of a poset, as bitmasks over a fixed vertex order."""
+    """All order ideals of a poset, as bitmasks over a fixed vertex order,
+    kept as each element's first lower cover and added bit.  Equality
+    compares the poset and the vertex order, which fix the elements."""
 
     poset: GridPoset | VertexColoredPoset
     built: SemistandardPoset | None  # the builder output `poset` came from, if any
     vertex_order: tuple[int, ...]
-    elements: tuple[int, ...]  # bitmasks, sorted by (size, value)
-    # both made by the walk with the elements: per size s, the number of
-    # elements of size s, which form one block; and the covers
+    # all made by the walk: per size s, the number of elements of size s,
+    # which form one block; the covers; and the columns of `first_lower`
     rank_sizes: tuple[int, ...] = field(compare=False, repr=False)
     _covers: Covers = field(compare=False, repr=False)
+    _first: array = field(compare=False, repr=False)
+    _added: array = field(compare=False, repr=False)
 
     @cached_property
     def base(self) -> VertexColoredPoset:
@@ -131,7 +140,7 @@ class IdealLattice:
         return p.base if isinstance(p, GridPoset) else p
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._first)
 
     @cached_property
     def covers(self) -> Covers:
@@ -139,25 +148,25 @@ class IdealLattice:
         # function to time and count the covers (ROADMAP item 1 moves that)
         return self._covers
 
-    @cached_property
-    def first_lower(self) -> tuple[list[int], list[int]]:
+    @property
+    def first_lower(self) -> tuple[array, array]:
         """Columns first and added: per element j, its first lower cover,
         the least i with a cover (i, j), and the bit of the one vertex j
         adds to it; -1 in both for the bottom, which covers nothing."""
-        elements, cov = self.elements, self.covers
-        first = [-1] * len(elements)
-        for i, j in zip(reversed(cov.lower), reversed(cov.upper)):
-            first[j] = i  # covers ascend in i, so the least i is written last
-        return first, [-1] + [(elements[i] ^ mask).bit_length() - 1
-                              for i, mask in zip(first[1:], elements[1:])]
+        return self._first, self._added
+
+    @cached_property
+    def elements(self) -> tuple[int, ...]:
+        """The bitmasks, sorted by (size, value), carried along the first
+        lower covers with every bit kept: one `|` per element."""
+        return tuple(self.carry([1 << b for b in range(len(self.vertex_order))]))
 
     def carry(self, image_bit: Sequence[int]) -> list[int]:
         """Each element's mask carried into another vertex order, where bit
         b becomes image_bit[b]: one `|` per element, onto the carried mask
         of its first lower cover."""
-        first, added = self.first_lower
         out = [0]
-        for i, b in zip(first[1:], added[1:]):
+        for i, b in islice(zip(self._first, self._added), 1, None):
             out.append(out[i] | image_bit[b])
         return out
 
@@ -182,7 +191,7 @@ class IdealLattice:
 
     @cached_property
     def edge_poset(self) -> EdgeColoredPoset:
-        return EdgeColoredPoset(tuple(range(len(self.elements))), frozenset(self.covers))
+        return EdgeColoredPoset(tuple(range(len(self))), frozenset(self.covers))
 
     @cached_property
     def _component_bounds(self) -> tuple[tuple[array, array], ...]:
@@ -235,7 +244,7 @@ class IdealLattice:
 
     @cached_property
     def top(self) -> int:
-        return len(self.elements) - 1
+        return len(self) - 1
 
 
 def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
@@ -247,9 +256,11 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
     mask is vertex_order[b].  The chain walk of the module docstring goes
     up one size block at a time: every element of block s is probed once
     per run, and each hit records a cover, its lower index, upper mask and
-    beta byte.  Block s + 1 is the sorted set of those upper masks, so the
-    elements come out in (size, mask) order and the covers in (i, j) order;
-    only that block is indexed, to turn the masks into upper indices.  The
+    beta byte; the first hit on a mask also records its lower index and the
+    bit it adds, its first lower cover.  Block s + 1 is the sorted set of
+    those upper masks, so the elements come out in (size, mask) order and
+    the covers in (i, j) order; only that block is indexed, to turn the
+    masks into upper indices and put the first lower covers in order.  The
     refusal is exact: it fires as soon as the masks reached take the count
     past `max_ideals`, so a pending block holds at most that many.
     """
@@ -272,36 +283,46 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
     if max_ideals < 1:
         raise TooManyIdeals(f"more than {max_ideals} order ideals")
     low, up, col = array("I"), array("I"), bytearray()
+    first, added = array("i", [-1]), array("i", [-1])  # the bottom adds nothing
     add_low, add_col = low.append, col.append
-    blocks, block, start = [], [0], 0  # the bottom, the only element of size 0
+    sizes, block, start = [], [0], 0  # the bottom, the only element of size 0
     room = max_ideals - 1  # elements the blocks above may still add
     while block:
-        blocks.append(block)
-        # the next block's masks, each to its rank in the order first reached,
-        # and per cover that rank; refused as soon as the masks overflow room
-        reached, ranks = {}, array("I")
-        add_rank = ranks.append
+        sizes.append(len(block))
+        # the next block's k masks, each to its rank in the order first
+        # reached, and per cover that rank; per rank, the first i to reach
+        # it, which is its least lower cover as i ascends, and the bit it
+        # adds.  Refused as soon as a new mask would overflow room
+        reached, ranks, by_first, by_bit, k = {}, array("I"), [], [], 0
+        add_rank, add_first, add_bit = ranks.append, by_first.append, by_bit.append
         for i, mask in enumerate(block, start):
             missing = ~mask
             for run in runs:
                 free = run & missing
                 if free:
                     b = free.bit_length() - 1
-                    if lower[b] & mask == lower[b]:
-                        r = reached.setdefault(mask | 1 << b, len(reached))
-                        if r == room:  # a new mask, one past the room
-                            raise TooManyIdeals(f"more than {max_ideals} order ideals")
+                    if not lower[b] & missing:  # its lower covers are in mask
+                        r = reached.setdefault(mask | 1 << b, k)
+                        if r == k:  # a new mask: k is len(reached) before it
+                            if k == room:
+                                raise TooManyIdeals(f"more than {max_ideals} order ideals")
+                            k += 1
+                            add_first(i)
+                            add_bit(b)
                         add_low(i)
                         add_rank(r)
                         add_col(beta[b])
         start += len(block)
-        room -= len(reached)
+        room -= k
         block = sorted(reached)
-        index = dict(zip(block, range(start, start + len(block))))
-        at = list(map(index.__getitem__, reached))  # per rank, the element index
+        rank_of = list(map(reached.__getitem__, block))  # per element, its rank
+        first.extend(map(by_first.__getitem__, rank_of))
+        added.extend(map(by_bit.__getitem__, rank_of))
+        at = [0] * k  # per rank, the element index: rank_of inverted
+        for e, r in enumerate(rank_of, start):
+            at[r] = e
         up.extend(map(at.__getitem__, ranks))
-    return IdealLattice(p, built, order, tuple(chain.from_iterable(blocks)),
-                        tuple(map(len, blocks)), Covers(low, up, bytes(col)))
+    return IdealLattice(p, built, order, tuple(sizes), Covers(low, up, bytes(col)), first, added)
 
 
 def structure_rows(lattice: IdealLattice) -> list[Weight | None] | None:

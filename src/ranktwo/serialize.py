@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Callable, Iterator
-from itertools import islice
+from itertools import chain, count, islice, repeat
 from typing import Any
 
 from .algebras import ALPHA, BETA, Color
@@ -98,9 +98,8 @@ def _element_rows(lat: IdealLattice) -> list[list[int]]:
     inserted (by sorting a concatenation, which leaves no slack in the
     list)."""
     order = lat.vertex_order
-    first, added = lat.first_lower
     rows: list[list[int]] = [[]]  # the bottom, the empty ideal
-    for i, b in zip(first[1:], added[1:]):
+    for i, b in islice(zip(*lat.first_lower), 1, None):
         row = rows[i] + [order[b]]
         row.sort()
         rows.append(row)
@@ -272,8 +271,8 @@ def poset_to_dot(p: VertexColoredPoset | EdgeColoredPoset | GridPoset | IdealLat
         for u, v, c in covers:
             lines.append(
                 f'  "{u}" -> "{v}" [label="{c.value}", color={_DOT_COLOR[c.value]}];')
-    if isinstance(p, IdealLattice):
-        ranks = enumerate(map(int.bit_count, p.elements))
+    if isinstance(p, IdealLattice):  # the size blocks, in element order
+        ranks = enumerate(chain.from_iterable(map(repeat, count(), p.rank_sizes)))
     else:
         rank = find_rank_function(p)
         ranks = () if rank is None else rank.ranks

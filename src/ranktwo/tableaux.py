@@ -44,6 +44,7 @@ each code's ideal mask; no vertex set is built.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, or_
@@ -362,7 +363,7 @@ def tableau_lattice(algebra: Algebra, lam: Weight) -> TableauLattice:
              for i, (lo, shape) in enumerate(_windows(lam))]
     down = [[(old - new, beta, columns[new]) for new, beta in lowered]
             for old, lowered in enumerate(table.lowered)]
-    low, up, beta = [], [], bytearray()
+    low, up, beta = array("I"), array("I"), bytearray()
     for k, (code, ids) in enumerate(zip(codes, zip(*_id_columns(codes, n, radix)))):
         t = tuple(map(columns.__getitem__, ids))
         for i, lo, hi, shape, place in spans:

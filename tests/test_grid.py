@@ -463,7 +463,7 @@ class TestCarryMask:
         into = {}
         for i, j, _ in lat.covers:
             into.setdefault(j, i)
-        assert first == [-1] + [into[j] for j in range(1, len(lat))]
+        assert list(first) == [-1] + [into[j] for j in range(1, len(lat))]
         assert added[0] == -1
         assert [lat.elements[i] | 1 << b for i, b in zip(first[1:], added[1:])] \
             == list(lat.elements[1:])

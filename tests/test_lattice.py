@@ -34,12 +34,13 @@ class TestEnumeration:
         assert len(lat) == 729
 
     def test_matches_brute_force_on_fixtures(self):
-        for name in ("chain_product_2x3", "catalan_p3", "two_color_example"):
+        for name in FIXTURE_NAMES:
             p = load_fixture(name)
             base = getattr(p, "base", p)
             lat = order_ideals(p)
-            assert {element_vertices(lat, i) for i in range(len(lat))} == \
-                brute_force_ideals(base)
+            oracle = brute_force_ideals(base)
+            assert {element_vertices(lat, i) for i in range(len(lat))} == oracle
+            assert len(set(lat.elements)) == len(lat) == len(oracle)
 
     def test_elements_in_size_then_mask_order(self, rng):
         # under a grid's vertex order the masks a block reaches come in no
@@ -68,8 +69,9 @@ class TestEnumeration:
     def test_refusal_does_not_build_the_next_block(self):
         # a 400-vertex antichain: 401 ideals of size <= 1, then 79,800 of
         # size 2, reached by 159,600 covers.  The walk refuses as soon as the
-        # masks it has reached overflow the bound (about 1.3 MB traced at
-        # its peak), not after collecting every cover of the block (18 MB)
+        # masks it has reached overflow the bound (about 1.5 MB traced at
+        # its peak), not after collecting every cover of the block (18 MB).
+        # Size 1 adds bits up to 399, which a one-byte column could not hold
         import tracemalloc
 
         p = VertexColoredPoset.build({v: ALPHA for v in range(400)}, ())
@@ -94,7 +96,11 @@ class TestEnumeration:
         monkeypatch.setattr(sys, "setrecursionlimit", refuse)
         lat = order_ideals(chain)
         assert len(lat) == n + 1
-        assert [mask.bit_count() for mask in lat.elements] == list(range(n + 1))
+        # added bits past 255 keep their masks
+        first, added = lat.first_lower
+        assert lat.vertex_order == tuple(range(n))
+        assert list(first) == list(added) == list(range(-1, n))
+        assert list(lat.elements) == [(1 << k) - 1 for k in range(n + 1)]
 
     def test_cardinality_is_a_rank_function(self):
         lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (2, 1)))
@@ -316,6 +322,77 @@ def test_no_lattice_keeps_a_whole_lattice_index():
     # compare masks, so neither lattice type has a mask or code -> index map
     assert not hasattr(IdealLattice, "index_of")
     assert "index" not in {f.name for f in fields(TableauLattice)}
+
+
+def grown_ideals(base):
+    """Every order ideal as a mask over vertex ids (bit v for vertex v),
+    grown one size at a time from the empty one by adding a vertex whose
+    lower covers are in it: a second oracle, for posets too large for
+    brute_force_ideals."""
+    below = {v: sum(1 << u for u in base.lower_covers[v]) for v in base.ids}
+    found, frontier = {0}, {0}
+    while frontier:
+        frontier = {s | 1 << v for s in frontier for v, m in below.items()
+                    if not s >> v & 1 and s & m == m} - found
+        found |= frontier
+    return found
+
+
+def id_masks(lat):
+    """Each element's mask moved from vertex-order bits to vertex-id bits,
+    bit by bit."""
+    order = lat.vertex_order
+    return {sum(1 << v for b, v in enumerate(order) if mask >> b & 1) for mask in lat.elements}
+
+
+class TestMasksFromFirstLowerCovers:
+    """The walk keeps each element's first lower cover and added bit, not
+    its mask; the masks are carried from them only when read."""
+
+    def test_pipeline_and_renders_derive_no_masks(self, tmp_path):
+        from ranktwo.serialize import canonical_lattice, lattice_text, poset_to_dot
+        from ranktwo.weyl import (character_from_lattice, rgf_from_lattice, rgf_product,
+                                  verify_weyl_character)
+
+        lam = (3, 3)
+        lat = order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", lam).grid)
+        assert (len(lat), len(lat.covers)) == (4**6, 14_310)
+        assert lat.weights[lat.top] == lam
+        assert verify_weyl_character(Algebra.G2, lam, character_from_lattice(lat))
+        assert rgf_from_lattice(lat) == rgf_product(Algebra.G2, lam)
+        assert check_structure(lat, cartan_matrix(Algebra.G2))
+        text = lattice_text(lat)
+        poset_to_dot(lat)
+        assert "elements" not in vars(lat)
+        read = canonical_lattice(text, str(tmp_path / "l.json"))
+        assert read == lat
+        poset_to_dot(read)
+        assert "elements" not in vars(read)
+
+    @pytest.mark.parametrize("algebra", list(Algebra), ids=lambda g: g.value)
+    def test_built_masks_are_the_ideals(self, algebra):
+        for order in ("beta_alpha", "alpha_beta"):
+            for lam in itertools.product(range(4), repeat=2):
+                lat = order_ideals(semistandard_poset(algebra, order, lam))
+                if len(lat.base) <= 12:
+                    assert {element_vertices(lat, i) for i in range(len(lat))} == \
+                        brute_force_ideals(lat.base), (order, lam)
+                oracle = grown_ideals(lat.base)
+                assert len(lat.elements) == len(lat) == len(oracle), (order, lam)
+                assert id_masks(lat) == oracle, (order, lam)
+                assert list(lat.elements) == sorted(lat.elements,
+                                                    key=lambda m: (m.bit_count(), m))
+
+    def test_masks_past_bit_255(self):
+        # a 398-vertex chain beside two free vertices: 399 * 4 ideals, with
+        # added bits up to 399
+        n = 398
+        p = VertexColoredPoset.build({v: ALPHA if v % 3 else BETA for v in range(n + 2)},
+                                     [(v, v + 1) for v in range(n - 1)])
+        lat = order_ideals(p)
+        assert len(lat) == (n + 1) * 4
+        assert max(lat.first_lower[1]) == n + 1
+        assert id_masks(lat) == grown_ideals(p)
 
 
 class TestCoversMatchReference:
@@ -625,11 +702,12 @@ print(peak_kb() - before)
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_lattice_core_memory():
-    """The lattice core holds no tuple per element or per cover, 4-byte
-    cover indices and component bounds, and shared weight ints: 46,656
-    ideals and 196,700 covers grow the peak by at most 7 MB (5.6-5.8 MB
-    measured on Python 3.10-3.12; 9.0-9.1 MB with one int object per
-    element index in list cover columns and a scan before the covers walk,
+    """The lattice core holds no mask and no tuple per element or per
+    cover, 4-byte cover indices, first lower covers and component bounds,
+    and shared weight ints: 46,656 ideals and 196,700 covers grow the peak
+    by at most 4.5 MB (3.8-4.1 MB measured on Python 3.10-3.13; 5.6-5.9 MB
+    with a tuple of every mask, 9.0-9.1 MB with one int object per element
+    index in list cover columns and a scan before the covers walk,
     11.9-12.1 MB with two int objects per index and the bounds as lists,
     16.6-17.0 MB with a tuple per weight as well)."""
     import ranktwo
@@ -638,7 +716,7 @@ def test_lattice_core_memory():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", _PIPELINE_GROWTH], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert int(out) <= 7 * 1024
+    assert int(out) <= 4.5 * 1024
 
 
 def infer_structure_matrix(lattice):
