@@ -11,13 +11,16 @@ and consecutive segments of one chain are joined by a single cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Literal, Mapping
+from typing import TYPE_CHECKING, Literal, Mapping
 
 from .algebras import ALPHA, BETA, Algebra, Color, Weight, nonnegative_weight
 from .grid import Decomposition, GridPoset, total_order
+
+if TYPE_CHECKING:
+    from .lattice import IdealLattice
 
 Order = Literal["beta_alpha", "alpha_beta"]
 Which = Literal["alpha_fund", "beta_fund"]
@@ -66,6 +69,15 @@ def fundamental_fixtures() -> Mapping[str, GridPoset]:
     return MappingProxyType({_label(*key): fundamental_poset(*key) for key in _FUNDAMENTALS})
 
 
+@lru_cache(maxsize=None)
+def fundamental_lattice(algebra: Algebra, which: Which) -> IdealLattice:
+    """The lattice of order ideals of one fundamental poset, walked once per
+    process: every caller shares it and its columns, so each is read-only."""
+    from .lattice import order_ideals  # deferred: lattice imports build
+
+    return order_ideals(fundamental_poset(algebra, which))
+
+
 @dataclass(frozen=True)
 class SemistandardPoset:
     """A built semistandard poset together with its piece structure."""
@@ -77,14 +89,21 @@ class SemistandardPoset:
 
     @cached_property
     def decomposition(self) -> Decomposition:
-        """The concatenated pieces, one id range each, labelled with no search."""
-        pieces, labels, pos = [], [], 0
+        """The concatenated pieces, one id range each, labelled with no search.
+        Each piece is its fundamental poset with ids shifted by its offset,
+        and chain indices by a constant, which keeps `total_order`; so its
+        lattice is the fundamental lattice with the vertex order shifted."""
+        pieces, labels, lattices, pos = [], [], [], 0
         for kind, _ in _piece_sequence(self.algebra, self.order, self.weight):
             n = len(_FUNDAMENTALS[(self.algebra, kind)][0])
             pieces.append(self.grid.restrict(range(pos, pos + n)))
             labels.append(_label(self.algebra, kind))
+            fund = fundamental_lattice(self.algebra, kind)
+            lattices.append(replace(fund, poset=pieces[-1],
+                                    vertex_order=tuple(v + pos for v in fund.vertex_order)))
             pos += n
-        return Decomposition(tuple(pieces), tuple(labels), total_order(self.grid))
+        return Decomposition(tuple(pieces), tuple(labels), total_order(self.grid),
+                             tuple(lattices))
 
 
 def _piece_sequence(algebra: Algebra, order: Order, lam: Weight) -> list[tuple[Which, int]]:

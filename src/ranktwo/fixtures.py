@@ -29,5 +29,6 @@ FIXTURE_NAMES = (
 def load_fixture(name: str):
     if name not in FIXTURE_NAMES:
         raise ValueError(f"unknown fixture {name!r}; have {', '.join(FIXTURE_NAMES)}")
-    text = importlib.resources.files("ranktwo.data").joinpath(f"{name}.json").read_text()
+    path = importlib.resources.files("ranktwo.data").joinpath(f"{name}.json")
+    text = path.read_text(encoding="utf-8")
     return poset_from_obj(json.loads(text))

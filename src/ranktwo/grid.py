@@ -5,8 +5,8 @@ decomposition of a grid poset into an order-ideal prefix and its complement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .algebras import Algebra, Color, sigma0
@@ -159,11 +159,21 @@ def has_max_property(p: GridPoset) -> bool:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Ordered pieces of a grid poset; each prefix union is an order ideal."""
+    """Ordered pieces of a grid poset; each prefix union is an order ideal.
+
+    `decompose` labels its pieces by one fixture search per piece shape per
+    process and walks each piece lattice on first use.  The builder's
+    decomposition (`SemistandardPoset.decomposition`) names its labels and
+    gives its piece lattices: the fundamental lattices, walked once per
+    process and relabelled by each piece's id offset, sharing their
+    read-only columns.
+    """
 
     pieces: tuple[GridPoset, ...]
     labels: tuple[str | None, ...]  # fundamental-poset type per piece, if any
     order: tuple[int, ...]  # total_order of the decomposed grid
+    # the piece lattices, when the maker of the pieces has them
+    _lattices: tuple[IdealLattice, ...] | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.pieces)
@@ -171,6 +181,8 @@ class Decomposition:
     @cached_property
     def lattices(self) -> tuple[IdealLattice, ...]:
         """The lattice of order ideals of each piece."""
+        if self._lattices is not None:
+            return self._lattices
         from .lattice import order_ideals  # deferred: lattice imports grid
 
         return tuple(order_ideals(piece) for piece in self.pieces)
@@ -195,15 +207,32 @@ def _splits_validly(part: int, rest: int, lower: list[int], upper: list[int],
     """No maximal element of `part` sits on a higher chain than a maximal
     element of `rest`, and likewise for minimal elements.  Both sides are
     masks over one vertex order; lower, upper and chain give per bit the
-    masks of the vertex's lower and upper covers and its chain index."""
+    masks of the vertex's lower and upper covers and its chain index.
+    Chain indices ascend with the bit, as in `total_order`, so a side's
+    highest extreme chain is that of its first extreme vertex from the top
+    bit down, and its lowest that of its first from the bottom bit up."""
 
-    def extreme_chains(side: int, covers: list[int]) -> list[int]:
-        return [c for b, c in enumerate(chain) if side >> b & 1 and not covers[b] & side]
+    def highest(side: int, covers: list[int]) -> int:
+        left = side
+        while left:
+            b = left.bit_length() - 1
+            if not covers[b] & side:
+                return chain[b]
+            left ^= 1 << b
+        return 0
 
-    return (max(extreme_chains(part, upper), default=0)
-            <= min(extreme_chains(rest, upper), default=10**9)
-            and max(extreme_chains(part, lower), default=0)
-            <= min(extreme_chains(rest, lower), default=10**9))
+    def lowest(side: int, covers: list[int]) -> int:
+        left = side
+        while left:
+            low = left & -left
+            b = low.bit_length() - 1
+            if not covers[b] & side:
+                return chain[b]
+            left ^= low
+        return 10**9
+
+    return (highest(part, upper) <= lowest(rest, upper)
+            and highest(part, lower) <= lowest(rest, lower))
 
 
 def decompose(p: GridPoset | IdealLattice) -> Decomposition:
@@ -218,7 +247,6 @@ def decompose(p: GridPoset | IdealLattice) -> Decomposition:
     ties go to the least mask.  The top, with nothing left beside it, always
     splits, so when no smaller element does, what is left is the last piece.
     """
-    from .build import fundamental_fixtures  # deferred: build imports grid
     from .lattice import IdealLattice, order_ideals  # deferred: lattice imports grid
 
     if isinstance(p, IdealLattice):
@@ -241,20 +269,27 @@ def decompose(p: GridPoset | IdealLattice) -> Decomposition:
             union = mask
     pieces = tuple(p.restrict(v for b, v in enumerate(order) if part >> b & 1)
                    for part in parts)
-    # pieces equal by vertex-order position are isomorphic, so each shape
-    # is searched against the fixtures once
-    fixtures, label_of, labels = fundamental_fixtures(), {}, []
+    labels = []
     for piece in pieces:
         base = piece.base
         at = {v: k for k, v in enumerate(v for v in order if v in base.color_of)}
-        shape = (tuple(base.color_of[v] for v in at),
-                 frozenset((at[u], at[v]) for u, v in base.covers))
-        if shape not in label_of:
-            label_of[shape] = next((name for name, fund in fixtures.items()
-                                    if vertex_color_isomorphism(base, fund.base) is not None),
-                                   None)
-        labels.append(label_of[shape])
+        labels.append(_fixture_label(tuple(base.color_of[v] for v in at),
+                                     frozenset((at[u], at[v]) for u, v in base.covers)))
     return Decomposition(pieces, tuple(labels), order)
+
+
+# bounded, since the shapes come from the callers' grids
+@lru_cache(maxsize=1024)
+def _fixture_label(colors: tuple[Color, ...], covers: frozenset[tuple[int, int]]) -> str | None:
+    """The label of the first fundamental fixture isomorphic to the piece
+    shape given by its colors and covers over its vertices numbered by
+    position in the decomposed order, or None.  Pieces of one shape are
+    isomorphic, so each shape is searched once per process."""
+    from .build import fundamental_fixtures  # deferred: build imports grid
+
+    base = VertexColoredPoset.build(dict(enumerate(colors)), covers)
+    return next((name for name, fund in fundamental_fixtures().items()
+                 if vertex_color_isomorphism(base, fund.base) is not None), None)
 
 
 def triangle_dual(p, algebra: Algebra):

@@ -51,8 +51,8 @@ from operator import add, or_
 from typing import Mapping, NamedTuple, Sequence
 
 from .algebras import ALPHA, BETA, Algebra, Color, Weight, nonnegative_weight
-from .build import SemistandardPoset, fundamental_poset
-from .lattice import Covers, IdealLattice, Weights, order_ideals, projection_columns
+from .build import SemistandardPoset, fundamental_lattice
+from .lattice import Covers, IdealLattice, Weights, projection_columns
 from .poset import EdgeColoredPoset, edge_color_isomorphism
 
 Column = tuple[int, ...]
@@ -387,7 +387,7 @@ def _piece_column_maps(algebra: Algebra, which: str) -> tuple[tuple[int, ...], d
     fundamental ideal lattice and the one-column tableau lattice.
     """
     lam = (1, 0) if which == "alpha_fund" else (0, 1)
-    fund = order_ideals(fundamental_poset(algebra, which))
+    fund = fundamental_lattice(algebra, which)
     tl = tableau_lattice(algebra, lam)
     iso = edge_color_isomorphism(fund.edge_poset, tl.edge_poset)
     if iso is None:

@@ -1,13 +1,16 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
 import goldens
+import ranktwo.lattice
+import ranktwo.tableaux
 from ranktwo.algebras import ALPHA, BETA, Algebra
-from ranktwo.build import (fundamental_fixtures, fundamental_poset,
+from ranktwo.build import (fundamental_fixtures, fundamental_lattice, fundamental_poset,
                            semistandard_poset, semistandard_poset_oracle)
-from ranktwo.grid import (GridPoset, decompose, has_max_property, total_order,
-                          validate_grid)
+from ranktwo.grid import (Decomposition, GridPoset, decompose, has_max_property,
+                          total_order, validate_grid)
 from ranktwo.lattice import order_ideals
 from ranktwo.poset import vertex_color_isomorphism
 
@@ -181,6 +184,70 @@ class TestSemistandardPosets:
             semistandard_poset(Algebra.A2, "beta_alpha", (-1, 0))
         with pytest.raises(ValueError):
             semistandard_poset(Algebra.A2, "beta_alpha", (0, -1))
+
+
+def assert_piece_lattices_walked(dec, case):
+    """Each given piece lattice is the one order_ideals walks on its piece:
+    equal, over the piece's total order, with the same size blocks, covers
+    and first lower covers."""
+    assert len(dec.lattices) == len(dec.pieces), case
+    for piece, sub in zip(dec.pieces, dec.lattices):
+        walked = order_ideals(piece)
+        assert sub == walked, case
+        assert sub.vertex_order == total_order(piece) == walked.vertex_order, case
+        assert sub.rank_sizes == walked.rank_sizes, case
+        for column in ("lower", "upper", "beta"):
+            assert list(getattr(sub.covers, column)) == list(getattr(walked.covers, column)), case
+        assert [list(c) for c in sub.first_lower] == [list(c) for c in walked.first_lower], case
+
+
+class TestPieceLattices:
+    """The builder's piece lattices are its fundamental lattices, walked once
+    per process and relabelled by each piece's id offset."""
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_equal_the_walked_lattices(self, algebra):
+        for order in ("beta_alpha", "alpha_beta"):
+            for lam in itertools.product(range(5), repeat=2):
+                dec = semistandard_poset(algebra, order, lam).decomposition
+                assert_piece_lattices_walked(dec, (order, lam))
+                for sub, label in zip(dec.lattices, dec.labels):
+                    # relabelled, not walked: the fundamental lattice's columns
+                    kind = "alpha_fund" if label.endswith("(1,0)") else "beta_fund"
+                    fund = fundamental_lattice(algebra, kind)
+                    assert sub.first_lower[0] is fund.first_lower[0]
+                    assert sub.covers is fund.covers
+
+    def test_a_wrong_id_offset_is_caught(self):
+        dec = semistandard_poset(Algebra.G2, "beta_alpha", (1, 2)).decomposition
+        assert_piece_lattices_walked(dec, "as built")
+        for k in range(len(dec)):
+            shifted = list(dec.lattices)
+            shifted[k] = replace(shifted[k], vertex_order=tuple(
+                v + 1 for v in shifted[k].vertex_order))
+            planted = Decomposition(dec.pieces, dec.labels, dec.order, tuple(shifted))
+            with pytest.raises(AssertionError):
+                assert_piece_lattices_walked(planted, k)
+
+    def test_no_piece_is_walked(self, monkeypatch):
+        for key in VERTEX_COUNTS:
+            fundamental_lattice(*key)
+        searched = order_ideals(semistandard_poset(Algebra.A2, "beta_alpha", (1, 0)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a piece was walked")
+
+        monkeypatch.setattr(ranktwo.lattice, "order_ideals", refuse)
+        for algebra in Algebra:
+            for order in ("beta_alpha", "alpha_beta"):
+                for lam in itertools.product(range(4), repeat=2):
+                    assert len(semistandard_poset(algebra, order, lam).decomposition.lattices) \
+                        == sum(lam)
+        # the tableau dictionaries read the same lattices
+        ranktwo.tableaux._piece_column_maps.cache_clear()
+        assert len(ranktwo.tableaux._piece_column_maps(Algebra.G2, "beta_fund")[0]) == 14
+        with pytest.raises(AssertionError, match="walked"):
+            decompose(searched).lattices  # a searched decomposition walks its pieces
 
 
 class TestOracle:

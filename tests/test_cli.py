@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -259,6 +263,17 @@ class TestVerifyCommand:
         assert code == 0
         (report,) = reports
         assert path.read_bytes() == dumps(report).encode()
+
+    def test_fixture_read_pins_its_encoding(self):
+        """Under -X warn_default_encoding a text read that leaves the
+        encoding to the locale warns, and -W error makes that fatal."""
+        code = ("import sys; from ranktwo.cli import main; "
+                "sys.exit(main(['verify', '--structure', 'two_color_example']))")
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(ranktwo.cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W", "error",
+                               "-c", code], env=env, capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        assert proc.stdout.startswith(b"PASS structure_condition ")
 
     def test_missing_fixture(self, capsys):
         code, _, err = run(capsys, "verify", "--structure", "no_such_thing")

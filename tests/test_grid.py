@@ -310,33 +310,48 @@ def _piece_shape(piece, order):
 
 
 def test_decompose_searches_each_piece_shape_once(monkeypatch):
-    """On every built lattice up to (3,3), one fixture search per distinct
-    piece shape gives the labels of a search per piece."""
+    """Over two sweeps of every built lattice up to (3,3) and of a grid
+    whose two pieces no fixture matches, each piece shape is searched
+    against the fixtures at most once, from an emptied cache, and gets
+    the label of a search per piece: None for a shape no fixture matches."""
     fixtures, probes = fundamental_fixtures(), []
 
     def recording(p, q):
         probes.append((p, q))
         return vertex_color_isomorphism(p, q)
 
+    ranktwo.grid._fixture_label.cache_clear()
     monkeypatch.setattr(ranktwo.grid, "vertex_color_isomorphism", recording)
-    pieces = searched = 0
-    for algebra in Algebra:
-        for order in ("beta_alpha", "alpha_beta"):
-            for lam in itertools.product(range(4), repeat=2):
-                probes.clear()
-                dec = decompose(order_ideals(semistandard_poset(algebra, order, lam)))
-                case = (algebra, order, lam)
-                assert dec.labels == tuple(
-                    next((name for name, fund in fixtures.items()
-                          if vertex_color_isomorphism(piece.base, fund.base) is not None), None)
-                    for piece in dec.pieces), case
-                searched_pieces = {id(p) for p, _ in probes}
-                # every shape needs a search, so this leaves one piece per shape
-                assert len(searched_pieces) <= len({_piece_shape(piece, dec.order)
-                                                    for piece in dec.pieces}), case
-                assert len({(id(p), id(q)) for p, q in probes}) == len(probes), case
-                pieces, searched = pieces + len(dec), searched + len(searched_pieces)
-    assert (pieces, searched) == (384, 192)
+    lattices = [order_ideals(semistandard_poset(algebra, order, lam))
+                for algebra in Algebra
+                for order in ("beta_alpha", "alpha_beta")
+                for lam in itertools.product(range(4), repeat=2)]
+    lattices.append(order_ideals(load_fixture("nonsplitting_grid")))
+    shapes, unmatched = set(), set()
+    for sweep in range(2):
+        for lat in lattices:
+            dec = decompose(lat)
+            labels = tuple(next((name for name, fund in fixtures.items()
+                                 if vertex_color_isomorphism(piece.base, fund.base) is not None),
+                                None)
+                           for piece in dec.pieces)
+            assert dec.labels == labels, (sweep, lat.poset)
+            for piece, label in zip(dec.pieces, labels):
+                shapes.add(_piece_shape(piece, dec.order))
+                if label is None:
+                    unmatched.add(_piece_shape(piece, dec.order))
+        if sweep == 0:
+            first_sweep = len(probes)
+    assert len(probes) == first_sweep  # the second sweep searched nothing
+    searched = {id(p): p for p, _ in probes}.values()
+    searched_shapes = [(tuple(c for _, c in p.vertices), p.covers) for p in searched]
+    assert len(searched_shapes) == len(set(searched_shapes)) == len(shapes)
+    assert set(searched_shapes) == shapes
+    assert len({(id(p), id(q)) for p, q in probes}) == len(probes)
+    # the nonsplitting grid's two chains: each tried on every fixture, once
+    assert len(unmatched) == 2
+    assert len([p for p, _ in probes
+                if (tuple(c for _, c in p.vertices), p.covers) in unmatched]) == 2 * len(fixtures)
 
 
 class TestDecomposeContract:
@@ -435,6 +450,46 @@ class TestDecomposeMatchesRestrictSplit:
 
     def test_random_grids(self, monkeypatch, rng):
         self.assert_same_as_reference(monkeypatch, _random_grids(rng))
+
+
+class TestSplitScanMatchesRestrictSplit:
+    """The split scan itself equals the reference on random disjoint (part,
+    rest) pairs over each grid's total order, not only through decompose's
+    pieces: with an empty part and an empty rest, so both defaults, 0 and
+    10**9, are read, and with parts that are not ideals."""
+
+    @staticmethod
+    def assert_same(grids, rng):
+        outcomes, not_ideals = set(), 0
+        for g in grids:
+            order = total_order(g)
+            bit = {v: 1 << b for b, v in enumerate(order)}
+            lower = [sum(bit[u] for u in g.base.lower_covers[v]) for v in order]
+            upper = [sum(bit[w] for w in g.base.upper_covers[v]) for v in order]
+            chain = [g.chain_of[v] for v in order]
+            full = (1 << len(order)) - 1
+            pairs = [(0, full), (full, 0), (0, 0)]
+            for _ in range(8):
+                side = [rng.randrange(3) for _ in order]  # part, rest or neither
+                pairs.append(tuple(sum(1 << b for b, s in enumerate(side) if s == k)
+                                   for k in (0, 1)))
+            for part, rest in pairs:
+                got = ranktwo.grid._splits_validly(part, rest, lower, upper, chain)
+                assert got == restrict_split(part, rest, lower, upper, chain), (g, part, rest)
+                outcomes.add(got)
+                not_ideals += any(lower[b] & ~part for b in range(len(order)) if part >> b & 1)
+        assert outcomes == {True, False} and not_ideals > 100
+
+    def test_battery_grids(self, rng):
+        grids = [semistandard_poset(algebra, order, lam).grid
+                 for algebra in Algebra
+                 for order in ("beta_alpha", "alpha_beta")
+                 for lam in itertools.product(range(4), repeat=2) if sum(lam) >= 2]
+        assert len(grids) == 104
+        self.assert_same(grids, rng)
+
+    def test_random_grids(self, rng):
+        self.assert_same(_random_grids(rng), rng)
 
 
 def carry_mask(mask, image_bit):
