@@ -5,7 +5,8 @@ Laurent polynomials with x and y standing for the exponentials of the two
 fundamental weights.  Characters of the ideal lattices are verified
 against the alternating-sum quotient, each alternating sum a signed walk
 of one Weyl orbit, and rank generating functions, the lattices' counts
-per size, against their closed product forms.
+per size, against their closed products: quotients of factors 1 - q^n,
+each factor applied by one pass over a single coefficient list.
 """
 
 from __future__ import annotations
@@ -63,9 +64,6 @@ class LaurentPoly2:
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly2) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -81,7 +79,7 @@ class LaurentPoly2:
 
 
 class QPoly:
-    """Dense integer polynomial in q; division is exact or an error."""
+    """Dense integer polynomial in q, its coefficients from the constant up."""
 
     __slots__ = ("coeffs",)
 
@@ -91,55 +89,8 @@ class QPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @staticmethod
-    def one() -> "QPoly":
-        return QPoly((1,))
-
-    @staticmethod
-    def one_minus_q_power(n: int) -> "QPoly":
-        cs = [0] * (n + 1)
-        cs[0] = 1
-        cs[n] -= 1
-        return QPoly(cs)
-
-    def __mul__(self, other: "QPoly") -> "QPoly":
-        if not self.coeffs or not other.coeffs:
-            return QPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return QPoly(out)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def divide_exact(self, other: "QPoly") -> "QPoly":
-        """Synthetic division; a nonzero remainder raises."""
-        if not other.coeffs:
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        if len(rem) < len(div):
-            if any(rem):
-                raise ArithmeticError("inexact polynomial division")
-            return QPoly()
-        out = [0] * (len(rem) - len(div) + 1)
-        for k in range(len(out) - 1, -1, -1):
-            if rem[k + len(div) - 1] % div[-1]:
-                raise ArithmeticError("inexact polynomial division")
-            c = rem[k + len(div) - 1] // div[-1]
-            out[k] = c
-            if c:
-                for j, b in enumerate(div):
-                    rem[k + j] -= c * b
-        if any(rem):
-            raise ArithmeticError("inexact polynomial division")
-        return QPoly(out)
 
     def is_palindromic(self) -> bool:
         return self.coeffs == tuple(reversed(self.coeffs))
@@ -212,20 +163,30 @@ def rgf_from_lattice(lattice: IdealLattice) -> QPoly:
 
 def q_product(nums: Iterable[int], dens: Iterable[int]) -> QPoly:
     """The product of (1 - q^n) over nums divided by that of (1 - q^d) over
-    dens, expanded by exact division."""
-    out = QPoly.one()
+    dens.  Multiplying is the downward pass c[k] -= c[k-n]; dividing is the
+    upward pass c[k] += c[k-d], the quotient's power series, which is exact
+    iff its top d coefficients are zero; if not, ArithmeticError."""
+    c = [1]
     for n in nums:
-        out = out * QPoly.one_minus_q_power(n)
+        c.extend([0] * n)
+        for k in range(len(c) - 1, n - 1, -1):
+            c[k] -= c[k - n]
     for d in dens:
-        out = out.divide_exact(QPoly.one_minus_q_power(d))
-    return out
+        if d < 1:
+            raise ZeroDivisionError(f"division by 1 - q^{d}")
+        for k in range(d, len(c)):
+            c[k] += c[k - d]
+        if any(c[-d:]):
+            raise ArithmeticError("inexact polynomial division")
+        del c[-d:]
+    return QPoly(c)
 
 
 def rgf_product(algebra: Algebra, lam: Weight) -> QPoly:
-    """Closed product form, expanded by exact division.
+    """Closed product form, expanded by q_product.
 
     Numerator exponents are the pairings of lam+rho with the positive
-    roots scaled to the denominator exponents of the same quotient.
+    coroots, denominator exponents those of rho.
     """
     a, b = nonnegative_weight(lam)
     if algebra is Algebra.A1A1:

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from ranktwo.lattice import IdealLattice, check_structure, order_ideals
 from ranktwo.poset import RankFunction
 from ranktwo.verify import RHO_SUM_LITERAL, quasi_gaussian_product
 from ranktwo.weyl import (LaurentPoly2, QPoly, alternating_sum,
-                          character_from_lattice, rgf_from_lattice, rgf_product,
-                          simple_reflection, verify_weyl_character)
+                          character_from_lattice, q_product, rgf_from_lattice,
+                          rgf_product, simple_reflection, verify_weyl_character)
 
 
 # Positive roots in fundamental-weight coordinates.
@@ -71,6 +72,99 @@ def reference_rank_counts(lattice: IdealLattice) -> QPoly:
         counts[r] = counts.get(r, 0) + 1
     top = max(counts) if counts else 0
     return QPoly(tuple(counts.get(r, 0) for r in range(top + 1)))
+
+
+def _one_minus_q_power(n: int) -> QPoly:
+    cs = [0] * (n + 1)
+    cs[0] = 1
+    cs[n] -= 1
+    return QPoly(cs)
+
+
+def _multiply(left: QPoly, right: QPoly) -> QPoly:
+    if not left.coeffs or not right.coeffs:
+        return QPoly()
+    out = [0] * (len(left.coeffs) + len(right.coeffs) - 1)
+    for i, a in enumerate(left.coeffs):
+        if a:
+            for j, b in enumerate(right.coeffs):
+                out[i + j] += a * b
+    return QPoly(out)
+
+
+def _divide_exact(num: QPoly, den: QPoly) -> QPoly:
+    """Synthetic division; a nonzero remainder raises."""
+    if not den.coeffs:
+        raise ZeroDivisionError("division by zero polynomial")
+    rem = list(num.coeffs)
+    div = den.coeffs
+    if len(rem) < len(div):
+        if any(rem):
+            raise ArithmeticError("inexact polynomial division")
+        return QPoly()
+    out = [0] * (len(rem) - len(div) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        if rem[k + len(div) - 1] % div[-1]:
+            raise ArithmeticError("inexact polynomial division")
+        c = rem[k + len(div) - 1] // div[-1]
+        out[k] = c
+        if c:
+            for j, b in enumerate(div):
+                rem[k + j] -= c * b
+    if any(rem):
+        raise ArithmeticError("inexact polynomial division")
+    return QPoly(out)
+
+
+def reference_q_product(nums, dens) -> QPoly:
+    """Oracle: the dense product of the factors 1 - q^n over nums, then
+    synthetic division by each 1 - q^d over dens."""
+    out = QPoly((1,))
+    for n in nums:
+        out = _multiply(out, _one_minus_q_power(n))
+    for d in dens:
+        out = _divide_exact(out, _one_minus_q_power(d))
+    return out
+
+
+def positive_coroots(algebra: Algebra):
+    """The positive coroots in simple-coroot coordinates, reached from the
+    simple coroots by simple reflections.  CARTAN[algebra][i][j] is
+    <alpha_i, alpha_j^vee>, so s_i(y) = y - <alpha_i, y> alpha_i^vee."""
+    cartan = CARTAN[algebra]
+    seen = {(1, 0), (0, 1)}
+    walk = list(seen)
+    for y in walk:
+        for i in (0, 1):
+            v = list(y)
+            v[i] -= y[0] * cartan[i][0] + y[1] * cartan[i][1]
+            v = tuple(v)
+            if v not in seen:
+                seen.add(v)
+                walk.append(v)
+    return sorted(y for y in seen if min(y) >= 0)
+
+
+def coroot_factors(algebra: Algebra, lam):
+    """Corollary 5.4's exponents: <lam+rho, beta^vee> over <rho, beta^vee>
+    for the positive coroots beta^vee."""
+    a, b = lam
+    coroots = positive_coroots(algebra)
+    return ([(a + 1) * x + (b + 1) * y for x, y in coroots],
+            [x + y for x, y in coroots])
+
+
+def assert_matches_reference(nums, dens) -> bool:
+    """q_product equals the oracle or raises its error; True if exact."""
+    try:
+        expected = reference_q_product(nums, dens)
+    except ArithmeticError as err:
+        with pytest.raises(ArithmeticError) as raised:
+            q_product(nums, dens)
+        assert raised.type is type(err), (nums, dens)
+        return False
+    assert q_product(nums, dens) == expected, (nums, dens)
+    return True
 
 
 def is_weyl_invariant(algebra: Algebra, poly: LaurentPoly2) -> bool:
@@ -263,7 +357,7 @@ class TestRankGeneratingFunctions:
         assert sum(rgf_product(Algebra.C2, (1, 1)).coeffs) == 16
 
     def test_empty_weight(self):
-        assert rgf_product(Algebra.A2, (0, 0)) == QPoly.one()
+        assert rgf_product(Algebra.A2, (0, 0)) == QPoly((1,))
 
     def test_a1a1_product_form(self):
         lam = (2, 3)
@@ -272,10 +366,12 @@ class TestRankGeneratingFunctions:
 
     @pytest.mark.parametrize("algebra", list(Algebra))
     def test_palindromic_unimodal(self, algebra):
-        for lam in [(1, 0), (1, 1), (3, 2)]:
+        for lam in itertools.product(range(31), repeat=2):
+            nums, dens = coroot_factors(algebra, lam)
             closed = rgf_product(algebra, lam)
-            assert closed.is_palindromic()
-            assert closed.is_unimodal()
+            # the Weyl dimension formula, cleared of its denominator
+            assert sum(closed.coeffs) * math.prod(dens) == math.prod(nums), lam
+            assert closed.is_palindromic() and closed.is_unimodal(), lam
 
     @pytest.mark.parametrize("algebra", list(Algebra))
     @pytest.mark.parametrize("lam", [(-2, 0), (0, -1)])
@@ -284,13 +380,75 @@ class TestRankGeneratingFunctions:
             rgf_product(algebra, lam)
 
     def test_inexact_division_raises(self):
-        with pytest.raises(ArithmeticError):
-            QPoly((1, 1, 1)).divide_exact(QPoly((1, 1)))
+        with pytest.raises(ArithmeticError, match="inexact"):
+            q_product((3,), (2,))
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_zero_denominator_factor_raises(self, d):
+        # 1 - q^0 is the zero polynomial; without the guard the upward pass
+        # would double every coefficient
+        with pytest.raises(ZeroDivisionError):
+            q_product((2, 3), (1, d))
 
     @pytest.mark.parametrize("m", range(5))
     def test_quasi_gaussian_family(self, m):
         lat = lattice(Algebra.G2, (0, m))
         assert rgf_from_lattice(lat) == quasi_gaussian_product(m)
+
+
+class TestQProductMatchesReference:
+    """q_product's two coefficient passes against dense multiplication and
+    synthetic division."""
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_algebra_factor_lists(self, algebra):
+        for lam in itertools.product(range(13), repeat=2):
+            assert assert_matches_reference(*coroot_factors(algebra, lam))
+
+    @pytest.mark.parametrize("m", range(21))
+    def test_quasi_gaussian_factor_lists(self, m):
+        nums, dens = (m + 1, m + 2, 2 * m + 3, 3 * m + 4, 3 * m + 5), (1, 2, 3, 4, 5)
+        assert quasi_gaussian_product(m) == reference_q_product(nums, dens)
+
+    def test_random_factor_lists(self, rng):
+        exact = 0
+        for _ in range(2000):
+            nums = [rng.randint(0, 9) for _ in range(rng.randint(0, 5))]
+            if rng.random() < 0.5:  # each d divides its own n: exact
+                dens = [rng.choice([d for d in range(1, n + 1) if n % d == 0])
+                        for n in nums if n and rng.random() < 0.7]
+                rng.shuffle(dens)
+            else:
+                dens = [rng.randint(1, 9) for _ in range(rng.randint(0, 4))]
+            exact += assert_matches_reference(nums, dens)
+        assert 1000 < exact < 1900, exact
+
+
+class TestCorootFactors:
+    """rgf_product's literal factor lists against the coroots that the
+    Cartan matrices generate."""
+
+    def test_g2_coroots(self):
+        assert positive_coroots(Algebra.G2) == [(0, 1), (1, 0), (1, 1), (1, 2),
+                                                (1, 3), (2, 3)]
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_positive_coroot_counts(self, algebra):
+        assert len(positive_coroots(algebra)) == len(POSITIVE_ROOTS[algebra])
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_rgf_product_is_the_coroot_product(self, algebra):
+        for lam in itertools.product(range(7), repeat=2):
+            assert rgf_product(algebra, lam) == reference_q_product(
+                *coroot_factors(algebra, lam)), lam
+
+
+class TestPolynomialValues:
+    def test_unhashable(self):
+        # both are mutable values compared by their coefficients
+        for poly in (LaurentPoly2(), QPoly()):
+            with pytest.raises(TypeError):
+                hash(poly)
 
 
 class TestRankCountsMatchReference:
