@@ -92,7 +92,8 @@ class SemistandardPoset:
         """The concatenated pieces, one id range each, labelled with no search.
         Each piece is its fundamental poset with ids shifted by its offset,
         and chain indices by a constant, which keeps `total_order`; so its
-        lattice is the fundamental lattice with the vertex order shifted."""
+        lattice is the fundamental lattice with the vertex order shifted,
+        sharing its columns, weights and component bounds."""
         pieces, labels, lattices, pos = [], [], [], 0
         for kind, _ in _piece_sequence(self.algebra, self.order, self.weight):
             n = len(_FUNDAMENTALS[(self.algebra, kind)][0])
@@ -101,6 +102,9 @@ class SemistandardPoset:
             fund = fundamental_lattice(self.algebra, kind)
             lattices.append(replace(fund, poset=pieces[-1],
                                     vertex_order=tuple(v + pos for v in fund.vertex_order)))
+            # relabelling keeps every element index, so the statistics too
+            vars(lattices[-1]).update(weights=fund.weights,
+                                      _component_bounds=fund._component_bounds)
             pos += n
         return Decomposition(tuple(pieces), tuple(labels), total_order(self.grid),
                              tuple(lattices))

@@ -1,31 +1,27 @@
 """Lattices of order ideals with edge colors inherited from vertex colors,
 per-color component statistics, element weights, and the structure condition.
 
-One walk, `order_ideals`, makes the elements and the covers together.
-vertex_order splits into runs in which each vertex is a lower cover of the
-one before.  An ideal can gain only the highest missing bit of a run, and
-does iff that vertex's lower covers are in it: one probe per run (six for
-G2 (a,a)).  A cover adds one vertex, so the walk goes up one size block at
-a time, each block the sorted set of the masks the one below reached:
-elements ascend in (size, mask), covers in (i, j), and only the block being
-reached is indexed.  The walk holds the masks of two blocks at a time and
-keeps none: every element but the bottom is its first lower cover, the
-least i with a cover (i, j), plus one vertex (Stanley, EC1 3.4), and as
-each block is walked in i order, the first i to reach a mask is that cover.
+One walk, `order_ideals`, makes the elements and the covers together, one
+size block at a time: it keeps each ideal as a code of its heights in the
+runs of vertex_order, and grows each run by one table lookup.  Elements
+ascend in (size, mask), covers in (i, j), and only the block being reached
+is indexed.  The walk keeps no code: every element but the bottom is its
+first lower cover, the least i with a cover (i, j), plus one vertex, and as
+each block is walked in i order, the first i to reach a code is that cover.
 `first_lower` gives the two columns, first lower cover and added bit, that
 the walk records there.  `Covers` is three columns: lower and upper element
 indices as `array("I")`, and one byte per cover, 1 for beta; no object is
 kept per cover or per element index.  The blocks' lengths are `rank_sizes`.
 
 The statistics are read from those covers.  A one-color cover joins two
-elements of one component, so an element's least component size lo is that
-of any lower cover of that color and its greatest, hi, that of any upper
-one: a pass up the covers sets lo, a pass down sets hi, each on lists then
-kept as 4-byte columns.  An element of size s has rho = s - lo, length =
-hi - lo and weight coordinate m = 2 rho - length, whole-lattice columns:
-`rank_stats(color)` gives rho and length and `weights` the columns m_a and
-m_b as a `Weights`; equal coordinates share one int object, and sizes are
-read off the size blocks.  Along a decomposition, `projection_columns`
+elements of one component, so an element's least component size lo is that of
+any lower cover of that color and its greatest, hi, that of any upper one: a
+pass up the covers sets lo, a pass down sets hi, on columns of one byte an
+entry below 256 vertices, else four.  An element of size s has rho = s - lo,
+length = hi - lo and weight coordinate m = 2 rho - length, whole-lattice
+columns: `rank_stats(color)` gives rho and length and `weights` the columns
+m_a and m_b as a `Weights`; equal coordinates share one int object, and sizes
+are read off the size blocks.  Along a decomposition, `projection_columns`
 indexes every element's intersection with each piece, for the sums
 `piece_rank_stats` and `weight_via_decomposition`, equal to the lattice's
 columns, and for `tableaux.tableau_of_ideal`.
@@ -46,19 +42,19 @@ from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, count, islice, repeat
-from operator import add, sub
+from itertools import accumulate, chain, count, islice, repeat
+from operator import add, mul, sub
 
 from .algebras import ALPHA, BETA, Color, Weight
 from .build import SemistandardPoset
 from .grid import Decomposition, GridPoset, total_order
 from .poset import EdgeColoredPoset, VertexColoredPoset
 
-# Peak RSS per ideal (Python 3.11): 85-92 B of growth (VmHWM) in the
+# Peak RSS per ideal (Python 3.11): 75-83 B of growth (VmHWM) in the
 # library through covers, weights and the character, rgf and structure checks
 # (G2 (5,5)-(8,8), which has 531,441 ideals); at G2 (6,6) and (7,7) the process
 # peak (getrusage) is 1.4 KB for `enumerate` writing its file and 0.95-1.0 KB
-# for `character --verify` and `export` reading one: 0.09, 1.4, 1.0 GB at 10**6.
+# for `character --verify` and `export` reading one: 0.08, 1.4, 1.0 GB at 10**6.
 DEFAULT_MAX_IDEALS = 10**6
 
 
@@ -67,6 +63,19 @@ class TooManyIdeals(RuntimeError):
 
 
 _COLORS = (ALPHA, BETA)  # indexed by a cover's beta byte
+
+
+class _Growth(dict):
+    """Run c's table: from the digits of the runs that decide whether it grows
+    to the bit of the vertex it grows by, or None, made on first sight."""
+
+    __slots__ = ("unit", "radix", "run", "needs")
+
+    def __missing__(self, key: int) -> int | None:
+        h = key // self.unit % self.radix  # run c's height
+        grows = h < len(self.run) and all(key // q % r >= need for q, r, need in self.needs[h])
+        b = self[key] = self.run[h] if grows else None
+        return b
 
 
 class Covers:
@@ -194,12 +203,13 @@ class IdealLattice:
         return EdgeColoredPoset(tuple(range(len(self))), frozenset(self.covers))
 
     @cached_property
-    def _component_bounds(self) -> tuple[tuple[array, array], ...]:
+    def _component_bounds(self) -> tuple[tuple[Sequence[int], Sequence[int]], ...]:
         """Columns lo and hi of each element's component bounds, for alpha
-        then beta: index it by `color is BETA`, which hashes no enum."""
-        sizes = list(self._per_size(count()))
-        alo, ahi, blo, bhi = cols = [sizes, sizes[:], sizes[:], sizes[:]]
-        del sizes
+        then beta: index it by `color is BETA`, which hashes no enum.  A
+        bound is a size, at most n: one byte an entry while n < 256, else 4."""
+        sizes = self._per_size(count())
+        alo = bytearray(sizes) if len(self.vertex_order) < 256 else array("I", sizes)
+        ahi, blo, bhi = alo[:], alo[:], alo[:]
         cov = self.covers
         # covers ascend in i: lo[i] is final at (i, j), hi[j] on the way back
         for i, j, b in zip(cov.lower, cov.upper, cov.beta):
@@ -212,12 +222,7 @@ class IdealLattice:
                 bhi[i] = bhi[j]
             else:
                 ahi[i] = ahi[j]
-        # the passes run on lists, which index faster; the columns are kept
-        # at 4 bytes an entry, each list freed as soon as it is converted
-        del alo, ahi, blo, bhi
-        for k in range(4):
-            cols[k] = array("I", cols[k])
-        return (cols[0], cols[1]), (cols[2], cols[3])
+        return (alo, ahi), (blo, bhi)
 
     def rank_stats(self, color: Color) -> tuple[list[int], list[int]]:
         """Columns rho and length: per element, its place in its component of
@@ -253,16 +258,13 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
 
     Vertices are taken in the grid total order (chains ascending, descending
     inside a chain) when available, else in a linear extension; bit b of a
-    mask is vertex_order[b].  The chain walk of the module docstring goes
-    up one size block at a time: every element of block s is probed once
-    per run, and each hit records a cover, its lower index, upper mask and
-    beta byte; the first hit on a mask also records its lower index and the
-    bit it adds, its first lower cover.  Block s + 1 is the sorted set of
-    those upper masks, so the elements come out in (size, mask) order and
-    the covers in (i, j) order; only that block is indexed, to turn the
-    masks into upper indices and put the first lower covers in order.  The
-    refusal is exact: it fires as soon as the masks reached take the count
-    past `max_ideals`, so a pending block holds at most that many.
+    mask is vertex_order[b].  Runs are chains of covers contiguous in it,
+    going up or down.  An ideal meets run c in a bottom segment (Stanley,
+    EC1 3.4) of height h_c; its code, sum h_c R_c with R_c the product of
+    len_d + 1 over d < c, sorts as its mask does.  Run c grows, to code +
+    R_c, by the bit its table gives for code // R_lo % (R_hi // R_lo), the
+    digits of c and of the runs holding lower covers of its vertices.  The
+    refusal is exact: it fires as soon as the codes reached pass the bound.
     """
     built = p if isinstance(p, SemistandardPoset) else None
     if built is not None:
@@ -271,14 +273,29 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
         raise ValueError("order ideals need a vertex-colored poset")
     base = p.base if isinstance(p, GridPoset) else p
     order = total_order(p) if isinstance(p, GridPoset) else base.linear_extension
-    bit = {v: 1 << b for b, v in enumerate(order)}
-    runs = []
-    for b, v in enumerate(order):
-        if b and v in base.lower_covers[order[b - 1]]:
-            runs[-1] |= bit[v]
+    runs = []  # chains of covers contiguous in `order`, going either way
+    for b, v in enumerate(order):  # each run is kept as its bits bottom up
+        run = runs[-1] if runs else [None]
+        if run[0] == b - 1 and v in base.lower_covers[order[b - 1]]:
+            run.insert(0, b)
+        elif run[-1] == b - 1 and order[b - 1] in base.lower_covers[v]:
+            run.append(b)
         else:
-            runs.append(bit[v])
-    lower = [sum(bit[u] for u in base.lower_covers[v]) for v in order]
+            runs.append([b])
+    place = {order[b]: (c, h) for c, run in enumerate(runs) for h, b in enumerate(run)}
+    radix = list(accumulate((len(run) + 1 for run in runs), mul, initial=1))
+    probes = []  # per run c: its table, R_lo, R_hi // R_lo and R_c
+    for c, run in enumerate(runs):
+        # per height, the height each other run d must reach for the vertex there
+        needs = [[(d, h + 1) for d, h in map(place.__getitem__, base.lower_covers[order[b]])
+                  if d != c] for b in run]
+        ds = [c, *(d for need in needs for d, _ in need)]
+        lo, hi = min(ds), max(ds) + 1
+        grow = _Growth()  # reads digit d of a key as key // (R_d // R_lo) % (len_d + 1)
+        grow.unit, grow.radix, grow.run = radix[c] // radix[lo], len(run) + 1, run
+        grow.needs = [[(radix[d] // radix[lo], len(runs[d]) + 1, h) for d, h in need]
+                      for need in needs]
+        probes.append((grow, radix[lo], radix[hi] // radix[lo], radix[c]))
     beta = [base.color_of[v] is BETA for v in order]
     if max_ideals < 1:
         raise TooManyIdeals(f"more than {max_ideals} order ideals")
@@ -289,29 +306,26 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
     room = max_ideals - 1  # elements the blocks above may still add
     while block:
         sizes.append(len(block))
-        # the next block's k masks, each to its rank in the order first
+        # the next block's k codes, each to its rank in the order first
         # reached, and per cover that rank; per rank, the first i to reach
         # it, which is its least lower cover as i ascends, and the bit it
-        # adds.  Refused as soon as a new mask would overflow room
+        # adds.  Refused as soon as a new code would overflow room
         reached, ranks, by_first, by_bit, k = {}, array("I"), [], [], 0
         add_rank, add_first, add_bit = ranks.append, by_first.append, by_bit.append
-        for i, mask in enumerate(block, start):
-            missing = ~mask
-            for run in runs:
-                free = run & missing
-                if free:
-                    b = free.bit_length() - 1
-                    if not lower[b] & missing:  # its lower covers are in mask
-                        r = reached.setdefault(mask | 1 << b, k)
-                        if r == k:  # a new mask: k is len(reached) before it
-                            if k == room:
-                                raise TooManyIdeals(f"more than {max_ideals} order ideals")
-                            k += 1
-                            add_first(i)
-                            add_bit(b)
-                        add_low(i)
-                        add_rank(r)
-                        add_col(beta[b])
+        for i, code in enumerate(block, start):
+            for grow, r_lo, span, r_c in probes:
+                b = grow[code // r_lo % span]
+                if b is not None:  # the run grows by the vertex at bit b
+                    r = reached.setdefault(code + r_c, k)
+                    if r == k:  # a new code: k is len(reached) before it
+                        if k == room:
+                            raise TooManyIdeals(f"more than {max_ideals} order ideals")
+                        k += 1
+                        add_first(i)
+                        add_bit(b)
+                    add_low(i)
+                    add_rank(r)
+                    add_col(beta[b])
         start += len(block)
         room -= k
         block = sorted(reached)

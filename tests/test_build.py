@@ -218,6 +218,21 @@ class TestPieceLattices:
                     assert sub.first_lower[0] is fund.first_lower[0]
                     assert sub.covers is fund.covers
 
+    def test_share_the_fundamental_statistics(self):
+        # relabelling keeps element indices, so each piece reads its
+        # fundamental lattice's weights and bounds, equal to its own walk's
+        for algebra in Algebra:
+            for order in ("beta_alpha", "alpha_beta"):
+                dec = semistandard_poset(algebra, order, (2, 2)).decomposition
+                for sub, label in zip(dec.lattices, dec.labels):
+                    kind = "alpha_fund" if label.endswith("(1,0)") else "beta_fund"
+                    fund = fundamental_lattice(algebra, kind)
+                    walked = order_ideals(sub.poset)
+                    assert sub.weights is fund.weights and sub.weights == walked.weights
+                    assert sub._component_bounds is fund._component_bounds
+                    for color in (ALPHA, BETA):
+                        assert sub.rank_stats(color) == walked.rank_stats(color)
+
     def test_a_wrong_id_offset_is_caught(self):
         dec = semistandard_poset(Algebra.G2, "beta_alpha", (1, 2)).decomposition
         assert_piece_lattices_walked(dec, "as built")

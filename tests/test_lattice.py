@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (brute_force_ideals, diamond_coloring_check, element_vertices,
                       random_colored_poset)
+from test_grid import random_valid_grids
 from ranktwo.algebras import ALPHA, BETA, Algebra, cartan_matrix
 from ranktwo.build import fundamental_poset, semistandard_poset
 from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
@@ -302,6 +303,105 @@ class TestOneWalkMatchesScanAndBlockWalk:
     def test_random_grids(self, rng):
         for p in _random_grids(rng):
             assert_walk_matches_scan(p)
+
+
+def reference_order_ideals(p):
+    """rank_sizes, first, added and the cover columns lower, upper and beta
+    by a walk on masks: vertex_order splits into runs in which each vertex
+    is a lower cover of the one before, and each element is probed once per
+    run, at its highest missing bit, which it gains iff that vertex's lower
+    covers are in it; each size block is the sorted set of masks reached."""
+    p = getattr(p, "grid", p)
+    base = getattr(p, "base", p)
+    order = total_order(p) if isinstance(p, GridPoset) else base.linear_extension
+    bit = {v: 1 << b for b, v in enumerate(order)}
+    runs = []
+    for b, v in enumerate(order):
+        if b and v in base.lower_covers[order[b - 1]]:
+            runs[-1] |= bit[v]
+        else:
+            runs.append(bit[v])
+    lower = [sum(bit[u] for u in base.lower_covers[v]) for v in order]
+    sizes, first, added, low, up, beta = [], [-1], [-1], [], [], []
+    block, start = [0], 0
+    while block:
+        sizes.append(len(block))
+        reached = {}  # per mask reached, its first lower cover and added bit
+        covers = []
+        for i, mask in enumerate(block, start):
+            for run in runs:
+                free = run & ~mask
+                if free:
+                    b = free.bit_length() - 1
+                    if lower[b] & mask == lower[b]:
+                        reached.setdefault(mask | 1 << b, (i, b))
+                        covers.append((i, mask | 1 << b, b))
+        start += len(block)
+        block = sorted(reached)
+        index = dict(zip(block, range(start, start + len(block))))
+        for mask in block:
+            first.append(reached[mask][0])
+            added.append(reached[mask][1])
+        for i, mask, b in covers:
+            low.append(i)
+            up.append(index[mask])
+            beta.append(int(base.color_of[order[b]] is BETA))
+    return tuple(sizes), first, added, low, up, beta
+
+
+def assert_walk_matches_mask_walk(p):
+    lat = order_ideals(p)
+    cov = lat.covers
+    assert (lat.rank_sizes, *map(list, lat.first_lower),
+            *map(list, (cov.lower, cov.upper, cov.beta))) == reference_order_ideals(p)
+
+
+def stripped(p):
+    """p without its chains: the vertex-colored poset, in a linear extension."""
+    return getattr(getattr(p, "grid", p), "base", p)
+
+
+class TestCodeWalkMatchesMaskWalk:
+    """The walk on run-height codes gives the mask walk's sizes, first lower
+    covers and cover columns, on grids and on their posets without chains,
+    whose vertex order is a linear extension with runs going up."""
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_built_lattices(self, algebra):
+        for order in ("beta_alpha", "alpha_beta"):
+            for lam in itertools.product(range(4), repeat=2):
+                p = semistandard_poset(algebra, order, lam)
+                assert_walk_matches_mask_walk(p)
+                assert_walk_matches_mask_walk(stripped(p))
+
+    @pytest.mark.parametrize("a", [4, 5, 6])
+    def test_g2_large(self, a):
+        for order in ("beta_alpha", "alpha_beta"):
+            p = semistandard_poset(Algebra.G2, order, (a, a))
+            assert_walk_matches_mask_walk(p)
+            assert_walk_matches_mask_walk(stripped(p))
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures(self, name):
+        p = load_fixture(name)
+        assert_walk_matches_mask_walk(p)
+        assert_walk_matches_mask_walk(stripped(p))
+
+    def test_random_valid_grids(self, rng):
+        for p in random_valid_grids(rng, 300):
+            assert_walk_matches_mask_walk(p)
+            assert_walk_matches_mask_walk(stripped(p))
+
+    def test_antichain_and_chains_both_ways(self):
+        antichain = VertexColoredPoset.build({v: ALPHA for v in range(9)}, ())
+        colors = {v: (ALPHA, BETA)[v % 2] for v in range(9)}
+        covers = [(v, v + 1) for v in range(8)]
+        up = VertexColoredPoset.build(colors, covers)  # bottom first
+        down = GridPoset.build(colors, covers, dict.fromkeys(range(9), 1))  # top first
+        assert up.linear_extension == tuple(range(9))
+        assert total_order(down) == tuple(range(8, -1, -1))
+        for p in antichain, up, down:
+            assert_walk_matches_mask_walk(p)
 
 
 def _random_grids(rng):
@@ -608,15 +708,30 @@ class TestWeights:
             assert lat.weights[lat.top] == lam
             assert lat.weights[0] == lowest_weight(algebra, lam)
 
-    def test_component_bounds_are_4_byte_columns(self):
-        lat = order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", (2, 1)))
-        lat.weights
-        for lo, hi in lat._component_bounds:
-            assert all(type(c) is array and c.typecode == "I" and c.itemsize == 4
-                       and len(c) == len(lat) for c in (lo, hi))
-        for color in (ALPHA, BETA):
-            rho, length = lat.rank_stats(color)
-            assert type(rho) is list and type(length) is list
+    def test_component_bounds_column_widths(self):
+        # a bound is a size, at most n: a byte an entry below 256 vertices,
+        # 4 bytes from 256 on, where a byte would wrap
+        chain = VertexColoredPoset.build({v: (ALPHA, BETA)[v // 200] for v in range(300)},
+                                         [(v, v + 1) for v in range(299)])
+        cases = [(order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", (2, 1))), "B"),
+                 (order_ideals(chain), "I")]
+        for lat, typecode in cases:
+            lat.weights
+            for lo, hi in lat._component_bounds:
+                assert all(type(c) is (bytearray if typecode == "B" else array)
+                           and memoryview(c).format == typecode and len(c) == len(lat)
+                           for c in (lo, hi))
+            for color in (ALPHA, BETA):
+                rho, length = lat.rank_stats(color)
+                assert type(rho) is list and type(length) is list
+        # the 100 beta vertices sit above the 200 alpha ones: elements 0..200
+        # form one alpha component and 200..300 one beta component
+        (alo, ahi), (blo, bhi) = lat._component_bounds
+        assert list(alo) == [0] * 201 + list(range(201, 301))
+        assert list(ahi) == [200] * 201 + list(range(201, 301))
+        assert list(blo) == list(range(200)) + [200] * 101
+        assert list(bhi) == list(range(200)) + [300] * 101
+        assert lat.weights[lat.top] == (0, 100) and lat.weights[0] == (-200, 0)
 
     def test_rank_stats_consistency(self):
         lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (1, 1)))
