@@ -32,7 +32,7 @@ covers, one `|` per element, and a lattice file's element rows grow the
 same way.  `elements`, the masks themselves, is that carry with every bit
 kept, made on first use by the readers that need masks: `grid.decompose`,
 `projection_columns`, duality and the tableau suite.  A cover adds one
-vertex and takes its color, so `carries_covers`, the one isomorphism
+vertex and takes its color, so `carries_covers`, duality's isomorphism
 check, reads a map onto the elements by its covers' mask steps.
 """
 

@@ -229,7 +229,10 @@ def dumps(obj: dict[str, Any]) -> str:
 
 def read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def parse(text: str, path: str) -> Any:
@@ -237,6 +240,8 @@ def parse(text: str, path: str) -> Any:
         return json.loads(text)
     except RecursionError:  # a malformed file, like any other
         raise ValueError(f"{path}: JSON nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load(path: str) -> Any:

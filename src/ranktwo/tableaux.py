@@ -30,7 +30,9 @@ A TableauLattice holds the sorted codes and its covers as `lattice.Covers`
 columns in (i, j) order.  Lowering column i's id from old to new lowers the
 code by (old - new) * R**(n-1-i), so the upper element is one lookup of an
 integer.  The generic EdgeColoredPoset, whose validation keeps one reach
-mask per tableau, is built only on demand, through `edge_poset`.
+mask per tableau, is built only on demand, through `edge_poset`.  The
+tableau lattice is built for the one-column dictionaries below and as an
+oracle; the bijection is checked without it.
 
 The bijection reads a beta-alpha lattice through its builder pieces, one per
 column, as whole-lattice columns.  `tableau_of_ideal` reads each piece's
@@ -38,7 +40,11 @@ column of `lattice.projection_columns` through its id table and gives
 every element's code: the one projection, whose other readers are
 additivity's `weight_via_decomposition` and `piece_rank_stats`.
 `ideal_of_tableau` ORs the codes' piece masks, position by position, into
-each code's ideal mask; no vertex set is built.
+each code's ideal mask; no vertex set is built.  `carries_tableau_covers`
+checks that the codes take the lattice's own covers onto the tableau
+lattice's, by the digit arithmetic of each cover's code difference, and
+`tableau_cover_count` counts the tableau lattice's covers by transfer
+matrices over the pair matrix, so neither lists them.
 """
 
 from __future__ import annotations
@@ -250,14 +256,19 @@ def is_semistandard(algebra: Algebra, lam: Weight, t: Tableau) -> bool:
 # --- codes ---------------------------------------------------------------------
 
 
-def _sequences(lengths: Sequence[int], lam: Weight, pair: Sequence[bytes]) -> list[int]:
-    """Every sequence of ids of shape lam, each consecutive pair admissible
-    by `pair`, as sorted codes.  lengths[x] is id x's column length (rows
-    for a block); the ids ascend at each position and each sequence extends
-    in order, so the codes come out sorted."""
+def _position_ids(lengths: Sequence[int], lam: Weight) -> list[list[int]]:
+    """Per position of shape lam, first to last, the ids that may stand
+    there, ascending: lengths[x] is id x's column length (rows for a block)."""
     a, b = nonnegative_weight(lam)
     of_length = {n: [x for x, m in enumerate(lengths) if m == n] for n in (1, 2)}
-    options = [of_length[2]] * b + [of_length[1]] * a
+    return [of_length[2]] * b + [of_length[1]] * a
+
+
+def _sequences(lengths: Sequence[int], lam: Weight, pair: Sequence[bytes]) -> list[int]:
+    """Every sequence of ids of shape lam, each consecutive pair admissible
+    by `pair`, as sorted codes.  The ids ascend at each position and each
+    sequence extends in order, so the codes come out sorted."""
+    options = _position_ids(lengths, lam)
     if not options:
         return [0]
     radix = len(pair)
@@ -324,11 +335,6 @@ class TableauLattice:
     def __len__(self) -> int:
         return len(self.codes)
 
-    @property
-    def tableaux(self) -> list[Tableau]:
-        """The tableaux, decoded on each access."""
-        return tableaux_of(self.algebra, self.weight, self.codes)
-
     @cached_property
     def edge_poset(self) -> EdgeColoredPoset:
         """The covers as a validated generic poset, built on demand."""
@@ -373,6 +379,75 @@ def tableau_lattice(algebra: Algebra, lam: Weight) -> TableauLattice:
                     up.append(index[code - step * place])
                     beta.append(b)
     return TableauLattice(algebra, lam, codes, Covers(low, up, bytes(beta)))
+
+
+# --- the tableau lattice's covers, neither built nor listed ------------------
+
+
+def _prefix_counts(options: Sequence[Sequence[int]],
+                   pair: Sequence[bytes]) -> list[dict[int, int]]:
+    """Per position, each id that may stand there -> the number of id
+    sequences over the positions up to it, each consecutive pair admissible
+    by `pair`, that end in that id."""
+    rows = [dict.fromkeys(options[0], 1)] if options else []
+    for ids in options[1:]:
+        rows.append({x: sum(c for y, c in rows[-1].items() if pair[y][x]) for x in ids})
+    return rows
+
+
+def tableau_cover_count(algebra: Algebra, lam: Weight) -> int:
+    """The number of covers of `tableau_lattice(algebra, lam)`, counted by
+    transfer matrices (Stanley, EC1 4.7).  F[k][x] counts the admissible
+    prefixes ending in id x at position k, B[k][x] the admissible suffixes
+    starting there.  A cover lowers column k's id from old to new, each
+    admissible between the same neighbours l and r, so the covers at k
+    number, summed over the decrements old -> new,
+    (sum_l F[k-1][l] pair[l][old] pair[l][new]) *
+    (sum_r pair[old][r] pair[new][r] B[k+1][r]), a sum being 1 past an end."""
+    table = column_table(algebra)
+    pair = table.pair
+    options = _position_ids(list(map(len, table.columns)), lam)
+    transposed = [bytes(row[x] for row in pair) for x in range(table.radix)]
+    forward = [{}] + _prefix_counts(options, pair)
+    backward = _prefix_counts(options[::-1], transposed)[::-1] + [{}]
+
+    def ways(counts, link, old, new):
+        return sum(c for y, c in counts.items() if link[old][y] and link[new][y]) if counts else 1
+
+    return sum(ways(forward[k], transposed, old, new) * ways(backward[k + 1], pair, old, new)
+               for k, ids in enumerate(options) for old in ids for new, _ in table.lowered[old])
+
+
+def carries_tableau_covers(algebra: Algebra, lam: Weight, codes: Sequence[int],
+                           covers: Covers) -> bool:
+    """Whether sending element k of a lattice to the tableau code codes[k]
+    takes its covers (i, j, b), each once and with its color, onto the
+    covers of `tableau_lattice(algebra, lam)`, which is not built.  With the
+    codes the admissible ones, each once, that map is then an edge-colored
+    isomorphism onto the tableau lattice.
+
+    The covers strictly ascend in (i, j), so none repeats.  Each difference
+    codes[i] - codes[j] is d * R**(n-1-k) for one position k and 1 <= d < R,
+    and column k's id old in codes[i] has the decrement to old - d, of color
+    b, in `column_table(algebra).lowered`; old >= d, so nothing borrows and
+    the other columns agree.  There are as many covers as
+    `tableau_cover_count` gives."""
+    table = column_table(algebra)
+    radix = table.radix
+    # 2 * difference + beta -> (the difference's place, the ids it lowers)
+    steps: dict[int, tuple[int, set[int]]] = {}
+    for place in (radix ** k for k in range(lam[0] + lam[1])):
+        for old, lowered in enumerate(table.lowered):
+            for new, beta in lowered:
+                steps.setdefault(2 * (old - new) * place + beta, (place, set()))[1].add(old)
+    size, last = len(codes), -1
+    for i, j, b in zip(covers.lower, covers.upper, covers.beta):
+        key = i * size + j
+        step = steps.get(2 * (codes[i] - codes[j]) + b)
+        if key <= last or step is None or codes[i] // step[0] % radix not in step[1]:
+            return False
+        last = key
+    return len(covers) == tableau_cover_count(algebra, lam)
 
 
 # --- per-column dictionary between fundamental ideals and column ids ---------

@@ -163,23 +163,21 @@ class Verifier:
         return True
 
     def _tableau_case(self, algebra, lam) -> bool:
-        from .tableaux import (column_sums, column_table, enumerate_littelmann,
-                               ideal_of_tableau, tableau_lattice, tableau_of_ideal)
+        from .tableaux import (carries_tableau_covers, column_sums, column_table,
+                               enumerate_littelmann, enumerate_tableaux,
+                               ideal_of_tableau, tableau_of_ideal)
 
         lat = self.lattice(algebra, "beta_alpha", lam)
         codes = tableau_of_ideal(lat)
-        # the codes, sorted, are tl's (an inadmissible one is not), each
-        # code's ideal is its element's, and these masks carry tl's covers
-        # with their colors onto lat's: an edge-colored isomorphism
-        tl = tableau_lattice(algebra, lam)
-        order = sorted(range(len(codes)), key=codes.__getitem__)
-        if list(map(codes.__getitem__, order)) != tl.codes:
+        # the codes, sorted, are the admissible ones (first: ideal_of_tableau
+        # raises on an inadmissible one), each code's ideal is its element's,
+        # and the covers go onto the tableau lattice's with their colors, each
+        # once: an edge-colored isomorphism, with no tableau lattice built
+        if sorted(codes) != enumerate_tableaux(algebra, lam):
             return False
-        masks = ideal_of_tableau(lat, tl.codes)
-        if masks != list(map(lat.elements.__getitem__, order)):
+        if ideal_of_tableau(lat, codes) != list(lat.elements):
             return False
-        cov = tl.covers
-        if not lat.carries_covers(masks, cov.lower, cov.upper, cov.beta):
+        if not carries_tableau_covers(algebra, lam, codes, lat.covers):
             return False
         weights, numerators, blocks = column_sums(algebra, lam, codes)
         scale = column_table(algebra).block_length.__mul__

@@ -81,3 +81,49 @@ def rng():
     import random
 
     return random.Random(20070428)
+
+
+# --- the tableau case's covers, changed where only that case reads them -------
+
+
+def beta_flipped(lower, upper, beta):
+    """The first cover's color flipped."""
+    beta[:1] = bytes(b ^ 1 for b in beta[:1])
+    return lower, upper, beta
+
+
+def cover_dropped(lower, upper, beta):
+    """The first cover dropped."""
+    return lower[1:], upper[1:], beta[1:]
+
+
+def cover_copied(lower, upper, beta):
+    """The second cover replaced by a copy of the first: each cover is
+    still a tableau cover, and there are as many as before."""
+    if len(lower) > 1:
+        for column in (lower, upper, beta):
+            column[1] = column[0]
+    return lower, upper, beta
+
+
+def tamper_tableau_case_covers(monkeypatch, change, weight=None):
+    """Make the verifier's tableau case read its beta-alpha lattice's covers
+    as change(lower, upper, beta) gives them from two lists and a bytearray,
+    at every weight or at `weight` only.  The lattice keeps its own covers,
+    so no other criterion, and no later reader, sees the change."""
+    from ranktwo import verify
+    from ranktwo.lattice import Covers
+
+    tableau_case = verify.Verifier._tableau_case
+
+    def tampered(self, algebra, lam):
+        if weight is not None and lam != weight:
+            return tableau_case(self, algebra, lam)
+        lat = self.lattice(algebra, "beta_alpha", lam)
+        cov = lat.covers  # a cached_property: the value sits in the instance dict
+        lower, upper, beta = change(list(cov.lower), list(cov.upper), bytearray(cov.beta))
+        with pytest.MonkeyPatch.context() as m:
+            m.setitem(vars(lat), "covers", Covers(lower, upper, bytes(beta)))
+            return tableau_case(self, algebra, lam)
+
+    monkeypatch.setattr(verify.Verifier, "_tableau_case", tampered)

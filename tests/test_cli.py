@@ -423,6 +423,24 @@ def test_deeply_nested_file_is_a_usage_error(tmp_path, capsys, argv):
     assert not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--in", "{bad}", "--out", "{out}"],
+    ["character", "--in", "{bad}", "--verify"],
+    ["export", "--in", "{bad}", "--format", "text"],
+    ["verify", "--structure", "{bad}"],
+], ids=["enumerate", "character", "export", "verify-structure"])
+@pytest.mark.parametrize("content", [b"not json", b"", b"\xff\xfe{}"],
+                         ids=["not-json", "empty", "not-utf8"])
+def test_unreadable_file_error_names_the_file(tmp_path, capsys, argv, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = [a.format(bad=bad, out=tmp_path / "out.json") for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: "), err
+    assert not (tmp_path / "out.json").exists()
+
+
 class TestCanonicalLatticeFiles:
     """A lattice file is read by comparing its bytes with the canonical text
     of its poset's lattice; only a file that differs is parsed whole."""

@@ -6,6 +6,7 @@ from types import MappingProxyType
 import pytest
 
 import goldens
+from conftest import beta_flipped, cover_copied, cover_dropped, tamper_tableau_case_covers
 from ranktwo.algebras import ALPHA, BETA, Algebra
 from ranktwo.build import fundamental_poset, semistandard_poset
 from ranktwo.fixtures import load_fixture
@@ -13,14 +14,15 @@ from ranktwo.grid import GridPoset
 from ranktwo.lattice import Covers, order_ideals
 from ranktwo.poset import EdgeColoredPoset, edge_color_isomorphism
 from ranktwo.tableaux import (ALPHABET_SIZE, EDGE_COLOR_OF_VALUE, ShapeError,
-                              TableauLattice, _column_admissible, _column_maps,
+                              _column_admissible, _column_maps,
                               _pair_admissible, _require_simple, _row_compatible,
                               _tables, _windows, admissible_blocks,
                               allowed_columns, check_shape, column_sums,
                               column_table, enumerate_littelmann,
                               enumerate_tableaux, ideal_of_tableau,
                               is_semistandard, littelmann_of, littelmann_text,
-                              tableau_lattice, tableau_of_ideal, tableau_text,
+                              tableau_cover_count, tableau_lattice,
+                              tableau_of_ideal, tableau_text,
                               tableaux_of, _BLOCK_ENTRY_WEIGHT, _BLOCK_LENGTH,
                               _BLOCKS_DOUBLE, _BLOCKS_SINGLE, _ENTRY_WEIGHT)
 from ranktwo.verify import Verifier
@@ -532,7 +534,7 @@ class TestTableauLattice:
         tl = tableau_lattice(Algebra.A2, (1, 0))
         # three elements [3] -> [2] -> [1], colored beta then alpha
         covers = sorted(tl.covers)
-        tabs = tl.tableaux
+        tabs = tableaux_of(tl.algebra, tl.weight, tl.codes)
         by_pair = {(tabs[i], tabs[j]): c for i, j, c in covers}
         assert by_pair == {
             (((3,),), ((2,),)): BETA,
@@ -587,7 +589,7 @@ def reference_tableau_lattice(algebra, lam):
 def test_tableau_lattice_matches_reference(algebra, lam):
     tl = tableau_lattice(algebra, lam)
     tabs, covers = reference_tableau_lattice(algebra, lam)
-    assert tl.tableaux == list(tabs)
+    assert tableaux_of(tl.algebra, tl.weight, tl.codes) == list(tabs)
     assert tl.codes == enumerate_tableaux(algebra, lam)
     assert list(tl.covers) == sorted(covers, key=lambda c: c[:2])  # in (i, j) order
 
@@ -633,36 +635,17 @@ def test_window_decrements_match_full_check(algebra):
 
 
 class TestBijectionCheckCatchesTampering:
-    """The tableau suite proves the lattice equivalence by the bijection itself;
-    a tableau lattice with one cover recolored or dropped must fail it, and
-    one rebuilt with its own covers must pass.  Only weight (1,1) is
-    tampered with: the one-column lattices also define the column
-    dictionaries behind tableau_of_ideal."""
+    """The tableau suite proves the lattice equivalence on the lattice's own
+    covers: with the (1,1) beta-alpha lattice's covers, as the tableau case
+    reads them, one recolored or one dropped must fail it, and rebuilt from
+    their own columns must pass."""
 
-    @staticmethod
-    def tampered(change):
-        def build(algebra, lam):
-            tl = tableau_lattice(algebra, lam)
-            if lam != (1, 1):
-                return tl
-            cov = tl.covers
-            lower, upper, beta = change(list(cov.lower), list(cov.upper), bytearray(cov.beta))
-            return TableauLattice(tl.algebra, tl.weight, tl.codes,
-                                  Covers(lower, upper, bytes(beta)))
-        return build
+    recolor = staticmethod(beta_flipped)
+    drop = staticmethod(cover_dropped)
 
     @staticmethod
     def keep(lower, upper, beta):
         return lower, upper, beta
-
-    @staticmethod
-    def recolor(lower, upper, beta):
-        beta[0] ^= 1
-        return lower, upper, beta
-
-    @staticmethod
-    def drop(lower, upper, beta):
-        return lower[1:], upper[1:], beta[1:]
 
     @staticmethod
     def suite_status():
@@ -674,13 +657,90 @@ class TestBijectionCheckCatchesTampering:
 
     @pytest.mark.parametrize("change", ["recolor", "drop"])
     def test_tampered_fails(self, monkeypatch, change):
-        monkeypatch.setattr("ranktwo.tableaux.tableau_lattice",
-                            self.tampered(getattr(self, change)))
+        tamper_tableau_case_covers(monkeypatch, getattr(self, change), (1, 1))
         assert self.suite_status() == "FAIL"
 
     def test_rebuilt_untampered_passes(self, monkeypatch):
-        monkeypatch.setattr("ranktwo.tableaux.tableau_lattice", self.tampered(self.keep))
+        tamper_tableau_case_covers(monkeypatch, self.keep, (1, 1))
         assert self.suite_status() == "PASS"
+
+
+def reference_tableau_case(lat, codes, covers, tl, extra=0):
+    """The tableau case as it was, kept as the reference: the tableau
+    lattice tl is built, mapped back through ideal_of_tableau, and its
+    covers carried onto the lattice's elements by carries_covers; the
+    lattice's covers, as the case reads them, must then be exactly their
+    image, in (i, j) order, and as many as tl's cover count, read `extra`
+    too high."""
+    order = sorted(range(len(codes)), key=codes.__getitem__)
+    if [codes[k] for k in order] != tl.codes:
+        return False
+    masks = ideal_of_tableau(lat, tl.codes)
+    if masks != [lat.elements[k] for k in order]:
+        return False
+    cov = tl.covers
+    if not lat.carries_covers(masks, cov.lower, cov.upper, cov.beta):
+        return False
+    image = sorted((order[i], order[j], b) for i, j, b in zip(cov.lower, cov.upper, cov.beta))
+    return image == list(zip(covers.lower, covers.upper, covers.beta)) \
+        and len(covers) == len(cov) + extra
+
+
+def _codes_swapped(codes):
+    codes[:2] = codes[1::-1]
+    return codes
+
+
+def _unchanged(*columns):
+    return columns
+
+
+# name: (the change to the lattice's covers, to its codes, and how far the
+# tableau lattice's cover count reads too high), each applied where the case
+# and the reference read them
+TABLEAU_CASE_MUTATIONS = {
+    "untampered": (_unchanged, list, 0),
+    "beta-flipped": (beta_flipped, list, 0),
+    "cover-dropped": (cover_dropped, list, 0),
+    "cover-copied": (cover_copied, list, 0),
+    "codes-swapped": (_unchanged, _codes_swapped, 0),
+    "count-off-by-one": (_unchanged, list, 1),
+}
+
+
+@pytest.mark.parametrize("algebra,lam", CASES)
+def test_tableau_case_matches_reference(algebra, lam):
+    """The case, which builds no tableau lattice, decides as the reference
+    does, untampered and under each mutation; on the one-element lattice
+    only the count mutation changes anything."""
+    verifier = Verifier()
+    lat = verifier.lattice(algebra, "beta_alpha", lam)
+    tl, codes, cov = tableau_lattice(algebra, lam), tableau_of_ideal(lat), lat.covers
+    for name, (change, recode, extra) in TABLEAU_CASE_MUTATIONS.items():
+        with pytest.MonkeyPatch.context() as m:
+            tamper_tableau_case_covers(m, change)
+            m.setattr("ranktwo.tableaux.tableau_of_ideal",
+                      lambda lattice: recode(tableau_of_ideal(lattice)))
+            m.setattr("ranktwo.tableaux.tableau_cover_count",
+                      lambda algebra, lam: tableau_cover_count(algebra, lam) + extra)
+            case = verifier._tableau_case(algebra, lam)
+        covers = Covers(*change(list(cov.lower), list(cov.upper), bytearray(cov.beta)))
+        reference = reference_tableau_case(lat, recode(list(codes)), covers, tl, extra)
+        assert case is reference is (name == "untampered" or (len(lat) == 1 and not extra)), name
+
+
+COUNTED = [(g, (a, b)) for g in SIMPLE for a in range(5) for b in range(5)] + [
+    (Algebra.G2, (5, 5)), (Algebra.G2, (6, 6))]
+
+
+@pytest.mark.parametrize("algebra,lam", COUNTED,
+                         ids=[f"{g.value}-{a},{b}" for g, (a, b) in COUNTED])
+def test_tableau_cover_count(algebra, lam):
+    assert tableau_cover_count(algebra, lam) == len(tableau_lattice(algebra, lam).covers)
+
+
+def test_g2_66_cover_count():
+    assert tableau_cover_count(Algebra.G2, (6, 6)) == 522_543
 
 
 def reference_enumerate_littelmann(algebra, lam):

@@ -11,7 +11,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import element_vertices
+from conftest import (beta_flipped, cover_copied, cover_dropped, element_vertices,
+                      tamper_tableau_case_covers)
 import ranktwo.tableaux
 from ranktwo import verify
 from ranktwo.algebras import ALPHA, BETA, Algebra, sigma0
@@ -143,6 +144,27 @@ def one_element_code_inadmissible(codes, lattice):
     codes[-1] = ranktwo.tableaux.column_table(lattice.built.algebra).radix ** (a + b)
 
 
+def tableau_case_covers(change, name):
+    """The fault: the tableau case reads its lattice's covers changed."""
+    def fault(m):
+        tamper_tableau_case_covers(m, change)
+    fault.__name__ = name
+    return fault
+
+
+one_cover_beta_flipped = tableau_case_covers(beta_flipped, "one_cover_beta_flipped")
+one_cover_dropped = tableau_case_covers(cover_dropped, "one_cover_dropped")
+# caught only by the covers' strictly ascending (i, j)
+one_cover_a_copy_of_the_one_before = tableau_case_covers(
+    cover_copied, "one_cover_a_copy_of_the_one_before")
+
+
+def tableau_cover_count_off_by_one(m):
+    count = ranktwo.tableaux.tableau_cover_count
+    m.setattr(ranktwo.tableaux, "tableau_cover_count",
+              lambda algebra, lam: count(algebra, lam) + 1)
+
+
 def triangle_dual_that_does_not_dualize(m):
     m.setattr(verify, "triangle_dual", lambda p, algebra: p.recolor(sigma0(algebra)))
 
@@ -191,6 +213,10 @@ FAULTS = [
     ("tableau_suite", tampered_block_weight),
     ("tableau_suite", two_elements_tableaux_swapped),
     ("tableau_suite", one_element_code_inadmissible),
+    ("tableau_suite", one_cover_beta_flipped),
+    ("tableau_suite", one_cover_dropped),
+    ("tableau_suite", one_cover_a_copy_of_the_one_before),
+    ("tableau_suite", tableau_cover_count_off_by_one),
     ("duality", triangle_dual_that_does_not_dualize),
     ("duality", dichotomy_claimed_for_a1a1),
     ("duality", sigma0_with_its_colors_swapped),
