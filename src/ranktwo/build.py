@@ -11,7 +11,7 @@ and consecutive segments of one chain are joined by a single cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Literal, Mapping
@@ -88,26 +88,25 @@ class SemistandardPoset:
     weight: Weight
 
     @cached_property
+    def kinds(self) -> tuple[Which, ...]:
+        """The fundamental poset of each piece, in concatenation order."""
+        return tuple(kind for kind, _ in _piece_sequence(self.algebra, self.order, self.weight))
+
+    @cached_property
     def decomposition(self) -> Decomposition:
         """The concatenated pieces, one id range each, labelled with no search.
         Each piece is its fundamental poset with ids shifted by its offset,
         and chain indices by a constant, which keeps `total_order`; so its
-        lattice is the fundamental lattice with the vertex order shifted,
-        sharing its columns, weights and component bounds."""
-        pieces, labels, lattices, pos = [], [], [], 0
-        for kind, _ in _piece_sequence(self.algebra, self.order, self.weight):
-            n = len(_FUNDAMENTALS[(self.algebra, kind)][0])
-            pieces.append(self.grid.restrict(range(pos, pos + n)))
-            labels.append(_label(self.algebra, kind))
+        lattice is the fundamental lattice shifted (`IdealLattice.shifted`)."""
+        pieces, lattices, pos = [], [], 0
+        for kind in self.kinds:
             fund = fundamental_lattice(self.algebra, kind)
-            lattices.append(replace(fund, poset=pieces[-1],
-                                    vertex_order=tuple(v + pos for v in fund.vertex_order)))
-            # relabelling keeps every element index, so the statistics too
-            vars(lattices[-1]).update(weights=fund.weights,
-                                      _component_bounds=fund._component_bounds)
+            n = len(fund.vertex_order)
+            pieces.append(self.grid.restrict(range(pos, pos + n)))
+            lattices.append(fund.shifted(pieces[-1], pos))
             pos += n
-        return Decomposition(tuple(pieces), tuple(labels), total_order(self.grid),
-                             tuple(lattices))
+        return Decomposition(tuple(pieces), tuple(_label(self.algebra, k) for k in self.kinds),
+                             total_order(self.grid), tuple(lattices))
 
 
 def _piece_sequence(algebra: Algebra, order: Order, lam: Weight) -> list[tuple[Which, int]]:

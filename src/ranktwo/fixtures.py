@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import importlib.resources
 
-from .serialize import poset_from_obj
-import json
+from .serialize import parse, poset_from_obj
 
 FIXTURE_NAMES = (
     "chain_product_2x3",
@@ -30,5 +29,4 @@ def load_fixture(name: str):
     if name not in FIXTURE_NAMES:
         raise ValueError(f"unknown fixture {name!r}; have {', '.join(FIXTURE_NAMES)}")
     path = importlib.resources.files("ranktwo.data").joinpath(f"{name}.json")
-    text = path.read_text(encoding="utf-8")
-    return poset_from_obj(json.loads(text))
+    return poset_from_obj(parse(path.read_text(encoding="utf-8"), str(path)))

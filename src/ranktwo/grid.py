@@ -109,52 +109,28 @@ def total_order(p: GridPoset) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _component_intervals(p: GridPoset) -> list[tuple[frozenset[int], int, int]]:
-    """(component, lowest chain, highest chain) per connected component."""
-    chain = p.chain_of
-    out = []
-    for comp in p.base.components:
-        cs = [chain[v] for v in comp]
-        out.append((comp, min(cs), max(cs)))
-    return out
-
-
 def has_max_property(p: GridPoset) -> bool:
     """All maximal elements on the first two chains, with pairwise distinct
     colors, for some valid re-indexing of the chain function.
 
-    Components occupy disjoint chain intervals, so the only freedom beyond
-    the canonical surjective re-indexing is the order of the components.
+    Components occupy disjoint chain intervals, so a re-indexing only orders
+    them.  Two colors allow at most two maxima, and every component has one:
+    so one component must have its maxima within two chains of its lowest,
+    and of two, one must be a single chain, put first, and the other's
+    maximum must sit on its lowest chain.  Three components have three
+    maxima, two of one color.
     """
-    if len(p) == 0:
-        return True
-    maxima = p.base.maximal_elements
-    color = p.base.color_of
-    for u, v in itertools.combinations(maxima, 2):
-        if color[u] is color[v]:
-            return False
-    # Two colors and pairwise-distinct maxima: at most two maximal elements,
-    # and every component has at least one, so at most two components.
-    comps = _component_intervals(p)
-    if len(comps) > 2:
+    maxima, color, chain = p.base.maximal_elements, p.base.color_of, p.chain_of
+    if len({color[v] for v in maxima}) < len(maxima):
         return False
-    chain = p.chain_of
-
-    def local(v: int, comp_lo: int) -> int:
-        return chain[v] - comp_lo + 1
-
-    if len(comps) == 1:
-        comp, lo, _ = comps[0]
-        return all(local(v, lo) <= 2 for v in maxima)
-    for first, second in itertools.permutations(comps):
-        comp1, lo1, hi1 = first
-        comp2, lo2, _ = second
-        width1 = hi1 - lo1 + 1
-        ok = all(local(v, lo1) <= 2 for v in maxima if v in comp1) and all(
-            width1 + local(v, lo2) <= 2 for v in maxima if v in comp2)
-        if ok:
-            return True
-    return False
+    spans = []  # per component: its width and its maxima's reach, above its lowest chain
+    for comp in p.base.components:
+        lo = min(chain[v] for v in comp)
+        spans.append((max(chain[v] for v in comp) - lo,
+                      max(chain[v] for v in maxima if v in comp) - lo))
+    if len(spans) == 2:
+        return min(w for w, _ in spans) == 0 and max(r for _, r in spans) == 0
+    return all(r <= 1 for _, r in spans)  # one component, or none
 
 
 @dataclass(frozen=True)
@@ -165,8 +141,8 @@ class Decomposition:
     process and walks each piece lattice on first use.  The builder's
     decomposition (`SemistandardPoset.decomposition`) names its labels and
     gives its piece lattices: the fundamental lattices, walked once per
-    process and relabelled by each piece's id offset, sharing their
-    read-only columns.
+    process and shifted by each piece's id offset (`IdealLattice.shifted`),
+    sharing their read-only columns.
     """
 
     pieces: tuple[GridPoset, ...]

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, chain, count, islice, repeat
 from operator import add, mul, sub
@@ -250,6 +250,15 @@ class IdealLattice:
     @cached_property
     def top(self) -> int:
         return len(self) - 1
+
+    def shifted(self, poset: GridPoset, offset: int) -> IdealLattice:
+        """The lattice over `poset`, this one's poset with every id moved by
+        `offset` and every chain index by a constant, which keeps the vertex
+        order: so every element index too, and it shares every column, the
+        weights and the component bounds."""
+        out = replace(self, poset=poset, vertex_order=tuple(v + offset for v in self.vertex_order))
+        vars(out).update(weights=self.weights, _component_bounds=self._component_bounds)
+        return out
 
 
 def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,

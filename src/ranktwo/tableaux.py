@@ -6,11 +6,11 @@ Shapes are pairs (a, b): b columns of length two followed by a columns of
 length one.  A column is a tuple of one or two strictly increasing entries.
 
 Admissibility asks only about single columns and adjacent column pairs.
-Per algebra, two frozensets built on first use from the predicates hold the
-admissible columns and the admissible (left, right) pairs, and
-is_semistandard reads a tableau by membership in them; only a tableau of
-the wrong lengths or with a column outside the table goes through
-check_shape, for its ShapeError.
+Per algebra, three frozensets built on first use from the predicates hold
+the admissible columns of length one, those of length two and the
+admissible (left, right) pairs, and is_semistandard reads a tableau by
+membership in them; only a tableau of the wrong lengths or with a column
+outside the table goes through check_shape, for its ShapeError.
 
 Everything else runs on integer codes.  `column_table` numbers each
 algebra's admissible columns in sorted order, and a tableau is the
@@ -477,9 +477,7 @@ def _column_maps(lattice: IdealLattice) -> tuple[SemistandardPoset, list[tuple]]
     if sp is None or sp.order != "beta_alpha":
         raise ValueError("tableaux are defined on beta-alpha semistandard lattices")
     _require_simple(sp.algebra)
-    a, b = sp.weight
-    return sp, ([_piece_column_maps(sp.algebra, "beta_fund")] * b
-                + [_piece_column_maps(sp.algebra, "alpha_fund")] * a)
+    return sp, [_piece_column_maps(sp.algebra, kind) for kind in sp.kinds]
 
 
 def tableau_of_ideal(lattice: IdealLattice) -> list[int]:

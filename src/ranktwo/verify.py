@@ -16,7 +16,7 @@ import time
 from functools import partial
 from typing import Callable
 
-from .algebras import ALPHA, BETA, Algebra, cartan_matrix, sigma0
+from .algebras import ALPHA, BETA, Algebra, cartan_matrix, nonnegative_weight, sigma0
 from .build import fundamental_poset, semistandard_poset
 from .fixtures import load_fixture
 from .grid import decompose, triangle_dual
@@ -55,7 +55,7 @@ def quasi_gaussian_product(m: int) -> QPoly:
 
 class Verifier:
     def __init__(self, bound: tuple[int, int] = (3, 3)):
-        self.bound = bound
+        self.bound = nonnegative_weight(bound)
         self.checks: list[dict] = []
         self._seconds: dict[str, float] = {}  # per criterion, its cases' summed time
         self._case = None  # the (algebra, weight) whose lattices _cache holds

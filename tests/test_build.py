@@ -203,7 +203,7 @@ def assert_piece_lattices_walked(dec, case):
 
 class TestPieceLattices:
     """The builder's piece lattices are its fundamental lattices, walked once
-    per process and relabelled by each piece's id offset."""
+    per process and shifted by each piece's id offset (`IdealLattice.shifted`)."""
 
     @pytest.mark.parametrize("algebra", list(Algebra))
     def test_equal_the_walked_lattices(self, algebra):

@@ -113,6 +113,35 @@ class TestMaxProperty:
         assert validate_grid(p.dual()) == []
 
 
+def reference_max_property(p: GridPoset) -> bool:
+    """The max property by its definition: for some order of the components,
+    the chains re-indexed contiguously in that order, the maximal elements
+    have pairwise distinct colors and sit on chains 1 and 2."""
+    maxima, color, chain = p.base.maximal_elements, p.base.color_of, p.chain_of
+    if len({color[v] for v in maxima}) < len(maxima):
+        return False
+    for comps in itertools.permutations(p.base.components):
+        index, used = {}, 0
+        for comp in comps:
+            old = sorted({chain[v] for v in comp})
+            index.update((v, used + old.index(chain[v]) + 1) for v in comp)
+            used += len(old)
+        if all(index[v] <= 2 for v in maxima):
+            return True
+    return False
+
+
+def test_max_property_matches_its_definition(rng):
+    grids = random_valid_grids(rng, 2000) + BUILT_GRIDS
+    grids += [g.dual() for g in grids] + [grid({}, [], {})]
+    two = {True: 0, False: 0}
+    for g in grids:
+        assert has_max_property(g) == reference_max_property(g), g
+        if len(g.base.components) == 2:
+            two[has_max_property(g)] += 1
+    assert min(two.values()) > 0, two
+
+
 class TestDecompose:
     def test_nonsplitting_fixture(self):
         p = load_fixture("nonsplitting_grid")

@@ -417,6 +417,13 @@ def test_an_empty_selection_is_refused(criteria):
         verify.Verifier((1, 1)).run_all(criteria)
 
 
+@pytest.mark.parametrize("bound", [(-1, -1), (-1, 2), (2, -1)])
+def test_a_negative_bound_is_refused(bound):
+    # a negative coordinate leaves whole criteria with no case, which would pass
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify.Verifier(bound)
+
+
 # --- the dichotomy on posets against the lattice-level search ----------------
 
 
