@@ -28,8 +28,9 @@ columns, and for `tableaux.tableau_of_ideal`.
 The generic `edge_poset` is built only for isomorphism and rank functions.
 
 `carry` takes every mask into another vertex order along the first lower
-covers, one `|` per element, and a lattice file's element rows grow the
-same way.  `elements`, the masks themselves, is that carry with every bit
+covers, one `|` per element; a lattice file's element rows grow the same
+way, and `structure_rows` checks the weights one step per element along
+them.  `elements`, the masks themselves, is that carry with every bit
 kept, made on first use by the readers that need masks: `grid.decompose`,
 `projection_columns`, duality and the tableau suite.  A cover adds one
 vertex and takes its color, so `carries_covers`, duality's isomorphism
@@ -352,7 +353,14 @@ def structure_rows(lattice: IdealLattice) -> list[Weight | None] | None:
     """The weight shift shared by all covers of each color, alpha then beta,
     with None for a color that has no covers (its row is then free); None
     overall when two covers of one color shift the weight differently.
-    Rows are indexed by a cover's beta byte."""
+    Rows are indexed by a cover's beta byte.
+
+    Only one cover per element is read: element j > 0 is its first lower
+    cover plus the vertex at bit added[j].  If each such step shifts the
+    weight by the row of its vertex's color, then by induction up the sizes
+    w(j) is w(bottom) plus that row summed over the vertices of j, so every
+    cover adding v shifts it by v's row; and each step is a cover.  A color
+    with no covers has no vertex, so its row is never read."""
     wa, wb, cov = lattice.weights.alpha, lattice.weights.beta, lattice.covers
     rows: list[Weight | None] = [None, None]
     for b in (0, 1):  # each row from the first cover of its color
@@ -360,10 +368,11 @@ def structure_rows(lattice: IdealLattice) -> list[Weight | None] | None:
         if k >= 0:
             i, j = cov.lower[k], cov.upper[k]
             rows[b] = (wa[j] - wa[i], wb[j] - wb[i])
-    # each row's two shifts; a color with no covers is never looked up
-    ra, rb = ([None if r is None else r[c] for r in rows] for c in (0, 1))
-    for i, j, b in zip(cov.lower, cov.upper, cov.beta):
-        if wa[j] - wa[i] != ra[b] or wb[j] - wb[i] != rb[b]:
+    # per bit of the vertex order, the two shifts of its vertex's color
+    color = lattice.base.color_of
+    ra, rb = ([rows[color[v] is BETA][c] for v in lattice.vertex_order] for c in (0, 1))
+    for x, y, i, b in islice(zip(wa, wb, *lattice.first_lower), 1, None):
+        if x - wa[i] != ra[b] or y - wb[i] != rb[b]:
             return None
     return rows
 

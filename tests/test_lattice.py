@@ -1,6 +1,6 @@
 import itertools
 from array import array
-from dataclasses import fields
+from dataclasses import fields, replace
 import os
 import subprocess
 import sys
@@ -20,6 +20,7 @@ from ranktwo.lattice import (IdealLattice, TooManyIdeals, Weights, check_structu
 from ranktwo.poset import (EdgeColoredPoset, _components, _topological_order,
                            edge_color_isomorphism, find_rank_function, product,
                            vertex_color_isomorphism, VertexColoredPoset)
+from ranktwo.serialize import lattice_from_obj, lattice_to_obj
 from ranktwo.tableaux import TableauLattice, tableau_lattice
 
 
@@ -880,6 +881,108 @@ class TestStructureCondition:
     def test_inferred_for_second_fundamental(self):
         lat = order_ideals(fundamental_poset(Algebra.A2, "beta_fund"))
         assert infer_structure_matrix(lat) == cartan_matrix(Algebra.A2)
+
+
+def reference_structure_rows(lattice):
+    """structure_rows by its definition: the shift of every cover against
+    the first cover of its color."""
+    wa, wb, cov = lattice.weights.alpha, lattice.weights.beta, lattice.covers
+    rows = [None, None]
+    for b in (0, 1):
+        k = cov.beta.find(b)
+        if k >= 0:
+            i, j = cov.lower[k], cov.upper[k]
+            rows[b] = (wa[j] - wa[i], wb[j] - wb[i])
+    for i, j, b in zip(cov.lower, cov.upper, cov.beta):
+        if (wa[j] - wa[i], wb[j] - wb[i]) != rows[b]:
+            return None
+    return rows
+
+
+def with_weights(lat, alpha, beta):
+    """A copy of lat, sharing its columns, whose cached weights are given."""
+    out = replace(lat)
+    vars(out)["weights"] = Weights(alpha, beta)
+    return out
+
+
+class TestStructureRowsMatchReference:
+    """The walk along the first lower covers gives the rows the scan of
+    every cover gives, and both refuse weights changed in any one place."""
+
+    @staticmethod
+    def assert_same(p):
+        lat = order_ideals(p)
+        rows = structure_rows(lat)
+        assert rows == reference_structure_rows(lat), p
+        return rows
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_built_lattices(self, algebra):
+        for order in ("beta_alpha", "alpha_beta"):
+            for lam in itertools.product(range(4), repeat=2):
+                p = semistandard_poset(algebra, order, lam)
+                assert self.assert_same(p) is not None
+                assert self.assert_same(stripped(p)) is not None
+
+    def test_g2_44(self):
+        for order in ("beta_alpha", "alpha_beta"):
+            p = semistandard_poset(Algebra.G2, order, (4, 4))
+            assert self.assert_same(p) == list(cartan_matrix(Algebra.G2))
+            assert self.assert_same(stripped(p)) == list(cartan_matrix(Algebra.G2))
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures(self, name):
+        p = load_fixture(name)
+        for q in p, stripped(p):
+            assert (self.assert_same(q) is None) == (name == "nonsplitting_grid")
+
+    def test_random_valid_grids(self, rng):
+        for p in random_valid_grids(rng, 300):
+            self.assert_same(p)
+            self.assert_same(stripped(p))
+
+    def test_small_lattices(self):
+        for color in ALPHA, BETA:
+            chain = VertexColoredPoset.build({0: color, 1: color, 2: color}, [(0, 1), (1, 2)])
+            assert self.assert_same(chain)[color is ALPHA] is None
+        assert self.assert_same(VertexColoredPoset.build({}, ())) == [None, None]
+
+    def test_lattice_read_back(self):
+        p = semistandard_poset(Algebra.C2, "alpha_beta", (2, 1))
+        lat = lattice_from_obj(lattice_to_obj(order_ideals(p)))
+        assert structure_rows(lat) == reference_structure_rows(lat) == \
+            list(cartan_matrix(Algebra.C2))
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_one_changed_weight_is_refused(self, algebra):
+        for order in ("beta_alpha", "alpha_beta"):
+            lat = order_ideals(semistandard_poset(algebra, order, (2, 2)))
+            w = lat.weights
+            for k in 0, len(lat) // 2, lat.top:
+                for column in "alpha", "beta":
+                    alpha, beta = w.alpha[:], w.beta[:]
+                    (alpha if column == "alpha" else beta)[k] += 1
+                    changed = with_weights(lat, alpha, beta)
+                    assert structure_rows(changed) is None, (order, k, column)
+                    assert reference_structure_rows(changed) is None, (order, k, column)
+
+    @pytest.mark.parametrize("matrix", [((1, 0), (0, 1)), ((2, -3), (-1, 2)),
+                                        ((5, 7), (-2, 0)), ((2, -1), (-3, 3))])
+    def test_weights_of_another_matrix_give_that_matrix(self, matrix):
+        for algebra in Algebra:
+            for order in ("beta_alpha", "alpha_beta"):
+                lat = order_ideals(semistandard_poset(algebra, order, (2, 1)))
+                color = lat.base.color_of
+                (a0, b0), alpha, beta = lat.weights[0], [], []
+                for i in range(len(lat)):
+                    rows = [matrix[color[v] is BETA] for v in element_vertices(lat, i)]
+                    alpha.append(a0 + sum(r[0] for r in rows))
+                    beta.append(b0 + sum(r[1] for r in rows))
+                changed = with_weights(lat, alpha, beta)
+                assert structure_rows(changed) == reference_structure_rows(changed) == \
+                    list(matrix)
+                assert not check_structure(changed, cartan_matrix(algebra))
 
 
 class TestDecompositionStatistics:

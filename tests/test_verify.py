@@ -200,6 +200,12 @@ def wrong_warmup_fixture(m):
         "catalan_p3" if name == "chain_product_2x3" else name))
 
 
+def splitting_fixture_for_the_nonsplitting_one(m):
+    # only the nonsplitting fixture's case: the warm-up loads fixtures too
+    m.setattr(verify, "load_fixture", lambda name: load_fixture(
+        "two_color_example" if name == "nonsplitting_grid" else name))
+
+
 FAULTS = [
     ("counts", wrong_fundamental_poset),
     ("counts", count_slowed_past_one_second),
@@ -207,6 +213,7 @@ FAULTS = [
     ("weyl_character", tampered_character),
     ("weyl_character", tampered_orbit_sum),
     ("structure_condition", wrong_cartan_matrix),
+    ("structure_condition", splitting_fixture_for_the_nonsplitting_one),
     ("additivity", piece_rank_stats_off_by_one),
     ("additivity", decompose_in_reverse_order),
     ("tableau_suite", tampered_tableau_weight),
