@@ -38,9 +38,16 @@ The bijection reads a beta-alpha lattice through its builder pieces, one per
 column, as whole-lattice columns.  `tableau_of_ideal` reads each piece's
 column of `lattice.projection_columns` through its id table and gives
 every element's code: the one projection, whose other readers are
-additivity's `weight_via_decomposition` and `piece_rank_stats`.
-`ideal_of_tableau` ORs the codes' piece masks, position by position, into
-each code's ideal mask; no vertex set is built.  `carries_tableau_covers`
+additivity's `weight_via_decomposition` and `piece_rank_stats`, so a
+caller that holds it passes it on.  `code_ids` reads the codes' ids once,
+one byte column per position, for the two readers that follow.
+`ideal_of_tableau` refuses an inadmissible code by its ids (each of its
+position's column length, each adjacent pair admissible), so no set of
+admissible codes is built, and ORs the codes' piece masks, position by
+position, into each code's ideal mask; no vertex set is built.
+`column_sums` adds the weight, the block numerator and the block code in
+one pass per position, all five fields packed into one exact integer per
+element, so they are read out once at the end.  `carries_tableau_covers`
 checks that the codes take the lattice's own covers onto the tableau
 lattice's, by the digit arithmetic of each cover's code difference, and
 `tableau_cover_count` counts the tableau lattice's covers by transfer
@@ -53,7 +60,7 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add, or_
+from operator import add, and_, floordiv, getitem, mod, or_, rshift, sub
 from typing import Mapping, NamedTuple, Sequence
 
 from .algebras import ALPHA, BETA, Algebra, Color, Weight, nonnegative_weight
@@ -279,10 +286,14 @@ def _sequences(lengths: Sequence[int], lam: Weight, pair: Sequence[bytes]) -> li
     return codes
 
 
-def _id_columns(codes: Sequence[int], n: int, radix: int) -> list[list[int]]:
-    """Per position of n, first to last, each code's id there."""
-    return [[c // place % radix for c in codes]
-            for place in (radix ** (n - 1 - k) for k in range(n))]
+def code_ids(algebra: Algebra, lam: Weight, codes: Sequence[int]) -> list[bytes]:
+    """Per position of shape lam, first to last, each code's column id there,
+    one byte each (R <= 21), peeled off the last position first."""
+    radix, ids = column_table(algebra).radix, []
+    for k in range(lam[0] + lam[1]):
+        codes = list(map(floordiv, codes, itertools.repeat(radix))) if k else codes
+        ids.insert(0, bytes(map(mod, codes, itertools.repeat(radix))))
+    return ids
 
 
 def _decode(by_id: Sequence, lam: Weight, codes: Sequence[int]) -> list[tuple]:
@@ -302,20 +313,28 @@ def tableaux_of(algebra: Algebra, lam: Weight, codes: Sequence[int]) -> list[Tab
     return _decode(column_table(algebra).columns, lam, codes)
 
 
-def column_sums(algebra: Algebra, lam: Weight,
-                codes: Sequence[int]) -> tuple[Weights, Weights, list[int]]:
-    """Per code of shape lam, from its column ids: its tableau's weight and
-    its block tableau's weight numerator, each a sum over the ids and held
-    as two columns, and the block tableau's code."""
-    table = column_table(algebra)
-    per_id = [*zip(*table.weight), *zip(*table.numerator)]
-    sums = [[0] * len(codes) for _ in per_id]
-    blocks = [0] * len(codes)
-    for ids in _id_columns(codes, lam[0] + lam[1], table.radix):
-        sums = [list(map(add, total, map(v.__getitem__, ids))) for total, v in zip(sums, per_id)]
-        blocks = [c * len(table.blocks) + table.block[x] for c, x in zip(blocks, ids)]
-    wa, wb, na, nb = sums
-    return Weights(wa, wb), Weights(na, nb), blocks
+def column_sums(algebra: Algebra, lam: Weight, codes: Sequence[int],
+                ids: Sequence[bytes] | None = None) -> tuple[Weights, Weights, list[int]]:
+    """Per code of shape lam, from its ids (`code_ids`, read here unless
+    given): its tableau's weight, its block tableau's weight numerator, each
+    held as two columns, and the block tableau's code.  All five add in one
+    pass per position, one packed integer per id: each weight coordinate
+    raised by its largest absolute value m, in a field of (2nm).bit_length()
+    bits so n of them never carry, and the block id times its place on top."""
+    table, n = column_table(algebra), lam[0] + lam[1]
+    fields = [*zip(*table.weight), *zip(*table.numerator)]
+    offsets = [max(map(abs, values)) for values in fields]
+    widths = [(2 * n * m).bit_length() for m in offsets]
+    *shifts, top = itertools.accumulate(widths, initial=0)
+    base = [sum((v + m) << s for v, m, s in zip(row, offsets, shifts)) for row in zip(*fields)]
+    totals = [0] * len(codes)
+    for k, column in enumerate(code_ids(algebra, lam, codes) if ids is None else ids):
+        at = [p + (b * len(table.blocks) ** (n - 1 - k) << top) for p, b in zip(base, table.block)]
+        totals = list(map(add, totals, map(at.__getitem__, column)))
+    repeat = itertools.repeat
+    wa, wb, na, nb = (list(map(sub, map(and_, map(rshift, totals, repeat(s)), repeat((1 << w) - 1)),
+                               repeat(n * m))) for s, w, m in zip(shifts, widths, offsets))
+    return Weights(wa, wb), Weights(na, nb), list(map(rshift, totals, repeat(top)))
 
 
 # --- tableau-native lattice ---------------------------------------------------
@@ -370,7 +389,7 @@ def tableau_lattice(algebra: Algebra, lam: Weight) -> TableauLattice:
     down = [[(old - new, beta, columns[new]) for new, beta in lowered]
             for old, lowered in enumerate(table.lowered)]
     low, up, beta = array("I"), array("I"), bytearray()
-    for k, (code, ids) in enumerate(zip(codes, zip(*_id_columns(codes, n, radix)))):
+    for k, (code, ids) in enumerate(zip(codes, zip(*code_ids(algebra, lam, codes)))):
         t = tuple(map(columns.__getitem__, ids))
         for i, lo, hi, shape, place in spans:
             for step, b, new_column in down[ids[i]]:
@@ -454,25 +473,20 @@ def carries_tableau_covers(algebra: Algebra, lam: Weight, codes: Sequence[int],
 
 
 @lru_cache(maxsize=None)
-def _piece_column_maps(algebra: Algebra, which: str) -> tuple[tuple[int, ...], dict[int, int]]:
-    """(column id per fundamental-lattice element, column id -> element)
-    for one piece type.
-
-    The dictionary is the unique edge-colored isomorphism between the
-    fundamental ideal lattice and the one-column tableau lattice.
-    """
-    lam = (1, 0) if which == "alpha_fund" else (0, 1)
+def _piece_column_maps(algebra: Algebra, which: str) -> tuple[int, ...]:
+    """The column id of each fundamental-lattice element of one piece type:
+    the unique edge-colored isomorphism between the fundamental ideal
+    lattice and the one-column tableau lattice."""
     fund = fundamental_lattice(algebra, which)
-    tl = tableau_lattice(algebra, lam)
+    tl = tableau_lattice(algebra, (1, 0) if which == "alpha_fund" else (0, 1))
     iso = edge_color_isomorphism(fund.edge_poset, tl.edge_poset)
     if iso is None:
         raise RuntimeError("fundamental lattice does not match its column lattice")
-    ids = tuple(tl.codes[iso[i]] for i in range(len(fund)))  # one column: code = id
-    return ids, {x: k for k, x in enumerate(ids)}
+    return tuple(tl.codes[iso[i]] for i in range(len(fund)))  # one column: code = id
 
 
-def _column_maps(lattice: IdealLattice) -> tuple[SemistandardPoset, list[tuple]]:
-    """A beta-alpha lattice's built poset and its pieces' column maps, in column order."""
+def _column_maps(lattice: IdealLattice) -> tuple[SemistandardPoset, list[tuple[int, ...]]]:
+    """A beta-alpha lattice's built poset and its pieces' id tables, in column order."""
     sp = lattice.built
     if sp is None or sp.order != "beta_alpha":
         raise ValueError("tableaux are defined on beta-alpha semistandard lattices")
@@ -480,36 +494,94 @@ def _column_maps(lattice: IdealLattice) -> tuple[SemistandardPoset, list[tuple]]
     return sp, [_piece_column_maps(sp.algebra, kind) for kind in sp.kinds]
 
 
-def tableau_of_ideal(lattice: IdealLattice) -> list[int]:
+def tableau_of_ideal(lattice: IdealLattice, projection: list | None = None) -> list[int]:
     """Every element's tableau, as its code: per builder piece, its
     projection column read through the piece's id table and appended as
-    the next digit."""
+    the next digit.  `projection` is the lattice's `projection_columns`
+    along its builder's decomposition, built here unless given."""
     sp, maps = _column_maps(lattice)
-    radix = column_table(sp.algebra).radix
-    codes = [0] * len(lattice)
-    for (_, index), (id_of, _) in zip(projection_columns(lattice, sp.decomposition), maps):
+    radix, codes = column_table(sp.algebra).radix, [0] * len(lattice)
+    if projection is None:
+        projection = projection_columns(lattice, sp.decomposition)
+    for (_, index), id_of in zip(projection, maps):
         codes = [c * radix + id_of[i] for c, i in zip(codes, index)]
     return codes
 
 
-def ideal_of_tableau(lattice: IdealLattice, codes: Sequence[int]) -> list[int]:
+def ideal_of_tableau(lattice: IdealLattice, codes: Sequence[int],
+                     ids: Sequence[bytes] | None = None) -> list[int]:
     """The mask of the order ideal labelled by each admissible tableau's
-    code: per position, the ideal ORs its column id's piece mask."""
+    code: per position, the ideal ORs its column id's piece mask.  `ids`
+    are the codes' `code_ids`, read here unless given; either way a
+    ValueError names the first code that is not an int in 0 <= code < R**n
+    whose ids have their positions' column lengths and admissible pairs."""
     sp, maps = _column_maps(lattice)
-    radix = column_table(sp.algebra).radix
-    admissible = set(enumerate_tableaux(sp.algebra, sp.weight))
-    if not admissible.issuperset(codes):
-        bad = next(c for c in codes if c not in admissible)
-        name = (f"tableau {tableau_text(tableaux_of(sp.algebra, sp.weight, [bad])[0])}"
-                if isinstance(bad, int) and 0 <= bad < radix ** len(maps) else f"code {bad!r}")
-        raise ValueError(f"{name} is not admissible for this shape")
+    table, lam, n = column_table(sp.algebra), sp.weight, len(maps)
+    in_range = {int}.issuperset(map(type, codes)) and (
+        not codes or min(codes) >= 0 and max(codes) < table.radix ** n)
+    if in_range and ids is None:
+        ids = code_ids(sp.algebra, lam, codes)
+    options = _position_ids(list(map(len, table.columns)), lam)
+    if not (in_range and _admissible_ids(sp.algebra, options, ids)):
+        raise ValueError(_refusal(sp.algebra, lam, codes, options))
     masks = [0] * len(codes)
-    for ids, (_, _, piece_masks), (_, element_of) in zip(
-            _id_columns(codes, len(maps), radix),
-            sp.decomposition.projections, maps):
-        mask_of = {x: piece_masks[e] for x, e in element_of.items()}
-        masks = list(map(or_, masks, map(mask_of.__getitem__, ids)))
+    for column, (_, _, piece_masks), ids_of in zip(ids, sp.decomposition.projections, maps):
+        mask_of = dict(zip(ids_of, piece_masks))  # id -> its piece mask
+        masks = list(map(or_, masks, map(mask_of.__getitem__, column)))
     return masks
+
+
+def _admissible_ids(algebra: Algebra, options: Sequence[list[int]],
+                    ids: Sequence[bytes]) -> bool:
+    """Whether each position's ids are among its options and each adjacent
+    pair is admissible, in C-level passes over the byte columns.  What is
+    left of a position's ids once its options are deleted is refused.  Then
+    each id becomes its rank among its position's options, and a pair of
+    ranks (i, j) the byte i * s + j, s the right position's option count (at
+    most 14 * 14 pairs, for G2's two-entry columns): read as big-endian
+    integers, left * s + right never carries from one byte to the next, so
+    one translate refuses every inadmissible pair."""
+    if any(x.translate(None, bytes(allowed)) for x, allowed in zip(ids, options)):
+        return False
+    for left, right, lo, hi in zip(ids, ids[1:], options, options[1:]):
+        rank_lo, rank_hi, allowed = _rank_pairs(algebra, tuple(lo), tuple(hi))
+        joined = (int.from_bytes(left.translate(rank_lo), "big") * len(hi)
+                  + int.from_bytes(right.translate(rank_hi), "big"))
+        if joined.to_bytes(len(left), "big").translate(None, allowed):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _rank_pairs(algebra: Algebra, lo: tuple[int, ...],
+                hi: tuple[int, ...]) -> tuple[bytes, bytes, bytes]:
+    """For ids lo at one position and hi at the next: each id's rank among
+    its position's, as two translate tables, and the bytes i * len(hi) + j
+    of the admissible pairs of ranks (i, j)."""
+    pair = column_table(algebra).pair
+    rank_lo, rank_hi = (bytes(items.index(x) if x in items else 0 for x in range(256))
+                        for items in (lo, hi))
+    return rank_lo, rank_hi, bytes(i * len(hi) + j for i, x in enumerate(lo)
+                                   for j, y in enumerate(hi) if pair[x][y])
+
+
+def _refusal(algebra: Algebra, lam: Weight, codes: Sequence[int],
+             options: Sequence[Sequence[int]]) -> str:
+    """Why ideal_of_tableau refuses the first code it refuses, found in one
+    pass over the codes, each read by its own digits."""
+    table, n = column_table(algebra), lam[0] + lam[1]
+    places = [table.radix ** (n - 1 - k) for k in range(n)]
+    for code in codes:
+        if type(code) is not int:
+            return f"code {code!r} is a {type(code).__name__}, not an int"
+        if not 0 <= code < table.radix ** n:
+            return f"code {code!r} is not admissible for this shape"
+        row = [code // place % table.radix for place in places]
+        if not (all(map(list.__contains__, options, row))
+                and all(map(getitem, map(table.pair.__getitem__, row), row[1:]))):
+            text = tableau_text(tableaux_of(algebra, lam, [code])[0])
+            return f"tableau {text} is not admissible for this shape"
+    return "the ids given are not the codes' column ids"
 
 
 # --- Littelmann column blocks -------------------------------------------------

@@ -64,8 +64,8 @@ class Verifier:
     def lattice(self, algebra, order, lam) -> IdealLattice:
         """The lattice of P^order(lam), kept until one of another (algebra,
         weight) is asked for, so a sweep that asks case by case holds one
-        case's lattices at a time; run_all drops a case's alpha_beta lattice
-        after duality, its last reader."""
+        case's lattices at a time (and additivity's beta-alpha projection, for
+        the tableau case); run_all drops the alpha_beta lattice after duality."""
         if self._case != (algebra, lam):
             self._case, self._cache = (algebra, lam), {}
         if order not in self._cache:
@@ -155,6 +155,8 @@ class Verifier:
             if len(dec) != lam[0] + lam[1] or decompose(lat) != dec:
                 return False
             projection = projection_columns(lat, dec)
+            if order == "beta_alpha" and algebra in SIMPLE:  # held for the tableau suite
+                self._cache["projection"] = projection
             if weight_via_decomposition(lat, projection) != lat.weights:
                 return False
             for color in (ALPHA, BETA):
@@ -163,23 +165,24 @@ class Verifier:
         return True
 
     def _tableau_case(self, algebra, lam) -> bool:
-        from .tableaux import (carries_tableau_covers, column_sums, column_table,
-                               enumerate_littelmann, enumerate_tableaux,
+        from .tableaux import (carries_tableau_covers, code_ids, column_sums,
+                               column_table, enumerate_littelmann, enumerate_tableaux,
                                ideal_of_tableau, tableau_of_ideal)
 
         lat = self.lattice(algebra, "beta_alpha", lam)
-        codes = tableau_of_ideal(lat)
-        # the codes, sorted, are the admissible ones (first: ideal_of_tableau
-        # raises on an inadmissible one), each code's ideal is its element's,
+        codes = tableau_of_ideal(lat, self._cache.pop("projection", None))  # or projects
+        # the codes, sorted, are the admissible ones (checked first, so an
+        # inadmissible code fails, not raises), each code's ideal is its element's,
         # and the covers go onto the tableau lattice's with their colors, each
         # once: an edge-colored isomorphism, with no tableau lattice built
         if sorted(codes) != enumerate_tableaux(algebra, lam):
             return False
-        if ideal_of_tableau(lat, codes) != list(lat.elements):
+        ids = code_ids(algebra, lam, codes)  # read once, for both readers
+        if ideal_of_tableau(lat, codes, ids) != list(lat.elements):
             return False
         if not carries_tableau_covers(algebra, lam, codes, lat.covers):
             return False
-        weights, numerators, blocks = column_sums(algebra, lam, codes)
+        weights, numerators, blocks = column_sums(algebra, lam, codes, ids)
         scale = column_table(algebra).block_length.__mul__
         w = lat.weights
         return (weights == w
@@ -264,6 +267,7 @@ class Verifier:
                 self._cache.pop("alpha_beta", None)
                 if algebra in SIMPLE:
                     check("tableau_suite", self._tableau_case, algebra, lam)
+                self._cache.pop("projection", None)  # held if that case was skipped
             if algebra is Algebra.G2 and lam[0] == 0 and lam[1] <= 4:
                 check("quasi_gaussian", self._quasi_gaussian_case, lam[1])
         self._case, self._cache = None, {}

@@ -260,7 +260,7 @@ class TestPieceLattices:
                         == sum(lam)
         # the tableau dictionaries read the same lattices
         ranktwo.tableaux._piece_column_maps.cache_clear()
-        assert len(ranktwo.tableaux._piece_column_maps(Algebra.G2, "beta_fund")[0]) == 14
+        assert len(ranktwo.tableaux._piece_column_maps(Algebra.G2, "beta_fund")) == 14
         with pytest.raises(AssertionError, match="walked"):
             decompose(searched).lattices  # a searched decomposition walks its pieces
 

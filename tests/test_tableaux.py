@@ -11,13 +11,13 @@ from ranktwo.algebras import ALPHA, BETA, Algebra
 from ranktwo.build import fundamental_poset, semistandard_poset
 from ranktwo.fixtures import load_fixture
 from ranktwo.grid import GridPoset
-from ranktwo.lattice import Covers, order_ideals
+from ranktwo.lattice import Covers, Weights, order_ideals
 from ranktwo.poset import EdgeColoredPoset, edge_color_isomorphism
 from ranktwo.tableaux import (ALPHABET_SIZE, EDGE_COLOR_OF_VALUE, ShapeError,
                               _column_admissible, _column_maps,
                               _pair_admissible, _require_simple, _row_compatible,
                               _tables, _windows, admissible_blocks,
-                              allowed_columns, check_shape, column_sums,
+                              allowed_columns, check_shape, code_ids, column_sums,
                               column_table, enumerate_littelmann,
                               enumerate_tableaux, ideal_of_tableau,
                               is_semistandard, littelmann_of, littelmann_text,
@@ -402,7 +402,7 @@ def reference_tableau_of_ideal(lattice, index):
     sp, maps = _column_maps(lattice)
     columns = column_table(sp.algebra).columns
     mask = lattice.elements[index]
-    return tuple(columns[ids[piece[mask & bits]]] for (bits, piece, _), (ids, _) in
+    return tuple(columns[ids[piece[mask & bits]]] for (bits, piece, _), ids in
                  zip(sp.decomposition.projections, maps))
 
 
@@ -414,8 +414,8 @@ def reference_ideal_of_tableau(lattice, t):
         raise ValueError("tableau is not admissible for this shape")
     columns = column_table(sp.algebra).columns
     mask = 0
-    for (_, _, masks), (_, element), column in zip(sp.decomposition.projections, maps, t):
-        mask |= masks[element[columns.index(column)]]
+    for (_, _, masks), ids, column in zip(sp.decomposition.projections, maps, t):
+        mask |= masks[ids.index(columns.index(column))]
     return mask
 
 
@@ -484,6 +484,85 @@ class TestBijection:
         # one inadmissible tableau among admissible ones
         with pytest.raises(ValueError):
             ideal_of_tableau(lat, tableau_of_ideal(lat) + [encode(Algebra.C2, ((2, 3), (2, 3)))])
+
+    def test_refuses_a_code_that_is_not_an_int(self):
+        lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (1, 1)))
+        code = tableau_of_ideal(lat)[3]
+        with pytest.raises(ValueError, match=rf"code {float(code)!r} is a float, not an int"):
+            ideal_of_tableau(lat, [float(code)])
+        with pytest.raises(ValueError, match="is a float"):  # among admissible codes
+            ideal_of_tableau(lat, tableau_of_ideal(lat) + [float(code)])
+        lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (0, 1)))
+        assert 1 in enumerate_tableaux(Algebra.C2, (0, 1))
+        with pytest.raises(ValueError, match="code True is a bool, not an int"):
+            ideal_of_tableau(lat, [True])
+
+    @pytest.mark.parametrize("algebra,lam", [
+        (g, (a, b)) for g in SIMPLE for a in range(4) for b in range(4)
+        if a + b <= (2 if g is Algebra.G2 else 3)])
+    def test_refuses_exactly_the_codes_not_enumerated(self, algebra, lam):
+        lat = order_ideals(semistandard_poset(algebra, "beta_alpha", lam))
+        admissible = set(enumerate_tableaux(algebra, lam))
+        refused = set()
+        for code in range(-1, column_table(algebra).radix ** (lam[0] + lam[1]) + 1):
+            try:
+                ideal_of_tableau(lat, [code])
+            except ValueError:
+                refused.add(code)
+        assert refused.isdisjoint(admissible)
+        assert len(refused) + len(admissible) == column_table(algebra).radix ** sum(lam) + 2
+
+    def test_refusal_builds_no_set_of_admissible_codes(self, monkeypatch):
+        lat = order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", (2, 1)))
+        codes = tableau_of_ideal(lat)
+
+        def refuse(*args):
+            raise AssertionError("ideal_of_tableau enumerated the tableaux")
+
+        monkeypatch.setattr("ranktwo.tableaux.enumerate_tableaux", refuse)
+        assert ideal_of_tableau(lat, codes) == list(lat.elements)
+        # (1,4) followed by (1,) is a forbidden pair
+        with pytest.raises(ValueError, match=r"\[1,4\]\[1\]\[1\] is not admissible"):
+            ideal_of_tableau(lat, codes[:5] + [encode(Algebra.G2, ((1, 4), (1,), (1,)))])
+
+    def test_given_ids_are_checked_as_read_ones(self):
+        lat = order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", (2, 1)))
+        codes = tableau_of_ideal(lat)
+        ids = code_ids(Algebra.G2, (2, 1), codes)
+        assert ideal_of_tableau(lat, codes, ids) == ideal_of_tableau(lat, codes)
+        # each id a column of its position's length, but (1,4) then (1,) is forbidden
+        bad = codes[:5] + [encode(Algebra.G2, ((1, 4), (1,), (1,)))]
+        for given in (None, code_ids(Algebra.G2, (2, 1), bad)):
+            with pytest.raises(ValueError, match=r"\[1,4\]\[1\]\[1\] is not admissible"):
+                ideal_of_tableau(lat, bad, given)
+        with pytest.raises(ValueError, match="is a float"):
+            ideal_of_tableau(lat, codes[:1] + [1.0], ids)
+        with pytest.raises(ValueError, match="not the codes' column ids"):
+            ideal_of_tableau(lat, codes[:2], [bytes([0, 0])] * 3)  # a length-one id first
+
+    @pytest.mark.parametrize("algebra,lam", [(Algebra.G2, (2, 2)), (Algebra.C2, (1, 3))])
+    def test_refuses_one_code_among_the_admissible_ones(self, algebra, lam):
+        # inadmissible codes in range, each put among all the admissible
+        # codes at a place that moves through them, so the byte columns are long
+        lat = order_ideals(semistandard_poset(algebra, "beta_alpha", lam))
+        codes = tableau_of_ideal(lat)
+        admissible = set(codes)
+        bad = [c for c in range(column_table(algebra).radix ** sum(lam)) if c not in admissible]
+        for k, code in enumerate(bad[::max(1, len(bad) // 150)]):
+            at = k * len(codes) // 150
+            with pytest.raises(ValueError, match=r"^tableau \S+ is not admissible"):
+                ideal_of_tableau(lat, codes[:at] + [code] + codes[at:])
+
+    def test_names_the_first_refused_code(self):
+        lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (1, 1)))
+        codes = tableau_of_ideal(lat)
+        forbidden = encode(Algebra.C2, ((2, 3), (2, 3)))
+        top = column_table(Algebra.C2).radix ** 2
+        for tail, named in [([forbidden, -1, 0.5], r"tableau \[2,3\]\[2,3\] "),
+                            ([top, forbidden], rf"code {top} is not"),
+                            (["x", top], "code 'x' is a str")]:
+            with pytest.raises(ValueError, match=named):
+                ideal_of_tableau(lat, codes + tail)
 
     @pytest.mark.parametrize("lattice", [
         lambda: order_ideals(semistandard_poset(Algebra.C2, "alpha_beta", (1, 1))),
@@ -720,7 +799,7 @@ def test_tableau_case_matches_reference(algebra, lam):
         with pytest.MonkeyPatch.context() as m:
             tamper_tableau_case_covers(m, change)
             m.setattr("ranktwo.tableaux.tableau_of_ideal",
-                      lambda lattice: recode(tableau_of_ideal(lattice)))
+                      lambda lattice, *args: recode(tableau_of_ideal(lattice, *args)))
             m.setattr("ranktwo.tableaux.tableau_cover_count",
                       lambda algebra, lam: tableau_cover_count(algebra, lam) + extra)
             case = verifier._tableau_case(algebra, lam)
@@ -763,6 +842,48 @@ def test_littelmann_enumeration_matches_row_pruning(algebra):
         assert codes == sorted(codes), lam
         assert littelmann_of(algebra, lam, codes) == \
             list(reference_enumerate_littelmann(algebra, lam)), lam
+
+
+def reference_column_sums(algebra, lam, codes):
+    """Reference: the per-field sums, each of the five fields (the weight,
+    the block numerator, the block code) added in its own pass per
+    position over ids read off the codes by // and %."""
+    table = column_table(algebra)
+    n, radix = lam[0] + lam[1], table.radix
+    per_id = [*zip(*table.weight), *zip(*table.numerator)]
+    sums = [[0] * len(codes) for _ in per_id]
+    blocks = [0] * len(codes)
+    for place in (radix ** (n - 1 - k) for k in range(n)):
+        ids = [c // place % radix for c in codes]
+        sums = [[t + v[x] for t, x in zip(total, ids)] for total, v in zip(sums, per_id)]
+        blocks = [c * len(table.blocks) + table.block[x] for c, x in zip(blocks, ids)]
+    wa, wb, na, nb = sums
+    return Weights(wa, wb), Weights(na, nb), blocks
+
+
+# the CASES, the longest one-kind shapes (the widest fields) and G2 (6,6);
+# the empty shape (0,0) is among the CASES
+PACKED = CASES + [(g, lam) for g in SIMPLE for lam in [(8, 0), (0, 8)]] + [(Algebra.G2, (6, 6))]
+
+
+@pytest.mark.parametrize("algebra,lam", PACKED,
+                         ids=[f"{g.value}-{a},{b}" for g, (a, b) in PACKED])
+def test_packed_column_sums_equal_the_per_field_sums(algebra, lam):
+    codes = enumerate_tableaux(algebra, lam)
+    assert column_sums(algebra, lam, codes) == reference_column_sums(algebra, lam, codes)
+    ids = code_ids(algebra, lam, codes)
+    assert column_sums(algebra, lam, codes, ids) == reference_column_sums(algebra, lam, codes)
+
+
+@pytest.mark.parametrize("algebra,lam", [(Algebra.C2, (0, 0)), (Algebra.A2, (2, 1)),
+                                         (Algebra.G2, (2, 2))])
+def test_code_ids_are_the_digits(algebra, lam):
+    codes = enumerate_tableaux(algebra, lam)
+    radix, n = column_table(algebra).radix, lam[0] + lam[1]
+    ids = code_ids(algebra, lam, codes)
+    assert all(type(column) is bytes for column in ids)
+    assert [list(column) for column in ids] == [[c // radix ** (n - 1 - k) % radix for c in codes]
+                                               for k in range(n)]
 
 
 @pytest.mark.parametrize("algebra,lam", CASES)

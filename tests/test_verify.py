@@ -121,8 +121,8 @@ def tampered_element_codes(change):
     def fault(m):
         tableau_of_ideal = ranktwo.tableaux.tableau_of_ideal
 
-        def tampered(lattice):
-            codes = tableau_of_ideal(lattice)
+        def tampered(lattice, *args):  # forwards the case's held projection
+            codes = tableau_of_ideal(lattice, *args)
             change(codes, lattice)
             return codes
 
@@ -274,11 +274,39 @@ def test_additivity_projects_each_lattice_once(monkeypatch):
     monkeypatch.setattr(verify, "projection_columns", recording_projection_columns,
                         raising=False)
     monkeypatch.setattr(ranktwo.lattice, "projection_columns", recording_projection_columns)
+    monkeypatch.setattr(ranktwo.tableaux, "projection_columns", recording_projection_columns)
+    additive = [(algebra, order, (a, b)) for algebra in Algebra for order in verify.ORDERS
+                for a in range(3) for b in range(3) if a + b >= 2]
     (entry,) = verify.Verifier((2, 2)).run_all(("additivity",))["checks"]
     assert entry["status"] == "PASS"
-    assert sorted(projected, key=repr) == sorted(
-        [(algebra, order, (a, b)) for algebra in Algebra for order in verify.ORDERS
-         for a in range(3) for b in range(3) if a + b >= 2], key=repr)
+    assert sorted(projected, key=repr) == sorted(additive, key=repr)
+    # the whole sweep: the tableau suite reads additivity's projection, and
+    # projects only the beta-alpha lattices that additivity does not reach
+    projected.clear()
+    report = verify.Verifier((2, 2)).run_all()["checks"]
+    assert all(c["status"] == "PASS" for c in report), report
+    assert sorted(projected, key=repr) == sorted(additive + [
+        (algebra, "beta_alpha", (a, b)) for algebra in verify.SIMPLE
+        for a in range(3) for b in range(3) if a + b < 2], key=repr)
+
+
+def test_the_projection_is_held_only_for_the_tableau_case(monkeypatch):
+    held = {}  # (case method, its arguments) -> whether it found the projection held
+    for name in ("_duality_case", "_quasi_gaussian_case"):
+        def recording(self, *args, name=name, case=getattr(verify.Verifier, name)):
+            held[(name, args)] = "projection" in self._cache
+            return case(self, *args)
+
+        monkeypatch.setattr(verify.Verifier, name, recording)
+    verifier = verify.Verifier((2, 2))
+    report = verifier.run_all(("additivity", "duality", "quasi_gaussian"))["checks"]
+    assert all(c["status"] == "PASS" for c in report), report
+    # held through duality only where a tableau case follows; never for A1A1,
+    # and not past a case whose tableau suite did not run
+    assert {args for (name, args), h in held.items() if h} == {
+        (g, (a, b)) for g in verify.SIMPLE for a in range(3) for b in range(3) if a + b >= 2}
+    assert not any(h for (name, _), h in held.items() if name == "_quasi_gaussian_case")
+    assert "projection" not in verifier._cache
 
 
 # --- the report, and the sweep run case by case -------------------------------
