@@ -96,15 +96,17 @@ class SemistandardPoset:
     def decomposition(self) -> Decomposition:
         """The concatenated pieces, one id range each, labelled with no search.
         Each piece is its fundamental poset with ids shifted by its offset,
-        and chain indices by a constant, which keeps `total_order`; so its
-        lattice is the fundamental lattice shifted (`IdealLattice.shifted`)."""
+        and chain indices by its constant, built from the fixture alone, not
+        read off the grid; the shift keeps `total_order`, so its lattice is
+        the fundamental lattice shifted (`IdealLattice.shifted`)."""
         pieces, lattices, pos = [], [], 0
-        for kind in self.kinds:
+        for kind, chain_offset in _piece_sequence(self.algebra, self.order, self.weight):
             fund = fundamental_lattice(self.algebra, kind)
-            n = len(fund.vertex_order)
-            pieces.append(self.grid.restrict(range(pos, pos + n)))
+            grid = fund.poset
+            pieces.append(GridPoset(grid.base.shifted(pos),
+                                    tuple((v + pos, c + chain_offset) for v, c in grid.chains)))
             lattices.append(fund.shifted(pieces[-1], pos))
-            pos += n
+            pos += len(fund.vertex_order)
         return Decomposition(tuple(pieces), tuple(_label(self.algebra, k) for k in self.kinds),
                              total_order(self.grid), tuple(lattices))
 

@@ -137,12 +137,12 @@ def has_max_property(p: GridPoset) -> bool:
 class Decomposition:
     """Ordered pieces of a grid poset; each prefix union is an order ideal.
 
-    `decompose` labels its pieces by one fixture search per piece shape per
-    process and walks each piece lattice on first use.  The builder's
-    decomposition (`SemistandardPoset.decomposition`) names its labels and
-    gives its piece lattices: the fundamental lattices, walked once per
-    process and shifted by each piece's id offset (`IdealLattice.shifted`),
-    sharing their read-only columns.
+    `decompose` restricts the grid to the pieces it finds, labels them by
+    one fixture search per piece shape per process and walks each piece
+    lattice on first use.  The builder's decomposition
+    (`SemistandardPoset.decomposition`) is made with no search, as its
+    fundamental posets and lattices shifted by each piece's id offset, in
+    O(piece), the lattices sharing their read-only columns.
     """
 
     pieces: tuple[GridPoset, ...]

@@ -22,9 +22,11 @@ length = hi - lo and weight coordinate m = 2 rho - length, whole-lattice
 columns: `rank_stats(color)` gives rho and length and `weights` the columns
 m_a and m_b as a `Weights`; equal coordinates share one int object, and sizes
 are read off the size blocks.  Along a decomposition, `projection_columns`
-indexes every element's intersection with each piece, for the sums
-`piece_rank_stats` and `weight_via_decomposition`, equal to the lattice's
-columns, and for `tableaux.tableau_of_ideal`.
+indexes every element's intersection with each piece, for
+`tableaux.tableau_of_ideal` and the sums `piece_rank_stats` and
+`weight_via_decomposition`, equal to the lattice's columns: the projection
+(`projection.Projection`) sums all six piece statistics as the fields of
+packed words, one pass per piece, and each sum reads its own two fields.
 The generic `edge_poset` is built only for isomorphism and rank functions.
 
 `carry` takes every mask into another vertex order along the first lower
@@ -50,6 +52,7 @@ from .algebras import ALPHA, BETA, Color, Weight
 from .build import SemistandardPoset
 from .grid import Decomposition, GridPoset, total_order
 from .poset import EdgeColoredPoset, VertexColoredPoset
+from .projection import Projection
 
 # Peak RSS per ideal (Python 3.11): 75-83 B of growth (VmHWM) in the
 # library through covers, weights and the character, rgf and structure checks
@@ -383,26 +386,27 @@ def check_structure(lattice: IdealLattice, matrix: tuple[Weight, Weight]) -> boo
     return rows is not None and all(r is None or r == m for r, m in zip(rows, matrix))
 
 
-def projection_columns(lattice: IdealLattice,
-                       dec: Decomposition) -> list[tuple[IdealLattice, list[int]]]:
+def projection_columns(lattice: IdealLattice, dec: Decomposition) -> Projection:
     """Per piece, its lattice and the column of each element's intersection
     with it, as an index in that lattice."""
     if lattice.vertex_order != dec.order:
         raise ValueError("the decomposition is of a grid with another vertex order")
-    return [(piece, [index[mask & bits] for mask in lattice.elements])
-            for piece, (bits, index, _) in zip(dec.lattices, dec.projections)]
+    return Projection((piece, [index[mask & bits] for mask in lattice.elements])
+                      for piece, (bits, index, _) in zip(dec.lattices, dec.projections))
+
+
+def _piece_fields(lattice: IdealLattice, projection: list[tuple[IdealLattice, list[int]]],
+                  wanted: tuple[int, int]) -> list[list[int]]:
+    if not isinstance(projection, Projection):
+        projection = Projection(projection)
+    return projection.fields(len(lattice), wanted)
 
 
 def weight_via_decomposition(lattice: IdealLattice,
                              projection: list[tuple[IdealLattice, list[int]]]) -> Weights:
     """Per element, the sum of the piece-lattice weights of its intersections
     with the pieces; `projection` is projection_columns of the lattice."""
-    ma = mb = [0] * len(lattice)
-    for piece, column in projection:
-        w = piece.weights
-        ma = list(map(add, ma, map(w.alpha.__getitem__, column)))
-        mb = list(map(add, mb, map(w.beta.__getitem__, column)))
-    return Weights(ma, mb)
+    return Weights(*_piece_fields(lattice, projection, (4, 5)))
 
 
 def piece_rank_stats(lattice: IdealLattice, projection: list[tuple[IdealLattice, list[int]]],
@@ -410,12 +414,8 @@ def piece_rank_stats(lattice: IdealLattice, projection: list[tuple[IdealLattice,
     """Columns rho and length of one color, per element summed over its
     intersections with the pieces; `projection` is projection_columns of
     the lattice."""
-    rho = length = [0] * len(lattice)
-    for piece, column in projection:
-        piece_rho, piece_length = piece.rank_stats(color)
-        rho = list(map(add, rho, map(piece_rho.__getitem__, column)))
-        length = list(map(add, length, map(piece_length.__getitem__, column)))
-    return rho, length
+    k = 2 * (color is BETA)
+    return tuple(_piece_fields(lattice, projection, (k, k + 1)))
 
 
 def join_irreducible_poset(ep: EdgeColoredPoset) -> VertexColoredPoset:

@@ -1,13 +1,14 @@
 """Colored posets given by Hasse covers.
 
 Two flavours: vertex-colored posets (the P side, whose order ideals get
-enumerated; grids take their duals, recolorings, relabellings and
-restrictions) and edge-colored posets (the L side, lattices of ideals).
+enumerated; grids take their duals, recolorings, relabellings, restrictions
+and shifts) and edge-colored posets (the L side, lattices of ideals).
 Both are immutable after construction; construction validates acyclicity
 and irredundancy of the cover relation, rejecting transitive edges rather
-than repairing them.  Beside them: the colored product of two
-edge-colored posets, rank functions, and one isomorphism search over
-labelled covers for both flavours.
+than repairing them.  A dual, recoloring, restriction or shift of a valid
+poset is valid, so it is not checked again.  Beside them: the colored
+product of two edge-colored posets, rank functions, and one isomorphism
+search over labelled covers for both flavours.
 """
 
 from __future__ import annotations
@@ -140,12 +141,24 @@ class VertexColoredPoset:
     def components(self) -> tuple[frozenset[int], ...]:
         return _components(self.ids, self.covers)
 
+    @classmethod
+    def _derived(cls, vertices, covers) -> "VertexColoredPoset":
+        """Not checked: dual, recolor, restrict and shifted keep ids unique and
+        covers between known ids, loop-free, acyclic and non-transitive."""
+        out = object.__new__(cls)
+        vars(out).update(vertices=vertices, covers=covers)
+        return out
+
     def dual(self) -> "VertexColoredPoset":
-        return VertexColoredPoset(self.vertices, frozenset((v, u) for u, v in self.covers))
+        return self._derived(self.vertices, frozenset((v, u) for u, v in self.covers))
 
     def recolor(self, sigma: Mapping[Color, Color]) -> "VertexColoredPoset":
-        verts = tuple((v, sigma[c]) for v, c in self.vertices)
-        return VertexColoredPoset(verts, self.covers)
+        return self._derived(tuple((v, sigma[c]) for v, c in self.vertices), self.covers)
+
+    def shifted(self, offset: int) -> "VertexColoredPoset":
+        """Every id moved by `offset`."""
+        return self._derived(tuple((v + offset, c) for v, c in self.vertices),
+                             frozenset((u + offset, v + offset) for u, v in self.covers))
 
     def relabel(self, mapping: Mapping[int, int]) -> "VertexColoredPoset":
         verts = tuple(sorted((mapping[v], c) for v, c in self.vertices))
@@ -154,9 +167,8 @@ class VertexColoredPoset:
     def restrict(self, keep: Iterable[int]) -> "VertexColoredPoset":
         """Subposet on `keep` whose covers are the covers of self (grid-subposet sense)."""
         keep = set(keep)
-        verts = tuple((v, c) for v, c in self.vertices if v in keep)
-        covs = frozenset((u, v) for u, v in self.covers if u in keep and v in keep)
-        return VertexColoredPoset(verts, covs)
+        return self._derived(tuple((v, c) for v, c in self.vertices if v in keep),
+                             frozenset((u, v) for u, v in self.covers if u in keep and v in keep))
 
 
 @dataclass(frozen=True)

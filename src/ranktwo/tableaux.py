@@ -203,6 +203,7 @@ class ColumnTable(NamedTuple):
     # are row compatible
     block_pair: tuple[bytes, ...]
     block_length: int  # divides a block tableau's numerator
+    transposed: tuple[bytes, ...]  # transposed[right][left] is pair[left][right]
 
     @property
     def radix(self) -> int:
@@ -240,7 +241,8 @@ def column_table(algebra: Algebra) -> ColumnTable:
         tuple(_weigh(block_entry_weight, itertools.chain(*block)) for block in block_of),
         blocks,
         tuple(bytes(_row_compatible(left[-1], right[0]) for right in blocks) for left in blocks),
-        _BLOCK_LENGTH[algebra])
+        _BLOCK_LENGTH[algebra],
+        tuple(bytes((left, right) in pairs for left in columns) for right in columns))
 
 
 def is_semistandard(algebra: Algebra, lam: Weight, t: Tableau) -> bool:
@@ -424,9 +426,8 @@ def tableau_cover_count(algebra: Algebra, lam: Weight) -> int:
     (sum_l F[k-1][l] pair[l][old] pair[l][new]) *
     (sum_r pair[old][r] pair[new][r] B[k+1][r]), a sum being 1 past an end."""
     table = column_table(algebra)
-    pair = table.pair
+    pair, transposed = table.pair, table.transposed
     options = _position_ids(list(map(len, table.columns)), lam)
-    transposed = [bytes(row[x] for row in pair) for x in range(table.radix)]
     forward = [{}] + _prefix_counts(options, pair)
     backward = _prefix_counts(options[::-1], transposed)[::-1] + [{}]
 

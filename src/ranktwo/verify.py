@@ -155,8 +155,8 @@ class Verifier:
             if len(dec) != lam[0] + lam[1] or decompose(lat) != dec:
                 return False
             projection = projection_columns(lat, dec)
-            if order == "beta_alpha" and algebra in SIMPLE:  # held for the tableau suite
-                self._cache["projection"] = projection
+            if order == "beta_alpha" and algebra in SIMPLE:  # its columns, for the tableau
+                self._cache["projection"] = list(projection)  # suite; not its packed sums
             if weight_via_decomposition(lat, projection) != lat.weights:
                 return False
             for color in (ALPHA, BETA):
@@ -183,6 +183,7 @@ class Verifier:
         if not carries_tableau_covers(algebra, lam, codes, lat.covers):
             return False
         weights, numerators, blocks = column_sums(algebra, lam, codes, ids)
+        del codes, ids  # not held through the comparisons below
         scale = column_table(algebra).block_length.__mul__
         w = lat.weights
         return (weights == w

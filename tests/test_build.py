@@ -179,6 +179,19 @@ class TestSemistandardPosets:
                     assert piece.base.relabel(local) == fund.base, (order, lam)
                     assert sub.elements == order_ideals(fund).elements, (order, lam)
 
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_pieces_are_the_grid_restricted(self, algebra):
+        """Each piece, made from its fixture alone, equals the built grid
+        restricted to the piece's id range."""
+        for order in ("beta_alpha", "alpha_beta"):
+            for lam in itertools.product(range(4), repeat=2):
+                sp = semistandard_poset(algebra, order, lam)
+                pos = 0
+                for piece in sp.decomposition.pieces:
+                    assert piece == sp.grid.restrict(range(pos, pos + len(piece))), (order, lam)
+                    pos += len(piece)
+                assert pos == len(sp.grid)
+
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             semistandard_poset(Algebra.A2, "beta_alpha", (-1, 0))

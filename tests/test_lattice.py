@@ -1,4 +1,5 @@
 import itertools
+from operator import add
 from array import array
 from dataclasses import fields, replace
 import os
@@ -8,13 +9,13 @@ import sys
 import pytest
 
 from conftest import (brute_force_ideals, diamond_coloring_check, element_vertices,
-                      random_colored_poset)
+                      random_colored_poset, transitive_reduction)
 from test_grid import random_valid_grids
 from ranktwo.algebras import ALPHA, BETA, Algebra, cartan_matrix
 from ranktwo.build import fundamental_poset, semistandard_poset
 from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
 from ranktwo.grid import GridPoset, decompose, total_order, validate_grid
-from ranktwo.lattice import (IdealLattice, TooManyIdeals, Weights, check_structure,
+from ranktwo.lattice import (IdealLattice, Projection, TooManyIdeals, Weights, check_structure,
                              join_irreducible_poset, order_ideals, piece_rank_stats,
                              projection_columns, structure_rows, weight_via_decomposition)
 from ranktwo.poset import (EdgeColoredPoset, _components, _topological_order,
@@ -403,6 +404,29 @@ class TestCodeWalkMatchesMaskWalk:
         assert total_order(down) == tuple(range(8, -1, -1))
         for p in antichain, up, down:
             assert_walk_matches_mask_walk(p)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_complete_bipartite(self, k):
+        """Two k-antichains with every cover between them, the lower on
+        chain 2 and the upper on chain 1: runs of one vertex each."""
+        colors = {v: (ALPHA, BETA)[v % 2] for v in range(2 * k)}
+        covers = [(u, k + w) for u in range(k) for w in range(k)]
+        p = GridPoset.build(colors, covers, {v: 1 + (v < k) for v in range(2 * k)})
+        assert len(order_ideals(p)) == 2 ** (k + 1) - 1
+        assert_walk_matches_mask_walk(p)
+        assert_walk_matches_mask_walk(stripped(p))
+
+    def test_random_sparse_posets(self, rng):
+        """30 posets of 10-16 vertices, each pair related with probability
+        0.15, then transitively reduced, under random chain indices."""
+        for _ in range(30):
+            n = rng.randint(10, 16)
+            relations = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15}
+            colors = {v: rng.choice((ALPHA, BETA)) for v in range(n)}
+            p = GridPoset.build(colors, transitive_reduction(n, relations),
+                                {v: rng.randint(1, 4) for v in range(n)})
+            assert_walk_matches_mask_walk(p)
+            assert_walk_matches_mask_walk(stripped(p))
 
 
 def _random_grids(rng):
@@ -1108,6 +1132,173 @@ class TestPieceProjection:
         dec = decompose(semistandard_poset(Algebra.C2, "beta_alpha", (2, 2)).grid)
         with pytest.raises(ValueError, match="another vertex order"):
             projection_columns(lat, dec)
+
+
+def reference_piece_sums(lattice, projection):
+    """Oracle: the per-piece loops the packed sums replaced, one pass per
+    piece and column, each piece reading its own lattice's weights and
+    rank_stats: ((m_a, m_b), (rho, length) of alpha, of beta)."""
+    zero = [0] * len(lattice)
+    ma, mb, stats = zero, zero, []
+    for piece, column in projection:
+        ma = list(map(add, ma, map(piece.weights.alpha.__getitem__, column)))
+        mb = list(map(add, mb, map(piece.weights.beta.__getitem__, column)))
+    for color in (ALPHA, BETA):
+        rho = length = zero
+        for piece, column in projection:
+            piece_rho, piece_length = piece.rank_stats(color)
+            rho = list(map(add, rho, map(piece_rho.__getitem__, column)))
+            length = list(map(add, length, map(piece_length.__getitem__, column)))
+        stats.append((rho, length))
+    return Weights(ma, mb), stats
+
+
+def assert_packed_sums_match(lattice, dec):
+    projection = projection_columns(lattice, dec)
+    weights, stats = reference_piece_sums(lattice, projection)
+    assert weight_via_decomposition(lattice, projection) == weights
+    for color, expected in zip((ALPHA, BETA), stats):
+        assert piece_rank_stats(lattice, projection, color) == expected
+    # a plain list is summed the same way, with nothing kept
+    assert weight_via_decomposition(lattice, list(projection)) == weights
+    assert piece_rank_stats(lattice, list(projection), BETA) == stats[1]
+
+
+class TestPackedPieceSums:
+    """weight_via_decomposition and piece_rank_stats read one packed sum per
+    projection and equal the per-piece loops."""
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_built_lattices(self, algebra):
+        for order in ("beta_alpha", "alpha_beta"):
+            for lam in itertools.product(range(4), repeat=2):
+                sp = semistandard_poset(algebra, order, lam)
+                lat = order_ideals(sp)
+                assert len(sp.decomposition) == sum(lam)  # 0 and 1 pieces included
+                assert_packed_sums_match(lat, sp.decomposition)
+                assert weight_via_decomposition(
+                    lat, projection_columns(lat, sp.decomposition)) == lat.weights
+
+    @pytest.mark.parametrize("order", ["beta_alpha", "alpha_beta"])
+    def test_g2_44(self, order):
+        sp = semistandard_poset(Algebra.G2, order, (4, 4))
+        assert_packed_sums_match(order_ideals(sp), sp.decomposition)
+
+    def test_random_valid_grids(self, rng):
+        counts = set()
+        for p in random_valid_grids(rng, 300):
+            dec = decompose(p)
+            counts.add(min(len(dec), 2))
+            assert_packed_sums_match(order_ideals(p), dec)
+        assert counts == {1, 2}
+
+    def test_no_piece_gives_distinct_zero_columns(self):
+        lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (1, 1)))
+        w = weight_via_decomposition(lat, [])
+        assert w.alpha == w.beta == [0] * len(lat) and w.alpha is not w.beta
+        rho, length = piece_rank_stats(lat, [], ALPHA)
+        assert rho == length == [0] * len(lat) and rho is not length
+
+    def test_fresh_columns_on_every_call(self):
+        sp = semistandard_poset(Algebra.G2, "beta_alpha", (2, 1))
+        lat = order_ideals(sp)
+        projection = projection_columns(lat, sp.decomposition)
+        rho, length = piece_rank_stats(lat, projection, ALPHA)
+        expected = list(rho)
+        rho[-1] += 1  # as piece_rank_stats_off_by_one does
+        again = piece_rank_stats(lat, projection, ALPHA)
+        assert again[0] == expected and again[0] is not rho and again[1] is not length
+        w, v = weight_via_decomposition(lat, projection), weight_via_decomposition(lat, projection)
+        assert w == v and w.alpha is not v.alpha and w.beta is not v.beta
+
+    def test_each_piece_is_added_once_per_projection(self, monkeypatch):
+        sp = semistandard_poset(Algebra.C2, "alpha_beta", (2, 3))
+        lat = order_ideals(sp)
+        projection = projection_columns(lat, sp.decomposition)
+
+        def refuse(self, color):
+            raise AssertionError("a piece lattice's rank_stats was read")
+
+        monkeypatch.setattr(IdealLattice, "rank_stats", refuse)
+        weight_via_decomposition(lat, projection)
+        packed = projection.packed
+        for color in (ALPHA, BETA):
+            piece_rank_stats(lat, projection, color)
+        assert projection.packed is packed
+
+    def test_equal_values_share_one_int(self):
+        sp = semistandard_poset(Algebra.G2, "beta_alpha", (3, 3))
+        lat = order_ideals(sp)
+        projection = projection_columns(lat, sp.decomposition)
+        w = weight_via_decomposition(lat, projection)
+        for column in (w.alpha, w.beta, *piece_rank_stats(lat, projection, BETA)):
+            assert len({id(x) for x in column}) == len(set(column))
+
+    def test_a_sum_past_its_field_raises(self):
+        """A1+A1 (8,0): eight one-vertex pieces, so n = 8, and each
+        element's alpha length is 1 per piece.  A sum may reach 2n, no
+        more: one piece's lengths raised by 8 sum to 16, raised by 9 they
+        raise.  Raised by 248 they would pass a byte and carry."""
+        sp = semistandard_poset(Algebra.A1A1, "beta_alpha", (8, 0))
+        lat = order_ideals(sp)
+        projection = projection_columns(lat, sp.decomposition)
+        assert piece_rank_stats(lat, projection, ALPHA)[1] == [8] * len(lat)
+        (piece, column), *rest = projection
+        (lo, hi), beta_bounds = piece._component_bounds
+        long = replace(piece)
+        vars(long).update(weights=piece.weights)
+        for extra in 8, 9, 248:
+            vars(long)["_component_bounds"] = ((lo, [h + extra for h in hi]), beta_bounds)
+            if extra == 8:
+                assert piece_rank_stats(lat, [(long, column), *rest], ALPHA)[1] == [16] * len(lat)
+            else:
+                with pytest.raises(OverflowError, match="do not fit"):
+                    piece_rank_stats(lat, [(long, column), *rest], ALPHA)
+
+    @pytest.mark.parametrize("pad, size", [(0, 1), (100, 1), (150, 2), (1200, 2), (40_000, 4)])
+    def test_wider_fields(self, pad, size):
+        """A piece whose vertex order is padded widens every field: 2n needs
+        two bytes from n = 128 and four from n = 32,768.  The sums still
+        equal the per-piece loops."""
+        sp = semistandard_poset(Algebra.G2, "alpha_beta", (1, 1))
+        lat = order_ideals(sp)
+        (piece, column), *rest = projection_columns(lat, sp.decomposition)
+        wide = replace(piece, vertex_order=piece.vertex_order + tuple(range(100, 100 + pad)))
+        vars(wide).update(weights=piece.weights, _component_bounds=piece._component_bounds)
+        projection = Projection([(wide, column), *rest])
+        assert {view.itemsize for view in projection.packed[0]} == {size}
+        weights, stats = reference_piece_sums(lat, projection)
+        assert weight_via_decomposition(lat, projection) == weights == lat.weights
+        for color, expected in zip((ALPHA, BETA), stats):
+            assert piece_rank_stats(lat, projection, color) == expected
+
+    def test_a_piece_with_its_own_weights_has_its_own_table(self):
+        """Pieces of one label share a table only while they share weights
+        and bounds: the second of two C2 (0,1) pieces, given weights of its
+        own, is summed with them."""
+        sp = semistandard_poset(Algebra.C2, "beta_alpha", (0, 2))
+        lat = order_ideals(sp)
+        first, (piece, column) = projection_columns(lat, sp.decomposition)
+        assert piece.weights is first[0].weights
+        changed = replace(piece)
+        alpha = list(piece.weights.alpha)
+        alpha[-1] += 1
+        vars(changed).update(weights=Weights(alpha, piece.weights.beta),
+                             _component_bounds=piece._component_bounds)
+        projection = Projection([first, (changed, column)])
+        assert weight_via_decomposition(lat, projection) == reference_piece_sums(lat, projection)[0]
+        assert weight_via_decomposition(lat, projection) != lat.weights
+
+    def test_a_weight_below_its_field_raises(self):
+        sp = semistandard_poset(Algebra.A2, "beta_alpha", (1, 1))
+        lat = order_ideals(sp)
+        (piece, column), *rest = projection_columns(lat, sp.decomposition)
+        low = replace(piece)
+        vars(low).update(weights=Weights([-len(piece.vertex_order) - 1] + piece.weights.alpha[1:],
+                                         piece.weights.beta),
+                         _component_bounds=piece._component_bounds)
+        with pytest.raises(OverflowError, match="below"):
+            weight_via_decomposition(lat, [(low, column), *rest])
 
 
 class TestFunctoriality:

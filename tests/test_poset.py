@@ -1,16 +1,19 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (brute_force_ideals, diamond_coloring_check, element_vertices,
                       minimal_elements, random_colored_poset, transitive_reduction)
 from ranktwo.algebras import ALPHA, BETA, SWAP, IDENTITY
-from ranktwo.build import fundamental_poset
-from ranktwo.algebras import Algebra
-from ranktwo.fixtures import load_fixture
+from ranktwo.build import fundamental_poset, semistandard_poset
+from ranktwo.algebras import Algebra, sigma0
+from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
 from ranktwo.lattice import order_ideals
 from ranktwo.poset import (EdgeColoredPoset, PosetError, VertexColoredPoset,
                            edge_color_isomorphism, find_rank_function, product,
                            vertex_color_isomorphism)
+from ranktwo.serialize import poset_from_obj
 
 
 def chain(colors):
@@ -179,6 +182,101 @@ class TestConstructionGuards:
     def test_duplicate_edge_color_rejected(self):
         with pytest.raises(PosetError, match="one cover"):
             EdgeColoredPoset((0, 1), frozenset({(0, 1, ALPHA), (0, 1, BETA)}))
+
+
+def _derivation_inputs(rng):
+    """(vertex-colored poset, its algebra's sigma0) for every built poset up
+    to (3,3) in both orders and its builder pieces, the four fixtures, and
+    300 random valid grids; sigma0 of A2, the swap, where no algebra is given."""
+    from test_grid import random_valid_grids
+
+    for algebra in Algebra:
+        for order in ("beta_alpha", "alpha_beta"):
+            for lam in itertools.product(range(4), repeat=2):
+                sp = semistandard_poset(algebra, order, lam)
+                for p in (sp.grid, *sp.decomposition.pieces):
+                    yield p.base, sigma0(algebra)
+    for name in FIXTURE_NAMES:
+        p = load_fixture(name)
+        yield getattr(p, "base", p), sigma0(Algebra.A2)
+    for p in random_valid_grids(rng, 300):
+        yield p.base, sigma0(Algebra.A2)
+
+
+class TestDerivedPosetsNeedNoCheck:
+    """dual, recolor, restrict and shifted skip validation: each result
+    equals the poset that direct construction, which validates, makes of
+    its vertices and covers."""
+
+    def test_derived_posets_are_valid(self, rng):
+        import random
+
+        pick = random.Random(20070428)
+        count = 0
+        for p, sigma in _derivation_inputs(rng):
+            keep = [v for v in p.ids if pick.random() < 0.5]
+            for q in (p.dual(), p.recolor(sigma), p.restrict(keep), p.shifted(pick.randint(1, 50)),
+                      p.dual().recolor(sigma).restrict(keep)):
+                checked = VertexColoredPoset(q.vertices, q.covers)
+                assert q == checked and hash(q) == hash(checked)
+                assert q.lower_covers == checked.lower_covers
+                assert q.linear_extension == checked.linear_extension
+            count += 1
+        assert count == 2 * 4 * 16 + 2 * sum(sum(lam) for lam in itertools.product(
+            range(4), repeat=2)) * 4 + len(FIXTURE_NAMES) + 300
+
+    def test_derivation_does_not_validate(self, monkeypatch):
+        import ranktwo.poset
+
+        p = semistandard_poset(Algebra.G2, "beta_alpha", (1, 1)).grid.base
+
+        def refuse(*args):
+            raise AssertionError("validated")
+
+        monkeypatch.setattr(ranktwo.poset, "_check_covers", refuse)
+        p.dual(), p.recolor(SWAP), p.restrict(p.ids[:5]), p.shifted(3)
+        with pytest.raises(AssertionError, match="validated"):
+            VertexColoredPoset(p.vertices, p.covers)
+
+
+class TestMalformedInputStillRaises:
+    """Validation stays at the boundary: build, direct construction,
+    relabel and file reads."""
+
+    BAD = [({0: ALPHA, 1: ALPHA}, [(0, 1), (1, 0)], "cycle"),
+           ({0: ALPHA, 1: ALPHA, 2: BETA}, [(0, 1), (1, 2), (0, 2)], "transitive"),
+           ({0: ALPHA}, [(0, 0)], "loop"),
+           ({0: ALPHA, 1: BETA}, [(0, 2)], "unknown id")]
+
+    @pytest.mark.parametrize("colors, covers, message", BAD)
+    def test_build(self, colors, covers, message):
+        with pytest.raises(PosetError, match=message):
+            VertexColoredPoset.build(colors, covers)
+
+    @pytest.mark.parametrize("colors, covers, message", BAD)
+    def test_direct_construction(self, colors, covers, message):
+        with pytest.raises(PosetError, match=message):
+            VertexColoredPoset(tuple(sorted(colors.items())), frozenset(covers))
+
+    def test_direct_construction_with_a_repeated_id(self):
+        with pytest.raises(PosetError, match="duplicate"):
+            VertexColoredPoset(((0, ALPHA), (0, BETA)), frozenset())
+
+    def test_relabel_with_a_map_that_is_not_injective(self):
+        with pytest.raises(PosetError, match="duplicate"):
+            chain([ALPHA, BETA, ALPHA]).relabel({0: 0, 1: 0, 2: 1})
+        with pytest.raises(PosetError, match="duplicate"):
+            VertexColoredPoset.build({0: ALPHA, 1: ALPHA}, ()).relabel({0: 5, 1: 5})
+        grid = semistandard_poset(Algebra.A2, "beta_alpha", (1, 1)).grid
+        with pytest.raises(PosetError, match="duplicate"):
+            grid.relabel({v: v // 2 for v in grid.base.ids})
+
+    @pytest.mark.parametrize("colors, covers, message", BAD)
+    def test_poset_from_obj(self, colors, covers, message):
+        obj = {"kind": "vertex", "covers": [list(c) for c in covers],
+               "vertices": [{"color": c.value, "id": v} for v, c in colors.items()]}
+        with pytest.raises(PosetError, match=message):
+            poset_from_obj(obj)
 
 
 class TestIsomorphism:

@@ -822,6 +822,30 @@ def test_g2_66_cover_count():
     assert tableau_cover_count(Algebra.G2, (6, 6)) == 522_543
 
 
+def test_cover_count_reads_the_transposed_pairs_of_the_column_table(monkeypatch):
+    """The transposed pair matrix is made once per algebra, with the column
+    table: a cover count reads it there and makes none of its own."""
+    import ranktwo.tableaux
+
+    table = column_table(Algebra.C2)
+    assert table.transposed == tuple(bytes(row[x] for row in table.pair)
+                                     for x in range(table.radix))
+    links = []
+
+    def counted(options, pair):
+        links.append(pair)
+        return prefix_counts(options, pair)
+
+    prefix_counts = ranktwo.tableaux._prefix_counts
+    monkeypatch.setattr(ranktwo.tableaux, "_prefix_counts", counted)
+    for lam in [(3, 2), [3, 2], (1, 2)]:
+        links.clear()
+        assert tableau_cover_count(Algebra.C2, lam) == len(
+            tableau_lattice(Algebra.C2, tuple(lam)).covers)
+        assert links[0] is table.pair and links[1] is table.transposed
+    assert column_table(Algebra.C2) is table
+
+
 def reference_enumerate_littelmann(algebra, lam):
     """Oracle: the block sequences pruned by row compatibility of the
     facing columns, with no block-pair table."""

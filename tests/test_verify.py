@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -20,7 +21,7 @@ from ranktwo.build import SemistandardPoset, fundamental_poset, semistandard_pos
 from ranktwo.fixtures import load_fixture
 from ranktwo.grid import Decomposition, decompose, triangle_dual
 import ranktwo.lattice
-from ranktwo.lattice import order_ideals, piece_rank_stats, projection_columns
+from ranktwo.lattice import Weights, order_ideals, piece_rank_stats, projection_columns
 from ranktwo.poset import edge_color_isomorphism, vertex_color_isomorphism
 from ranktwo.weyl import (LaurentPoly2, alternating_sum, character_from_lattice,
                           rgf_product)
@@ -83,6 +84,23 @@ def piece_rank_stats_off_by_one(m):
         return rho, length
 
     m.setattr(verify, "piece_rank_stats", off)
+
+
+def one_piece_weight_off_by_one(m):
+    # the last piece lattice's top element weighs one more in alpha, before
+    # the sums read it; the lattice shared by that label's other pieces and
+    # the fundamental lattice keep their weights
+    def tampered(lattice, dec):
+        projection = projection_columns(lattice, dec)
+        piece, column = projection[-1]
+        changed = replace(piece)
+        alpha = list(piece.weights.alpha)
+        alpha[-1] += 1
+        vars(changed).update(weights=Weights(alpha, piece.weights.beta),
+                             _component_bounds=piece._component_bounds)
+        return type(projection)([*projection[:-1], (changed, column)])
+
+    m.setattr(verify, "projection_columns", tampered)
 
 
 def decompose_in_reverse_order(m):
@@ -215,6 +233,7 @@ FAULTS = [
     ("structure_condition", wrong_cartan_matrix),
     ("structure_condition", splitting_fixture_for_the_nonsplitting_one),
     ("additivity", piece_rank_stats_off_by_one),
+    ("additivity", one_piece_weight_off_by_one),
     ("additivity", decompose_in_reverse_order),
     ("tableau_suite", tampered_tableau_weight),
     ("tableau_suite", tampered_block_weight),
@@ -307,6 +326,23 @@ def test_the_projection_is_held_only_for_the_tableau_case(monkeypatch):
         (g, (a, b)) for g in verify.SIMPLE for a in range(3) for b in range(3) if a + b >= 2}
     assert not any(h for (name, _), h in held.items() if name == "_quasi_gaussian_case")
     assert "projection" not in verifier._cache
+
+
+def test_the_held_projection_keeps_no_packed_sums(monkeypatch):
+    """The tableau suite reads the held projection's columns only: the sums
+    packed for additivity are not kept through duality."""
+    held = []
+    duality_case = verify.Verifier._duality_case
+
+    def recording(self, algebra, lam):
+        if "projection" in self._cache:
+            held.append(self._cache["projection"])
+        return duality_case(self, algebra, lam)
+
+    monkeypatch.setattr(verify.Verifier, "_duality_case", recording)
+    report = verify.Verifier((2, 2)).run_all(("additivity", "duality", "tableau_suite"))
+    assert all(c["status"] == "PASS" for c in report["checks"]), report
+    assert held and all(type(projection) is list for projection in held)
 
 
 # --- the report, and the sweep run case by case -------------------------------
