@@ -11,13 +11,13 @@ and consecutive segments of one chain are joined by a single cover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Literal, Mapping
 
 from .algebras import ALPHA, BETA, Algebra, Color, Weight, nonnegative_weight
 from .grid import Decomposition, GridPoset, total_order
+from .record import record
 
 if TYPE_CHECKING:
     from .lattice import IdealLattice
@@ -78,7 +78,7 @@ def fundamental_lattice(algebra: Algebra, which: Which) -> IdealLattice:
     return order_ideals(fundamental_poset(algebra, which))
 
 
-@dataclass(frozen=True)
+@record
 class SemistandardPoset:
     """A built semistandard poset together with its piece structure."""
 

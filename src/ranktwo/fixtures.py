@@ -13,8 +13,6 @@
 
 from __future__ import annotations
 
-import importlib.resources
-
 from .serialize import parse, poset_from_obj
 
 FIXTURE_NAMES = (
@@ -28,5 +26,6 @@ FIXTURE_NAMES = (
 def load_fixture(name: str):
     if name not in FIXTURE_NAMES:
         raise ValueError(f"unknown fixture {name!r}; have {', '.join(FIXTURE_NAMES)}")
+    import importlib.resources  # deferred: only loading a fixture pays for its import
     path = importlib.resources.files("ranktwo.data").joinpath(f"{name}.json")
     return poset_from_obj(parse(path.read_text(encoding="utf-8"), str(path)))

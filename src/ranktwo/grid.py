@@ -5,18 +5,18 @@ decomposition of a grid poset into an order-ideal prefix and its complement.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .algebras import Algebra, Color, sigma0
 from .poset import PosetError, VertexColoredPoset, vertex_color_isomorphism
+from .record import field, record
 
 if TYPE_CHECKING:
     from .lattice import IdealLattice
 
 
-@dataclass(frozen=True)
+@record
 class GridPoset:
     """A vertex-colored poset with a chain function into [m].
 
@@ -133,7 +133,7 @@ def has_max_property(p: GridPoset) -> bool:
     return all(r <= 1 for _, r in spans)  # one component, or none
 
 
-@dataclass(frozen=True)
+@record
 class Decomposition:
     """Ordered pieces of a grid poset; each prefix union is an order ideal.
 

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, chain, count, islice, repeat
 from operator import add, mul, sub
@@ -53,6 +52,7 @@ from .build import SemistandardPoset
 from .grid import Decomposition, GridPoset, total_order
 from .poset import EdgeColoredPoset, VertexColoredPoset
 from .projection import Projection
+from .record import field, record, replace
 
 # Peak RSS per ideal (Python 3.11): 75-83 B of growth (VmHWM) in the
 # library through covers, weights and the character, rgf and structure checks
@@ -131,7 +131,7 @@ class Weights:
         return self.alpha == other.alpha and self.beta == other.beta
 
 
-@dataclass(frozen=True)
+@record
 class IdealLattice:
     """All order ideals of a poset, as bitmasks over a fixed vertex order,
     kept as each element's first lower cover and added bit.  Equality

@@ -14,11 +14,11 @@ search over labelled covers for both flavours.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
 from .algebras import Color
+from .record import record
 
 
 class PosetError(ValueError):
@@ -76,7 +76,7 @@ def _topological_order(ids: tuple[int, ...], up: Mapping[int, list[int]]) -> lis
     return order
 
 
-@dataclass(frozen=True)
+@record
 class VertexColoredPoset:
     """Finite poset with {alpha, beta}-colored vertices, given by covers."""
 
@@ -171,7 +171,7 @@ class VertexColoredPoset:
                              frozenset((u, v) for u, v in self.covers if u in keep and v in keep))
 
 
-@dataclass(frozen=True)
+@record
 class EdgeColoredPoset:
     """Finite poset with {alpha, beta}-colored Hasse edges."""
 
@@ -240,7 +240,7 @@ def product(p: EdgeColoredPoset, q: EdgeColoredPoset) -> EdgeColoredPoset:
     return EdgeColoredPoset(tuple(range(len(pairs))), frozenset(covers))
 
 
-@dataclass(frozen=True)
+@record
 class RankFunction:
     """Surjective rank map onto {0..length}; every cover raises rank by one."""
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import cached_property
-from itertools import count
-from operator import add, sub
+from itertools import count, repeat
+from operator import add, lshift, sub
 
 
 class Projection(list):
@@ -49,8 +49,8 @@ class Projection(list):
                 stats += [[x + m for x in w] for w in (piece.weights.alpha, piece.weights.beta)]
                 if min(map(min, stats)) < 0:
                     raise OverflowError("a piece statistic lies below its field")
-                words = [[sum(v << 8 * size * j for j, v in enumerate(row[start:start + per]))
-                          for row in zip(*stats)] for start in starts]
+                placed = [map(lshift, c, repeat(8 * size * (f % per))) for f, c in enumerate(stats)]
+                words = [list(map(sum, zip(*placed[start:start + per]))) for start in starts]
                 tables[key] = words, list(map(max, stats))
             bounds = list(map(add, bounds, tables[key][1]))
             totals = [total + int.from_bytes(array("Q", map(word.__getitem__, column)), order)

@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, and_, floordiv, getitem, mod, or_, rshift, sub
 from typing import Mapping, NamedTuple, Sequence
@@ -67,6 +66,7 @@ from .algebras import ALPHA, BETA, Algebra, Color, Weight, nonnegative_weight
 from .build import SemistandardPoset, fundamental_lattice
 from .lattice import Covers, IdealLattice, Weights, projection_columns
 from .poset import EdgeColoredPoset, edge_color_isomorphism
+from .record import record
 
 Column = tuple[int, ...]
 Tableau = tuple[Column, ...]
@@ -342,7 +342,7 @@ def column_sums(algebra: Algebra, lam: Weight, codes: Sequence[int],
 # --- tableau-native lattice ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class TableauLattice:
     """The reverse-componentwise order on admissible tableaux: their sorted
     codes, and the covers (i, j) in (i, j) order, where tableau j is

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -13,6 +12,7 @@ from ranktwo.grid import (Decomposition, GridPoset, decompose, has_max_property,
                           total_order, validate_grid)
 from ranktwo.lattice import order_ideals
 from ranktwo.poset import vertex_color_isomorphism
+from ranktwo.record import replace
 
 VERTEX_COUNTS = {
     (Algebra.A1A1, "alpha_fund"): 1, (Algebra.A1A1, "beta_fund"): 1,

@@ -1,7 +1,6 @@
 import itertools
 from operator import add
 from array import array
-from dataclasses import fields, replace
 import os
 import subprocess
 import sys
@@ -21,6 +20,7 @@ from ranktwo.lattice import (IdealLattice, Projection, TooManyIdeals, Weights, c
 from ranktwo.poset import (EdgeColoredPoset, _components, _topological_order,
                            edge_color_isomorphism, find_rank_function, product,
                            vertex_color_isomorphism, VertexColoredPoset)
+from ranktwo.record import fields, replace
 from ranktwo.serialize import lattice_from_obj, lattice_to_obj
 from ranktwo.tableaux import TableauLattice, tableau_lattice
 

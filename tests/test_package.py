@@ -1,6 +1,13 @@
-"""The package namespace exports the library's API and no submodule."""
+"""The package namespace exports the library's API and no submodule, and
+importing it loads no heavy standard-library module."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import types
+
+import pytest
 
 import ranktwo
 
@@ -10,3 +17,27 @@ def test_all_names_resolve_and_none_is_a_module():
     for name in ranktwo.__all__:
         assert not isinstance(getattr(ranktwo, name), types.ModuleType), name
 
+
+_COLD_START = """
+import sys
+import {modules}
+print(sorted(m for m in {unwanted!r} if m in sys.modules))
+from ranktwo.fixtures import load_fixture
+print(len(load_fixture("catalan_p3")))
+"""
+
+
+@pytest.mark.parametrize("flags, modules, unwanted", [
+    ((), "ranktwo, ranktwo.cli, ranktwo.verify, ranktwo.tableaux", ("dataclasses", "inspect")),
+    (("-S",), "ranktwo.cli", ("dataclasses", "inspect", "importlib.resources")),
+    (("-S",), "ranktwo.verify", ("dataclasses", "inspect", "importlib.resources")),
+], ids=["all", "cli-S", "verify-S"])
+def test_a_fresh_process_imports_no_heavy_stdlib_module(flags, modules, unwanted):
+    """Every CLI command pays its imports: the records need no `dataclasses`
+    (which loads `inspect`), and under -S, with no site hook preloading it,
+    `importlib.resources` waits for the first fixture that is loaded."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(ranktwo.__file__).parents[1])}
+    code = _COLD_START.format(modules=modules, unwanted=unwanted)
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout.split()
+    assert out == ["[]", "9"]

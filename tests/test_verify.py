@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -23,6 +22,7 @@ from ranktwo.grid import Decomposition, decompose, triangle_dual
 import ranktwo.lattice
 from ranktwo.lattice import Weights, order_ideals, piece_rank_stats, projection_columns
 from ranktwo.poset import edge_color_isomorphism, vertex_color_isomorphism
+from ranktwo.record import replace
 from ranktwo.weyl import (LaurentPoly2, alternating_sum, character_from_lattice,
                           rgf_product)
 
