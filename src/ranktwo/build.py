@@ -11,19 +11,19 @@ and consecutive segments of one chain are joined by a single cover.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Literal, Mapping
 
 from .algebras import ALPHA, BETA, Algebra, Color, Weight, nonnegative_weight
 from .grid import Decomposition, GridPoset, total_order
 from .record import record
-
+TYPE_CHECKING = False  # as typing's, without importing typing
 if TYPE_CHECKING:
+    from typing import Literal
     from .lattice import IdealLattice
-
-Order = Literal["beta_alpha", "alpha_beta"]
-Which = Literal["alpha_fund", "beta_fund"]
+    Order = Literal["beta_alpha", "alpha_beta"]
+    Which = Literal["alpha_fund", "beta_fund"]
 
 
 # (chain, color) per local vertex, bottom to top, plus covers (lo, hi).

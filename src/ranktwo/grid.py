@@ -5,13 +5,13 @@ decomposition of a grid poset into an order-ideal prefix and its complement.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .algebras import Algebra, Color, sigma0
 from .poset import PosetError, VertexColoredPoset, vertex_color_isomorphism
 from .record import field, record
-
+TYPE_CHECKING = False  # as typing's, without importing typing
 if TYPE_CHECKING:
     from .lattice import IdealLattice
 

@@ -14,8 +14,8 @@ search over labelled covers for both flavours.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping
 from functools import cached_property
-from typing import Iterable, Mapping
 
 from .algebras import Color
 from .record import record

@@ -19,12 +19,14 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterator
 from itertools import chain, count, islice, repeat
-from typing import Any
 
 from .algebras import ALPHA, BETA, Color
 from .grid import GridPoset
 from .lattice import DEFAULT_MAX_IDEALS, IdealLattice, order_ideals
 from .poset import EdgeColoredPoset, VertexColoredPoset, find_rank_function
+TYPE_CHECKING = False  # as typing's, without importing typing
+if TYPE_CHECKING:
+    from typing import Any
 
 
 def poset_to_obj(p: VertexColoredPoset | EdgeColoredPoset | GridPoset) -> dict[str, Any]:

@@ -58,9 +58,10 @@ from __future__ import annotations
 
 import itertools
 from array import array
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from functools import cached_property, lru_cache
 from operator import add, and_, floordiv, getitem, mod, or_, rshift, sub
-from typing import Mapping, NamedTuple, Sequence
 
 from .algebras import ALPHA, BETA, Algebra, Color, Weight, nonnegative_weight
 from .build import SemistandardPoset, fundamental_lattice
@@ -186,10 +187,12 @@ def _tables(algebra: Algebra) -> tuple[frozenset[Column], frozenset[Column],
     return ones, twos, pairs
 
 
-class ColumnTable(NamedTuple):
+class ColumnTable(namedtuple("ColumnTable", "columns pair lowered weight block numerator "
+                             "blocks block_pair block_length transposed")):
     """One simple algebra's admissible columns and blocks, each numbered in
-    sorted order, and what the code paths read per column id."""
+    sorted order, and what the code paths read per column id, as annotated."""
 
+    __slots__ = ()
     columns: tuple[Column, ...]  # by id
     pair: tuple[bytes, ...]  # pair[left][right] is 1 iff the pair is admissible
     # per id, (new id, beta) for each one-entry decrement onto an admissible
@@ -315,14 +318,14 @@ def tableaux_of(algebra: Algebra, lam: Weight, codes: Sequence[int]) -> list[Tab
     return _decode(column_table(algebra).columns, lam, codes)
 
 
-def column_sums(algebra: Algebra, lam: Weight, codes: Sequence[int],
-                ids: Sequence[bytes] | None = None) -> tuple[Weights, Weights, list[int]]:
-    """Per code of shape lam, from its ids (`code_ids`, read here unless
-    given): its tableau's weight, its block tableau's weight numerator, each
-    held as two columns, and the block tableau's code.  All five add in one
-    pass per position, one packed integer per id: each weight coordinate
-    raised by its largest absolute value m, in a field of (2nm).bit_length()
-    bits so n of them never carry, and the block id times its place on top."""
+def column_sums(algebra: Algebra, lam: Weight,
+                codes: Sequence[int]) -> tuple[Weights, Weights, list[int]]:
+    """Per code of shape lam, from its ids (`code_ids`): its tableau's weight,
+    its block tableau's weight numerator, each held as two columns, and the
+    block tableau's code.  All five add in one pass per position, one packed
+    integer per id: each weight coordinate raised by its largest absolute
+    value m, in a field of (2nm).bit_length() bits so n of them never carry,
+    and the block id times its place on top."""
     table, n = column_table(algebra), lam[0] + lam[1]
     fields = [*zip(*table.weight), *zip(*table.numerator)]
     offsets = [max(map(abs, values)) for values in fields]
@@ -330,7 +333,7 @@ def column_sums(algebra: Algebra, lam: Weight, codes: Sequence[int],
     *shifts, top = itertools.accumulate(widths, initial=0)
     base = [sum((v + m) << s for v, m, s in zip(row, offsets, shifts)) for row in zip(*fields)]
     totals = [0] * len(codes)
-    for k, column in enumerate(code_ids(algebra, lam, codes) if ids is None else ids):
+    for k, column in enumerate(code_ids(algebra, lam, codes)):
         at = [p + (b * len(table.blocks) ** (n - 1 - k) << top) for p, b in zip(base, table.block)]
         totals = list(map(add, totals, map(at.__getitem__, column)))
     repeat = itertools.repeat
@@ -509,19 +512,16 @@ def tableau_of_ideal(lattice: IdealLattice, projection: list | None = None) -> l
     return codes
 
 
-def ideal_of_tableau(lattice: IdealLattice, codes: Sequence[int],
-                     ids: Sequence[bytes] | None = None) -> list[int]:
+def ideal_of_tableau(lattice: IdealLattice, codes: Sequence[int]) -> list[int]:
     """The mask of the order ideal labelled by each admissible tableau's
-    code: per position, the ideal ORs its column id's piece mask.  `ids`
-    are the codes' `code_ids`, read here unless given; either way a
-    ValueError names the first code that is not an int in 0 <= code < R**n
-    whose ids have their positions' column lengths and admissible pairs."""
+    code: per position, the ideal ORs its column id's piece mask.  A ValueError
+    names the first code that is not an int in 0 <= code < R**n whose ids
+    (`code_ids`) have their positions' column lengths and admissible pairs."""
     sp, maps = _column_maps(lattice)
     table, lam, n = column_table(sp.algebra), sp.weight, len(maps)
     in_range = {int}.issuperset(map(type, codes)) and (
         not codes or min(codes) >= 0 and max(codes) < table.radix ** n)
-    if in_range and ids is None:
-        ids = code_ids(sp.algebra, lam, codes)
+    ids = code_ids(sp.algebra, lam, codes) if in_range else None
     options = _position_ids(list(map(len, table.columns)), lam)
     if not (in_range and _admissible_ids(sp.algebra, options, ids)):
         raise ValueError(_refusal(sp.algebra, lam, codes, options))
@@ -582,7 +582,6 @@ def _refusal(algebra: Algebra, lam: Weight, codes: Sequence[int],
                 and all(map(getitem, map(table.pair.__getitem__, row), row[1:]))):
             text = tableau_text(tableaux_of(algebra, lam, [code])[0])
             return f"tableau {text} is not admissible for this shape"
-    return "the ids given are not the codes' column ids"
 
 
 # --- Littelmann column blocks -------------------------------------------------

@@ -13,8 +13,10 @@ time; a criterion's millis is the summed time of its cases.  `ranktwo verify
 from __future__ import annotations
 
 import time
+from collections import namedtuple
+from collections.abc import Callable
 from functools import partial
-from typing import Callable
+from itertools import product
 
 from .algebras import ALPHA, BETA, Algebra, cartan_matrix, nonnegative_weight, sigma0
 from .build import fundamental_poset, semistandard_poset
@@ -30,6 +32,15 @@ from .weyl import (LaurentPoly2, QPoly, alternating_sum,
 
 ORDERS = ("beta_alpha", "alpha_beta")
 SIMPLE = (Algebra.A2, Algebra.C2, Algebra.G2)
+
+# A criterion of the report: its params text, the method that checks one
+# (algebra, weight) case and the cases it takes, and its check of the whole sweep.
+Criterion = namedtuple("Criterion", "params case cases whole", defaults=(None, (), None))
+# On each case the criteria that take it run in this order, duality before the
+# tableau suite; after its slot, each drops the cache entries it reads last.
+ON_A_CASE = (("rgf_product_identity", ()), ("weyl_character", ()),
+             ("structure_condition", ()), ("additivity", ()), ("duality", ("alpha_beta",)),
+             ("tableau_suite", ("projection",)), ("quasi_gaussian", ()))
 
 # Twelve-, eight- and six-term closed forms of the signed orbit sum of the
 # Weyl vector, kept as independent literals to cross-check the generated one.
@@ -65,7 +76,7 @@ class Verifier:
         """The lattice of P^order(lam), kept until one of another (algebra,
         weight) is asked for, so a sweep that asks case by case holds one
         case's lattices at a time (and additivity's beta-alpha projection, for
-        the tableau case); run_all drops the alpha_beta lattice after duality."""
+        the tableau case); run_all drops what ON_A_CASE names after each slot."""
         if self._case != (algebra, lam):
             self._case, self._cache = (algebra, lam), {}
         if order not in self._cache:
@@ -97,8 +108,6 @@ class Verifier:
             self._seconds[name] = 0.0
             self.checks.append({"name": name, "params": params, "status": "PASS", "millis": 0})
         return next(c for c in self.checks if c["name"] == name)
-
-    # -- criteria: each a whole check, or one (algebra, weight) case of one --
 
     def check_counts(self) -> bool:
         counts = [
@@ -165,9 +174,9 @@ class Verifier:
         return True
 
     def _tableau_case(self, algebra, lam) -> bool:
-        from .tableaux import (carries_tableau_covers, code_ids, column_sums,
-                               column_table, enumerate_littelmann, enumerate_tableaux,
-                               ideal_of_tableau, tableau_of_ideal)
+        from .tableaux import (carries_tableau_covers, column_sums, column_table,
+                               enumerate_littelmann, enumerate_tableaux, ideal_of_tableau,
+                               tableau_of_ideal)
 
         lat = self.lattice(algebra, "beta_alpha", lam)
         codes = tableau_of_ideal(lat, self._cache.pop("projection", None))  # or projects
@@ -177,13 +186,12 @@ class Verifier:
         # once: an edge-colored isomorphism, with no tableau lattice built
         if sorted(codes) != enumerate_tableaux(algebra, lam):
             return False
-        ids = code_ids(algebra, lam, codes)  # read once, for both readers
-        if ideal_of_tableau(lat, codes, ids) != list(lat.elements):
+        if ideal_of_tableau(lat, codes) != list(lat.elements):
             return False
         if not carries_tableau_covers(algebra, lam, codes, lat.covers):
             return False
-        weights, numerators, blocks = column_sums(algebra, lam, codes, ids)
-        del codes, ids  # not held through the comparisons below
+        weights, numerators, blocks = column_sums(algebra, lam, codes)
+        del codes  # not held through the comparisons below
         scale = column_table(algebra).block_length.__mul__
         w = lat.weights
         return (weights == w
@@ -204,9 +212,9 @@ class Verifier:
             return iso == (lam[0] == 0 or lam[1] == 0)
         return True
 
-    def _quasi_gaussian_case(self, m: int) -> bool:
-        lat = self.lattice(Algebra.G2, "beta_alpha", (0, m))
-        return rgf_from_lattice(lat) == quasi_gaussian_product(m)
+    def _quasi_gaussian_case(self, algebra, lam) -> bool:
+        lat = self.lattice(algebra, "beta_alpha", lam)
+        return rgf_from_lattice(lat) == quasi_gaussian_product(lam[1])
 
     def check_warmups(self) -> bool:
         chain23 = order_ideals(load_fixture("chain_product_2x3"))
@@ -220,62 +228,50 @@ class Verifier:
         return len(order_ideals(load_fixture("catalan_p3"))) == 14
 
     def run_all(self, criteria: tuple[str, ...] | None = None) -> dict:
-        """Run every criterion, or only those in `criteria`, in one case loop."""
-        bound_text = f"a<={self.bound[0]}, b<={self.bound[1]}"
-        params = {
-            "counts": "golden lattice and fundamental sizes",
-            "rgf_product_identity": f"{bound_text} plus (4,4) for a2/c2",
-            "weyl_character": f"{bound_text}, both orders, literal orbit sums",
-            "structure_condition": f"{bound_text} plus nonsplitting fixture",
-            "additivity": f"{bound_text}, both colors, every element",
-            "tableau_suite": f"simple algebras, {bound_text}",
-            "duality": f"{bound_text}; recolored dual; iso dichotomy on a2/c2/g2 "
-                       "posets, so on their lattices (Birkhoff)",
-            "quasi_gaussian": "second-weight family, m=0..4",
-            "warmup_goldens": "chain product 2x3 and catalan posets",
+        """Run every criterion, or only those in `criteria`, from one table in
+        report order: each case once, in the order the table first lists it, on
+        it every selected criterion that takes it; then the whole-sweep checks."""
+        a, b = self.bound
+        text = f"a<={a}, b<={b}"
+        sweep = [(g, lam) for g in Algebra for lam in product(range(a + 1), range(b + 1))]
+        beyond = [(Algebra.A2, (4, 4)), (Algebra.C2, (4, 4))]
+        table = {
+            "counts": Criterion("golden lattice and fundamental sizes", whole=self.check_counts),
+            "rgf_product_identity": Criterion(  # the bound: its cases' time, builds included
+                f"{text} plus (4,4) for a2/c2", self._rgf_case, sweep + beyond,
+                lambda: self._seconds["rgf_product_identity"] < 60.0),
+            "weyl_character": Criterion(f"{text}, both orders, literal orbit sums",
+                                        self._weyl_case, sweep + beyond, self._orbit_sums),
+            "structure_condition": Criterion(f"{text} plus nonsplitting fixture",
+                                             self._structure_case, sweep, self._nonsplitting),
+            "additivity": Criterion(f"{text}, both colors, every element", self._additivity_case,
+                                    [(g, lam) for g, lam in sweep if lam[0] + lam[1] >= 2]),
+            "tableau_suite": Criterion(f"simple algebras, {text}", self._tableau_case,
+                                       [(g, lam) for g, lam in sweep if g in SIMPLE]),
+            "duality": Criterion(f"{text}; recolored dual; iso dichotomy on a2/c2/g2 posets, "
+                                 "so on their lattices (Birkhoff)", self._duality_case, sweep),
+            "quasi_gaussian": Criterion("second-weight family, m=0..4", self._quasi_gaussian_case,
+                                        [(Algebra.G2, (0, m)) for m in range(5)]),
+            "warmup_goldens": Criterion("chain product 2x3 and catalan posets",
+                                        whole=self.check_warmups),
         }
-        selected = set(params if criteria is None else criteria)
-        if not selected or not selected <= params.keys():  # an empty report would pass
-            raise ValueError(f"unknown criteria: {sorted(selected - params.keys())}"
+        selected = set(table if criteria is None else criteria)
+        if not selected or not selected <= table.keys():  # an empty report would pass
+            raise ValueError(f"unknown criteria: {sorted(selected - table.keys())}"
                              if selected else "no criteria selected")
-
-        for name in filter(selected.__contains__, params):  # an entry even with no case
-            self._entry(name, params[name])
-
-        def check(name, fn, *args):
-            if name in selected:
-                self.run_check(name, params[name], partial(fn, *args))
-
-        check("counts", self.check_counts)
-        check("weyl_character", self._orbit_sums)
-        in_bound = [(a, b) for a in range(self.bound[0] + 1)
-                    for b in range(self.bound[1] + 1)]
-        # each (algebra, weight) once: the bound's, then (4,4) for a2/c2 and
-        # the quasi-Gaussian family's G2 weights beyond it
-        cases = [(g, lam) for g in Algebra for lam in in_bound]
-        extra = [(Algebra.A2, (4, 4)), (Algebra.C2, (4, 4))]
-        extra += [(Algebra.G2, (0, m)) for m in range(5)]
-        for algebra, lam in cases + [case for case in extra if case not in cases]:
-            if lam in in_bound or lam == (4, 4):
-                check("rgf_product_identity", self._rgf_case, algebra, lam)
-                check("weyl_character", self._weyl_case, algebra, lam)
-            if lam in in_bound:
-                check("structure_condition", self._structure_case, algebra, lam)
-                if lam[0] + lam[1] >= 2:
-                    check("additivity", self._additivity_case, algebra, lam)
-                check("duality", self._duality_case, algebra, lam)
-                # duality was the alpha_beta lattice's last reader
-                self._cache.pop("alpha_beta", None)
-                if algebra in SIMPLE:
-                    check("tableau_suite", self._tableau_case, algebra, lam)
-                self._cache.pop("projection", None)  # held if that case was skipped
-            if algebra is Algebra.G2 and lam[0] == 0 and lam[1] <= 4:
-                check("quasi_gaussian", self._quasi_gaussian_case, lam[1])
+        takes = {name: set(row.cases) for name, row in table.items() if name in selected}
+        for name in takes:  # an entry even with no case
+            self._entry(name, table[name].params)
+        for case in dict.fromkeys(case for row in table.values() for case in row.cases):
+            for name, drops in ON_A_CASE:
+                if case in takes.get(name, ()):
+                    self.run_check(name, table[name].params, partial(table[name].case, *case))
+                for key in drops:  # read by no later slot, run or not
+                    self._cache.pop(key, None)
         self._case, self._cache = None, {}
-        # the rgf bound times the whole sweep's rgf cases, lattice builds included
-        check("rgf_product_identity", lambda: self._seconds["rgf_product_identity"] < 60.0)
-        check("structure_condition", self._nonsplitting)
-        check("warmup_goldens", self.check_warmups)
+        for name in takes:
+            if table[name].whole:
+                self.run_check(name, table[name].params, table[name].whole)
         return {"checks": self.checks}
 
 

@@ -12,7 +12,7 @@ each factor applied by one pass over a single coefficient list.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Iterable
+from collections.abc import Iterable
 
 from .algebras import (ALPHA, BETA, Algebra, Color, Weight, nonnegative_weight,
                        simple_root)

@@ -525,21 +525,6 @@ class TestBijection:
         with pytest.raises(ValueError, match=r"\[1,4\]\[1\]\[1\] is not admissible"):
             ideal_of_tableau(lat, codes[:5] + [encode(Algebra.G2, ((1, 4), (1,), (1,)))])
 
-    def test_given_ids_are_checked_as_read_ones(self):
-        lat = order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", (2, 1)))
-        codes = tableau_of_ideal(lat)
-        ids = code_ids(Algebra.G2, (2, 1), codes)
-        assert ideal_of_tableau(lat, codes, ids) == ideal_of_tableau(lat, codes)
-        # each id a column of its position's length, but (1,4) then (1,) is forbidden
-        bad = codes[:5] + [encode(Algebra.G2, ((1, 4), (1,), (1,)))]
-        for given in (None, code_ids(Algebra.G2, (2, 1), bad)):
-            with pytest.raises(ValueError, match=r"\[1,4\]\[1\]\[1\] is not admissible"):
-                ideal_of_tableau(lat, bad, given)
-        with pytest.raises(ValueError, match="is a float"):
-            ideal_of_tableau(lat, codes[:1] + [1.0], ids)
-        with pytest.raises(ValueError, match="not the codes' column ids"):
-            ideal_of_tableau(lat, codes[:2], [bytes([0, 0])] * 3)  # a length-one id first
-
     @pytest.mark.parametrize("algebra,lam", [(Algebra.G2, (2, 2)), (Algebra.C2, (1, 3))])
     def test_refuses_one_code_among_the_admissible_ones(self, algebra, lam):
         # inadmissible codes in range, each put among all the admissible
@@ -895,8 +880,6 @@ PACKED = CASES + [(g, lam) for g in SIMPLE for lam in [(8, 0), (0, 8)]] + [(Alge
 def test_packed_column_sums_equal_the_per_field_sums(algebra, lam):
     codes = enumerate_tableaux(algebra, lam)
     assert column_sums(algebra, lam, codes) == reference_column_sums(algebra, lam, codes)
-    ids = code_ids(algebra, lam, codes)
-    assert column_sums(algebra, lam, codes, ids) == reference_column_sums(algebra, lam, codes)
 
 
 @pytest.mark.parametrize("algebra,lam", [(Algebra.C2, (0, 0)), (Algebra.A2, (2, 1)),

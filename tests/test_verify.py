@@ -481,6 +481,77 @@ def test_tableau_suite_alone_runs_only_its_cases(monkeypatch):
         verify.Verifier((2, 2)).run_all(("tableau_suit",))
 
 
+CASE_METHODS = {
+    "_rgf_case": "rgf_product_identity", "_weyl_case": "weyl_character",
+    "_structure_case": "structure_condition", "_additivity_case": "additivity",
+    "_duality_case": "duality", "_tableau_case": "tableau_suite",
+    "_quasi_gaussian_case": "quasi_gaussian",
+}
+WHOLE_METHODS = {"check_counts": "counts", "_orbit_sums": "weyl_character",
+                 "_nonsplitting": "structure_condition", "check_warmups": "warmup_goldens"}
+
+
+def reference_plan(bound):
+    """(criterion, algebra, weight) of every case check, in run order: each
+    (algebra, weight) once, the bound's sweep first, then A2/C2 (4,4) and the
+    G2 (0, m) beyond it; on each, the criteria that take it, duality before
+    the tableau suite."""
+    in_bound = [(a, b) for a in range(bound[0] + 1) for b in range(bound[1] + 1)]
+    sweep = [(g, lam) for g in Algebra for lam in in_bound]
+    extra = [(Algebra.A2, (4, 4)), (Algebra.C2, (4, 4))] + [(Algebra.G2, (0, m))
+                                                            for m in range(5)]
+    plan = []
+    for g, lam in sweep + [case for case in extra if case not in sweep]:
+        swept = lam in in_bound
+        takes = [
+            ("rgf_product_identity", swept or (g in (Algebra.A2, Algebra.C2) and lam == (4, 4))),
+            ("weyl_character", swept or (g in (Algebra.A2, Algebra.C2) and lam == (4, 4))),
+            ("structure_condition", swept),
+            ("additivity", swept and lam[0] + lam[1] >= 2),
+            ("duality", swept),
+            ("tableau_suite", swept and g in verify.SIMPLE),
+            ("quasi_gaussian", g is Algebra.G2 and lam[0] == 0 and lam[1] <= 4),
+        ]
+        plan += [(name, g, lam) for name, ok in takes if ok]
+    return plan
+
+
+@pytest.mark.parametrize("bound", [(0, 0), (1, 0), (2, 2), (3, 1)])
+def test_run_all_follows_the_case_plan(monkeypatch, bound):
+    plan = []  # (criterion, algebra, weight) of every case check run
+    whole = []  # the criterion of every whole check's method run
+    checks = []  # the criterion of every run_check
+
+    for method, name in CASE_METHODS.items():
+        def case(self, *args, name=name, fn=getattr(verify.Verifier, method)):
+            plan.append((name, *args))
+            return fn(self, *args)
+        monkeypatch.setattr(verify.Verifier, method, case)
+    for method, name in WHOLE_METHODS.items():
+        def check(self, name=name, fn=getattr(verify.Verifier, method)):
+            whole.append(name)
+            return fn(self)
+        monkeypatch.setattr(verify.Verifier, method, check)
+    run_check = verify.Verifier.run_check
+
+    def recording_run_check(self, name, params, fn):
+        checks.append(name)
+        return run_check(self, name, params, fn)
+
+    monkeypatch.setattr(verify.Verifier, "run_check", recording_run_check)
+    report = verify.Verifier(bound).run_all()["checks"]
+    assert all(c["status"] == "PASS" for c in report), report
+    assert plan == reference_plan(bound)
+    assert sorted(whole) == sorted(WHOLE_METHODS.values())
+    # one whole check each besides its cases: the rgf bound has no method
+    cases = [name for name, *_ in plan]
+    names = [c["name"] for c in report]
+    assert {name: checks.count(name) - cases.count(name) for name in names} == {
+        "counts": 1, "rgf_product_identity": 1, "weyl_character": 1,
+        "structure_condition": 1, "additivity": 0, "tableau_suite": 0, "duality": 0,
+        "quasi_gaussian": 0, "warmup_goldens": 1}
+
+
 @pytest.mark.parametrize("criteria", [(), []], ids=["tuple", "list"])
 def test_an_empty_selection_is_refused(criteria):
     # a report with no entry would pass with nothing checked
