@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .algebras import ALPHA, BETA, Algebra, Color, Weight, nonnegative_weight
-from .grid import Decomposition, GridPoset, total_order
+from .grid import Decomposition, GridPoset
 from .record import record
 TYPE_CHECKING = False  # as typing's, without importing typing
 if TYPE_CHECKING:
@@ -97,7 +97,7 @@ class SemistandardPoset:
         """The concatenated pieces, one id range each, labelled with no search.
         Each piece is its fundamental poset with ids shifted by its offset,
         and chain indices by its constant, built from the fixture alone, not
-        read off the grid; the shift keeps `total_order`, so its lattice is
+        read off the grid; the shift keeps the total order, so its lattice is
         the fundamental lattice shifted (`IdealLattice.shifted`)."""
         pieces, lattices, pos = [], [], 0
         for kind, chain_offset in _piece_sequence(self.algebra, self.order, self.weight):
@@ -108,7 +108,7 @@ class SemistandardPoset:
             lattices.append(fund.shifted(pieces[-1], pos))
             pos += len(fund.vertex_order)
         return Decomposition(tuple(pieces), tuple(_label(self.algebra, k) for k in self.kinds),
-                             total_order(self.grid), tuple(lattices))
+                             self.grid.total_order, tuple(lattices))
 
 
 def _piece_sequence(algebra: Algebra, order: Order, lam: Weight) -> list[tuple[Which, int]]:

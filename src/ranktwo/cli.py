@@ -146,8 +146,7 @@ def cmd_verify(args) -> int:
         elif os.path.exists(name):
             poset = poset_from_obj(load(name))
         else:
-            print(f"no such fixture or file: {name}", file=sys.stderr)
-            return 2
+            raise ValueError(f"no such fixture or file: {name}")
         report = structure_report(poset)
     else:
         report = Verifier(args.seed_range).run_all(

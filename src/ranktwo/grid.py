@@ -48,11 +48,23 @@ class GridPoset:
     def num_chains(self) -> int:
         return max((c for _, c in self.chains), default=0)
 
-    def chain_members(self, c: int) -> tuple[int, ...]:
-        """Elements of one chain, bottom to top."""
-        members = [v for v, cc in self.chains if cc == c]
-        below = self.base.below
-        return tuple(sorted(members, key=lambda v: len(below[v] & set(members))))
+    @cached_property
+    def total_order(self) -> tuple[int, ...]:
+        """Vertices by ascending chain index, descending poset order within a
+        chain: each chain's members by how many of them lie below each, read
+        off a reach mask over `linear_extension`, most first, ties by id."""
+        base, below, chains, out = self.base, {}, {}, []
+        bit = {v: 1 << k for k, v in enumerate(base.linear_extension)}
+        for v in base.linear_extension:
+            below[v] = 0
+            for u in base.lower_covers[v]:
+                below[v] |= below[u] | bit[u]
+        for v, c in self.chains:
+            chains.setdefault(c, []).append(v)
+        for c in sorted(chains):
+            mask = sum(map(bit.__getitem__, chains[c]))
+            out += sorted(chains[c], key=lambda v: ((below[v] & mask).bit_count(), v), reverse=True)
+        return tuple(out)
 
     def dual(self) -> "GridPoset":
         m = self.num_chains
@@ -102,11 +114,9 @@ def validate_grid(p: GridPoset) -> list[str]:
 
 
 def total_order(p: GridPoset) -> tuple[int, ...]:
-    """Vertices by ascending chain index, descending poset order within a chain."""
-    out: list[int] = []
-    for c in sorted({c for _, c in p.chains}):
-        out.extend(reversed(p.chain_members(c)))
-    return tuple(out)
+    """Vertices by ascending chain index, descending poset order within a
+    chain (`GridPoset.total_order`)."""
+    return p.total_order
 
 
 def has_max_property(p: GridPoset) -> bool:
@@ -164,18 +174,11 @@ class Decomposition:
         return tuple(order_ideals(piece) for piece in self.pieces)
 
     @cached_property
-    def projections(self) -> tuple[tuple[int, dict[int, int], tuple[int, ...]], ...]:
-        """Per piece lattice, (bits, index, masks): the piece's bits in `order`,
-        the index in the piece lattice keyed by a mask over `order` and-ed
-        with bits, so projecting an element is one `&` and one lookup, and
-        its inverse, the mask over `order` of each piece-lattice element."""
+    def masks(self) -> tuple[tuple[int, ...], ...]:
+        """Per piece lattice, the mask over `order` of each of its elements."""
         bit = {v: 1 << b for b, v in enumerate(self.order)}
-        out = []
-        for sub in self.lattices:
-            to_global = [bit[v] for v in sub.vertex_order]
-            masks = tuple(sub.carry(to_global))
-            out.append((sum(to_global), {m: k for k, m in enumerate(masks)}, masks))
-        return tuple(out)
+        return tuple(tuple(sub.carry([bit[v] for v in sub.vertex_order]))
+                     for sub in self.lattices)
 
 
 def _splits_validly(part: int, rest: int, lower: list[int], upper: list[int],

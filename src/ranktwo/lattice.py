@@ -25,18 +25,19 @@ are read off the size blocks.  Along a decomposition, `projection_columns`
 indexes every element's intersection with each piece, for
 `tableaux.tableau_of_ideal` and the sums `piece_rank_stats` and
 `weight_via_decomposition`, equal to the lattice's columns: the projection
-(`projection.Projection`) sums all six piece statistics as the fields of
-packed words, one pass per piece, and each sum reads its own two fields.
+(`projection.project`) reads byte columns off the elements' run heights,
+and sums all six piece statistics one integer per piece.
 The generic `edge_poset` is built only for isomorphism and rank functions.
 
-`carry` takes every mask into another vertex order along the first lower
-covers, one `|` per element; a lattice file's element rows grow the same
-way, and `structure_rows` checks the weights one step per element along
-them.  `elements`, the masks themselves, is that carry with every bit
-kept, made on first use by the readers that need masks: `grid.decompose`,
-`projection_columns`, duality and the tableau suite.  A cover adds one
-vertex and takes its color, so `carries_covers`, duality's isomorphism
-check, reads a map onto the elements by its covers' mask steps.
+`carry` sums a value per vertex along the first lower covers, one add per
+element: the masks in another vertex order, or the run heights; a lattice
+file's element rows grow the same way, and `structure_rows` checks the
+weights one step per element along them.  `elements`, the masks
+themselves, is that carry with every bit kept, made on first use by the
+readers that need masks: `grid.decompose`, duality and the tableau suite.
+A cover adds one vertex and takes its color, so `carries_covers`,
+duality's isomorphism check, reads a map onto the elements by its covers'
+mask steps.
 """
 
 from __future__ import annotations
@@ -49,9 +50,9 @@ from operator import add, mul, sub
 
 from .algebras import ALPHA, BETA, Color, Weight
 from .build import SemistandardPoset
-from .grid import Decomposition, GridPoset, total_order
+from .grid import Decomposition, GridPoset
 from .poset import EdgeColoredPoset, VertexColoredPoset
-from .projection import Projection
+from .projection import Projection, planes, project
 from .record import field, record, replace
 
 # Peak RSS per ideal (Python 3.11): 75-83 B of growth (VmHWM) in the
@@ -171,16 +172,16 @@ class IdealLattice:
     @cached_property
     def elements(self) -> tuple[int, ...]:
         """The bitmasks, sorted by (size, value), carried along the first
-        lower covers with every bit kept: one `|` per element."""
+        lower covers with every bit kept: one add per element."""
         return tuple(self.carry([1 << b for b in range(len(self.vertex_order))]))
 
     def carry(self, image_bit: Sequence[int]) -> list[int]:
-        """Each element's mask carried into another vertex order, where bit
-        b becomes image_bit[b]: one `|` per element, onto the carried mask
-        of its first lower cover."""
+        """Each element's sum of image_bit[b] over its bits b, so its mask
+        carried into another vertex order where bit b becomes image_bit[b]:
+        one add per element, onto the sum of its first lower cover."""
         out = [0]
         for i, b in islice(zip(self._first, self._added), 1, None):
-            out.append(out[i] | image_bit[b])
+            out.append(out[i] + image_bit[b])
         return out
 
     def carries_covers(self, masks: Sequence[int], lower: Sequence[int], upper: Sequence[int],
@@ -259,10 +260,26 @@ class IdealLattice:
         """The lattice over `poset`, this one's poset with every id moved by
         `offset` and every chain index by a constant, which keeps the vertex
         order: so every element index too, and it shares every column, the
-        weights and the component bounds."""
+        weights, the component bounds and the planes."""
         out = replace(self, poset=poset, vertex_order=tuple(v + offset for v in self.vertex_order))
-        vars(out).update(weights=self.weights, _component_bounds=self._component_bounds)
+        planes(self)  # makes the weights, the bounds and the planes once, for every copy
+        vars(out).update({k: vars(self)[k] for k in ("weights", "_component_bounds", "_planes")})
         return out
+
+
+def _runs(order: Sequence[int], lower_covers: dict[int, tuple[int, ...]]) -> list[list[int]]:
+    """The chains of covers contiguous in `order`, going either way, each
+    as its bits bottom up: an order ideal meets each in a bottom segment."""
+    runs = []
+    for b, v in enumerate(order):
+        run = runs[-1] if runs else [None]
+        if run[0] == b - 1 and v in lower_covers[order[b - 1]]:
+            run.insert(0, b)
+        elif run[-1] == b - 1 and order[b - 1] in lower_covers[v]:
+            run.append(b)
+        else:
+            runs.append([b])
+    return runs
 
 
 def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
@@ -285,16 +302,8 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
     if not isinstance(p, (GridPoset, VertexColoredPoset)):
         raise ValueError("order ideals need a vertex-colored poset")
     base = p.base if isinstance(p, GridPoset) else p
-    order = total_order(p) if isinstance(p, GridPoset) else base.linear_extension
-    runs = []  # chains of covers contiguous in `order`, going either way
-    for b, v in enumerate(order):  # each run is kept as its bits bottom up
-        run = runs[-1] if runs else [None]
-        if run[0] == b - 1 and v in base.lower_covers[order[b - 1]]:
-            run.insert(0, b)
-        elif run[-1] == b - 1 and order[b - 1] in base.lower_covers[v]:
-            run.append(b)
-        else:
-            runs.append([b])
+    order = p.total_order if isinstance(p, GridPoset) else base.linear_extension
+    runs = _runs(order, base.lower_covers)
     place = {order[b]: (c, h) for c, run in enumerate(runs) for h, b in enumerate(run)}
     radix = list(accumulate((len(run) + 1 for run in runs), mul, initial=1))
     probes = []  # per run c: its table, R_lo, R_hi // R_lo and R_c
@@ -388,14 +397,14 @@ def check_structure(lattice: IdealLattice, matrix: tuple[Weight, Weight]) -> boo
 
 def projection_columns(lattice: IdealLattice, dec: Decomposition) -> Projection:
     """Per piece, its lattice and the column of each element's intersection
-    with it, as an index in that lattice."""
+    with it, as an index in that lattice, read off the element's height in
+    each run of the vertex order (`projection.project`)."""
     if lattice.vertex_order != dec.order:
         raise ValueError("the decomposition is of a grid with another vertex order")
-    return Projection((piece, [index[mask & bits] for mask in lattice.elements])
-                      for piece, (bits, index, _) in zip(dec.lattices, dec.projections))
+    return project(lattice, _runs(dec.order, lattice.base.lower_covers), dec.lattices)
 
 
-def _piece_fields(lattice: IdealLattice, projection: list[tuple[IdealLattice, list[int]]],
+def _piece_fields(lattice: IdealLattice, projection: list[tuple[IdealLattice, Sequence[int]]],
                   wanted: tuple[int, int]) -> list[list[int]]:
     if not isinstance(projection, Projection):
         projection = Projection(projection)
@@ -403,13 +412,13 @@ def _piece_fields(lattice: IdealLattice, projection: list[tuple[IdealLattice, li
 
 
 def weight_via_decomposition(lattice: IdealLattice,
-                             projection: list[tuple[IdealLattice, list[int]]]) -> Weights:
+                             projection: list[tuple[IdealLattice, Sequence[int]]]) -> Weights:
     """Per element, the sum of the piece-lattice weights of its intersections
     with the pieces; `projection` is projection_columns of the lattice."""
     return Weights(*_piece_fields(lattice, projection, (4, 5)))
 
 
-def piece_rank_stats(lattice: IdealLattice, projection: list[tuple[IdealLattice, list[int]]],
+def piece_rank_stats(lattice: IdealLattice, projection: list[tuple[IdealLattice, Sequence[int]]],
                      color: Color) -> tuple[list[int], list[int]]:
     """Columns rho and length of one color, per element summed over its
     intersections with the pieces; `projection` is projection_columns of

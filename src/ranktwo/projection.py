@@ -1,21 +1,128 @@
-"""Piece statistics along a decomposition, summed as packed integers.
+"""A lattice's projection onto the pieces of a decomposition, as byte
+columns, and the piece statistics summed along it, by byte translation.
 
-`lattice.projection_columns` gives a `Projection`: per piece of a
-decomposition, the piece lattice and the column of each element's index in
-it.  `lattice.weight_via_decomposition` and `lattice.piece_rank_stats` read
-their sums from it, all six summed once as the fields of exact packed
-integers, one pass per piece.  The class is a module of its own because a
-process that imports `ranktwo` from source peaks while compiling its largest
-module, lattice.py, and this code there raised that peak.
+An order ideal meets each run of the vertex order (a chain of covers
+contiguous in it) in a bottom segment, so it is fixed by its height in
+each run: `project` makes one height column per run by one add per element
+along the first lower covers.  A piece of a decomposition whose prefix
+unions are ideals meets a run in one segment, from height s to s + len, so
+an ideal's part there is its bottom clamp(h - s, 0, len) vertices.  Per
+piece, each run's column is translated through a table of that clamp times
+the segment's place value, the results are added as exact integers into a
+key below the product of len + 1, and the keys are translated once more
+into the piece lattice's element indices.  `lattice.weight_via_decomposition`
+and `lattice.piece_rank_stats` read their sums from the `Projection`: each
+piece lattice keeps its planes, per statistic one table per byte of its
+values, and each piece's column is translated through them into the fields
+of one exact integer per piece, all six statistics at once.  The code is a
+module of its own because a process that imports `ranktwo` from source
+peaks while compiling its largest module, lattice.py.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import count, repeat
-from operator import add, lshift, sub
+from operator import add, and_, rshift, sub
+
+
+def _code(size: int) -> str:
+    """The array code of an entry of 1, 2, 4 or 8 bytes."""
+    return "BHIQ"[size.bit_length() - 1]
+
+
+def _width(top: int) -> int:
+    """The fewest of 1, 2, 4 or 8 bytes that hold every value 0..top."""
+    return 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4 if top < 1 << 32 else 8
+
+
+def _through(column: Sequence[int], table: Sequence[int], size: int) -> bytes | array:
+    """Each entry of `column` read through `table`: bytes, or an array of
+    `size`-byte entries; a byte column into bytes is one translate."""
+    if size > 1:
+        return array(_code(size), map(table.__getitem__, column))
+    if isinstance(column, bytes):
+        return column.translate(bytes(table).ljust(256, b"\0"))
+    return bytes(map(table.__getitem__, column))
+
+
+def project(lattice, runs: list[list[int]], pieces) -> Projection:
+    """Per piece lattice, it and the column of each element's index in it,
+    bytes unless the piece lattice has more than 256 elements.  `runs` are
+    the runs of the lattice's vertex order, each as its bits bottom up; a
+    piece that meets a run in two segments raises."""
+    order, n = sys.byteorder, len(lattice)
+    w = _width(max(map(len, runs), default=0))  # a height's bytes
+    per, code = 8 // w, _code(w)  # heights in a word
+    place = {lattice.vertex_order[b]: (c, h)  # vertex -> its run, its height there from 0
+             for c, run in enumerate(runs) for h, b in enumerate(run)}
+    heights = []  # per run, each element's height in it
+    for first in range(0, len(runs), per):  # `per` runs at a time, one word an element
+        unit = [0] * len(lattice.vertex_order)
+        for c in range(first, min(first + per, len(runs))):
+            for b in runs[c]:
+                unit[b] = 1 << 8 * w * (c - first)
+        words = array("Q", lattice.carry(unit)).tobytes()
+        view = memoryview(words).cast(code)
+        for c in range(first, min(first + per, len(runs))):
+            at = c - first if order == "little" else first + per - 1 - c
+            heights.append(words[at::per] if w == 1 else view[at::per])
+    out = Projection()
+    for piece in pieces:
+        segments = {}  # run -> the piece's heights in it
+        for v in piece.vertex_order:
+            c, h = place[v]
+            segments.setdefault(c, []).append(h)
+        radix, keys = {}, 1  # per run, its segment's place value in a key; the keys
+        for c in sorted(segments):
+            lo, k = min(segments[c]), len(segments[c])
+            if max(segments[c]) - lo + 1 != k:
+                raise ValueError("a piece meets a run of the vertex order in two segments")
+            segments[c], radix[c], keys = (lo, k), keys, keys * (k + 1)
+        size, key = _width(keys - 1), 0
+        for c, (lo, k) in segments.items():  # per height: 0, the segment's, its top
+            r = radix[c]
+            clamp = [0] * lo + list(range(0, (k + 1) * r, r)) + [k * r] * (len(runs[c]) - lo - k)
+            key += int.from_bytes(_through(heights[c], clamp, size), order)
+        key = key.to_bytes(n * size, order)
+        # each piece element's key, by the same adds over the piece's own order
+        own = piece.carry([radix[place[v][0]] for v in piece.vertex_order])
+        if size == 1:  # key -> element as a translate table
+            index = bytes.maketrans(bytes(own), bytes(range(len(own))))
+        else:
+            index, key = dict(zip(own, count())), array(_code(size), key)
+        out.append((piece, _through(key, index, _width(len(piece) - 1))))
+    return out
+
+
+def planes(piece) -> tuple[list[list[bytes]], list[int]]:
+    """A piece lattice's six statistics as translate tables, and each one's
+    largest value: rho and length of alpha, of beta, then m_a and m_b raised
+    by the piece's vertex count, each as one plane per byte of its values,
+    plane k holding byte k of every element's.  They are kept in the piece
+    lattice with the component bounds and weights they are read from, and
+    made again once either is replaced.  A negative value raises, so no sum
+    borrows."""
+    kept = vars(piece).get("_planes")
+    if kept is None or kept[0] is not piece._component_bounds or kept[1] is not piece.weights:
+        kept = vars(piece)["_planes"] = piece._component_bounds, piece.weights, _plane_set(piece)
+    return kept[2]
+
+
+def _plane_set(piece) -> tuple[list[list[bytes]], list[int]]:
+    m, sizes = len(piece.vertex_order), list(piece._per_size(count()))
+    stats = [list(map(sub, sizes, lo)) if rho else list(map(sub, hi, lo))
+             for lo, hi in piece._component_bounds for rho in (1, 0)]
+    stats += [[x + m for x in w] for w in (piece.weights.alpha, piece.weights.beta)]
+    if min(map(min, stats)) < 0:
+        raise OverflowError("a piece statistic lies below its field")
+    tops = list(map(max, stats))
+    return [[bytes(map(and_, map(rshift, stat, repeat(8 * k)), repeat(255)))
+             for k in range(max(1, (top.bit_length() + 7) // 8))]
+            for stat, top in zip(stats, tops)], tops
 
 
 class Projection(list):
@@ -29,38 +136,29 @@ class Projection(list):
         the pieces: rho and length of alpha, of beta, then m_a and m_b
         raised by the piece's vertex count; as a view of each, and n, the
         pieces' vertex count.  Every field has the fewest of 1, 2, 4 or 8
-        bytes that hold 2n, packed in 8-byte words, all six in one while
-        2n < 256.  A label's pieces share one table of packed words; a piece
-        reads its column's words into an array("Q") and adds them as one
-        exact integer, so each sum adds in its own field.  A negative entry,
-        or the tables' largest entries summing past 2n, raises, so nothing
-        borrows or carries."""
+        bytes that hold 2n, the six side by side in one exact integer.  A
+        piece translates its column through each of its planes (`planes`),
+        puts byte k of field f at f * size + k of each element's 6 * size
+        bytes, and is added as one integer, so each sum adds in its own
+        field.  A negative entry, or the planes' largest entries summing
+        past 2n, raises, so nothing borrows or carries."""
         n = sum(len(piece.vertex_order) for piece, _ in self)
-        size = next(b for b in (1, 2, 4, 8) if not (2 * n) >> 8 * b)
-        per, order = 8 // size, sys.byteorder  # fields a word
-        starts = range(0, 6, per)  # each word's first field
-        tables, bounds, totals = {}, [0] * 6, [0] * len(starts)
-        for piece, column in self:
-            key = id(piece._component_bounds), id(piece.weights)  # shared by a label's pieces
-            if key not in tables:
-                m, sizes = len(piece.vertex_order), list(piece._per_size(count()))
-                stats = [list(map(sub, sizes, lo)) if rho else list(map(sub, hi, lo))
-                         for lo, hi in piece._component_bounds for rho in (1, 0)]
-                stats += [[x + m for x in w] for w in (piece.weights.alpha, piece.weights.beta)]
-                if min(map(min, stats)) < 0:
-                    raise OverflowError("a piece statistic lies below its field")
-                placed = [map(lshift, c, repeat(8 * size * (f % per))) for f, c in enumerate(stats)]
-                words = [list(map(sum, zip(*placed[start:start + per]))) for start in starts]
-                tables[key] = words, list(map(max, stats))
-            bounds = list(map(add, bounds, tables[key][1]))
-            totals = [total + int.from_bytes(array("Q", map(word.__getitem__, column)), order)
-                      for total, word in zip(totals, tables[key][0])]
+        size, bounds = _width(2 * n), [0] * 6
+        for piece, _ in self:
+            bounds = list(map(add, bounds, planes(piece)[1]))
         if max(bounds, default=0) > min(2 * n, (1 << 8 * size) - 1):  # past 2n, or a field
             raise OverflowError("the piece sums do not fit their fields")
-        elements, code = len(self[0][1]) if self else 0, "BHIQ"[size.bit_length() - 1]
-        items = [memoryview(total.to_bytes(8 * elements, order)).cast(code) for total in totals]
-        at = [j if order == "little" else per - 1 - j for j in range(per)]  # in its word
-        return [items[f // per][at[f % per]::per] for f in range(6)], n
+        order, stride = sys.byteorder, 6 * size
+        elements, total = len(self[0][1]) if self else 0, 0
+        for piece, column in self:
+            packed = bytearray(stride * elements)
+            for f, field in enumerate(planes(piece)[0]):
+                for k, plane in enumerate(field):
+                    at = f * size + (k if order == "little" else size - 1 - k)
+                    packed[at::stride] = _through(column, plane, 1)
+            total += int.from_bytes(packed, order)
+        view = memoryview(total.to_bytes(stride * elements, order)).cast(_code(size))
+        return [view[f::6] for f in range(6)], n
 
     def fields(self, length: int, wanted: tuple[int, int]) -> list[list[int]]:
         """Fresh columns of two of the packed sums, `length` entries each,

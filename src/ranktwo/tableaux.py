@@ -526,7 +526,7 @@ def ideal_of_tableau(lattice: IdealLattice, codes: Sequence[int]) -> list[int]:
     if not (in_range and _admissible_ids(sp.algebra, options, ids)):
         raise ValueError(_refusal(sp.algebra, lam, codes, options))
     masks = [0] * len(codes)
-    for column, (_, _, piece_masks), ids_of in zip(ids, sp.decomposition.projections, maps):
+    for column, piece_masks, ids_of in zip(ids, sp.decomposition.masks, maps):
         mask_of = dict(zip(ids_of, piece_masks))  # id -> its piece mask
         masks = list(map(or_, masks, map(mask_of.__getitem__, column)))
     return masks

@@ -279,8 +279,49 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--structure", "no_such_thing")
         assert code == 2
 
+    def test_no_such_fixture_or_file_is_reported_as_an_error(self, tmp_path, capsys):
+        """Like every other usage error: exit 2, `error: ` on stderr, nothing on stdout."""
+        for name in ("no_such_thing", str(tmp_path / "missing.json")):
+            code, out, err = run(capsys, "verify", "--structure", name)
+            assert (code, out, err) == (2, "", f"error: no such fixture or file: {name}\n")
+
 
 class TestExport:
+    def test_embedded_poset_changes_the_lattice_does_not_read(self, tmp_path, capsys):
+        """A repeated cover row, and chain indices that `validate_grid`
+        flags but that keep the total order, are accepted, and export writes
+        those chain indices back; chain indices that move the order are not."""
+        from ranktwo.grid import validate_grid
+        from ranktwo.serialize import poset_from_obj
+
+        poset_file, lattice_file = tmp_path / "p.json", tmp_path / "l.json"
+        run(capsys, "build", "--algebra", "c2", "--weight", "1,1", "--out", str(poset_file))
+        run(capsys, "enumerate", "--in", str(poset_file), "--out", str(lattice_file))
+        top = max(row["chain"] for row in json.loads(poset_file.read_text())["chain"])
+
+        def move_top_vertex(to):  # the one vertex on the top chain, to chain `to`
+            def edit(poset):
+                (row,) = (row for row in poset["chain"] if row["chain"] == top)
+                row["chain"] = to
+                assert validate_grid(poset_from_obj(poset))
+            return edit
+
+        def repeat_a_cover(poset):
+            poset["covers"].append(poset["covers"][0])
+
+        for edit, accepted in ((repeat_a_cover, True), (move_top_vertex(top + 3), True),
+                               (move_top_vertex(0), False)):
+            changed = json.loads(lattice_file.read_text())
+            edit(changed["poset"])
+            path, out = tmp_path / "changed.json", tmp_path / "out.json"
+            path.write_text(json.dumps(changed))
+            code, _, err = run(capsys, "export", "--in", str(path), "--out", str(out))
+            if accepted:
+                assert code == 0, err
+                assert json.loads(out.read_text())["poset"]["chain"] == changed["poset"]["chain"]
+            else:
+                assert code == 2 and err.startswith("error: ")
+
     def test_json_round_trip_is_identity(self, tmp_path, capsys):
         poset_file = tmp_path / "p.json"
         run(capsys, "build", "--algebra", "c2", "--weight", "2,1",

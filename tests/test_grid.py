@@ -276,6 +276,51 @@ BUILT_GRIDS = [semistandard_poset(algebra, order, lam).grid
                for lam in itertools.product(range(4), repeat=2)]
 
 
+def reference_total_order(p):
+    """Oracle: the grid total order as first written, each chain's members
+    sorted by how many of them the poset's `below` sets hold below each,
+    then reversed."""
+    out = []
+    for c in sorted({c for _, c in p.chains}):
+        members = [v for v, cc in p.chains if cc == c]
+        below = p.base.below
+        out.extend(reversed(sorted(members, key=lambda v: len(below[v] & set(members)))))
+    return tuple(out)
+
+
+class TestTotalOrderMatchesReference:
+    """`GridPoset.total_order` equals the oracle on every kind of grid,
+    including grids whose chains hold incomparable vertices."""
+
+    @staticmethod
+    def assert_matches_reference(grids):
+        for p in grids:
+            assert p.total_order == total_order(p) == reference_total_order(p), p
+
+    def test_built_grids(self):
+        self.assert_matches_reference(BUILT_GRIDS)
+
+    def test_random_valid_grids(self, rng):
+        self.assert_matches_reference(random_valid_grids(rng, 300))
+
+    def test_invalid_random_grids(self, rng):
+        grids = _random_grids(rng)
+        assert sum(bool(validate_grid(p)) for p in grids) >= 10
+        self.assert_matches_reference(grids)
+
+    def test_fixtures(self):
+        grids = [p for p in map(load_fixture, FIXTURE_NAMES) if isinstance(p, GridPoset)]
+        assert len(grids) == 2
+        self.assert_matches_reference(grids)
+
+    def test_made_once_and_shared_without_below(self):
+        sp = semistandard_poset(Algebra.G2, "beta_alpha", (2, 1))
+        order = sp.grid.total_order
+        assert total_order(sp.grid) is order
+        assert order_ideals(sp).vertex_order is order and sp.decomposition.order is order
+        assert "below" not in vars(sp.grid.base)
+
+
 def random_chain_grid(rng) -> GridPoset:
     """A random grid on up to four chains of one color each: consecutive
     members of a chain are related, and some members of chain c + 1 lie
@@ -574,7 +619,7 @@ class TestCarryMask:
     @classmethod
     def assert_projections_like_reference(cls, dec):
         bit = {v: 1 << b for b, v in enumerate(dec.order)}
-        for sub, (_, _, masks) in zip(dec.lattices, dec.projections):
+        for sub, masks in zip(dec.lattices, dec.masks):
             to_global = [bit[v] for v in sub.vertex_order]
             assert masks == tuple(reference_carry(m, to_global) for m in sub.elements)
             cls.assert_carries_like_reference(sub, to_global)

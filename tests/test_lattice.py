@@ -13,8 +13,8 @@ from test_grid import random_valid_grids
 from ranktwo.algebras import ALPHA, BETA, Algebra, cartan_matrix
 from ranktwo.build import fundamental_poset, semistandard_poset
 from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
-from ranktwo.grid import GridPoset, decompose, total_order, validate_grid
-from ranktwo.lattice import (IdealLattice, Projection, TooManyIdeals, Weights, check_structure,
+from ranktwo.grid import Decomposition, GridPoset, decompose, total_order, validate_grid
+from ranktwo.lattice import (IdealLattice, Projection, TooManyIdeals, Weights, _runs, check_structure,
                              join_irreducible_poset, order_ideals, piece_rank_stats,
                              projection_columns, structure_rows, weight_via_decomposition)
 from ranktwo.poset import (EdgeColoredPoset, _components, _topological_order,
@@ -1050,6 +1050,36 @@ def reference_piece_elements(lattice, i, dec):
     return out
 
 
+def reference_projection_columns(lattice, dec):
+    """Oracle: the mask projection, per piece each element's mask and-ed with
+    the piece's bits and looked up among the piece lattice's masks, both
+    carried bit by bit into the lattice's vertex order."""
+    bit = {v: 1 << b for b, v in enumerate(lattice.vertex_order)}
+    out = []
+    for sub in dec.lattices:
+        masks = [sum(bit[v] for b, v in enumerate(sub.vertex_order) if m >> b & 1)
+                 for m in sub.elements]
+        index, bits = {m: k for k, m in enumerate(masks)}, masks[-1]
+        out.append((sub, [index[mask & bits] for mask in lattice.elements]))
+    return out
+
+
+def assert_projection_matches_masks(lattice, dec):
+    projection = projection_columns(lattice, dec)
+    assert [(sub, list(column)) for sub, column in projection] == \
+        reference_projection_columns(lattice, dec)
+    return projection
+
+
+def two_chains(k, link):
+    """Chain 1 of a_0 < ... < a_(k-1) and chain 2 of b_0 < ... < b_(k-1),
+    ids 0..2k-1, with b_(k-1) covered by a_link."""
+    colors = {v: ALPHA if v < k else BETA for v in range(2 * k)}
+    covers = [(v, v + 1) for v in range(k - 1)] + [(k + v, k + v + 1) for v in range(k - 1)]
+    return GridPoset.build(colors, covers + [(2 * k - 1, link)],
+                           {v: 1 + (v >= k) for v in range(2 * k)})
+
+
 def reference_rank_stats(lattice, i, color):
     """Oracle: (rho, length) of element i within its component of one color."""
     lo, hi = lattice._component_bounds[color is BETA]
@@ -1115,7 +1145,7 @@ class TestPieceProjection:
     def assert_matches_reference(grid):
         lat, dec = order_ideals(grid), decompose(grid)
         reference = [reference_piece_elements(lat, i, dec) for i in range(len(lat))]
-        assert projection_columns(lat, dec) == [
+        assert [(sub, list(column)) for sub, column in projection_columns(lat, dec)] == [
             (sub, [pieces[k][1] for pieces in reference]) for k, sub in enumerate(dec.lattices)]
 
     @pytest.mark.parametrize("algebra", list(Algebra))
@@ -1126,6 +1156,72 @@ class TestPieceProjection:
     def test_random_grids(self, rng):
         for p in _random_grids(rng):
             self.assert_matches_reference(p)
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_every_weight_to_44(self, algebra):
+        for order in ("beta_alpha", "alpha_beta"):
+            for lam in itertools.product(range(5), repeat=2):
+                sp = semistandard_poset(algebra, order, lam)
+                assert_projection_matches_masks(order_ideals(sp), sp.decomposition)
+
+    @pytest.mark.parametrize("order", ["beta_alpha", "alpha_beta"])
+    def test_g2_66(self, order):
+        sp = semistandard_poset(Algebra.G2, order, (6, 6))
+        projection = assert_projection_matches_masks(order_ideals(sp), sp.decomposition)
+        assert {type(column) for _, column in projection} == {bytes}
+
+    def test_fixtures(self):
+        grids = [p for p in map(load_fixture, FIXTURE_NAMES) if isinstance(p, GridPoset)]
+        assert len(grids) == 2
+        for p in grids:
+            assert_projection_matches_masks(order_ideals(p), decompose(p))
+
+    def test_random_valid_grids(self, rng):
+        counts = set()
+        for p in random_valid_grids(rng, 300):
+            dec = decompose(p)
+            counts.add(min(len(dec), 2))
+            assert_projection_matches_masks(order_ideals(p), dec)
+        assert counts == {1, 2}
+
+    def test_one_chain_of_300_vertices(self):
+        """A1+A1 (300,0) is one chain of 300 one-vertex pieces, so each
+        height takes two bytes; every piece column is still bytes."""
+        sp = semistandard_poset(Algebra.A1A1, "beta_alpha", (300, 0))
+        lat = order_ideals(sp)
+        assert [len(run) for run in _runs(lat.vertex_order, lat.base.lower_covers)] == [300]
+        projection = assert_projection_matches_masks(lat, sp.decomposition)
+        assert {type(column) for _, column in projection} == {bytes}
+        assert weight_via_decomposition(lat, projection) == lat.weights
+
+    def test_a_piece_of_more_than_256_elements(self):
+        """Two chains of 150 stacked into one run of 300 are indecomposable,
+        with 301 ideals: heights, keys and column take two bytes an element."""
+        p = two_chains(150, 0)
+        lat, dec = order_ideals(p), decompose(p)
+        assert len(dec) == 1 and len(lat) == 301
+        ((_, column),) = assert_projection_matches_masks(lat, dec)
+        assert column.itemsize == 2
+        assert weight_via_decomposition(lat, [(dec.lattices[0], column)]) == lat.weights
+
+    def test_keys_wider_than_their_piece_lattice(self):
+        """Two chains of 16 joined at a_1 are two runs, so as one piece they
+        have 17 * 17 = 289 keys, past a byte, and 49 ideals, within one: the
+        keys take two bytes and the column one."""
+        p = two_chains(16, 1)
+        lat = order_ideals(p)
+        assert [len(run) for run in _runs(lat.vertex_order, lat.base.lower_covers)] == [16, 16]
+        dec = Decomposition((p,), (None,), p.total_order)
+        ((_, column),) = assert_projection_matches_masks(lat, dec)
+        assert len(lat) == 49 and type(column) is bytes
+
+    def test_a_piece_in_two_segments_of_a_run_is_refused(self):
+        sp = semistandard_poset(Algebra.A1A1, "beta_alpha", (3, 0))
+        grid, (low, mid, high) = sp.grid, sp.grid.total_order[::-1]
+        dec = Decomposition((grid.restrict({low, high}), grid.restrict({mid})), (None, None),
+                            grid.total_order)
+        with pytest.raises(ValueError, match="two segments"):
+            projection_columns(order_ideals(sp), dec)
 
     def test_decomposition_of_another_grid_is_refused(self):
         lat = order_ideals(semistandard_poset(Algebra.G2, "beta_alpha", (2, 2)))

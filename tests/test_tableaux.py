@@ -402,8 +402,8 @@ def reference_tableau_of_ideal(lattice, index):
     sp, maps = _column_maps(lattice)
     columns = column_table(sp.algebra).columns
     mask = lattice.elements[index]
-    return tuple(columns[ids[piece[mask & bits]]] for (bits, piece, _), ids in
-                 zip(sp.decomposition.projections, maps))
+    return tuple(columns[ids[masks.index(mask & masks[-1])]] for masks, ids in
+                 zip(sp.decomposition.masks, maps))
 
 
 def reference_ideal_of_tableau(lattice, t):
@@ -414,7 +414,7 @@ def reference_ideal_of_tableau(lattice, t):
         raise ValueError("tableau is not admissible for this shape")
     columns = column_table(sp.algebra).columns
     mask = 0
-    for (_, _, masks), ids, column in zip(sp.decomposition.projections, maps, t):
+    for masks, ids, column in zip(sp.decomposition.masks, maps, t):
         mask |= masks[ids.index(columns.index(column))]
     return mask
 

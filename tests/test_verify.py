@@ -16,10 +16,12 @@ from conftest import (beta_flipped, cover_copied, cover_dropped, element_vertice
 import ranktwo.tableaux
 from ranktwo import verify
 from ranktwo.algebras import ALPHA, BETA, Algebra, sigma0
-from ranktwo.build import SemistandardPoset, fundamental_poset, semistandard_poset
+from ranktwo.build import (SemistandardPoset, fundamental_lattice, fundamental_poset,
+                           semistandard_poset)
 from ranktwo.fixtures import load_fixture
 from ranktwo.grid import Decomposition, decompose, triangle_dual
 import ranktwo.lattice
+import ranktwo.projection
 from ranktwo.lattice import Weights, order_ideals, piece_rank_stats, projection_columns
 from ranktwo.poset import edge_color_isomorphism, vertex_color_isomorphism
 from ranktwo.record import replace
@@ -326,6 +328,21 @@ def test_the_projection_is_held_only_for_the_tableau_case(monkeypatch):
         (g, (a, b)) for g in verify.SIMPLE for a in range(3) for b in range(3) if a + b >= 2}
     assert not any(h for (name, _), h in held.items() if name == "_quasi_gaussian_case")
     assert "projection" not in verifier._cache
+
+
+def test_a_battery_builds_one_plane_set_per_fundamental_lattice(monkeypatch):
+    """Every builder piece shares its fundamental lattice's planes, so one
+    (3,3) battery builds 8 plane sets, not one per piece and projection."""
+    built = []
+    make = ranktwo.projection._plane_set
+    monkeypatch.setattr(ranktwo.projection, "_plane_set",
+                        lambda piece: built.append(piece) or make(piece))
+    fundamental_lattice.cache_clear()  # no planes made before this run
+    report = verify.Verifier((3, 3)).run_all()["checks"]
+    assert all(c["status"] == "PASS" for c in report), report
+    assert sorted(map(id, built)) == sorted(
+        id(fundamental_lattice(algebra, which)) for algebra in Algebra
+        for which in ("alpha_fund", "beta_fund"))
 
 
 def test_the_held_projection_keeps_no_packed_sums(monkeypatch):
