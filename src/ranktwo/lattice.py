@@ -52,8 +52,10 @@ from .algebras import ALPHA, BETA, Color, Weight
 from .build import SemistandardPoset
 from .grid import Decomposition, GridPoset
 from .poset import EdgeColoredPoset, VertexColoredPoset
-from .projection import Projection, planes, project
 from .record import field, record, replace
+TYPE_CHECKING = False  # as typing's, without importing typing
+if TYPE_CHECKING:
+    from .projection import Projection
 
 # Peak RSS per ideal (Python 3.11): 75-83 B of growth (VmHWM) in the
 # library through covers, weights and the character, rgf and structure checks
@@ -261,6 +263,8 @@ class IdealLattice:
         `offset` and every chain index by a constant, which keeps the vertex
         order: so every element index too, and it shares every column, the
         weights, the component bounds and the planes."""
+        from .projection import planes  # deferred: only decompositions read it
+
         out = replace(self, poset=poset, vertex_order=tuple(v + offset for v in self.vertex_order))
         planes(self)  # makes the weights, the bounds and the planes once, for every copy
         vars(out).update({k: vars(self)[k] for k in ("weights", "_component_bounds", "_planes")})
@@ -399,6 +403,8 @@ def projection_columns(lattice: IdealLattice, dec: Decomposition) -> Projection:
     """Per piece, its lattice and the column of each element's intersection
     with it, as an index in that lattice, read off the element's height in
     each run of the vertex order (`projection.project`)."""
+    from .projection import project  # deferred: only decompositions read it
+
     if lattice.vertex_order != dec.order:
         raise ValueError("the decomposition is of a grid with another vertex order")
     return project(lattice, _runs(dec.order, lattice.base.lower_covers), dec.lattices)
@@ -406,6 +412,8 @@ def projection_columns(lattice: IdealLattice, dec: Decomposition) -> Projection:
 
 def _piece_fields(lattice: IdealLattice, projection: list[tuple[IdealLattice, Sequence[int]]],
                   wanted: tuple[int, int]) -> list[list[int]]:
+    from .projection import Projection
+
     if not isinstance(projection, Projection):
         projection = Projection(projection)
     return projection.fields(len(lattice), wanted)

@@ -15,8 +15,9 @@ and `lattice.piece_rank_stats` read their sums from the `Projection`: each
 piece lattice keeps its planes, per statistic one table per byte of its
 values, and each piece's column is translated through them into the fields
 of one exact integer per piece, all six statistics at once.  The code is a
-module of its own because a process that imports `ranktwo` from source
-peaks while compiling its largest module, lattice.py.
+module of its own, imported when a lattice is first projected: a process
+that projects nothing does not compile it, and one that imports `ranktwo`
+from source peaks while compiling its largest module, lattice.py.
 """
 
 from __future__ import annotations
@@ -72,16 +73,15 @@ def project(lattice, runs: list[list[int]], pieces) -> Projection:
             heights.append(words[at::per] if w == 1 else view[at::per])
     out = Projection()
     for piece in pieces:
-        segments = {}  # run -> the piece's heights in it
-        for v in piece.vertex_order:
-            c, h = place[v]
-            segments.setdefault(c, []).append(h)
-        radix, keys = {}, 1  # per run, its segment's place value in a key; the keys
-        for c in sorted(segments):
-            lo, k = min(segments[c]), len(segments[c])
-            if max(segments[c]) - lo + 1 != k:
+        segments = {}  # run -> the piece's lowest height in it, its vertex count there
+        for c, h in sorted(map(place.__getitem__, piece.vertex_order)):
+            lo, k = segments.get(c, (h, 0))
+            if h != lo + k:
                 raise ValueError("a piece meets a run of the vertex order in two segments")
-            segments[c], radix[c], keys = (lo, k), keys, keys * (k + 1)
+            segments[c] = lo, k + 1
+        radix, keys = {}, 1  # per run, its segment's place value in a key; the keys
+        for c, (_, k) in segments.items():
+            radix[c], keys = keys, keys * (k + 1)
         size, key = _width(keys - 1), 0
         for c, (lo, k) in segments.items():  # per height: 0, the segment's, its top
             r = radix[c]

@@ -14,12 +14,13 @@ from ranktwo.algebras import ALPHA, BETA, Algebra, cartan_matrix
 from ranktwo.build import fundamental_poset, semistandard_poset
 from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
 from ranktwo.grid import Decomposition, GridPoset, decompose, total_order, validate_grid
-from ranktwo.lattice import (IdealLattice, Projection, TooManyIdeals, Weights, _runs, check_structure,
+from ranktwo.lattice import (IdealLattice, TooManyIdeals, Weights, _runs, check_structure,
                              join_irreducible_poset, order_ideals, piece_rank_stats,
                              projection_columns, structure_rows, weight_via_decomposition)
 from ranktwo.poset import (EdgeColoredPoset, _components, _topological_order,
                            edge_color_isomorphism, find_rank_function, product,
                            vertex_color_isomorphism, VertexColoredPoset)
+from ranktwo.projection import Projection
 from ranktwo.record import fields, replace
 from ranktwo.serialize import lattice_from_obj, lattice_to_obj
 from ranktwo.tableaux import TableauLattice, tableau_lattice
