@@ -10,8 +10,10 @@ Serialization is canonical: keys sorted, fixed separators, lists in a
 deterministic order, so parse -> re-serialize is byte-identical.  A lattice
 file is the canonical text of the lattice of its poset, so reading one
 compares bytes: its poset is read at its canonical place, the lattice is
-enumerated once, and the text is compared in place with the canonical
-pieces.  Only a file that differs is parsed whole and checked field by field.
+enumerated once, and the text is compared in place with the canonical text
+that `render` makes from the lattice's columns.  Only a file that differs is
+parsed whole and checked field by field.  Writing renders the rows of
+`lattice_to_obj`.
 """
 
 from __future__ import annotations
@@ -119,9 +121,8 @@ def _weight_rows(lat: IdealLattice) -> list[list[int]]:
     return list(map(list, lat.weights))
 
 
-# the rows of each lattice-file field, in the order a file is checked
-_ROWS = {"elements": _element_rows, "covers": _cover_rows, "weights": _weight_rows}
-_RENDER = {"poset": lambda lat: poset_to_obj(lat.poset), **_ROWS}
+_RENDER = {"poset": lambda lat: poset_to_obj(lat.poset), "elements": _element_rows,
+           "covers": _cover_rows, "weights": _weight_rows}
 
 
 def lattice_to_obj(lat: IdealLattice) -> dict[str, Any]:
@@ -155,8 +156,7 @@ def _field_text(lat: IdealLattice, key: str, rows: list[list]) -> Iterator[str]:
 
 def _pieces(lat: IdealLattice, field: Callable[[str], Any]) -> Iterator[str]:
     """The canonical text of lat's lattice file in pieces, keys sorted;
-    field(key) gives the poset's object or a row field's rows, each asked
-    for only when its text is reached."""
+    field(key) gives the poset's object or a row field's rows."""
     sep = "{"
     for key in sorted(_RENDER):
         yield f'{sep}"{key}":'
@@ -174,17 +174,9 @@ def lattice_text(lat: IdealLattice) -> str:
     return "".join(_pieces(lat, lattice_to_obj(lat).pop))
 
 
-def _equals_pieces(text: str, pieces: Iterator[str]) -> bool:
-    """Whether text is the concatenation of pieces, compared in place."""
-    at = 0
-    for piece in pieces:
-        if not text.startswith(piece, at):
-            return False
-        at += len(piece)
-    return at == len(text)
-
-
-_POSET_KEY = ',"poset":'  # in a canonical lattice file, after covers and elements
+# in a canonical lattice file, after covers and elements with no object in
+# them, and before weights, after which no string comes
+_POSET_KEY, _WEIGHTS_KEY = ',"poset":', ',"weights":'
 _DECODER = json.JSONDecoder()
 
 
@@ -194,18 +186,24 @@ def canonical_lattice(text: str, path: str,
     canonical file, else None.  The poset is read at its canonical place and
     the lattice enumerated once, refusing beyond `max_ideals`; the poset is
     trusted only once every byte of the text equals the canonical pieces,
-    each rendered one field at a time."""
+    each rendered one field at a time.  A poset key elsewhere, nested or
+    repeated, leaves the file to the whole-file path."""
     at = text.find(_POSET_KEY)
-    if at < 0:
+    if at < 0 or text.find("{", 1, at) >= 0:
         return None
     try:
-        poset = poset_from_obj(_DECODER.raw_decode(text, at + len(_POSET_KEY))[0])
+        obj, end = _DECODER.raw_decode(text, at + len(_POSET_KEY))
+        if not text.startswith(_WEIGHTS_KEY, end) or text.find('"', end + len(_WEIGHTS_KEY)) >= 0:
+            return None
+        poset = poset_from_obj(obj)
     except RecursionError:  # a malformed file, like any other
         raise ValueError(f"{path}: JSON nested too deeply") from None
     except ValueError:  # not a poset at this place: the whole file decides
         return None
+    from .render import equals, file_text  # deferred: only a read renders this text
+
     lat = order_ideals(poset, max_ideals)
-    return lat if _equals_pieces(text, _pieces(lat, lambda key: _RENDER[key](lat))) else None
+    return lat if equals(text, file_text(lat)) else None
 
 
 def lattice_from_obj(obj: Any, max_ideals: int = DEFAULT_MAX_IDEALS) -> IdealLattice:
@@ -213,10 +211,12 @@ def lattice_from_obj(obj: Any, max_ideals: int = DEFAULT_MAX_IDEALS) -> IdealLat
     check the file against it one field at a time: elements, covers with
     their colors, then weights must each re-serialize to the canonical text,
     which 1.0 or true for 1 does not."""
+    from .render import equals, field_text  # deferred: only a read renders this text
+
     lat = order_ideals(poset_from_obj(_field(obj, "poset", dict, "lattice file")), max_ideals)
-    for key, render in _ROWS.items():
+    for key in ("elements", "covers", "weights"):
         text = _json(_field(obj, key, list, "lattice file"))
-        if not _equals_pieces(text, _field_text(lat, key, render(lat))):
+        if not equals(text, field_text(lat, key)):
             raise ValueError(f"lattice file {key} do not match its poset")
     return lat
 

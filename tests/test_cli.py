@@ -541,6 +541,32 @@ class TestCanonicalLatticeFiles:
         code, out, err = run(capsys, command, "--in", str(bad), *rest)
         assert (code, out, err) == (2, "", f"error: lattice file {key} do not match its poset\n")
 
+    @pytest.mark.parametrize("decoy", ["nested", "repeated-before", "repeated-after"])
+    def test_a_poset_key_elsewhere_leaves_the_file_to_the_whole_file_path(
+            self, files, tmp_path, capsys, monkeypatch, decoy):
+        """A 24-vertex antichain, 2**24 ideals, in a nested or repeated
+        "poset" key is not enumerated in place of the file's own poset,
+        which has 16: the fast path reads the same file as the whole-file
+        path, which reads the top-level key, the last if repeated."""
+        poset_file, lattice_file = files
+        text, poset = lattice_file.read_text(), poset_file.read_text().strip()
+        antichain = dumps({"kind": "vertex", "covers": [],
+                           "vertices": [{"color": "a", "id": v} for v in range(24)]}).strip()
+        forged = {
+            "nested": text.replace(',"poset":', f',"note":{{"x":0,"poset":{antichain}}},"poset":'),
+            "repeated-before": text.replace(',"poset":', f',"poset":{antichain},"poset":'),
+            "repeated-after": text.replace(f',"poset":{poset},', f',"poset":{antichain},')
+                                  .replace("]]}\n", f']],"poset":{poset}}}\n'),
+        }[decoy]
+        assert forged.count(antichain) == 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(forged)
+        argv = ("character", "--in", str(bad), "--verify", "--max-ideals", "1000")
+        fast = run(capsys, *argv)
+        monkeypatch.setattr(ranktwo.cli, "canonical_lattice", lambda *args: None)
+        assert fast == run(capsys, *argv)
+        assert fast[0] == 0 and fast[1].splitlines()[-1] == "PASS (algebra c2, weight 1,1)"
+
     @pytest.mark.parametrize("argv", [["character", "--verify"], ["export", "--format", "json"]])
     def test_deep_value_at_the_poset_place(self, tmp_path, capsys, argv):
         deep = tmp_path / "deep.json"

@@ -1,5 +1,6 @@
-"""The package namespace exports the library's API and no submodule, and
-importing it loads no heavy standard-library module."""
+"""The package namespace exports the library's API and no submodule,
+importing it loads no heavy standard-library module, and only a lattice-file
+read loads the readers' renderer."""
 
 import os
 import pathlib
@@ -44,3 +45,27 @@ def test_a_fresh_process_imports_no_heavy_stdlib_module(flags, modules, unwanted
     out = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout.split()
     assert out == ["[]", "9"]
+
+
+_READ = """
+import sys
+from ranktwo.cli import main
+from ranktwo.verify import Verifier
+poset, lattice = sys.argv[1:]
+main(["build", "--algebra", "c2", "--weight", "1,1", "--out", poset])
+main(["enumerate", "--in", poset, "--out", lattice])
+Verifier((1, 1)).run_all()
+print("ranktwo.render" in sys.modules)
+main(["character", "--in", lattice])
+print("ranktwo.render" in sys.modules)
+"""
+
+
+def test_only_a_read_imports_the_renderer(tmp_path):
+    """The readers' text renderer is compiled on the first lattice-file read:
+    building, writing a lattice file and the battery do not import it."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(ranktwo.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", _READ, str(tmp_path / "p.json"),
+                          str(tmp_path / "l.json")], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout.split()
+    assert out[0] == "False" and out[-1] == "True"
