@@ -3,12 +3,17 @@
 The two colors correspond to the two simple roots; alpha is always the
 short one.  Weights live in fundamental-weight coordinates, so a weight is
 just an integer pair (m_alpha, m_beta) and the simple roots are the rows
-of the Cartan matrix.
+of the Cartan matrix.  `Weights`, one weight per lattice element as two
+columns, is kept here and not in lattice.py, whose compiling is among the
+largest steps in memory of `import ranktwo` from source.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator, Sequence
+from itertools import chain, repeat
+from operator import add, eq, sub
 
 
 class Color(enum.Enum):
@@ -34,6 +39,35 @@ SWAP = {ALPHA: BETA, BETA: ALPHA}
 IDENTITY = {ALPHA: ALPHA, BETA: BETA}
 
 Weight = tuple[int, int]
+
+
+class Weights:
+    """Every element's weight as two columns raised by `offset`: element i
+    has weight (alpha[i] - offset, beta[i] - offset), its coordinates m_a
+    and m_b.  Indexing gives that pair, iterating gives every pair, and ==
+    compares the values, the columns directly when both offsets agree."""
+
+    __slots__ = ("alpha", "beta", "offset")
+
+    def __init__(self, alpha: Sequence[int], beta: Sequence[int], offset: int = 0) -> None:
+        self.alpha, self.beta, self.offset = alpha, beta, offset
+
+    def __len__(self) -> int:
+        return len(self.alpha)
+
+    def __getitem__(self, i: int) -> Weight:
+        return self.alpha[i] - self.offset, self.beta[i] - self.offset
+
+    def __iter__(self) -> Iterator[Weight]:
+        return zip(*(map(sub, column, repeat(self.offset)) for column in (self.alpha, self.beta)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Weights):
+            return NotImplemented
+        shift = other.offset - self.offset
+        return (not shift and self.alpha == other.alpha and self.beta == other.beta
+                or len(self) == len(other) and all(map(eq, chain(other.alpha, other.beta), map(
+                    add, chain(self.alpha, self.beta), repeat(shift)))))
 
 
 def nonnegative_weight(lam: Weight, error: type[ValueError] = ValueError) -> Weight:

@@ -9,9 +9,10 @@ is indexed.  The walk keeps no code: every element but the bottom is its
 first lower cover, the least i with a cover (i, j), plus one vertex, and as
 each block is walked in i order, the first i to reach a code is that cover.
 `first_lower` gives the two columns, first lower cover and added bit, that
-the walk records there.  `Covers` is three columns: lower and upper element
-indices as `array("I")`, and one byte per cover, 1 for beta; no object is
-kept per cover or per element index.  The blocks' lengths are `rank_sizes`.
+the walk records there, the bits one byte each up to 128 vertices.  `Covers`
+is three columns: lower and upper element indices as `array("I")`, and one
+byte per cover, 1 for beta; no object is kept per cover or per element
+index.  The blocks' lengths are `rank_sizes`.
 
 The statistics are read from those covers.  A one-color cover joins two
 elements of one component, so an element's least component size lo is that of
@@ -20,13 +21,13 @@ pass up the covers sets lo, a pass down sets hi, on columns of one byte an
 entry below 256 vertices, else four.  An element of size s has rho = s - lo,
 length = hi - lo and weight coordinate m = 2 rho - length, whole-lattice
 columns: `rank_stats(color)` gives rho and length and `weights` the columns
-m_a and m_b as a `Weights`; equal coordinates share one int object, and sizes
-are read off the size blocks.  Along a decomposition, `projection_columns`
-indexes every element's intersection with each piece, for
-`tableaux.tableau_of_ideal` and the sums `piece_rank_stats` and
-`weight_via_decomposition`, equal to the lattice's columns: the projection
-(`projection.project`) reads byte columns off the elements' run heights,
-and sums all six piece statistics one integer per piece.
+m_a and m_b as a `Weights`, raised by n into 0..2n: bytes while 2n < 256,
+else 2 or 4 bytes an entry.  Sizes are read off the size blocks.  Along a
+decomposition, `projection_columns` indexes every element's intersection
+with each piece, for `tableaux.tableau_of_ideal` and the sums
+`piece_rank_stats` and `weight_via_decomposition`, equal to the lattice's:
+the projection (`projection.project`) reads byte columns off the elements'
+run heights, and sums all six piece statistics one integer per piece.
 The generic `edge_poset` is built only for isomorphism and rank functions.
 
 `carry` sums a value per vertex along the first lower covers, one add per
@@ -44,11 +45,11 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator, Sequence
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain, count, islice, repeat
 from operator import add, mul, sub
 
-from .algebras import ALPHA, BETA, Color, Weight
+from .algebras import ALPHA, BETA, Color, Weight, Weights
 from .build import SemistandardPoset
 from .grid import Decomposition, GridPoset
 from .poset import EdgeColoredPoset, VertexColoredPoset
@@ -57,11 +58,11 @@ TYPE_CHECKING = False  # as typing's, without importing typing
 if TYPE_CHECKING:
     from .projection import Projection
 
-# Peak RSS per ideal (Python 3.11): 75-83 B of growth (VmHWM) in the
+# Peak RSS per ideal (Python 3.11): 48-59 B of growth (VmHWM) in the
 # library through covers, weights and the character, rgf and structure checks
 # (G2 (5,5)-(8,8), which has 531,441 ideals); at G2 (6,6) and (7,7) the process
-# peak (getrusage) is 1.4 KB for `enumerate` writing its file and 0.95-1.0 KB
-# for `character --verify` and `export` reading one: 0.08, 1.4, 1.0 GB at 10**6.
+# peak (getrusage) is 1.4 KB for `enumerate` writing its file and 0.6-0.7 KB
+# for `character --verify` and `export` reading one: 0.06, 1.4, 0.7 GB at 10**6.
 DEFAULT_MAX_IDEALS = 10**6
 
 
@@ -100,38 +101,6 @@ class Covers:
 
     def __iter__(self) -> Iterator[tuple[int, int, Color]]:
         return zip(self.lower, self.upper, map(_COLORS.__getitem__, self.beta))
-
-    def shared(self, n: int) -> Iterator[tuple[int, int, int]]:
-        """(i, j, beta byte) per cover of an n-element lattice, for readers
-        that keep indices: reading a column makes an int per entry, so these
-        are read through one list of the n, an int per element."""
-        ids = list(range(n))
-        return zip(map(ids.__getitem__, self.lower), map(ids.__getitem__, self.upper), self.beta)
-
-
-class Weights:
-    """Every element's weight as two columns: element i has weight
-    (alpha[i], beta[i]), its coordinates m_a and m_b.  Indexing gives that
-    pair, iterating gives every pair, and == compares the columns."""
-
-    __slots__ = ("alpha", "beta")
-
-    def __init__(self, alpha: list[int], beta: list[int]) -> None:
-        self.alpha, self.beta = alpha, beta
-
-    def __len__(self) -> int:
-        return len(self.alpha)
-
-    def __getitem__(self, i: int) -> Weight:
-        return self.alpha[i], self.beta[i]
-
-    def __iter__(self) -> Iterator[Weight]:
-        return zip(self.alpha, self.beta)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Weights):
-            return NotImplemented
-        return self.alpha == other.alpha and self.beta == other.beta
 
 
 @record
@@ -243,16 +212,13 @@ class IdealLattice:
 
     @cached_property
     def weights(self) -> Weights:
-        # m = 2 rho - length = 2 size - lo - hi, per color.  Each m is read
-        # from one table of the values -n..n, so equal weights share one int
-        # object (CPython shares only -5..256).  The index is m + n: since
-        # 0 <= lo <= size <= hi <= n, m = (size - lo) - (hi - size) lies in
-        # -n..n and m + n in 0..2n; a negative index would wrap silently.
+        # m = 2 rho - length = 2 size - lo - hi, per color, kept raised by n:
+        # since 0 <= lo <= size <= hi <= n, m = (size - lo) - (hi - size)
+        # lies in -n..n and m + n in 0..2n, one byte an entry while 2n < 256
         n = len(self.vertex_order)
-        table = list(range(-n, n + 1))
-        return Weights(*(list(map(table.__getitem__,
-                                  map(sub, self._per_size(count(n, 2)), map(add, lo, hi))))
-                         for lo, hi in self._component_bounds))
+        column = bytes if 2 * n < 256 else partial(array, "H" if 2 * n < 1 << 16 else "I")
+        return Weights(*(column(map(sub, self._per_size(count(n, 2)), map(add, lo, hi)))
+                         for lo, hi in self._component_bounds), n)
 
     @cached_property
     def top(self) -> int:
@@ -262,12 +228,13 @@ class IdealLattice:
         """The lattice over `poset`, this one's poset with every id moved by
         `offset` and every chain index by a constant, which keeps the vertex
         order: so every element index too, and it shares every column, the
-        weights, the component bounds and the planes."""
+        weights, the component bounds, the planes and the key tables."""
         from .projection import planes  # deferred: only decompositions read it
 
         out = replace(self, poset=poset, vertex_order=tuple(v + offset for v in self.vertex_order))
         planes(self)  # makes the weights, the bounds and the planes once, for every copy
-        vars(out).update({k: vars(self)[k] for k in ("weights", "_component_bounds", "_planes")})
+        vars(out).update({k: vars(self)[k] for k in ("weights", "_component_bounds", "_planes")},
+                         _keys=vars(self).setdefault("_keys", {}))  # `project`'s key tables
         return out
 
 
@@ -326,7 +293,8 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
     if max_ideals < 1:
         raise TooManyIdeals(f"more than {max_ideals} order ideals")
     low, up, col = array("I"), array("I"), bytearray()
-    first, added = array("i", [-1]), array("i", [-1])  # the bottom adds nothing
+    n = len(order)  # added holds the bottom's -1, then bits below n: a byte up to 128
+    first, added = array("i", [-1]), array("b" if n <= 128 else "h" if n <= 1 << 15 else "i", [-1])
     add_low, add_col = low.append, col.append
     sizes, block, start = [], [0], 0  # the bottom, the only element of size 0
     room = max_ideals - 1  # elements the blocks above may still add
@@ -378,7 +346,7 @@ def structure_rows(lattice: IdealLattice) -> list[Weight | None] | None:
     cover adding v shifts it by v's row; and each step is a cover.  A color
     with no covers has no vertex, so its row is never read."""
     wa, wb, cov = lattice.weights.alpha, lattice.weights.beta, lattice.covers
-    rows: list[Weight | None] = [None, None]
+    rows: list[Weight | None] = [None, None]  # shifts of raw columns: the offset cancels
     for b in (0, 1):  # each row from the first cover of its color
         k = cov.beta.find(b)
         if k >= 0:
@@ -411,19 +379,23 @@ def projection_columns(lattice: IdealLattice, dec: Decomposition) -> Projection:
 
 
 def _piece_fields(lattice: IdealLattice, projection: list[tuple[IdealLattice, Sequence[int]]],
-                  wanted: tuple[int, int]) -> list[list[int]]:
+                  wanted: tuple[int, int]) -> list[Sequence[int]]:
     from .projection import Projection
 
+    if not projection:  # no piece: every sum is 0
+        return [[0] * len(lattice) for _ in wanted]
     if not isinstance(projection, Projection):
         projection = Projection(projection)
-    return projection.fields(len(lattice), wanted)
+    return [projection.packed[0][f] for f in wanted]
 
 
 def weight_via_decomposition(lattice: IdealLattice,
                              projection: list[tuple[IdealLattice, Sequence[int]]]) -> Weights:
     """Per element, the sum of the piece-lattice weights of its intersections
-    with the pieces; `projection` is projection_columns of the lattice."""
-    return Weights(*_piece_fields(lattice, projection, (4, 5)))
+    with the pieces; `projection` is projection_columns of the lattice.
+    The columns are the packed sums, raised by the sum of the pieces' offsets."""
+    return Weights(*_piece_fields(lattice, projection, (4, 5)),
+                   sum(piece.weights.offset for piece, _ in projection))
 
 
 def piece_rank_stats(lattice: IdealLattice, projection: list[tuple[IdealLattice, Sequence[int]]],
@@ -432,7 +404,7 @@ def piece_rank_stats(lattice: IdealLattice, projection: list[tuple[IdealLattice,
     intersections with the pieces; `projection` is projection_columns of
     the lattice."""
     k = 2 * (color is BETA)
-    return tuple(_piece_fields(lattice, projection, (k, k + 1)))
+    return tuple(map(list, _piece_fields(lattice, projection, (k, k + 1))))
 
 
 def join_irreducible_poset(ep: EdgeColoredPoset) -> VertexColoredPoset:

@@ -88,14 +88,25 @@ def project(lattice, runs: list[list[int]], pieces) -> Projection:
             clamp = [0] * lo + list(range(0, (k + 1) * r, r)) + [k * r] * (len(runs[c]) - lo - k)
             key += int.from_bytes(_through(heights[c], clamp, size), order)
         key = key.to_bytes(n * size, order)
-        # each piece element's key, by the same adds over the piece's own order
-        own = piece.carry([radix[place[v][0]] for v in piece.vertex_order])
-        if size == 1:  # key -> element as a translate table
-            index = bytes.maketrans(bytes(own), bytes(range(len(own))))
-        else:
-            index, key = dict(zip(own, count())), array(_code(size), key)
-        out.append((piece, _through(key, index, _width(len(piece) - 1))))
+        if size > 1:
+            key = array(_code(size), key)
+        image = tuple(radix[place[v][0]] for v in piece.vertex_order)
+        out.append((piece, _through(key, _key_table(piece, image), _width(len(piece) - 1))))
     return out
+
+
+def _key_table(piece, image: tuple[int, ...]) -> bytes | dict[int, int]:
+    """Key -> piece element, each element's key made by the same adds over
+    the piece's own order, bit b adding image[b]: a translate table while the
+    keys fit a byte.  Kept on the piece lattice by `image`, and shared with
+    its copies (`IdealLattice.shifted`)."""
+    tables = vars(piece).setdefault("_keys", {})
+    index = tables.get(image)
+    if index is None:
+        own = piece.carry(image)
+        index = tables[image] = (bytes.maketrans(bytes(own), bytes(range(len(own))))
+                                 if own[-1] < 256 else dict(zip(own, count())))
+    return index
 
 
 def planes(piece) -> tuple[list[list[bytes]], list[int]]:
@@ -113,10 +124,10 @@ def planes(piece) -> tuple[list[list[bytes]], list[int]]:
 
 
 def _plane_set(piece) -> tuple[list[list[bytes]], list[int]]:
-    m, sizes = len(piece.vertex_order), list(piece._per_size(count()))
+    sizes = list(piece._per_size(count()))
     stats = [list(map(sub, sizes, lo)) if rho else list(map(sub, hi, lo))
              for lo, hi in piece._component_bounds for rho in (1, 0)]
-    stats += [[x + m for x in w] for w in (piece.weights.alpha, piece.weights.beta)]
+    stats += [piece.weights.alpha, piece.weights.beta]  # as kept, raised by the vertex count
     if min(map(min, stats)) < 0:
         raise OverflowError("a piece statistic lies below its field")
     tops = list(map(max, stats))
@@ -159,12 +170,3 @@ class Projection(list):
             total += int.from_bytes(packed, order)
         view = memoryview(total.to_bytes(stride * elements, order)).cast(_code(size))
         return [view[f::6] for f in range(6)], n
-
-    def fields(self, length: int, wanted: tuple[int, int]) -> list[list[int]]:
-        """Fresh columns of two of the packed sums, `length` entries each,
-        read through a table of their values, so equal values share one int."""
-        if not self:  # no piece: every sum is 0
-            return [[0] * length for _ in wanted]
-        fields, n = self.packed
-        values = [list(range(2 * n + 1)), list(range(-n, n + 1))]  # per raw sum: rho or length, m
-        return [list(map(values[f >= 4].__getitem__, fields[f])) for f in wanted]

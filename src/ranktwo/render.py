@@ -12,7 +12,8 @@ joined by "],[", and no row is made as a list or tuple:
             ascending after one comma too many, which a replace drops;
   covers    per element index, its text with a comma for the lower end
             and, picked by the color byte, its text with the color;
-  weights   per value in -n..n, its text, and with a comma for m_a.
+  weights   per raw value 0..2n of the raised columns, its weight's text,
+            and with a comma for m_a.
 The masks are transient: carried for one read, not kept on the lattice.
 
 The writer, `serialize.lattice_text`, renders the same bytes from the rows
@@ -78,10 +79,9 @@ def _cover_blocks(lat: IdealLattice) -> Iterator[str]:
 
 
 def _weight_blocks(lat: IdealLattice) -> Iterator[str]:
-    n = len(lat.vertex_order)  # every weight coordinate lies in -n..n
-    values = {m: str(m) for m in range(-n, n + 1)}
-    firsts = {m: f"{m}," for m in values}
-    w = lat.weights
+    w = lat.weights  # raised by n: raw values 0..2n are the weights -n..n
+    values = [str(r - w.offset) for r in range(2 * w.offset + 1)]
+    firsts = [f"{m}," for m in values]
     for s in range(0, len(w), _BLOCK):
         cut = slice(s, s + _BLOCK)
         yield _SEP.join(map(add, map(firsts.__getitem__, w.alpha[cut]),

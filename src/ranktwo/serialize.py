@@ -24,7 +24,7 @@ from itertools import chain, count, islice, repeat
 
 from .algebras import ALPHA, BETA, Color
 from .grid import GridPoset
-from .lattice import DEFAULT_MAX_IDEALS, IdealLattice, order_ideals
+from .lattice import DEFAULT_MAX_IDEALS, IdealLattice, TooManyIdeals, order_ideals
 from .poset import EdgeColoredPoset, VertexColoredPoset, find_rank_function
 TYPE_CHECKING = False  # as typing's, without importing typing
 if TYPE_CHECKING:
@@ -112,9 +112,11 @@ def _element_rows(lat: IdealLattice) -> list[list[int]]:
 
 def _cover_rows(lat: IdealLattice) -> list[list]:
     """[i, j, color] per cover, in the stored (i, j) order, with one int
-    object per element index."""
-    names = (ALPHA.value, BETA.value)
-    return [[i, j, names[b]] for i, j, b in lat.covers.shared(len(lat))]
+    object per element index: reading a column makes an int per entry, so
+    the indices are read through one list of the elements."""
+    names, ids, cov = (ALPHA.value, BETA.value), list(range(len(lat))), lat.covers
+    return [[i, j, names[b]] for i, j, b in
+            zip(map(ids.__getitem__, cov.lower), map(ids.__getitem__, cov.upper), cov.beta)]
 
 
 def _weight_rows(lat: IdealLattice) -> list[list[int]]:
@@ -187,7 +189,7 @@ def canonical_lattice(text: str, path: str,
     the lattice enumerated once, refusing beyond `max_ideals`; the poset is
     trusted only once every byte of the text equals the canonical pieces,
     each rendered one field at a time.  A poset key elsewhere, nested or
-    repeated, leaves the file to the whole-file path."""
+    repeated, or more ideals than "[" before it, goes to the whole-file path."""
     at = text.find(_POSET_KEY)
     if at < 0 or text.find("{", 1, at) >= 0:
         return None
@@ -202,7 +204,13 @@ def canonical_lattice(text: str, path: str,
         return None
     from .render import equals, file_text  # deferred: only a read renders this text
 
-    lat = order_ideals(poset, max_ideals)
+    rows = text.count("[", 0, at)  # a canonical file opens one per ideal, and more
+    try:
+        lat = order_ideals(poset, min(max_ideals, rows))
+    except TooManyIdeals:
+        if rows < max_ideals:
+            return None
+        raise
     return lat if equals(text, file_text(lat)) else None
 
 

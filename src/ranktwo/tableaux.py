@@ -61,7 +61,7 @@ from array import array
 from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from functools import cached_property, lru_cache
-from operator import add, and_, floordiv, getitem, mod, or_, rshift, sub
+from operator import add, and_, floordiv, getitem, mod, or_, rshift
 
 from .algebras import ALPHA, BETA, Algebra, Color, Weight, nonnegative_weight
 from .build import SemistandardPoset, fundamental_lattice
@@ -323,12 +323,13 @@ def column_sums(algebra: Algebra, lam: Weight,
     """Per code of shape lam, from its ids (`code_ids`): its tableau's weight,
     its block tableau's weight numerator, each held as two columns, and the
     block tableau's code.  All five add in one pass per position, one packed
-    integer per id: each weight coordinate raised by its largest absolute
-    value m, in a field of (2nm).bit_length() bits so n of them never carry,
-    and the block id times its place on top."""
+    integer per id: each coordinate raised by the largest absolute value m
+    of either of its weight's, in a field of (2nm).bit_length() bits so n of
+    them never carry, and the block id times its place on top; kept raised."""
     table, n = column_table(algebra), lam[0] + lam[1]
     fields = [*zip(*table.weight), *zip(*table.numerator)]
-    offsets = [max(map(abs, values)) for values in fields]
+    wm, nm = (max(max(map(abs, row)) for row in t) for t in (table.weight, table.numerator))
+    offsets = [wm, wm, nm, nm]
     widths = [(2 * n * m).bit_length() for m in offsets]
     *shifts, top = itertools.accumulate(widths, initial=0)
     base = [sum((v + m) << s for v, m, s in zip(row, offsets, shifts)) for row in zip(*fields)]
@@ -337,9 +338,9 @@ def column_sums(algebra: Algebra, lam: Weight,
         at = [p + (b * len(table.blocks) ** (n - 1 - k) << top) for p, b in zip(base, table.block)]
         totals = list(map(add, totals, map(at.__getitem__, column)))
     repeat = itertools.repeat
-    wa, wb, na, nb = (list(map(sub, map(and_, map(rshift, totals, repeat(s)), repeat((1 << w) - 1)),
-                               repeat(n * m))) for s, w, m in zip(shifts, widths, offsets))
-    return Weights(wa, wb), Weights(na, nb), list(map(rshift, totals, repeat(top)))
+    wa, wb, na, nb = (list(map(and_, map(rshift, totals, repeat(s)), repeat((1 << w) - 1)))
+                      for s, w in zip(shifts, widths))
+    return Weights(wa, wb, n * wm), Weights(na, nb, n * nm), list(map(rshift, totals, repeat(top)))
 
 
 # --- tableau-native lattice ---------------------------------------------------

@@ -195,7 +195,8 @@ class Verifier:
         scale = column_table(algebra).block_length.__mul__
         w = lat.weights
         return (weights == w
-                and numerators == Weights(list(map(scale, w.alpha)), list(map(scale, w.beta)))
+                and numerators == Weights(list(map(scale, w.alpha)), list(map(scale, w.beta)),
+                                          scale(w.offset))
                 and sorted(blocks) == enumerate_littelmann(algebra, lam))
 
     def _duality_case(self, algebra, lam) -> bool:

@@ -143,7 +143,9 @@ def alternating_sum(algebra: Algebra, mu: Weight) -> LaurentPoly2:
 
 
 def character_from_lattice(lattice: IdealLattice) -> LaurentPoly2:
-    return LaurentPoly2(Counter(lattice.weights))
+    w = lattice.weights  # counted as raw pairs, then the few distinct ones shifted back
+    return LaurentPoly2({(a - w.offset, b - w.offset): c
+                         for (a, b), c in Counter(zip(w.alpha, w.beta)).items()})
 
 
 def verify_weyl_character(algebra: Algebra, lam: Weight, chi: LaurentPoly2) -> bool:

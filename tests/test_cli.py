@@ -568,6 +568,30 @@ class TestCanonicalLatticeFiles:
         assert fast[0] == 0 and fast[1].splitlines()[-1] == "PASS (algebra c2, weight 1,1)"
 
     @pytest.mark.parametrize("argv", [["character", "--verify"], ["export", "--format", "json"]])
+    @pytest.mark.parametrize("limit", [["--max-ideals", "1000"], []], ids=["1000", "default"])
+    def test_broken_text_before_a_large_poset_is_a_usage_error(
+            self, files, tmp_path, capsys, monkeypatch, argv, limit):
+        """A file whose covers open with "[," and whose poset is a 24-vertex
+        antichain, 2**24 ideals: the walk stops at the rows the text opens
+        before the poset, and the whole-file path reports the broken JSON."""
+        poset_file, lattice_file = files
+        text, poset = lattice_file.read_text(), poset_file.read_text().strip()
+        antichain = dumps({"kind": "vertex", "covers": [],
+                           "vertices": [{"color": "a", "id": v} for v in range(24)]}).strip()
+        forged = text.replace('{"covers":[[', '{"covers":[,').replace(
+            f',"poset":{poset},', f',"poset":{antichain},')
+        assert forged.count("[,") == 1 and forged.count(antichain) == 1
+        bad = tmp_path / "bad.json"
+        bad.write_text(forged)
+        bounds, walk = [], ranktwo.serialize.order_ideals
+        monkeypatch.setattr(ranktwo.serialize, "order_ideals",
+                            lambda p, max_ideals: bounds.append(max_ideals) or walk(p, max_ideals))
+        command, *rest = argv
+        code, out, err = run(capsys, command, "--in", str(bad), *rest, *limit)
+        assert (code, out) == (2, "") and err.startswith(f"error: {bad}: ")
+        assert bounds and max(bounds) <= forged.count("[")
+
+    @pytest.mark.parametrize("argv", [["character", "--verify"], ["export", "--format", "json"]])
     def test_deep_value_at_the_poset_place(self, tmp_path, capsys, argv):
         deep = tmp_path / "deep.json"
         deep.write_text('{"covers":[],"elements":[],"poset":' + "[" * 100_000)

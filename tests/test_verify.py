@@ -98,7 +98,7 @@ def one_piece_weight_off_by_one(m):
         changed = replace(piece)
         alpha = list(piece.weights.alpha)
         alpha[-1] += 1
-        vars(changed).update(weights=Weights(alpha, piece.weights.beta),
+        vars(changed).update(weights=Weights(alpha, piece.weights.beta, piece.weights.offset),
                              _component_bounds=piece._component_bounds)
         return type(projection)([*projection[:-1], (changed, column)])
 
@@ -343,6 +343,32 @@ def test_a_battery_builds_one_plane_set_per_fundamental_lattice(monkeypatch):
     assert sorted(map(id, built)) == sorted(
         id(fundamental_lattice(algebra, which)) for algebra in Algebra
         for which in ("alpha_fund", "beta_fund"))
+
+
+def test_a_battery_builds_each_key_table_once(monkeypatch):
+    """Every builder piece shares its fundamental lattice's key tables, so
+    one (3,3) battery builds 14 for 374 piece projections, each on a
+    fundamental lattice and once for its place values, not one per piece."""
+    looked, built = [], []
+    find = ranktwo.projection._key_table
+
+    def recording(piece, image):
+        before = len(vars(piece).get("_keys", {}))
+        table = find(piece, image)
+        looked.append(piece)
+        if len(vars(piece)["_keys"]) > before:
+            built.append((id(piece.first_lower[0]), image))
+        return table
+
+    monkeypatch.setattr(ranktwo.projection, "_key_table", recording)
+    fundamental_lattice.cache_clear()  # no tables made before this run
+    report = verify.Verifier((3, 3)).run_all()["checks"]
+    assert all(c["status"] == "PASS" for c in report), report
+    fundamentals = [fundamental_lattice(algebra, which) for algebra in Algebra
+                    for which in ("alpha_fund", "beta_fund")]
+    assert (len(looked), len(built), len(set(built))) == (374, 14, 14)
+    assert {column for column, _ in built} == {id(f.first_lower[0]) for f in fundamentals}
+    assert sum(len(vars(f)["_keys"]) for f in fundamentals) == 14
 
 
 def test_the_held_projection_keeps_no_packed_sums(monkeypatch):
