@@ -10,14 +10,14 @@ first lower cover, the least i with a cover (i, j), plus one vertex, and as
 each block is walked in i order, the first i to reach a code is that cover.
 `first_lower` gives the two columns, first lower cover and added bit, that
 the walk records there, the bits one byte each up to 128 vertices.  `Covers`
-is three columns: lower and upper element indices as `array("I")`, and one
-byte per cover, 1 for beta; no object is kept per cover or per element
-index.  The blocks' lengths are `rank_sizes`.
+is three columns: per element its count of upper covers, and per cover its
+upper element index as `array("I")` and one byte, 1 for beta; no object is
+kept per cover or per element index.  The blocks' lengths are `rank_sizes`.
 
-The statistics are read from those covers.  A one-color cover joins two
-elements of one component, so an element's least component size lo is that of
-any lower cover of that color and its greatest, hi, that of any upper one: a
-pass up the covers sets lo, a pass down sets hi, on columns of one byte an
+The statistics read no cover.  An element's c-component holds the ideals
+with its vertices of the other color, so a key of those, one digit a run,
+is carried along the first lower covers, and the least and greatest sizes
+of a key, lo and hi, are its first and last: on columns of one byte an
 entry below 256 vertices, else four.  An element of size s has rho = s - lo,
 length = hi - lo and weight coordinate m = 2 rho - length, whole-lattice
 columns: `rank_stats(color)` gives rho and length and `weights` the columns
@@ -44,7 +44,7 @@ mask steps.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, partial
 from itertools import accumulate, chain, count, islice, repeat
 from operator import add, mul, sub
@@ -58,11 +58,11 @@ TYPE_CHECKING = False  # as typing's, without importing typing
 if TYPE_CHECKING:
     from .projection import Projection
 
-# Peak RSS per ideal (Python 3.11): 48-59 B of growth (VmHWM) in the
+# Peak RSS per ideal (Python 3.11): 46-52 B of growth (VmHWM) in the
 # library through covers, weights and the character, rgf and structure checks
 # (G2 (5,5)-(8,8), which has 531,441 ideals); at G2 (6,6) and (7,7) the process
-# peak (getrusage) is 1.4 KB for `enumerate` writing its file and 0.6-0.7 KB
-# for `character --verify` and `export` reading one: 0.06, 1.4, 0.7 GB at 10**6.
+# peak (getrusage) is 1.4 KB for `enumerate` writing its file and 0.56-0.65 KB
+# for `character --verify` and `export` reading one: 0.05, 1.4, 0.65 GB at 10**6.
 DEFAULT_MAX_IDEALS = 10**6
 
 
@@ -87,17 +87,25 @@ class _Growth(dict):
 
 
 class Covers:
-    """A lattice's covers in (i, j) order, as columns: cover k goes from
-    element lower[k] up to element upper[k] and has color beta iff
-    beta[k] is 1.  Iterating gives (i, j, Color)."""
+    """A lattice's covers in (i, j) order, as columns: degree[i] of them go
+    up from element i (a byte each below 256 runs: each run grows once), the
+    k-th up to upper[k], colored beta iff beta[k] is 1.  Iterated as (i, j, Color)."""
 
-    __slots__ = ("lower", "upper", "beta")
+    __slots__ = ("degree", "upper", "beta")
 
-    def __init__(self, lower: Sequence[int], upper: Sequence[int], beta: bytes) -> None:
-        self.lower, self.upper, self.beta = lower, upper, beta
+    def __init__(self, degree: Sequence[int], upper: Sequence[int], beta: bytes) -> None:
+        self.degree, self.upper, self.beta = degree, upper, beta
 
     def __len__(self) -> int:
-        return len(self.lower)
+        return len(self.beta)
+
+    def per_cover(self, values: Iterable) -> Iterator:
+        """Per cover, its lower end's value: values[i] degree[i] times."""
+        return chain.from_iterable(map(repeat, values, self.degree))
+
+    @property
+    def lower(self) -> Iterator[int]:
+        return self.per_cover(count())
 
     def __iter__(self) -> Iterator[tuple[int, int, Color]]:
         return zip(self.lower, self.upper, map(_COLORS.__getitem__, self.beta))
@@ -112,12 +120,13 @@ class IdealLattice:
     poset: GridPoset | VertexColoredPoset
     built: SemistandardPoset | None  # the builder output `poset` came from, if any
     vertex_order: tuple[int, ...]
-    # all made by the walk: per size s, the number of elements of size s,
-    # which form one block; the covers; and the columns of `first_lower`
+    # all made by the walk: per size s, the number of elements of size s, which
+    # form one block; the covers; `first_lower`'s columns; the runs, bits bottom up
     rank_sizes: tuple[int, ...] = field(compare=False, repr=False)
     _covers: Covers = field(compare=False, repr=False)
     _first: array = field(compare=False, repr=False)
     _added: array = field(compare=False, repr=False)
+    runs: list[list[int]] = field(compare=False, repr=False)
 
     @cached_property
     def base(self) -> VertexColoredPoset:
@@ -146,11 +155,11 @@ class IdealLattice:
         lower covers with every bit kept: one add per element."""
         return tuple(self.carry([1 << b for b in range(len(self.vertex_order))]))
 
-    def carry(self, image_bit: Sequence[int]) -> list[int]:
+    def carry(self, image_bit: Sequence[int], out: list | array | None = None) -> Sequence[int]:
         """Each element's sum of image_bit[b] over its bits b, so its mask
         carried into another vertex order where bit b becomes image_bit[b]:
-        one add per element, onto the sum of its first lower cover."""
-        out = [0]
+        one add per element onto its first lower cover's, in `out` after 0."""
+        out = [0] if out is None else out
         for i, b in islice(zip(self._first, self._added), 1, None):
             out.append(out[i] + image_bit[b])
         return out
@@ -172,7 +181,7 @@ class IdealLattice:
                     or beta_bit[step.bit_length() - 1] != b ^ flip):
                 return False
             added[i] |= step
-        return len(lower) == len(self.covers)
+        return len(beta) == len(self.covers)
 
     @cached_property
     def edge_poset(self) -> EdgeColoredPoset:
@@ -182,23 +191,29 @@ class IdealLattice:
     def _component_bounds(self) -> tuple[tuple[Sequence[int], Sequence[int]], ...]:
         """Columns lo and hi of each element's component bounds, for alpha
         then beta: index it by `color is BETA`, which hashes no enum.  A
-        bound is a size, at most n: one byte an entry while n < 256, else 4."""
-        sizes = self._per_size(count())
-        alo = bytearray(sizes) if len(self.vertex_order) < 256 else array("I", sizes)
-        ahi, blo, bhi = alo[:], alo[:], alo[:]
-        cov = self.covers
-        # covers ascend in i: lo[i] is final at (i, j), hi[j] on the way back
-        for i, j, b in zip(cov.lower, cov.upper, cov.beta):
-            if b:
-                blo[j] = blo[i]
-            else:
-                alo[j] = alo[i]
-        for i, j, b in zip(reversed(cov.lower), reversed(cov.upper), reversed(cov.beta)):
-            if b:
-                bhi[i] = bhi[j]
-            else:
-                ahi[i] = ahi[j]
-        return (alo, ahi), (blo, bhi)
+        bound is a size, at most n: one byte an entry while n < 256, else 4.
+        The c-component of I is its fiber under I -> I - c, with bottom the
+        ideal I - c generates and top the fiber's union: c-covers keep I - c,
+        and adding c-vertices reaches the fiber from its bottom.  I meets each
+        run in a bottom segment, so the key, per run the count of vertices in
+        I not colored c, fixes I - c."""
+        order, color = self.vertex_order, self.base.color_of
+        column = bytearray if len(order) < 256 else partial(array, "I")
+        sizes, out = column(self._per_size(count())), []
+        for c in _COLORS:
+            unit, place = [0] * len(order), 1  # per bit, its run's place if not colored c
+            for run in self.runs:
+                k = 0
+                for b in run:
+                    if color[order[b]] is not c:
+                        unit[b], k = place, k + 1
+                place *= k + 1
+            keys = self.carry(unit, array("BBHIIQQQQ"[(place - 1).bit_length() + 7 >> 3], [0])
+                              if place <= 1 << 64 else None)  # the narrowest that holds a key
+            lo_of, hi_of = {}, {}  # per key, its first size from the bottom and from the top
+            hi = column(map(hi_of.setdefault, reversed(keys), reversed(sizes)))
+            out.append((column(map(lo_of.setdefault, keys, sizes)), hi[::-1]))
+        return tuple(out)
 
     def rank_stats(self, color: Color) -> tuple[list[int], list[int]]:
         """Columns rho and length: per element, its place in its component of
@@ -238,21 +253,6 @@ class IdealLattice:
         return out
 
 
-def _runs(order: Sequence[int], lower_covers: dict[int, tuple[int, ...]]) -> list[list[int]]:
-    """The chains of covers contiguous in `order`, going either way, each
-    as its bits bottom up: an order ideal meets each in a bottom segment."""
-    runs = []
-    for b, v in enumerate(order):
-        run = runs[-1] if runs else [None]
-        if run[0] == b - 1 and v in lower_covers[order[b - 1]]:
-            run.insert(0, b)
-        elif run[-1] == b - 1 and order[b - 1] in lower_covers[v]:
-            run.append(b)
-        else:
-            runs.append([b])
-    return runs
-
-
 def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
                  max_ideals: int = DEFAULT_MAX_IDEALS) -> IdealLattice:
     """All order ideals of p and their covers, refusing beyond `max_ideals`.
@@ -274,7 +274,15 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
         raise ValueError("order ideals need a vertex-colored poset")
     base = p.base if isinstance(p, GridPoset) else p
     order = p.total_order if isinstance(p, GridPoset) else base.linear_extension
-    runs = _runs(order, base.lower_covers)
+    runs = []  # each as its bits bottom up
+    for b, v in enumerate(order):
+        run = runs[-1] if runs else [None]
+        if run[0] == b - 1 and v in base.lower_covers[order[b - 1]]:
+            run.insert(0, b)
+        elif run[-1] == b - 1 and order[b - 1] in base.lower_covers[v]:
+            run.append(b)
+        else:
+            runs.append([b])
     place = {order[b]: (c, h) for c, run in enumerate(runs) for h, b in enumerate(run)}
     radix = list(accumulate((len(run) + 1 for run in runs), mul, initial=1))
     probes = []  # per run c: its table, R_lo, R_hi // R_lo and R_c
@@ -292,10 +300,10 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
     beta = [base.color_of[v] is BETA for v in order]
     if max_ideals < 1:
         raise TooManyIdeals(f"more than {max_ideals} order ideals")
-    low, up, col = array("I"), array("I"), bytearray()
+    deg, up, col = bytearray() if len(runs) < 256 else array("I"), array("I"), bytearray()
     n = len(order)  # added holds the bottom's -1, then bits below n: a byte up to 128
     first, added = array("i", [-1]), array("b" if n <= 128 else "h" if n <= 1 << 15 else "i", [-1])
-    add_low, add_col = low.append, col.append
+    add_deg, add_col = deg.append, col.append
     sizes, block, start = [], [0], 0  # the bottom, the only element of size 0
     room = max_ideals - 1  # elements the blocks above may still add
     while block:
@@ -307,6 +315,7 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
         reached, ranks, by_first, by_bit, k = {}, array("I"), [], [], 0
         add_rank, add_first, add_bit = ranks.append, by_first.append, by_bit.append
         for i, code in enumerate(block, start):
+            d = 0
             for grow, r_lo, span, r_c in probes:
                 b = grow[code // r_lo % span]
                 if b is not None:  # the run grows by the vertex at bit b
@@ -317,9 +326,10 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
                         k += 1
                         add_first(i)
                         add_bit(b)
-                    add_low(i)
+                    d += 1
                     add_rank(r)
                     add_col(beta[b])
+            add_deg(d)
         start += len(block)
         room -= k
         block = sorted(reached)
@@ -330,7 +340,8 @@ def order_ideals(p: GridPoset | VertexColoredPoset | SemistandardPoset,
         for e, r in enumerate(rank_of, start):
             at[r] = e
         up.extend(map(at.__getitem__, ranks))
-    return IdealLattice(p, built, order, tuple(sizes), Covers(low, up, bytes(col)), first, added)
+    return IdealLattice(p, built, order, tuple(sizes), Covers(deg, up, bytes(col)), first, added,
+                        runs)
 
 
 def structure_rows(lattice: IdealLattice) -> list[Weight | None] | None:
@@ -343,19 +354,19 @@ def structure_rows(lattice: IdealLattice) -> list[Weight | None] | None:
     cover plus the vertex at bit added[j].  If each such step shifts the
     weight by the row of its vertex's color, then by induction up the sizes
     w(j) is w(bottom) plus that row summed over the vertices of j, so every
-    cover adding v shifts it by v's row; and each step is a cover.  A color
-    with no covers has no vertex, so its row is never read."""
-    wa, wb, cov = lattice.weights.alpha, lattice.weights.beta, lattice.covers
+    cover adding v shifts it by v's row; and each step is a cover.  A row is
+    read off the first step adding its color's first vertex, which the step
+    up to the ideal that vertex generates adds; a color with no covers has
+    no vertex, so its row is never read."""
+    wa, wb, (first, added) = lattice.weights.alpha, lattice.weights.beta, lattice.first_lower
+    is_beta = [lattice.base.color_of[v] is BETA for v in lattice.vertex_order]  # per bit
     rows: list[Weight | None] = [None, None]  # shifts of raw columns: the offset cancels
-    for b in (0, 1):  # each row from the first cover of its color
-        k = cov.beta.find(b)
-        if k >= 0:
-            i, j = cov.lower[k], cov.upper[k]
-            rows[b] = (wa[j] - wa[i], wb[j] - wb[i])
+    for b in {*is_beta}:
+        j = added.index(is_beta.index(b))
+        rows[b] = (wa[j] - wa[first[j]], wb[j] - wb[first[j]])
     # per bit of the vertex order, the two shifts of its vertex's color
-    color = lattice.base.color_of
-    ra, rb = ([rows[color[v] is BETA][c] for v in lattice.vertex_order] for c in (0, 1))
-    for x, y, i, b in islice(zip(wa, wb, *lattice.first_lower), 1, None):
+    ra, rb = ([rows[x][c] for x in is_beta] for c in (0, 1))
+    for x, y, i, b in islice(zip(wa, wb, first, added), 1, None):
         if x - wa[i] != ra[b] or y - wb[i] != rb[b]:
             return None
     return rows
@@ -375,7 +386,7 @@ def projection_columns(lattice: IdealLattice, dec: Decomposition) -> Projection:
 
     if lattice.vertex_order != dec.order:
         raise ValueError("the decomposition is of a grid with another vertex order")
-    return project(lattice, _runs(dec.order, lattice.base.lower_covers), dec.lattices)
+    return project(lattice, lattice.runs, dec.lattices)
 
 
 def _piece_fields(lattice: IdealLattice, projection: list[tuple[IdealLattice, Sequence[int]]],

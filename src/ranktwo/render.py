@@ -10,8 +10,8 @@ joined by "],[", and no row is made as a list or tuple:
             read as the "],[" before the row and byte k + 1 through a table
             of the ",id" texts of ids 8k..8k+7, so a row is its ids
             ascending after one comma too many, which a replace drops;
-  covers    per element index, its text with a comma for the lower end
-            and, picked by the color byte, its text with the color;
+  covers    per element index, its text with a comma for the lower end,
+            once per upper cover, and by color byte its text with the color;
   weights   per raw value 0..2n of the raised columns, its weight's text,
             and with a comma for m_a.
 The masks are transient: carried for one read, not kept on the lattice.
@@ -24,7 +24,7 @@ process that reads no lattice file does not compile it.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import cycle, repeat
+from itertools import cycle, islice, repeat
 from operator import add, getitem
 
 from .algebras import ALPHA, BETA
@@ -71,10 +71,10 @@ def _element_blocks(lat: IdealLattice) -> Iterator[str]:
 def _cover_blocks(lat: IdealLattice) -> Iterator[str]:
     lower = list(map(add, map(str, range(len(lat))), repeat(",")))
     upper = [list(map(add, lower, repeat(f'"{c.value}"'))) for c in (ALPHA, BETA)]
-    cov = lat.covers
+    cov, lows = lat.covers, lat.covers.per_cover(lower)  # each lower end's text, per cover
     for s in range(0, len(cov), _BLOCK):
         cut = slice(s, s + _BLOCK)
-        yield _SEP.join(map(add, map(lower.__getitem__, cov.lower[cut]),
+        yield _SEP.join(map(add, islice(lows, _BLOCK),
                             map(getitem, map(upper.__getitem__, cov.beta[cut]), cov.upper[cut])))
 
 

@@ -116,7 +116,7 @@ def _cover_rows(lat: IdealLattice) -> list[list]:
     the indices are read through one list of the elements."""
     names, ids, cov = (ALPHA.value, BETA.value), list(range(len(lat))), lat.covers
     return [[i, j, names[b]] for i, j, b in
-            zip(map(ids.__getitem__, cov.lower), map(ids.__getitem__, cov.upper), cov.beta)]
+            zip(cov.per_cover(ids), map(ids.__getitem__, cov.upper), cov.beta)]
 
 
 def _weight_rows(lat: IdealLattice) -> list[list[int]]:

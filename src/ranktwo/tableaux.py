@@ -394,16 +394,16 @@ def tableau_lattice(algebra: Algebra, lam: Weight) -> TableauLattice:
              for i, (lo, shape) in enumerate(_windows(lam))]
     down = [[(old - new, beta, columns[new]) for new, beta in lowered]
             for old, lowered in enumerate(table.lowered)]
-    low, up, beta = array("I"), array("I"), bytearray()
-    for k, (code, ids) in enumerate(zip(codes, zip(*code_ids(algebra, lam, codes)))):
-        t = tuple(map(columns.__getitem__, ids))
+    degree, up, beta = array("I"), array("I"), bytearray()
+    for code, ids in zip(codes, zip(*code_ids(algebra, lam, codes))):
+        t, before = tuple(map(columns.__getitem__, ids)), len(up)
         for i, lo, hi, shape, place in spans:
             for step, b, new_column in down[ids[i]]:
                 if is_semistandard(algebra, shape, t[lo:i] + (new_column,) + t[i + 1:hi]):
-                    low.append(k)
                     up.append(index[code - step * place])
                     beta.append(b)
-    return TableauLattice(algebra, lam, codes, Covers(low, up, bytes(beta)))
+        degree.append(len(up) - before)
+    return TableauLattice(algebra, lam, codes, Covers(degree, up, bytes(beta)))
 
 
 # --- the tableau lattice's covers, neither built nor listed ------------------

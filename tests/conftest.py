@@ -1,4 +1,5 @@
 import itertools
+from array import array
 
 import pytest
 
@@ -106,13 +107,25 @@ def cover_copied(lower, upper, beta):
     return lower, upper, beta
 
 
+def covers_of(n, lower, upper, beta):
+    """`lattice.Covers` over n elements from the columns lower, upper and
+    beta, lower ascending as every mutation here keeps it: element i's
+    degree is its count in lower."""
+    from ranktwo.lattice import Covers
+
+    assert list(lower) == sorted(lower), "a cover column of lower ends ascends"
+    degree = [0] * n
+    for i in lower:
+        degree[i] += 1
+    return Covers(bytes(degree), array("I", upper), bytes(beta))
+
+
 def tamper_tableau_case_covers(monkeypatch, change, weight=None):
     """Make the verifier's tableau case read its beta-alpha lattice's covers
     as change(lower, upper, beta) gives them from two lists and a bytearray,
     at every weight or at `weight` only.  The lattice keeps its own covers,
     so no other criterion, and no later reader, sees the change."""
     from ranktwo import verify
-    from ranktwo.lattice import Covers
 
     tableau_case = verify.Verifier._tableau_case
 
@@ -123,7 +136,7 @@ def tamper_tableau_case_covers(monkeypatch, change, weight=None):
         cov = lat.covers  # a cached_property: the value sits in the instance dict
         lower, upper, beta = change(list(cov.lower), list(cov.upper), bytearray(cov.beta))
         with pytest.MonkeyPatch.context() as m:
-            m.setitem(vars(lat), "covers", Covers(lower, upper, bytes(beta)))
+            m.setitem(vars(lat), "covers", covers_of(len(lat), lower, upper, beta))
             return tableau_case(self, algebra, lam)
 
     monkeypatch.setattr(verify.Verifier, "_tableau_case", tampered)

@@ -14,7 +14,7 @@ from ranktwo.algebras import ALPHA, BETA, Algebra, cartan_matrix
 from ranktwo.build import fundamental_poset, semistandard_poset
 from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
 from ranktwo.grid import Decomposition, GridPoset, decompose, total_order, validate_grid
-from ranktwo.lattice import (IdealLattice, TooManyIdeals, Weights, _runs, check_structure,
+from ranktwo.lattice import (IdealLattice, TooManyIdeals, Weights, check_structure,
                              join_irreducible_poset, order_ideals, piece_rank_stats,
                              projection_columns, structure_rows, weight_via_decomposition)
 from ranktwo.poset import (EdgeColoredPoset, _components, _topological_order,
@@ -75,7 +75,9 @@ class TestEnumeration:
         # size 2, reached by 159,600 covers.  The walk refuses as soon as the
         # masks it has reached overflow the bound (about 1.5 MB traced at
         # its peak), not after collecting every cover of the block (18 MB).
-        # Size 1 adds bits up to 399, which a one-byte column could not hold
+        # Size 1 adds bits up to 399, which a one-byte column could not hold,
+        # and the bottom has 400 upper covers, which a one-byte degree column
+        # could not hold: its 400 runs take the wide one
         import tracemalloc
 
         p = VertexColoredPoset.build({v: ALPHA for v in range(400)}, ())
@@ -696,9 +698,12 @@ class TestCoversColumns:
         assert len(cov) == len(ref)
         assert tuple(cov) == ref
         assert type(cov.beta) is bytes and set(cov.beta) <= {0, 1}
-        # 4 bytes per index, no int object per element index
-        for column in cov.lower, cov.upper:
-            assert type(column) is array and column.typecode == "I"
+        # 4 bytes per upper end, no int object per element index, and one
+        # byte per element for the lower ends: its count of upper covers
+        assert type(cov.upper) is array and cov.upper.typecode == "I"
+        assert type(cov.degree) is bytearray
+        assert len(cov.degree) == len(lat) and sum(cov.degree) == len(cov)
+        assert list(cov.lower) == [i for i, _, _ in ref]
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixtures(self, name):
@@ -719,6 +724,103 @@ class TestCoversColumns:
         assert len(lat) == 1
         assert not lat.covers and len(lat.covers) == 0
         assert tuple(lat.covers) == ()
+
+
+class TestDegreeColumn:
+    """Per element its count of upper covers: a byte each below 256 runs,
+    4 bytes from 256 on, as an up-degree is at most the run count."""
+
+    @staticmethod
+    def ladder(m):
+        """Chains a_0 < ... and b_0 < ... of m vertices each, ids 2i and
+        2i + 1, with a_i < b_(i+1) and b_i < a_(i+1): its linear extension
+        0, 1, 2, ... holds runs of at most two vertices, and an ideal's two
+        heights differ by at most 1, so 3m + 1 ideals."""
+        covers = [(2 * i + d, 2 * i + e) for i in range(m - 1) for d in (0, 1) for e in (2, 3)]
+        return VertexColoredPoset.build({v: (ALPHA, BETA)[v % 2] for v in range(2 * m)}, covers)
+
+    @pytest.mark.parametrize("m, runs, wide", [(10, 11, False), (255, 256, True), (300, 301, True)])
+    def test_width_follows_the_run_count(self, m, runs, wide):
+        lat = order_ideals(self.ladder(m))
+        cov = lat.covers
+        assert len(lat) == 3 * m + 1 and len(lat.runs) == runs
+        assert type(cov.degree) is (array if wide else bytearray)
+        assert not wide or cov.degree.typecode == "I"
+        assert len(cov.degree) == len(lat) and sum(cov.degree) == len(cov)
+        assert tuple(cov) == reference_covers(lat)
+        assert_bounds_match_reference(lat)
+
+    def test_lower_ends_repeat_each_element_by_its_degree(self):
+        lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (2, 1)))
+        cov = lat.covers
+        assert list(cov.lower) == [i for i, d in enumerate(cov.degree) for _ in range(d)]
+        texts = [f"e{i}" for i in range(len(lat))]
+        assert list(cov.per_cover(texts)) == [texts[i] for i, _, _ in reference_covers(lat)]
+
+
+def reference_component_bounds(lat):
+    """The bounds by two passes over the covers: a one-color cover joins two
+    elements of one component, so as the covers ascend in i, lo[j] takes
+    lo[i] along each cover (i, j) of that color, and as they descend, hi[i]
+    takes hi[j]; columns of one byte an entry below 256 vertices, else four."""
+    sizes = [s for s, k in enumerate(lat.rank_sizes) for _ in range(k)]
+    alo = bytearray(sizes) if len(lat.vertex_order) < 256 else array("I", sizes)
+    ahi, blo, bhi = alo[:], alo[:], alo[:]
+    cov = lat.covers
+    lower = list(cov.lower)
+    for i, j, b in zip(lower, cov.upper, cov.beta):
+        if b:
+            blo[j] = blo[i]
+        else:
+            alo[j] = alo[i]
+    for i, j, b in zip(reversed(lower), reversed(cov.upper), reversed(cov.beta)):
+        if b:
+            bhi[i] = bhi[j]
+        else:
+            ahi[i] = ahi[j]
+    return (alo, ahi), (blo, bhi)
+
+
+def assert_bounds_match_reference(lat):
+    got, want = lat._component_bounds, reference_component_bounds(lat)
+    assert [(type(c), memoryview(c).format) for pair in got for c in pair] == \
+        [(type(c), memoryview(c).format) for pair in want for c in pair]
+    assert got == want
+
+
+class TestComponentBoundsMatchCoverPasses:
+    """The bounds from color-fiber keys equal the two cover passes, column
+    by column and type by type."""
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixtures(self, name):
+        p = load_fixture(name)
+        assert_bounds_match_reference(order_ideals(p))
+        assert_bounds_match_reference(order_ideals(stripped(p)))
+
+    @pytest.mark.parametrize("algebra", list(Algebra))
+    def test_built_lattices(self, algebra):
+        for order in ("beta_alpha", "alpha_beta"):
+            for lam in itertools.product(range(5), repeat=2):
+                assert_bounds_match_reference(order_ideals(semistandard_poset(algebra, order, lam)))
+
+    @pytest.mark.parametrize("order", ["beta_alpha", "alpha_beta"])
+    def test_g2_66(self, order):
+        assert_bounds_match_reference(order_ideals(semistandard_poset(Algebra.G2, order, (6, 6))))
+
+    def test_random_posets(self, rng):
+        for _ in range(300):
+            assert_bounds_match_reference(order_ideals(random_colored_poset(rng, rng.randint(1, 10))))
+
+    def test_random_valid_grids(self, rng):
+        for p in random_valid_grids(rng, 300):
+            assert_bounds_match_reference(order_ideals(p))
+
+    def test_long_two_color_chain(self):
+        # 300 vertices: 4-byte bounds, one run, keys below 301
+        chain = VertexColoredPoset.build({v: (ALPHA, BETA)[v // 200] for v in range(300)},
+                                         [(v, v + 1) for v in range(299)])
+        assert_bounds_match_reference(order_ideals(chain))
 
 
 class TestWeights:
@@ -990,20 +1092,22 @@ print(peak_kb() - before)
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
 def test_lattice_core_memory():
     """The lattice core holds no mask and no tuple per element or per
-    cover, 4-byte cover indices, first lower covers and component bounds,
-    and shared weight ints: 46,656 ideals and 196,700 covers grow the peak
-    by at most 4.5 MB (3.8-4.1 MB measured on Python 3.10-3.13; 5.6-5.9 MB
-    with a tuple of every mask, 9.0-9.1 MB with one int object per element
-    index in list cover columns and a scan before the covers walk,
-    11.9-12.1 MB with two int objects per index and the bounds as lists,
-    16.6-17.0 MB with a tuple per weight as well)."""
+    cover, 4-byte upper cover indices, a byte of up-degree per element,
+    first lower covers and component bounds, and shared weight ints:
+    46,656 ideals and 196,700 covers grow the peak by at most 3.0 MB
+    (2.3-2.6 MB measured on Python 3.10-3.13; 3.0-3.3 MB with a 4-byte
+    lower index per cover as well; earlier, 5.6-5.9 MB with a tuple of
+    every mask, 9.0-9.1 MB with one int object per element index in list
+    cover columns and a scan before the covers walk, 11.9-12.1 MB with two
+    int objects per index and the bounds as lists, 16.6-17.0 MB with a
+    tuple per weight as well)."""
     import ranktwo
 
     src = os.path.dirname(os.path.dirname(ranktwo.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", _PIPELINE_GROWTH], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert int(out) <= 4.5 * 1024
+    assert int(out) <= 3.0 * 1024
 
 
 def infer_structure_matrix(lattice):
@@ -1058,13 +1162,14 @@ def reference_structure_rows(lattice):
     """structure_rows by its definition: the shift of every cover against
     the first cover of its color."""
     wa, wb, cov = lattice.weights.alpha, lattice.weights.beta, lattice.covers
+    lower = list(cov.lower)
     rows = [None, None]
     for b in (0, 1):
         k = cov.beta.find(b)
         if k >= 0:
-            i, j = cov.lower[k], cov.upper[k]
+            i, j = lower[k], cov.upper[k]
             rows[b] = (wa[j] - wa[i], wb[j] - wb[i])
-    for i, j, b in zip(cov.lower, cov.upper, cov.beta):
+    for i, j, b in zip(lower, cov.upper, cov.beta):
         if (wa[j] - wa[i], wb[j] - wb[i]) != rows[b]:
             return None
     return rows
@@ -1336,7 +1441,7 @@ class TestPieceProjection:
         height takes two bytes; every piece column is still bytes."""
         sp = semistandard_poset(Algebra.A1A1, "beta_alpha", (300, 0))
         lat = order_ideals(sp)
-        assert [len(run) for run in _runs(lat.vertex_order, lat.base.lower_covers)] == [300]
+        assert [len(run) for run in lat.runs] == [300]
         projection = assert_projection_matches_masks(lat, sp.decomposition)
         assert {type(column) for _, column in projection} == {bytes}
         assert weight_via_decomposition(lat, projection) == lat.weights
@@ -1357,7 +1462,7 @@ class TestPieceProjection:
         keys take two bytes and the column one."""
         p = two_chains(16, 1)
         lat = order_ideals(p)
-        assert [len(run) for run in _runs(lat.vertex_order, lat.base.lower_covers)] == [16, 16]
+        assert [len(run) for run in lat.runs] == [16, 16]
         dec = Decomposition((p,), (None,), p.total_order)
         ((_, column),) = assert_projection_matches_masks(lat, dec)
         assert len(lat) == 49 and type(column) is bytes

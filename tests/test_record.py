@@ -24,7 +24,7 @@ SPECS = {
     GridPoset: "base chains",
     Decomposition: "pieces labels order _lattices-=None",
     SemistandardPoset: "grid algebra order weight",
-    IdealLattice: "poset built vertex_order rank_sizes- _covers- _first- _added-",
+    IdealLattice: "poset built vertex_order rank_sizes- _covers- _first- _added- runs-",
     TableauLattice: "algebra weight codes covers",
 }
 

@@ -6,12 +6,13 @@ from types import MappingProxyType
 import pytest
 
 import goldens
-from conftest import beta_flipped, cover_copied, cover_dropped, tamper_tableau_case_covers
+from conftest import (beta_flipped, cover_copied, cover_dropped, covers_of,
+                      tamper_tableau_case_covers)
 from ranktwo.algebras import ALPHA, BETA, Algebra
 from ranktwo.build import fundamental_poset, semistandard_poset
 from ranktwo.fixtures import load_fixture
 from ranktwo.grid import GridPoset
-from ranktwo.lattice import Covers, Weights, order_ideals
+from ranktwo.lattice import Weights, order_ideals
 from ranktwo.poset import EdgeColoredPoset, edge_color_isomorphism
 from ranktwo.tableaux import (ALPHABET_SIZE, EDGE_COLOR_OF_VALUE, ShapeError,
                               _column_admissible, _column_maps,
@@ -788,7 +789,8 @@ def test_tableau_case_matches_reference(algebra, lam):
             m.setattr("ranktwo.tableaux.tableau_cover_count",
                       lambda algebra, lam: tableau_cover_count(algebra, lam) + extra)
             case = verifier._tableau_case(algebra, lam)
-        covers = Covers(*change(list(cov.lower), list(cov.upper), bytearray(cov.beta)))
+        covers = covers_of(len(lat), *change(list(cov.lower), list(cov.upper),
+                                             bytearray(cov.beta)))
         reference = reference_tableau_case(lat, recode(list(codes)), covers, tl, extra)
         assert case is reference is (name == "untampered" or (len(lat) == 1 and not extra)), name
 
