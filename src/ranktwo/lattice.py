@@ -355,14 +355,14 @@ def structure_rows(lattice: IdealLattice) -> list[Weight | None] | None:
     weight by the row of its vertex's color, then by induction up the sizes
     w(j) is w(bottom) plus that row summed over the vertices of j, so every
     cover adding v shifts it by v's row; and each step is a cover.  A row is
-    read off the first step adding its color's first vertex, which the step
-    up to the ideal that vertex generates adds; a color with no covers has
-    no vertex, so its row is never read."""
+    read off the first step adding a vertex of its color, which every vertex
+    has, up to the ideal it generates; a color with no covers has no vertex,
+    so its row is never read."""
     wa, wb, (first, added) = lattice.weights.alpha, lattice.weights.beta, lattice.first_lower
     is_beta = [lattice.base.color_of[v] is BETA for v in lattice.vertex_order]  # per bit
     rows: list[Weight | None] = [None, None]  # shifts of raw columns: the offset cancels
     for b in {*is_beta}:
-        j = added.index(is_beta.index(b))
+        j = next(j for j in range(1, len(added)) if is_beta[added[j]] == b)
         rows[b] = (wa[j] - wa[first[j]], wb[j] - wb[first[j]])
     # per bit of the vertex order, the two shifts of its vertex's color
     ra, rb = ([rows[x][c] for x in is_beta] for c in (0, 1))
