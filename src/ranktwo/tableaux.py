@@ -450,11 +450,12 @@ def carries_tableau_covers(algebra: Algebra, lam: Weight, codes: Sequence[int],
     codes the admissible ones, each once, that map is then an edge-colored
     isomorphism onto the tableau lattice.
 
-    The covers strictly ascend in (i, j), so none repeats.  Each difference
-    codes[i] - codes[j] is d * R**(n-1-k) for one position k and 1 <= d < R,
-    and column k's id old in codes[i] has the decrement to old - d, of color
-    b, in `column_table(algebra).lowered`; old >= d, so nothing borrows and
-    the other columns agree.  There are as many covers as
+    The covers ascend in i, degree[i] of them from i, and strictly in j from
+    one i, so none repeats.  Each difference codes[i] - codes[j] is
+    d * R**(n-1-k) for one position k and 1 <= d < R, and column k's id old
+    in codes[i] has the decrement to old - d, of color b, in
+    `column_table(algebra).lowered`; old >= d, so nothing borrows and the
+    other columns agree.  There are as many covers as
     `tableau_cover_count` gives."""
     table = column_table(algebra)
     radix = table.radix
@@ -464,13 +465,14 @@ def carries_tableau_covers(algebra: Algebra, lam: Weight, codes: Sequence[int],
         for old, lowered in enumerate(table.lowered):
             for new, beta in lowered:
                 steps.setdefault(2 * (old - new) * place + beta, (place, set()))[1].add(old)
-    size, last = len(codes), -1
-    for i, j, b in zip(covers.lower, covers.upper, covers.beta):
-        key = i * size + j
-        step = steps.get(2 * (codes[i] - codes[j]) + b)
-        if key <= last or step is None or codes[i] // step[0] % radix not in step[1]:
-            return False
-        last = key
+    ups = zip(covers.upper, covers.beta)
+    for code, d in zip(codes, covers.degree):
+        last = -1
+        for j, b in itertools.islice(ups, d):
+            step = steps.get(2 * (code - codes[j]) + b)
+            if j <= last or step is None or code // step[0] % radix not in step[1]:
+                return False
+            last = j
     return len(covers) == tableau_cover_count(algebra, lam)
 
 

@@ -704,6 +704,7 @@ class TestCoversColumns:
         assert type(cov.degree) is bytearray
         assert len(cov.degree) == len(lat) and sum(cov.degree) == len(cov)
         assert list(cov.lower) == [i for i, _, _ in ref]
+        assert list(cov.per_cover(map(str, range(len(lat))))) == [str(i) for i, _, _ in ref]
 
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixtures(self, name):
@@ -749,13 +750,6 @@ class TestDegreeColumn:
         assert len(cov.degree) == len(lat) and sum(cov.degree) == len(cov)
         assert tuple(cov) == reference_covers(lat)
         assert_bounds_match_reference(lat)
-
-    def test_lower_ends_repeat_each_element_by_its_degree(self):
-        lat = order_ideals(semistandard_poset(Algebra.C2, "beta_alpha", (2, 1)))
-        cov = lat.covers
-        assert list(cov.lower) == [i for i, d in enumerate(cov.degree) for _ in range(d)]
-        texts = [f"e{i}" for i in range(len(lat))]
-        assert list(cov.per_cover(texts)) == [texts[i] for i, _, _ in reference_covers(lat)]
 
 
 def reference_component_bounds(lat):
